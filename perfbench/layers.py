@@ -8,13 +8,14 @@ repeat exactly at a fixed seed.
 
 Times (unit ``s``) are totals over the sweep unless the name says ``self``
 (the span's time minus its children's) or is a ``joint_feasibility_s`` entry
-(mean seconds per solve for tables of that size and verdict).  Span times
-are as measured; only ``trace.overhead_frac`` compares probe-scaled rounds.
+(mean seconds per solve for tables of that size and verdict, or for the
+random-direction hidden-state tables, ``random_dirs``, which the verdict
+entries leave out).  Counts are of calls the program made, except those
+named ``computed``, which are arithmetic on the call's arguments.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 from collections import defaultdict
 
@@ -68,10 +69,11 @@ def _catalogue():
         ("pricing.gbm_path_matrix_s", "s", "lower", ("wall_s@batch", "peak_rss_mb@batch")),
         ("pricing.gbm_bytes_computed", "B", "lower", ("wall_s@batch", "peak_rss_mb@batch")),
         ("pricing.binomial_price_s", "s", "lower", ("wall_s@batch", "op_p50_s@cli")),
-        ("pricing.lattice_node_updates", "count", "lower", ("wall_s@batch", "op_p50_s@cli")),
+        ("pricing.lattice_node_updates_computed", "count", "lower",
+         ("wall_s@batch", "op_p50_s@cli")),
     ]
     rows += [(f"kolmogorov_check.joint_feasibility_s.{v}.n{n}", "s", "lower", _FEAS)
-             for v in ("feasible", "infeasible") for n in FEAS_SIZES]
+             for v in ("feasible", "infeasible", "random_dirs") for n in FEAS_SIZES]
     rows += [
         ("kolmogorov_check.verdicts_feasible", "count", "higher", _FEAS),
         ("kolmogorov_check.verdicts_infeasible", "count", "higher", _FEAS),
@@ -103,9 +105,9 @@ def _inside_ops(spans):
     return out, children
 
 
-def derive(spans, import_s: dict, bytes_written: int, overhead: dict,
-           chunk_trials: int) -> dict:
+def derive(spans, import_s: dict, bytes_written: int, overhead: dict) -> dict:
     inside, children = _inside_ops(spans)
+    name_of = {s[0]: s[1] for s in spans}
     by_name = defaultdict(list)
     for span, op_tag in inside:
         if not (isinstance(span[5], dict) and span[5].get("error")):
@@ -152,8 +154,9 @@ def derive(spans, import_s: dict, bytes_written: int, overhead: dict,
             m[f"sphere_model.measurement_counts_s.{k}.w{w}"] = total(
                 "sphere_model.measurement_counts",
                 lambda t, k=k, w=w: t["kind"] == k and t["workers"] == w)
-    m["sphere_model.chunks"] = sum(math.ceil(s[5]["trials"] / chunk_trials)
-                                   for s, _ in by_name["sphere_model.measurement_counts"])
+    # array draws the sampler makes directly for measurement_counts
+    m["sphere_model.chunks"] = sum(1 for s, _ in by_name["sphere_model.rho_sample"]
+                                   if name_of.get(s[4]) == "sphere_model.measurement_counts")
     m.update({
         "sphere_model.hidden_state_table_s": total("sphere_model.hidden_state_agreement_table"),
         "sphere_model.agreement_table_s": total("sphere_model.agreement_table"),
@@ -162,20 +165,29 @@ def derive(spans, import_s: dict, bytes_written: int, overhead: dict,
         "pricing.gbm_path_matrix_s": total("pricing.gbm_path_matrix"),
         "pricing.gbm_bytes_computed": sum(s[5]["bytes"] for s, _ in by_name["pricing.gbm_path_matrix"]),
         "pricing.binomial_price_s": total("pricing.binomial_price"),
-        "pricing.lattice_node_updates": sum(s[5]["steps"] * (s[5]["steps"] + 1) // 2
-                                            for s, _ in by_name["pricing.binomial_price"]),
+        "pricing.lattice_node_updates_computed": sum(
+            s[5]["steps"] * (s[5]["steps"] + 1) // 2 for s, _ in by_name["pricing.binomial_price"]),
     })
     solves = by_name["kolmogorov_check.joint_feasibility"]
-    for verdict in ("feasible", "infeasible"):
-        for n in FEAS_SIZES:
-            times = [s[3] - s[2] for s, _ in solves
-                     if s[5]["n"] == n and s[5]["feasible"] == (verdict == "feasible")]
-            m[f"kolmogorov_check.joint_feasibility_s.{verdict}.n{n}"] = (
+
+    def random_dirs(op_tag):
+        return op_tag.startswith("joint_feasibility.hidden_state_random.")
+
+    for n in FEAS_SIZES:
+        groups = {
+            "feasible": [s for s, t in solves if not random_dirs(t) and s[5]["feasible"]],
+            "infeasible": [s for s, t in solves if not random_dirs(t) and not s[5]["feasible"]],
+            "random_dirs": [s for s, t in solves if random_dirs(t)],
+        }
+        for group, members in groups.items():
+            times = [s[3] - s[2] for s in members if s[5]["n"] == n]
+            m[f"kolmogorov_check.joint_feasibility_s.{group}.n{n}"] = (
                 statistics.fmean(times) if times else 0.0)
     m.update({
         "kolmogorov_check.verdicts_feasible": sum(1 for s, _ in solves if s[5]["feasible"]),
         "kolmogorov_check.verdicts_infeasible": sum(1 for s, _ in solves if not s[5]["feasible"]),
-        "kolmogorov_check.atom_columns": sum(2 ** s[5]["n"] for s, _ in solves),
+        "kolmogorov_check.atom_columns": sum(
+            s[5]["columns"] for s, _ in by_name["kolmogorov_check._phase1_simplex"]),
         "kolmogorov_check.sphere_bell_scan_s": total("kolmogorov_check.sphere_bell_scan"),
         "scop_core.transition_calls": count("scop_core.transition"),
         "scop_core.transition_s": total("scop_core.transition"),

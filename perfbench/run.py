@@ -11,13 +11,11 @@ client; executor pools use at most nproc = 2 workers.
 
 ``--trace 0`` measures the named workload for about S seconds of rounds
 and reports the end-to-end metrics.  Times are scaled to a reference
-machine speed measured next to the work (see ``workloads.PROBE_REF_S``);
-the run details line also gives them unscaled.  ``setup_s`` and the cli
-invocations are measured with this process and its children on one core,
-since those children are single-threaded and the probe must share their
-core.  ``--trace 1`` runs one fixed round of
-every workload untraced and then traced, and reports the per-layer metrics
-listed in perfbench/layers.py (counts repeat exactly at a fixed seed).
+machine speed measured on the cores the work runs on (see
+``workloads.PROBE_REF_S``); the run details line also gives them unscaled.
+``--trace 1`` runs one fixed round of every workload untraced and then
+traced, and reports the per-layer metrics listed in perfbench/layers.py
+(counts repeat exactly at a fixed seed).
 
 The next-to-last stdout line is a JSON record of the environment and run
 details; the last line is the result:
@@ -85,25 +83,13 @@ def environment(wl) -> dict:
     }
 
 
-@contextlib.contextmanager
-def one_core():
-    """Keep this thread, and the processes it starts, on one core, so the
-    speed probe runs where the single-threaded children run."""
-    mask = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {min(mask)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, mask)
-
-
-def measure_setup(wl) -> float:
+def measure_setup(wl) -> tuple[float, float]:
     """Median time from spawning a fresh interpreter until ``import
     spheremarket`` returns in it (both clocks are CLOCK_MONOTONIC), scaled
-    to the reference speed."""
-    samples = []
+    by the speed probes timed just before and after it, and unscaled."""
+    samples, raw = [], []
     for k in range(SETUP_SAMPLES + 1):
-        probe = wl.speed_probe()
+        probe = wl.speed_probe()  # on ONE_CORE, where the spawn runs
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", SETUP_CODE], cwd=ROOT, env=wl.child_env(),
                               capture_output=True, text=True, timeout=60)
@@ -113,13 +99,16 @@ def measure_setup(wl) -> float:
         if not os.path.abspath(path).startswith(SRC + os.sep):
             raise RuntimeError(f"spheremarket imported from {path}, not from {SRC}")
         if k:  # the first spawn warms the file cache
-            samples.append((float(t_child) - t0) * wl.PROBE_REF_S / probe)
-    return statistics.median(samples)
+            seconds = float(t_child) - t0
+            raw.append(seconds)
+            samples.append(seconds * 2.0 * wl.PROBE_REF_S / (probe + wl.speed_probe()))
+    return statistics.median(samples), statistics.median(raw)
 
 
 def measure_importtime(wl) -> dict:
     """Median cumulative import time (s) of spheremarket and scipy.special
-    from ``python -X importtime``."""
+    from ``python -X importtime``; 0.0 for scipy.special if importing
+    spheremarket no longer imports it."""
     found = {"spheremarket": [], "scipy.special": []}
     for _ in range(IMPORTTIME_SAMPLES):
         proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import spheremarket"],
@@ -129,47 +118,41 @@ def measure_importtime(wl) -> dict:
             parts = [p.strip() for p in line.removeprefix("import time:").split("|")]
             if len(parts) == 3 and parts[2] in found and parts[1].isdigit():
                 found[parts[2]].append(int(parts[1]) / 1e6)
-    return {k: statistics.median(v) for k, v in found.items()}
+    if not found["spheremarket"]:
+        raise RuntimeError("python -X importtime did not list spheremarket")
+    return {k: statistics.median(v) if v else 0.0 for k, v in found.items()}
 
 
-def summarise_rounds(wl, name: str, rounds, scaled: bool) -> dict:
-    """wall_s, work_per_s and op_p50_s of a run.
+def summarise_rounds(wl, name: str, rounds, scaled: bool = True) -> dict:
+    """wall_s, work_per_s and op_p50_s of a run, from the call times.
 
-    A round's time is the sum over its operation kinds of that kind's
-    median time over the run times its calls per round, which is robust to
-    bursts of a shared machine.
+    wall_s is the median over rounds of the time a round spends in library
+    calls; work_per_s is the run's work units over the time of the calls
+    that did them; op_p50_s is the median time of the workload's key call.
     """
-    times, work = {}, {}
+    times, work, work_s = {}, 0, 0.0
     for x in rounds:
-        for kind, ts in x.times.items():
-            times.setdefault(kind, []).extend(x.scaled(kind) if scaled else ts)
+        round_times = x.times if scaled else x.raw_times
+        for kind, ts in round_times.items():
+            times.setdefault(kind, []).extend(ts)
         for kind, units in x.work.items():
-            work[kind] = work.get(kind, 0) + units
-    per_round = {k: statistics.median(ts) * len(ts) / len(rounds) for k, ts in times.items()}
+            work += units
+            work_s += sum(round_times[kind])
     key = wl.KEY_OPS[name] or tuple(times)
     return {
-        "wall_s": sum(per_round.values()),
-        "work_per_s": sum(work.values()) / len(rounds) / sum(per_round[k] for k in work),
+        "wall_s": statistics.median(x.wall(scaled) for x in rounds),
+        "work_per_s": work / work_s,
         "op_p50_s": statistics.median(t for k in key for t in times[k]),
         "op_samples": sum(len(times[k]) for k in key),
     }
 
 
 def timed_run(wl, name: str, seed: int, seconds: float, L) -> dict:
-    with one_core():
-        setup_s = measure_setup(wl)
-    if name in wl.IN_PROCESS:
-        return run_rounds(wl, name, seed, seconds, L, setup_s)
-    L.probe_each = True
-    with one_core():
-        return run_rounds(wl, name, seed, seconds, L, setup_s)
-
-
-def run_rounds(wl, name: str, seed: int, seconds: float, L, setup_s: float) -> dict:
+    with wl.on_cores(wl.ONE_CORE):
+        setup_s, setup_raw = measure_setup(wl)
     fn = wl.ROUNDS[name]
-    in_process = name in wl.IN_PROCESS
     r = 0
-    if in_process:  # one round to fill caches and finish lazy set-up
+    if name in wl.IN_PROCESS:  # one round to fill caches and finish lazy set-up
         try:
             fn(L, seed, r)
         except wl.OpFailed:
@@ -177,18 +160,12 @@ def run_rounds(wl, name: str, seed: int, seconds: float, L, setup_s: float) -> d
         r += 1
     rounds, attempts = [], 0
     start = time.perf_counter()
-    probe_before = wl.speed_probe() if in_process else wl.PROBE_REF_S
     while True:
         t0 = time.perf_counter()
         try:
-            res = fn(L, seed, r)
+            rounds.append(fn(L, seed, r))
         except wl.OpFailed:
-            res = None
-        probe_after = wl.speed_probe() if in_process else wl.PROBE_REF_S
-        if res is not None:
-            res.probe_s = (probe_before + probe_after) / 2.0
-            rounds.append(res)
-        probe_before = probe_after
+            pass
         r += 1
         attempts += 1
         now = time.perf_counter()
@@ -196,7 +173,7 @@ def run_rounds(wl, name: str, seed: int, seconds: float, L, setup_s: float) -> d
             break
     if not rounds:
         raise RuntimeError("no round completed")
-    summary = summarise_rounds(wl, name, rounds, True)
+    summary = summarise_rounds(wl, name, rounds)
     who = resource.RUSAGE_CHILDREN if name == "cli" else resource.RUSAGE_SELF
     metrics = {
         "setup_s": (setup_s, "s"),
@@ -205,10 +182,11 @@ def run_rounds(wl, name: str, seed: int, seconds: float, L, setup_s: float) -> d
         "work_per_s": (summary["work_per_s"], "1/s"),
         "op_p50_s": (summary["op_p50_s"], "s"),
     }
-    unscaled = summarise_rounds(wl, name, rounds, False)
+    unscaled = summarise_rounds(wl, name, rounds, scaled=False)
     details = {"rounds": len(rounds), "op_samples": summary["op_samples"],
                "measured_s": time.perf_counter() - start,
-               "unscaled": {k: unscaled[k] for k in ("wall_s", "work_per_s", "op_p50_s")}}
+               "unscaled": {"setup_s": setup_raw,
+                            **{k: unscaled[k] for k in ("wall_s", "work_per_s", "op_p50_s")}}}
     return metrics, details
 
 
@@ -219,17 +197,12 @@ def trace_run(wl, seed: int, L):
     rec = tracer.Recorder()
     overhead, bytes_written = {}, 0
     for name, fn in wl.ROUNDS.items():
-        in_process = name in wl.IN_PROCESS
-        L.probe_each = not in_process
-        runs = 3 if in_process else 2  # in-process: warm-up, untraced, traced
-        walls = []
+        runs = 3 if name in wl.IN_PROCESS else 2  # in-process: warm-up, untraced, traced
+        rounds = []
         for k in range(runs):
             traced = k == runs - 1
-            probe_before = wl.speed_probe() if in_process else wl.PROBE_REF_S
             try:
                 with contextlib.ExitStack() as stack:
-                    if not in_process:
-                        stack.enter_context(one_core())
                     if traced:
                         L.rec = rec
                         stack.enter_context(rec.installed())
@@ -239,14 +212,14 @@ def trace_run(wl, seed: int, L):
                 raise RuntimeError(f"{name} round failed: {L.messages[-1]}") from None
             finally:
                 L.rec = None
-            if in_process:
-                res.probe_s = (probe_before + wl.speed_probe()) / 2.0
-            walls.append(res.scaled_wall)
-        overhead[name] = (walls[-1] - walls[-2]) / walls[-2]
+            rounds.append(res)
+        # over the calls both rounds make (the traced one may make more)
+        plain, traced = rounds[-2], rounds[-1]
+        traced_wall = sum(sum(traced.times[k]) for k in plain.times)
+        overhead[name] = (traced_wall - plain.wall()) / plain.wall()
         if name == "cli":
             bytes_written = res.bytes_written
-    values = layers.derive(rec.spans, measure_importtime(wl), bytes_written, overhead,
-                           wl.sm.CHUNK_TRIALS)
+    values = layers.derive(rec.spans, measure_importtime(wl), bytes_written, overhead)
     units = {row[0]: row[1] for row in layers.CATALOGUE}
     metrics = {k: (values[k], units[k]) for k in units}
     os.makedirs(OUT_DIR, exist_ok=True)

@@ -12,9 +12,16 @@ A span is ``(id, name, start, end, parent, tag)``.  Times come from
 child process line up with the parent's).  ``parent`` is the id of the
 enclosing span, or 0 at the root; a span opened on an executor thread with
 nothing open on that thread takes the innermost open span of the main
-thread as its parent, since one client drives the run.  ``tag`` carries the
-argument-derived facts the per-layer metrics need (rho kind, worker count,
-table size and verdict, ...).
+thread as its parent, since one client drives the run.  ``tag`` carries
+the argument-derived facts the per-layer metrics need (rho kind, worker
+count, table size and verdict, ...).
+
+Two internals are recorded too, so that counts come from what the program
+does rather than from the arguments it was given: every array draw of a
+rho distribution's ``sample`` method (``sphere_model.rho_sample``; scalar
+draws are not recorded), and the LP solver
+``kolmogorov_check._phase1_simplex`` with the column count of the matrix it
+is handed.
 """
 
 from __future__ import annotations
@@ -56,6 +63,10 @@ def _tag_binomial(a, result):
     return {"steps": int(a["steps"])}
 
 
+def _tag_simplex(a, result):
+    return {"columns": int(a["A"].shape[1])}
+
+
 def _tag_run_market(a, result):
     return {"regime": a["cfg"].regime.to_dict()["kind"]}
 
@@ -78,7 +89,11 @@ TAGGERS = {
     "market_sim.run_market_ensemble": _tag_workers,
     "kolmogorov_check.joint_feasibility": _tag_joint_feasibility,
     "cli_runner.run": _tag_run,
+    "kolmogorov_check._phase1_simplex": _tag_simplex,
 }
+
+# private functions wrapped beside the public ones
+INTERNALS = {"kolmogorov_check": ("_phase1_simplex",)}
 
 
 def public_functions(module) -> dict:
@@ -128,6 +143,18 @@ class Recorder:
             stack.pop()
             self.spans.append((sid, name, t0, t1, parent, tag))
 
+    def wrap_sample(self, fn):
+        """Wrap a rho ``sample`` method; only array draws are recorded."""
+
+        @functools.wraps(fn)
+        def traced(rho, rng, size=None):
+            if size is None:
+                return fn(rho, rng, size)
+            with self.span("sphere_model.rho_sample", {"kind": rho.kind}):
+                return fn(rho, rng, size)
+
+        return traced
+
     def wrap(self, name: str, fn):
         tagger = TAGGERS.get(name)
         record = self.spans.append
@@ -158,9 +185,17 @@ class Recorder:
         modules = [package] + [importlib.import_module(f"{PACKAGE}.{m}") for m in MODULES]
         wrappers = {}
         for short, module in zip(MODULES, modules[1:]):
-            for fname, fn in public_functions(module).items():
+            hooked = public_functions(module)
+            hooked.update((f, getattr(module, f)) for f in INTERNALS.get(short, ()))
+            for fname, fn in hooked.items():
                 wrappers[id(fn)] = (fn, self.wrap(f"{short}.{fname}", fn))
         patched = []
+        sphere_model = modules[1 + MODULES.index("sphere_model")]
+        for cls in vars(sphere_model).values():
+            if (inspect.isclass(cls) and issubclass(cls, sphere_model.RhoDistribution)
+                    and "sample" in vars(cls)):
+                patched.append((cls, "sample", vars(cls)["sample"]))
+                cls.sample = self.wrap_sample(cls.sample)
         for module in modules:
             for attr, obj in list(vars(module).items()):
                 hit = wrappers.get(id(obj))

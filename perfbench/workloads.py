@@ -12,12 +12,14 @@ as attempted and counts it as failed if it raises or if a later ``check`` on
 its output fails.  Checks run outside the timed calls.  A raising call ends
 the round (``OpFailed``); its timing is discarded.
 
-Sizes below were chosen so that one round takes about 1 s (market,
-feasibility), 3 s (batch) and 7 s (cli) on a 2-core Xeon with a 105 MiB L3.
+Sizes below were chosen so that one round takes about 1 s (market), 2 s
+(batch), 2.5 s (feasibility) and 6 s (cli) of unscaled time on a 2-core
+Xeon with a 105 MiB L3.
 """
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import hashlib
 import io
@@ -25,7 +27,6 @@ import json
 import math
 import os
 import shutil
-import statistics
 import subprocess
 import sys
 import time
@@ -68,6 +69,7 @@ HS_BATCH = (8, 500_000)     # (directions, samples)
 # feasibility
 FEAS_N = range(3, 11)       # n = 11 feasible tables take seconds per solve
 FEAS_HS_SAMPLES = 20_000
+RANDOM_DIR_TABLES = 10      # random-direction hidden-state tables at n = 9 per round
 RANDOM_PER_N = 3
 SCAN_ANGLES = 8
 SCAN_SAMPLES = 20_000
@@ -81,27 +83,50 @@ class OpFailed(Exception):
     """A library call raised; the round is abandoned."""
 
 
-# The host's speed drifts by up to 50% over tens of seconds (other tenants
-# share its cores).  Every time is therefore reported scaled to the speed at
-# which a fixed reference kernel takes PROBE_REF_S: t * PROBE_REF_S / probe,
-# with the probe timed on the same core right around the measured work.
-PROBE_REF_S = 0.006
+# This host's cores each swing between two speeds, about 1.6x apart, within
+# seconds and independently of one another (other tenants share them; CPU
+# time slows as much as wall time, so it is no remedy), and the share of a
+# 20 s run spent slow differs from run to run.  Every time is therefore
+# reported scaled to the speed at which a fixed reference kernel takes
+# PROBE_REF_S: a call of t seconds counts t * PROBE_REF_S / p, with p the
+# probe timed on the call's cores just before the call (at most PROBE_GAP_S
+# earlier), averaged with one just after it if the call is longer than
+# PROBE_GAP_S.  A call runs on ONE_CORE, as do the processes it starts,
+# unless it is given n_workers > 1; then it runs on ALL_CORES and p is the
+# mean over them.  Unscaled times are reported beside the scaled ones.
+PROBE_REF_S = 0.0035
+PROBE_GAP_S = 0.05
+ALL_CORES = frozenset(os.sched_getaffinity(0))
+ONE_CORE = frozenset({min(ALL_CORES)})
 
 
-def speed_probe() -> float:
-    """Median time (s) of a fixed interpreter-and-numpy kernel; benchmark
-    code only, so a change to the program cannot move it."""
-    samples = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        acc = 0.0
-        for i in range(30_000):
-            acc += math.sqrt(i)
-        a = np.arange(1000.0)
-        for _ in range(400):
-            a = np.sqrt(a * 1.0001 + 1.0)
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples)
+@contextlib.contextmanager
+def on_cores(cores):
+    """Run the block with the calling thread, and the threads and processes
+    it starts, on ``cores``."""
+    old = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, cores)
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, old)
+
+
+def speed_probe(cores=ONE_CORE) -> float:
+    """Mean time (s) over ``cores`` of a fixed interpreter-and-numpy kernel;
+    benchmark code only, so a change to the program cannot move it."""
+    times = []
+    for core in sorted(cores):
+        with on_cores({core}):
+            t0 = time.perf_counter()
+            acc = 0.0
+            for i in range(30_000):
+                acc += math.sqrt(i)
+            a = np.arange(1000.0)
+            for _ in range(400):
+                a = np.sqrt(a * 1.0001 + 1.0)
+            times.append(time.perf_counter() - t0)
+    return sum(times) / len(times)
 
 
 class Ledger:
@@ -109,9 +134,8 @@ class Ledger:
 
     With ``rec`` set (traced run), every call is wrapped in an ``op`` span;
     per-layer metrics count only spans below an ``op`` span, so library
-    calls made by the checks are left out.  With ``probe_each`` set, the
-    speed probe is timed before every call (used for the long ``cli`` calls;
-    in-process rounds are probed as a whole).
+    calls made by the checks are left out.  Each call's time is kept both
+    scaled by the speed probe and as measured.
     """
 
     def __init__(self):
@@ -119,7 +143,7 @@ class Ledger:
         self.failed_ops: set[int] = set()
         self.messages: list[str] = []
         self.rec = None
-        self.probe_each = False
+        self.probe_s, self.probed_at, self.probed_on = PROBE_REF_S, -math.inf, ONE_CORE
         self.round = Round()
         self.last_op = 0
         self.last_span = 0
@@ -137,32 +161,44 @@ class Ledger:
         self.round = Round()
         return self.round
 
+    def probe(self, cores) -> float:
+        self.probe_s = speed_probe(cores)
+        self.probed_at, self.probed_on = time.perf_counter(), cores
+        return self.probe_s
+
     def call(self, kind: str, fn, *args, work: int = 0, **kwargs):
         """Time one library call as an operation of ``kind``, crediting
         ``work`` units to it; returns the call's value."""
         self.attempted += 1
         self.last_op = op = self.attempted
-        probe = speed_probe() if self.probe_each else None
+        cores = ALL_CORES if kwargs.get("n_workers", 1) > 1 else ONE_CORE
         try:
-            if self.rec is None:
-                t0 = time.perf_counter()
-                value = fn(*args, **kwargs)
-                seconds = time.perf_counter() - t0
-            else:
-                with self.rec.span("op", kind) as sid:
-                    self.last_span = sid
-                    t0 = time.perf_counter()
-                    value = fn(*args, **kwargs)
-                    seconds = time.perf_counter() - t0
+            with on_cores(cores):
+                fresh = cores == self.probed_on and time.perf_counter() - self.probed_at <= PROBE_GAP_S
+                probe = self.probe_s if fresh else self.probe(cores)
+                seconds, value = self._timed(kind, fn, args, kwargs)
+                if seconds > PROBE_GAP_S:
+                    probe = (probe + self.probe(cores)) / 2.0
         except Exception as exc:  # noqa: BLE001 - any raise is a failed operation
             self._fail(op, f"{kind} raised {type(exc).__name__}: {exc}")
             raise OpFailed from exc
-        self.round.times.setdefault(kind, []).append(seconds)
-        if probe is not None:
-            self.round.probes.setdefault(kind, []).append(probe)
+        self.round.times.setdefault(kind, []).append(seconds * PROBE_REF_S / probe)
+        self.round.raw_times.setdefault(kind, []).append(seconds)
         if work:
             self.round.work[kind] = self.round.work.get(kind, 0) + work
         return value
+
+    def _timed(self, kind: str, fn, args, kwargs):
+        """(seconds, value) of one call, in an ``op`` span when tracing."""
+        if self.rec is None:
+            t0 = time.perf_counter()
+            value = fn(*args, **kwargs)
+            return time.perf_counter() - t0, value
+        with self.rec.span("op", kind) as sid:
+            self.last_span = sid
+            t0 = time.perf_counter()
+            value = fn(*args, **kwargs)
+            return time.perf_counter() - t0, value
 
     def check(self, ok, message: str):
         """Mark the last call failed unless ``ok``."""
@@ -172,20 +208,14 @@ class Ledger:
 
 @dataclass
 class Round:
-    times: dict = field(default_factory=dict)   # operation kind -> [seconds]
-    probes: dict = field(default_factory=dict)  # operation kind -> [probe before each call]
-    work: dict = field(default_factory=dict)    # operation kind -> work units done
-    bytes_written: int = 0                      # cli only
-    probe_s: float = PROBE_REF_S                # probe around the whole round
+    times: dict = field(default_factory=dict)      # operation kind -> [scaled seconds]
+    raw_times: dict = field(default_factory=dict)  # operation kind -> [seconds]
+    work: dict = field(default_factory=dict)       # operation kind -> work units done
+    bytes_written: int = 0                         # cli only
 
-    def scaled(self, kind: str) -> list[float]:
-        """Times of ``kind`` scaled to the reference speed."""
-        probes = self.probes.get(kind) or [self.probe_s] * len(self.times[kind])
-        return [t * PROBE_REF_S / p for t, p in zip(self.times[kind], probes)]
-
-    @property
-    def scaled_wall(self) -> float:
-        return sum(sum(self.scaled(k)) for k in self.times)
+    def wall(self, scaled: bool = True) -> float:
+        """Seconds spent in the round's library calls (checks excluded)."""
+        return sum(sum(ts) for ts in (self.times if scaled else self.raw_times).values())
 
 
 def _seed(rng) -> int:
@@ -202,9 +232,11 @@ def random_unit(rng) -> geo.UnitVector3:
 def spread_directions(n: int, rng) -> list:
     """n near-evenly spread directions (Fibonacci lattice), randomly rotated.
 
-    Feasible-table solve times depend strongly on the direction geometry;
-    spreading the directions keeps the cost of a round nearly the same from
-    seed to seed while the rotation and the sampling seeds still vary.
+    Feasible-table solve times depend strongly on the direction geometry:
+    at n = 10 a lattice table takes 0.2-0.5 s and a random-direction one
+    0.4-2.2 s.  The lattice tables keep the cost of a round nearly the same
+    from seed to seed while the rotation and the sampling seeds still vary;
+    random-direction tables run beside them (see ``feasibility_round``).
     """
     q = rng.standard_normal(4)
     w, x, y, z = q / np.linalg.norm(q)
@@ -425,7 +457,18 @@ def check_verdict(L: Ledger, table, res):
 
 
 def feasibility_round(L: Ledger, seed: int, r: int, rec=None) -> Round:
+    """Tables of every size n = 3..10 from three sources: hidden-state tables
+    (feasible) on lattice and on random directions, sequential sphere tables
+    and random tables.
+
+    Random-direction hidden-state tables, the costly feasible case, come one
+    per n below 9 and RANDOM_DIR_TABLES at n = 9.  At n = 10 their solve
+    time varies too much (0.4-2.2 s) for a timed run to hold its bounds, so
+    only the traced run (``rec`` set) solves one; they draw from their own
+    stream, so the other inputs of a round do not depend on ``rec``.
+    """
     rng = np.random.default_rng([seed, r])
+    rng_dirs = np.random.default_rng([seed, r, 1])
     out = L.start_round()
     uniform = sm.UniformRho()
     for n in FEAS_N:
@@ -434,10 +477,16 @@ def feasibility_round(L: Ledger, seed: int, r: int, rec=None) -> Round:
                     uniform, dirs, n_samples=FEAS_HS_SAMPLES, seed=_seed(rng))
         seq = L.call(f"agreement_table.n{n}", sm.agreement_table, uniform, dirs)
         tables = [("hidden_state", hs), ("sequential", seq)]
+        if n < FEAS_N[-1] or rec is not None:
+            for _ in range(RANDOM_DIR_TABLES if n == 9 else 1):
+                tables.append(("hidden_state_random", L.call(
+                    f"hidden_state_agreement_table.random.n{n}", sm.hidden_state_agreement_table,
+                    uniform, [random_unit(rng_dirs) for _ in range(n)],
+                    n_samples=FEAS_HS_SAMPLES, seed=_seed(rng_dirs))))
         tables += [("random", kc.random_agreement_table(n, rng)) for _ in range(RANDOM_PER_N)]
         for source, table in tables:
             res = L.call(f"joint_feasibility.{source}.n{n}", kc.joint_feasibility, table, work=1)
-            if source == "hidden_state":
+            if source.startswith("hidden_state"):
                 L.check(res.feasible, f"n={n} hidden-state table judged non-classical")
             check_verdict(L, table, res)
             if n == 3:
@@ -582,7 +631,7 @@ def cli_round(L: Ledger, seed: int, r: int, rec=None) -> Round:
 KEY_OPS = {
     "market": ("run_market.local", "run_market.global"),
     "batch": ("mc_price.w1",),  # one MC price at the CLI's default of 1 worker
-    "feasibility": (f"joint_feasibility.hidden_state.n{FEAS_N[-1]}",),
+    "feasibility": ("joint_feasibility.hidden_state_random.n9",),
     "cli": None,  # every invocation
 }
 
