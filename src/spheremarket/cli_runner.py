@@ -28,6 +28,7 @@ import tempfile
 
 import numpy as np
 
+from .config import ConfigParseError, count, flag, items, number, parse_block
 from .geometry import UnitVector3, from_polar
 from .kolmogorov_check import (
     AgreementTable,
@@ -37,7 +38,13 @@ from .kolmogorov_check import (
     random_agreement_table,
     sphere_bell_scan,
 )
-from .market_sim import MarketConfig, compare_with_gbm, run_market, summary_stats, trades_to_csv
+from .market_sim import (
+    MarketConfig,
+    compare_trades_with_gbm,
+    run_market,
+    summary_stats,
+    trades_to_csv,
+)
 from .pricing import (
     GbmParams,
     OptionKind,
@@ -59,39 +66,13 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
-EXPERIMENT_KINDS = ("price", "sphere", "bell-scan", "market", "convergence")
-
-
-class ConfigParseError(Exception):
-    """Malformed config: bad JSON, wrong types, unknown or missing keys."""
-
-
-def _take(d: dict, context: str, required=(), optional=None) -> dict:
-    """Key discipline for config blocks: reject unknown keys by name."""
-    if not isinstance(d, dict):
-        raise ConfigParseError(f"'{context}' must be an object")
-    optional = dict(optional or {})
-    out = {}
-    remaining = dict(d)
-    for key in required:
-        if key not in remaining:
-            raise ConfigParseError(f"missing key '{key}' in '{context}'")
-        out[key] = remaining.pop(key)
-    for key, default in optional.items():
-        out[key] = remaining.pop(key, default)
-    if remaining:
-        offending = sorted(remaining)[0]
-        raise ConfigParseError(f"unknown key '{offending}' in '{context}'")
-    return out
-
 
 def _as_direction(value, context: str) -> UnitVector3:
+    """[x, y, z] or {"theta": ..., "phi": ...} (phi defaults to 0)."""
     if isinstance(value, dict):
-        angles = _take(value, context, required=("theta",), optional={"phi": 0.0})
-        return from_polar(float(angles["theta"]), float(angles["phi"]))
-    if isinstance(value, (list, tuple)) and len(value) == 3:
-        return UnitVector3.normalized(*[float(c) for c in value])
-    raise ConfigParseError(f"'{context}' must be [x, y, z] or {{\"theta\": ..., \"phi\": ...}}")
+        angles = parse_block(value, context, required={"theta": number}, optional={"phi": number})
+        return from_polar(angles["theta"], angles.get("phi", 0.0))
+    return UnitVector3.normalized(*items(number, value, context, 3))
 
 
 def _sanitize(obj):
@@ -123,53 +104,50 @@ def _dump_report(report: dict) -> str:
 
 
 # --- experiment runners ----------------------------------------------------
-# Each runner parses its params block (ConfigParseError on malformed input),
-# builds domain objects (ValueError -> validation failure), computes, and
-# returns (resolved_params, results, {filename: text}).
+# Each runner parses its params block and hands every nested block to the
+# ``from_dict`` of the object it describes (ConfigParseError on malformed
+# input), builds domain objects (ValueError -> validation failure), computes,
+# and returns (resolved_params, results, {filename: text}).
 
 
 def _run_price(params: dict, seed: int):
-    p = _take(params, "params", required=("spec",),
-              optional={"methods": ["bs"], "binomial_steps": 1000, "mc_paths": 100_000})
-    spec_block = _take(p["spec"], "params.spec",
-                       required=("spot", "strike", "rate", "sigma", "tau"),
-                       optional={"kind": "call", "style": "european"})
-    methods = p["methods"]
+    p = parse_block(params, "params", required={"spec": None},
+                    optional={"methods": None, "binomial_steps": count, "mc_paths": count})
+    methods = p.get("methods", ["bs"])
     if not isinstance(methods, list) or not methods:
         raise ConfigParseError("'params.methods' must be a non-empty list")
     for m in methods:
         if m not in ("bs", "binomial", "mc"):
             raise ConfigParseError(f"unknown key '{m}' in 'params.methods'")
-    spec = OptionSpec.from_dict(spec_block)
+    spec = OptionSpec.from_dict(p["spec"])
+    steps = p.get("binomial_steps", 1000)
+    n_paths = p.get("mc_paths", 100_000)
 
     results = []
     for m in methods:
         if m == "bs":
             results.append(pricing_report(spec, "black_scholes", bs_price(spec)))
         elif m == "binomial":
-            steps = int(p["binomial_steps"])
             results.append(pricing_report(spec, "binomial", binomial_price(spec, steps),
                                           extra={"steps": steps}))
         else:
-            n_paths = int(p["mc_paths"])
             value, stderr = mc_price(spec, n_paths, seed=seed)
             results.append(pricing_report(spec, "monte_carlo", value,
                                           error_estimate=stderr,
                                           extra={"n_paths": n_paths}))
     resolved = {"spec": spec.to_dict(), "methods": methods,
-                "binomial_steps": int(p["binomial_steps"]),
-                "mc_paths": int(p["mc_paths"])}
+                "binomial_steps": steps, "mc_paths": n_paths}
     return resolved, {"results": results, "value": results[0]["value"]}, {}
 
 
 def _run_sphere(params: dict, seed: int):
-    p = _take(params, "params", required=("rho", "state", "direction"),
-              optional={"n_trials": 100_000, "workers": 1})
+    p = parse_block(params, "params", required={"rho": None, "state": None, "direction": None},
+                    optional={"n_trials": count, "workers": count})
     rho = RhoDistribution.from_dict(p["rho"])
     state = _as_direction(p["state"], "params.state")
     direction = _as_direction(p["direction"], "params.direction")
-    n_trials = int(p["n_trials"])
-    workers = int(p["workers"])
+    n_trials = p.get("n_trials", 100_000)
+    workers = p.get("workers", 1)
 
     p1, p2 = transition_probabilities(rho, state, direction)
     n1, n2 = measurement_counts(rho, state, direction, n_trials, seed, n_workers=workers)
@@ -186,63 +164,56 @@ def _run_sphere(params: dict, seed: int):
 
 
 def _run_bell_scan(params: dict, seed: int):
-    p = _take(params, "params", required=("rho",),
-              optional={"theta": None, "theta_degrees": None,
-                        "mode": "auto", "n_samples": 100_000})
-    if (p["theta"] is None) == (p["theta_degrees"] is None):
+    p = parse_block(params, "params", required={"rho": None},
+                    optional={"theta": number, "theta_degrees": number,
+                              "mode": None, "n_samples": count})
+    if ("theta" in p) == ("theta_degrees" in p):
         raise ConfigParseError(
             "exactly one of 'theta' (radians) or 'theta_degrees' is required in 'params'"
         )
-    theta = float(p["theta"]) if p["theta"] is not None else math.radians(float(p["theta_degrees"]))
+    theta = p["theta"] if "theta" in p else math.radians(p["theta_degrees"])
     rho = RhoDistribution.from_dict(p["rho"])
-    scan = sphere_bell_scan(rho, theta, mode=p["mode"],
-                            n_samples=int(p["n_samples"]), seed=seed)
+    n_samples = p.get("n_samples", 100_000)
+    scan = sphere_bell_scan(rho, theta, mode=p.get("mode", "auto"),
+                            n_samples=n_samples, seed=seed)
     resolved = {"rho": rho.to_dict(), "theta": theta, "mode": scan.mode,
-                "n_samples": int(p["n_samples"])}
+                "n_samples": n_samples}
     return resolved, scan.to_dict(), {}
 
 
 def _run_market(params: dict, seed: int):
-    p = _take(params, "params", required=("market",),
-              optional={"compare_gbm": None, "write_trades": True})
-    market_block = _take(p["market"], "params.market",
-                         required=("rho", "n_steps", "regime"),
-                         optional={"price_axis": [0.0, 0.0, 1.0],
-                                   "price_min": 50.0, "price_max": 150.0})
-    market_block["seed"] = seed
-    cfg = MarketConfig.from_dict(market_block)
+    p = parse_block(params, "params", required={"market": None},
+                    optional={"compare_gbm": None, "write_trades": flag})
+    market = p["market"]
+    if isinstance(market, dict) and "seed" in market:
+        raise ConfigParseError("unknown key 'seed' in 'market' (the seed is top-level)")
+    cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market)
+    gbm = None if p.get("compare_gbm") is None else GbmParams.from_dict(p["compare_gbm"])
+    write_trades = p.get("write_trades", True)
 
-    files = {}
-    if p["compare_gbm"] is not None:
-        gbm = GbmParams.from_dict(
-            _take(p["compare_gbm"], "params.compare_gbm",
-                  required=("s0", "drift", "sigma", "horizon", "steps"))
-        )
-        results = compare_with_gbm(cfg, gbm)
-    else:
-        trades = run_market(cfg)
+    trades = run_market(cfg)
+    if gbm is None:
         results = {"config": cfg.to_dict(), "stats": summary_stats(trades).to_dict()}
-    if p["write_trades"]:
-        trades = run_market(cfg)  # deterministic: same seed, same history
+    else:
+        results = compare_trades_with_gbm(cfg, trades, gbm)
+    files = {}
+    if write_trades:
         buf = io.StringIO()
         trades_to_csv(buf, trades)
         files["market_trades.csv"] = buf.getvalue()
     resolved = {"market": cfg.to_dict(),
-                "compare_gbm": None if p["compare_gbm"] is None else dict(p["compare_gbm"]),
-                "write_trades": bool(p["write_trades"])}
+                "compare_gbm": None if gbm is None else gbm.to_dict(),
+                "write_trades": write_trades}
     return resolved, results, files
 
 
 def _run_convergence(params: dict, seed: int):
-    p = _take(params, "params", required=("spec",),
-              optional={"steps": [50, 100, 200, 400, 800, 1600]})
-    spec_block = _take(p["spec"], "params.spec",
-                       required=("spot", "strike", "rate", "sigma", "tau"),
-                       optional={"kind": "call", "style": "european"})
-    steps = [int(s) for s in p["steps"]]
+    p = parse_block(params, "params", required={"spec": None},
+                    optional={"steps": lambda v, name: items(count, v, name)})
+    steps = p.get("steps", [50, 100, 200, 400, 800, 1600])
     if len(steps) < 2:
         raise ConfigParseError("'params.steps' needs at least two entries")
-    spec = OptionSpec.from_dict(spec_block)
+    spec = OptionSpec.from_dict(p["spec"])
 
     reference = bs_price(spec)
     errors = [abs(binomial_price(spec, n) - reference) for n in steps]
@@ -262,25 +233,36 @@ _RUNNERS = {
     "market": _run_market,
     "convergence": _run_convergence,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
+
+
+class _NonFinite(str):
+    """A NaN/Infinity literal, kept until the key that holds it is known."""
+
+
+def _finite_pairs(pairs: list) -> dict:
+    for key, value in pairs:
+        if any(isinstance(v, _NonFinite) for v in (value if isinstance(value, list) else [value])):
+            raise ConfigParseError(f"'{key}' holds NaN or Infinity: JSON numbers must be finite")
+    return dict(pairs)
 
 
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_NonFinite, object_pairs_hook=_finite_pairs)
     except OSError as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParseError(f"invalid JSON: {exc}") from exc
-    top = _take(raw, "config", required=("experiment",),
-                optional={"seed": 0, "params": {}})
+    top = parse_block(raw, "config", required={"experiment": None},
+                      optional={"seed": count, "params": None})
     if top["experiment"] not in EXPERIMENT_KINDS:
         raise ConfigParseError(
             f"unknown experiment '{top['experiment']}' (expected one of {EXPERIMENT_KINDS})"
         )
-    if not isinstance(top["seed"], int):
-        raise ConfigParseError("'seed' must be an integer")
-    return top
+    return {"experiment": top["experiment"], "seed": top.get("seed", 0),
+            "params": top.get("params", {})}
 
 
 def run(config_path: str, seed_override: int | None = None, out_dir: str = ".") -> int:
@@ -293,13 +275,7 @@ def run(config_path: str, seed_override: int | None = None, out_dir: str = ".") 
         config = load_config(config_path)
         kind = config["experiment"]
         seed = seed_override if seed_override is not None else config["seed"]
-        runner = _RUNNERS[kind]
-    except ConfigParseError as exc:
-        _emit_error("parse", str(exc))
-        return EXIT_PARSE
-
-    try:
-        resolved, results, files = runner(config["params"], seed)
+        resolved, results, files = _RUNNERS[kind](config["params"], seed)
     except ConfigParseError as exc:
         _emit_error("parse", str(exc))
         return EXIT_PARSE

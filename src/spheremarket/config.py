@@ -1,0 +1,67 @@
+"""One parser for JSON config blocks, used by the ``from_dict`` of each object.
+
+Unknown or missing keys, bools where a number is expected, counts that are
+not integers and non-finite numbers raise ConfigParseError naming the key;
+values of the right type but out of range are left to the constructors.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+
+class ConfigParseError(ValueError):
+    """Malformed config: bad JSON, wrong types, unknown or missing keys."""
+
+
+def parse_block(d, context: str, required=None, optional=None) -> dict:
+    """Block ``d`` with each value converted by the ``conv(value, name)``
+    that ``required`` or ``optional`` maps its key to (None keeps it).
+    Absent optional keys stay absent, so the built object's defaults apply."""
+    if not isinstance(d, dict):
+        raise ConfigParseError(f"'{context}' must be an object")
+    convs = {**(required or {}), **(optional or {})}
+    missing = [key for key in required or () if key not in d]
+    unknown = sorted(key for key in d if key not in convs)
+    for problem, keys in (("missing", missing), ("unknown", unknown)):
+        if keys:
+            raise ConfigParseError(f"{problem} key '{keys[0]}' in '{context}'")
+    return {key: value if convs[key] is None else convs[key](value, f"{context}.{key}")
+            for key, value in d.items()}
+
+
+def block_kind(d, context: str, kinds) -> str:
+    """The ``kind`` of block ``d``; ValueError unless it is one of ``kinds``."""
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ConfigParseError(f"'{context}' must be an object with a 'kind' key")
+    if d["kind"] not in tuple(kinds):
+        raise ValueError(f"unknown {context} kind: {d['kind']!r}")
+    return d["kind"]
+
+
+def number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigParseError(f"'{name}' must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigParseError(f"'{name}' must be finite, got {value!r}")
+    return float(value)
+
+
+def count(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigParseError(f"'{name}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigParseError(f"'{name}' must be true or false, got {value!r}")
+    return value
+
+
+def items(conv, value, name: str, length: int | None = None) -> list:
+    """[conv(v)] over the JSON list ``value``, optionally of a fixed length."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ConfigParseError(f"'{name}' must be a list of {length or 'any number of'} values")
+    return [conv(v, f"{name}[{i}]") for i, v in enumerate(value)]

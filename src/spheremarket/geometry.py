@@ -120,6 +120,9 @@ def rotate(v: UnitVector3, axis: UnitVector3, angle: float) -> UnitVector3:
 def perturb(v: UnitVector3, max_angle: float, rng: np.random.Generator) -> UnitVector3:
     """Rotate ``v`` by an angle ~ U[0, max_angle] about a random axis.
 
+    The axis k is uniform on the sphere, not orthogonal to ``v``, so the
+    angle gamma between ``v`` and the result is not U[0, max_angle]: for a
+    rotation by alpha, cos gamma = cos alpha + (1 - cos alpha) (k.v)^2.
     ``max_angle == 0`` returns ``v`` unchanged (same object), so perfectly
     aligned contexts stay bit-identical.
     """

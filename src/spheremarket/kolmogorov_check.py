@@ -129,10 +129,8 @@ def table_from_atom_weights(n: int, weights) -> AgreementTable:
         raise ValueError("atom weights must have positive total mass")
     w = w / total
     signs = atom_signs(n)
-    q = np.eye(n)
-    for i, j in pair_indices(n):
-        q[i, j] = q[j, i] = float(w[signs[:, i] == signs[:, j]].sum())
-    return AgreementTable(q)
+    return AgreementTable.from_pair_values(n, [w[signs[:, i] == signs[:, j]].sum()
+                                               for i, j in pair_indices(n)])
 
 
 def random_agreement_table(n: int, rng: np.random.Generator) -> AgreementTable:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import csv
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .config import block_kind, count, items, number, parse_block
 from .geometry import UnitVector3, angle_between, dot, from_polar, perturb, sample_uniform
 from .kolmogorov_check import sphere_bell_scan
 from .pricing import GbmParams, gbm_path_matrix
@@ -27,6 +27,7 @@ from .sphere_model import (
     RhoDistribution,
     simulate_measurement,
 )
+from .streams import map_chunks
 
 ACF_LAGS = 10
 MIN_TRADES = 30
@@ -55,9 +56,8 @@ class NewsSeries:
 
     @staticmethod
     def from_dict(d: dict) -> "NewsSeries":
-        return NewsSeries(kind=d.get("kind", "constant"),
-                          angle=float(d.get("angle", 0.0)),
-                          rate=float(d.get("rate", 0.0)))
+        return NewsSeries(**parse_block(d, "news", optional={"kind": None, "angle": number,
+                                                             "rate": number}))
 
 
 def _check_noise(noise_angle: float):
@@ -67,7 +67,14 @@ def _check_noise(noise_angle: float):
 
 @dataclass(frozen=True)
 class LocalRegime:
-    """Contexts wander around the current state by at most noise_angle."""
+    """Contexts wander around the current state by at most noise_angle.
+
+    Each context is the state rotated by alpha ~ U[0, noise_angle] about a
+    uniformly random axis k (``geometry.perturb``).  The angle gamma between
+    context and state is therefore not U[0, noise_angle]: with v the state,
+    cos gamma = cos alpha + (1 - cos alpha) (k.v)^2, so for the uniform
+    elastic the O1 rate is (4/3 + (2/3) sin(a) / a) / 2 at noise_angle a.
+    """
 
     noise_angle: float
 
@@ -94,13 +101,11 @@ class GlobalRegime:
 
 
 def regime_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "local":
-        return LocalRegime(noise_angle=float(d["noise_angle"]))
-    if kind == "global":
-        return GlobalRegime(news=NewsSeries.from_dict(d["news"]),
-                            noise_angle=float(d["noise_angle"]))
-    raise ValueError(f"unknown regime kind: {kind!r}")
+    fields = {"kind": None, "noise_angle": number}
+    if block_kind(d, "regime", ("local", "global")) == "local":
+        return LocalRegime(noise_angle=parse_block(d, "regime", required=fields)["noise_angle"])
+    p = parse_block(d, "regime", required={**fields, "news": None})
+    return GlobalRegime(news=NewsSeries.from_dict(p["news"]), noise_angle=p["noise_angle"])
 
 
 @dataclass(frozen=True)
@@ -134,16 +139,15 @@ class MarketConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "MarketConfig":
-        axis = d.get("price_axis", [0.0, 0.0, 1.0])
-        return MarketConfig(
-            rho=RhoDistribution.from_dict(d["rho"]),
-            n_steps=int(d["n_steps"]),
-            regime=regime_from_dict(d["regime"]),
-            seed=int(d["seed"]),
-            price_axis=UnitVector3.normalized(*[float(c) for c in axis]),
-            price_min=float(d.get("price_min", 50.0)),
-            price_max=float(d.get("price_max", 150.0)),
+        p = parse_block(
+            d, "market",
+            required={"rho": None, "n_steps": count, "regime": None, "seed": count},
+            optional={"price_axis": lambda v, name: UnitVector3.normalized(*items(number, v, name, 3)),
+                      "price_min": number, "price_max": number},
         )
+        p["rho"] = RhoDistribution.from_dict(p["rho"])
+        p["regime"] = regime_from_dict(p["regime"])
+        return MarketConfig(**p)
 
 
 @dataclass(frozen=True)
@@ -189,19 +193,12 @@ def run_market(cfg: MarketConfig) -> list[TradeRecord]:
 
 def run_market_ensemble(cfg: MarketConfig, n_runs: int,
                         n_workers: int = 1) -> list[list[TradeRecord]]:
-    """Independent runs; member r is seeded by SeedSequence(seed,
-    spawn_key=(r,)) so the ensemble is identical for any worker count."""
+    """Independent runs; member r is chunk r of the counter-based streams of
+    ``streams.map_chunks``, so the ensemble is identical for any worker
+    count."""
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
-
-    def run_member(r: int) -> list[TradeRecord]:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(r,)))
-        return _run_with_rng(cfg, rng)
-
-    if n_workers <= 1:
-        return [run_member(r) for r in range(n_runs)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(run_member, range(n_runs)))
+    return map_chunks(lambda rng, lo, size: _run_with_rng(cfg, rng), n_runs, 1, cfg.seed, n_workers)
 
 
 @dataclass(frozen=True)
@@ -295,7 +292,14 @@ def representative_scan_angle(trades: list[TradeRecord]) -> float:
 
 
 def compare_with_gbm(cfg: MarketConfig, gbm: GbmParams, n_workers: int = 1) -> dict:
-    """Side-by-side statistics of a sphere market run and a GBM path.
+    """``compare_trades_with_gbm`` on a fresh ``run_market(cfg)``."""
+    return compare_trades_with_gbm(cfg, run_market(cfg), gbm, n_workers=n_workers)
+
+
+def compare_trades_with_gbm(cfg: MarketConfig, trades: list[TradeRecord], gbm: GbmParams,
+                            n_workers: int = 1) -> dict:
+    """Side-by-side statistics of the sphere market run ``trades`` of
+    ``cfg`` and a GBM path.
 
     Step counts must match.  The GBM path uses the derived seed
     cfg.seed + 1.  The report also carries the classical-feasibility
@@ -304,7 +308,6 @@ def compare_with_gbm(cfg: MarketConfig, gbm: GbmParams, n_workers: int = 1) -> d
     """
     if gbm.steps != cfg.n_steps:
         raise ValueError("gbm.steps must match cfg.n_steps")
-    trades = run_market(cfg)
     sphere_summary = summary_stats(trades)
     _, values = gbm_path_matrix(gbm, 1, seed=cfg.seed + 1, n_workers=n_workers)
     gbm_summary = summary_from_prices(values[0])

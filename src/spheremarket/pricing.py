@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc
+
+from .config import count, number, parse_block
+from .streams import map_chunks
 
 CHUNK_PATHS = 1 << 14  # fixed batch granularity for counter-based streams
 
@@ -59,20 +60,14 @@ class OptionSpec:
             raise ValueError("tau must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "spot": self.spot, "strike": self.strike, "rate": self.rate,
-            "sigma": self.sigma, "tau": self.tau,
-            "kind": self.kind.value, "style": self.style.value,
-        }
+        return {**asdict(self), "kind": self.kind.value, "style": self.style.value}
 
     @staticmethod
     def from_dict(d: dict) -> "OptionSpec":
-        return OptionSpec(
-            spot=float(d["spot"]), strike=float(d["strike"]),
-            rate=float(d["rate"]), sigma=float(d["sigma"]), tau=float(d["tau"]),
-            kind=OptionKind(d.get("kind", "call")),
-            style=ExerciseStyle(d.get("style", "european")),
-        )
+        return OptionSpec(**parse_block(
+            d, "spec", required=dict.fromkeys(("spot", "strike", "rate", "sigma", "tau"), number),
+            optional={"kind": lambda v, _: OptionKind(v), "style": lambda v, _: ExerciseStyle(v)},
+        ))
 
 
 def _require_european(spec: OptionSpec):
@@ -80,11 +75,14 @@ def _require_european(spec: OptionSpec):
         raise ValueError("only European exercise is priced")
 
 
+def _payoff(kind: OptionKind, s, strike):
+    """max(s - strike, 0) for calls, max(strike - s, 0) for puts."""
+    return np.maximum(s - strike, 0.0) if kind is OptionKind.CALL else np.maximum(strike - s, 0.0)
+
+
 def intrinsic_value(spec: OptionSpec) -> float:
     """Payoff if exercised now: max(S-K, 0) for calls, max(K-S, 0) for puts."""
-    if spec.kind is OptionKind.CALL:
-        return max(spec.spot - spec.strike, 0.0)
-    return max(spec.strike - spec.spot, 0.0)
+    return float(_payoff(spec.kind, spec.spot, spec.strike))
 
 
 def time_value(spec: OptionSpec, total_value: float) -> float:
@@ -100,6 +98,8 @@ def time_value(spec: OptionSpec, total_value: float) -> float:
 
 def norm_cdf(t):
     """Standard normal CDF via the complementary error function."""
+    from scipy.special import erfc
+
     return 0.5 * erfc(-t / math.sqrt(2.0))
 
 
@@ -125,9 +125,7 @@ def bs_price(spec: OptionSpec) -> float:
         return intrinsic_value(spec)
     disc_k = spec.strike * math.exp(-spec.rate * spec.tau)
     if spec.sigma == 0.0:
-        if spec.kind is OptionKind.CALL:
-            return max(spec.spot - disc_k, 0.0)
-        return max(disc_k - spec.spot, 0.0)
+        return float(_payoff(spec.kind, spec.spot, disc_k))
     d1, d2 = d1_d2(spec)
     # clamp into the no-arbitrage envelope: the exact value satisfies the
     # bounds strictly, so this only removes last-ulp rounding dust
@@ -160,14 +158,14 @@ class GbmParams:
             raise ValueError("horizon must be positive")
 
     def to_dict(self) -> dict:
-        return {"s0": self.s0, "drift": self.drift, "sigma": self.sigma,
-                "horizon": self.horizon, "steps": self.steps}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "GbmParams":
-        return GbmParams(s0=float(d["s0"]), drift=float(d["drift"]),
-                         sigma=float(d["sigma"]), horizon=float(d["horizon"]),
-                         steps=int(d["steps"]))
+        return GbmParams(**parse_block(
+            d, "compare_gbm",
+            required={**dict.fromkeys(("s0", "drift", "sigma", "horizon"), number), "steps": count},
+        ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,12 +186,6 @@ class PriceSeries:
         object.__setattr__(self, "values", values)
 
 
-def _chunk_ranges(n: int, chunk: int):
-    for c in range((n + chunk - 1) // chunk):
-        lo = c * chunk
-        yield c, lo, min(chunk, n - lo)
-
-
 def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
                     n_workers: int = 1, scheme: str = "exact") -> tuple[np.ndarray, np.ndarray]:
     """(times, values) with values of shape (n_paths, steps + 1).
@@ -203,9 +195,9 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
     is the first-order scheme S_{k+1} = S_k (1 + mu dt + sigma sqrt(dt) Z),
     offered for illustration only (it is biased and can go nonpositive).
 
-    Path i is driven by the chunk generator SeedSequence(seed,
-    spawn_key=(i // chunk,)), so the matrix is bit-identical for any
-    worker count.
+    Path i is driven by the generator of chunk i // CHUNK_PATHS on the
+    counter-based streams of ``streams.map_chunks``, so the matrix is
+    bit-identical for any worker count.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -216,9 +208,7 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
     values = np.empty((n_paths, params.steps + 1))
     vol = params.sigma * math.sqrt(dt)
 
-    def fill_chunk(args):
-        c, lo, size = args
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+    def fill_chunk(rng, lo, size):
         z = rng.standard_normal((size, params.steps))
         if scheme == "exact":
             log_steps = (params.drift - 0.5 * params.sigma ** 2) * dt + vol * z
@@ -231,13 +221,7 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
                 s = s * (1.0 + params.drift * dt + vol * z[:, k])
                 values[lo:lo + size, k + 1] = s
 
-    chunks = list(_chunk_ranges(n_paths, CHUNK_PATHS))
-    if n_workers <= 1:
-        for item in chunks:
-            fill_chunk(item)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill_chunk, chunks))
+    map_chunks(fill_chunk, n_paths, CHUNK_PATHS, seed, n_workers)
     return times, values
 
 
@@ -264,22 +248,12 @@ def mc_price(spec: OptionSpec, n_paths: int, seed: int,
     loc = (spec.rate - 0.5 * spec.sigma ** 2) * spec.tau
     vol = spec.sigma * math.sqrt(spec.tau)
 
-    def run_chunk(args):
-        c, _, size = args
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
+    def run_chunk(rng, lo, size):
         st = spec.spot * np.exp(loc + vol * rng.standard_normal(size))
-        if spec.kind is OptionKind.CALL:
-            pay = disc * np.maximum(st - spec.strike, 0.0)
-        else:
-            pay = disc * np.maximum(spec.strike - st, 0.0)
+        pay = disc * _payoff(spec.kind, st, spec.strike)
         return pay.sum(), np.square(pay).sum()
 
-    chunks = list(_chunk_ranges(n_paths, CHUNK_PATHS))
-    if n_workers <= 1:
-        parts = [run_chunk(item) for item in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))
+    parts = map_chunks(run_chunk, n_paths, CHUNK_PATHS, seed, n_workers)
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     mean = total / n_paths
@@ -313,10 +287,7 @@ def binomial_price(spec: OptionSpec, steps: int) -> float:
     disc = math.exp(-spec.rate * dt)
     j = np.arange(steps + 1)
     terminal = spec.spot * u ** j * d ** (steps - j)
-    if spec.kind is OptionKind.CALL:
-        vals = np.maximum(terminal - spec.strike, 0.0)
-    else:
-        vals = np.maximum(spec.strike - terminal, 0.0)
+    vals = _payoff(spec.kind, terminal, spec.strike)
     for _ in range(steps):
         vals = disc * (p * vals[1:] + (1.0 - p) * vals[:-1])
     return float(vals[0])

@@ -209,12 +209,9 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
     for state, own in prop_of.items():
         xi_map[state] = frozenset(a for a in properties if a.contains_interval(own))
 
-    context_dirs = {e: e for e in contexts}
-
     def mu(p, e):
-        u = context_dirs[e]
-        p1 = rho_cdf(rho, dot(p, u))
-        return (((endpoints[u], e), p1), ((endpoints[-u], e), 1.0 - p1))
+        p1 = rho_cdf(rho, dot(p, e))
+        return (((endpoints[e], e), p1), ((endpoints[-e], e), 1.0 - p1))
 
     def xi(p):
         return xi_map.get(p, frozenset())

@@ -11,15 +11,16 @@ therefore CDF evaluations of rho at v.u.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from .config import block_kind, items, number, parse_block
 from .geometry import UnitVector3, dot, sample_uniform_array
-from .kolmogorov_check import AgreementTable
+from .kolmogorov_check import AgreementTable, pair_indices
+from .streams import chunk_rng, map_chunks
 
 X_DOMAIN_TOL = 1e-9
 CHUNK_TRIALS = 1 << 16  # fixed batch granularity for counter-based streams
@@ -50,28 +51,35 @@ class RhoDistribution:
     kind: str = ""
 
     def cdf(self, x: float) -> float:
+        if x >= 1.0:
+            return 1.0
+        if x <= -1.0:
+            return 0.0
+        return self._cdf_inside(x)
+
+    def _cdf_inside(self, x: float) -> float:
+        """The CDF at x strictly inside (-1, 1)."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size=None):
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **asdict(self)}
 
     @staticmethod
     def from_dict(d: dict) -> "RhoDistribution":
+        numbers = partial(items, number)
         kinds = {
-            "uniform": UniformRho,
-            "delta": DeltaRho,
-            "piecewise": PiecewiseConstantRho,
-            "truncated_gaussian": TruncatedGaussianRho,
+            "uniform": (UniformRho, {}),
+            "delta": (DeltaRho, {"x0": number}),
+            "piecewise": (PiecewiseConstantRho, {"breakpoints": numbers, "densities": numbers}),
+            "truncated_gaussian": (TruncatedGaussianRho, {"center": number, "width": number}),
         }
-        d = dict(d)
-        try:
-            cls = kinds[d.pop("kind")]
-        except KeyError as exc:
-            raise ValueError(f"unknown rho kind: {exc}") from None
-        return cls(**d)
+        cls, fields = kinds[block_kind(d, "rho", kinds)]
+        p = parse_block(d, "rho", required={"kind": None, **fields})
+        del p["kind"]
+        return cls(**p)
 
 
 @dataclass(frozen=True)
@@ -80,18 +88,11 @@ class UniformRho(RhoDistribution):
 
     kind = "uniform"
 
-    def cdf(self, x):
-        if x >= 1.0:
-            return 1.0
-        if x <= -1.0:
-            return 0.0
+    def _cdf_inside(self, x):
         return (x + 1.0) / 2.0
 
     def sample(self, rng, size=None):
         return rng.uniform(-1.0, 1.0, size=size)
-
-    def to_dict(self):
-        return {"kind": self.kind}
 
 
 @dataclass(frozen=True)
@@ -109,16 +110,13 @@ class DeltaRho(RhoDistribution):
         if not -1.0 < self.x0 < 1.0:
             raise ValueError("delta break point must lie strictly inside (-1, 1)")
 
-    def cdf(self, x):
+    def _cdf_inside(self, x):
         return 1.0 if x >= self.x0 else 0.0
 
     def sample(self, rng, size=None):
         if size is None:
             return self.x0
         return np.full(size, self.x0)
-
-    def to_dict(self):
-        return {"kind": self.kind, "x0": self.x0}
 
 
 class PiecewiseConstantRho(RhoDistribution):
@@ -153,11 +151,7 @@ class PiecewiseConstantRho(RhoDistribution):
         self._cum = np.concatenate([[0.0], np.cumsum(mass / total)])
         self._cum[-1] = 1.0  # pin against cumsum roundoff
 
-    def cdf(self, x):
-        if x >= 1.0:
-            return 1.0
-        if x <= -1.0:
-            return 0.0
+    def _cdf_inside(self, x):
         i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
         return float(min(1.0, self._cum[i] + self.densities[i] * (x - self.breakpoints[i])))
 
@@ -189,40 +183,47 @@ class PiecewiseConstantRho(RhoDistribution):
 
 @dataclass(frozen=True)
 class TruncatedGaussianRho(RhoDistribution):
-    """Gaussian bump (center, width) renormalized to [-1, 1]."""
+    """Gaussian bump (center, width) renormalized to [-1, 1].
+
+    The bump must put some mass inside [-1, 1] in double precision: a
+    center far outside the interval with a narrow width is rejected.
+    """
 
     center: float
     width: float
     kind = "truncated_gaussian"
 
     def __post_init__(self):
+        if not (math.isfinite(self.center) and math.isfinite(self.width)):
+            raise ValueError("center and width must be finite")
         if self.width <= 0:
             raise ValueError("width must be positive")
+        lo, hi = self._bounds()
+        if not hi > lo:
+            raise ValueError(f"truncated Gaussian (center {self.center!r}, width "
+                             f"{self.width!r}) has no mass inside [-1, 1]")
 
     def _bounds(self):
-        a = (-1.0 - self.center) / self.width
-        b = (1.0 - self.center) / self.width
-        return a, b
+        """(lo, hi): the standard normal CDF at the standardized ends -1, 1."""
+        from scipy.special import ndtr
 
-    def cdf(self, x):
-        if x >= 1.0:
-            return 1.0
-        if x <= -1.0:
-            return 0.0
-        a, b = self._bounds()
-        lo, hi = ndtr(a), ndtr(b)
+        return (ndtr((-1.0 - self.center) / self.width),
+                ndtr((1.0 - self.center) / self.width))
+
+    def _cdf_inside(self, x):
+        from scipy.special import ndtr
+
+        lo, hi = self._bounds()
         return float(min(1.0, max(0.0, (ndtr((x - self.center) / self.width) - lo) / (hi - lo))))
 
     def sample(self, rng, size=None):
-        a, b = self._bounds()
-        lo, hi = ndtr(a), ndtr(b)
+        from scipy.special import ndtri
+
+        lo, hi = self._bounds()
         u = rng.random(size)
         x = self.center + self.width * ndtri(lo + u * (hi - lo))
         x = np.clip(x, -1.0, _BELOW_ONE)
         return float(x) if size is None else x
-
-    def to_dict(self):
-        return {"kind": self.kind, "center": self.center, "width": self.width}
 
 
 def rho_cdf(rho: RhoDistribution, x: float) -> float:
@@ -262,26 +263,18 @@ def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
                        n_trials: int, seed: int, n_workers: int = 1) -> tuple[int, int]:
     """(count O1, count O2) over independent trials.
 
-    Trials are split into fixed-size chunks; chunk c draws from a generator
-    seeded by SeedSequence(seed, spawn_key=(c,)), so trial outcomes depend
-    only on (seed, trial index) and never on worker scheduling.
+    Trials run in chunks of CHUNK_TRIALS on the counter-based streams of
+    ``streams.map_chunks``, so trial outcomes depend only on (seed, trial
+    index) and never on worker scheduling.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     d = dot(state, u)
-    n_chunks = (n_trials + CHUNK_TRIALS - 1) // CHUNK_TRIALS
 
-    def run_chunk(c: int) -> int:
-        size = min(CHUNK_TRIALS, n_trials - c * CHUNK_TRIALS)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c,)))
-        x = rho.sample(rng, size=size)
-        return int(np.count_nonzero(x < d))
+    def run_chunk(rng, lo, size) -> int:
+        return int(np.count_nonzero(rho.sample(rng, size=size) < d))
 
-    if n_workers <= 1:
-        n1 = sum(run_chunk(c) for c in range(n_chunks))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            n1 = sum(pool.map(run_chunk, range(n_chunks)))
+    n1 = sum(map_chunks(run_chunk, n_trials, CHUNK_TRIALS, seed, n_workers))
     return n1, n_trials - n1
 
 
@@ -304,13 +297,8 @@ def sequential_agreement(rho: RhoDistribution, u_i: UnitVector3,
 def agreement_table(rho: RhoDistribution, directions: list[UnitVector3]) -> AgreementTable:
     """Pairwise sequential agreement among eigenstate-prepared measurements."""
     n = len(directions)
-    if n < 2:
-        raise ValueError("need at least two directions")
-    q = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[i, j] = q[j, i] = sequential_agreement(rho, directions[i], directions[j])
-    return AgreementTable(q)
+    return AgreementTable.from_pair_values(n, [sequential_agreement(rho, directions[i], directions[j])
+                                               for i, j in pair_indices(n)])
 
 
 def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVector3],
@@ -326,14 +314,11 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
         raise ValueError("need at least two directions")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    rng = chunk_rng(seed, 0)
     v = sample_uniform_array(rng, n_samples)
     dirs = np.array([[d.x, d.y, d.z] for d in directions])
     coords = np.clip(v @ dirs.T, -1.0, 1.0)  # (n_samples, n)
     breaks = rho.sample(rng, size=(n_samples, n))
     outcomes = breaks < coords
-    q = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            q[i, j] = q[j, i] = float(np.mean(outcomes[:, i] == outcomes[:, j]))
-    return AgreementTable(q)
+    return AgreementTable.from_pair_values(n, [np.mean(outcomes[:, i] == outcomes[:, j])
+                                               for i, j in pair_indices(n)])

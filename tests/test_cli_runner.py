@@ -2,7 +2,9 @@ import json
 import math
 import os
 
-from spheremarket import cli_runner, kolmogorov_check
+import pytest
+
+from spheremarket import cli_runner, kolmogorov_check, market_sim
 from spheremarket.cli_runner import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 ATM_SPEC = {"spot": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2, "tau": 1.0}
@@ -185,6 +187,24 @@ class TestMarketExperiment:
         run_cli(tmp_path, self.PAYLOAD)
         assert (tmp_path / "market_report.json").read_bytes() == report
         assert (tmp_path / "market_trades.csv").read_bytes() == csv_text
+
+    @pytest.mark.parametrize("compare", [True, False])
+    def test_market_simulated_once(self, tmp_path, monkeypatch, compare):
+        calls = []
+        real = market_sim.run_market
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(market_sim, "run_market", counting)
+        monkeypatch.setattr(cli_runner, "run_market", counting)
+        payload = json.loads(json.dumps(self.PAYLOAD))
+        if not compare:
+            del payload["params"]["compare_gbm"]
+        assert run_cli(tmp_path, payload) == EXIT_OK
+        assert len(calls) == 1
+        assert (tmp_path / "market_trades.csv").exists()
 
     def test_stats_only(self, tmp_path):
         payload = {"experiment": "market", "seed": 1,

@@ -105,6 +105,21 @@ class TestRunMarket:
                 for t, nxt in zip(trades, trades[1:])]
         assert max(gaps) > math.pi / 2
 
+    @pytest.mark.parametrize("noise, n_steps", [(0.5, 20_000), (1.5, 10_000)])
+    def test_local_regime_o1_rate_closed_form(self, noise, n_steps):
+        # the context is the state rotated by alpha ~ U[0, a] about a uniform
+        # axis k, so cos(context, state) = cos alpha + (1 - cos alpha)(k.v)^2
+        # with mean 1/3 + (2/3) sin(a)/a; uniform rho gives P[O1] = (1 + cos)/2.
+        # Outcomes are i.i.d. across steps, so the binomial error applies.
+        # Taking the angle itself as U[0, a] would give (1 + sin(a)/a)/2,
+        # which lies more than 8 standard errors away at both settings.
+        trades = run_market(make_config(regime=LocalRegime(noise_angle=noise),
+                                        n_steps=n_steps, seed=3))
+        rate = sum(t.outcome.label is OutcomeLabel.O1 for t in trades) / n_steps
+        expected = (4.0 / 3.0 + (2.0 / 3.0) * math.sin(noise) / noise) / 2.0
+        stderr = math.sqrt(expected * (1.0 - expected) / n_steps)
+        assert abs(rate - expected) <= 4.0 * stderr
+
     def test_ensemble_worker_independence(self):
         cfg = make_config(n_steps=150)
         assert ensemble_csv(cfg, 16, 1) == ensemble_csv(cfg, 16, 8)

@@ -112,6 +112,26 @@ class TestRhoCdf:
         with pytest.raises(ValueError):
             TruncatedGaussianRho(center=0.0, width=0.0)
 
+    def test_truncated_gaussian_without_mass_rejected(self):
+        # the bump sits 4900 widths above the interval: ndtr gives hi == lo
+        # there, which cdf and sample would divide by
+        with pytest.raises(ValueError, match="no mass"):
+            TruncatedGaussianRho(center=50.0, width=0.01)
+        with pytest.raises(ValueError, match="no mass"):
+            TruncatedGaussianRho(center=-50.0, width=0.01)
+
+    @pytest.mark.parametrize("center, width", [(math.nan, 0.3), (math.inf, 0.3),
+                                               (0.0, math.nan), (0.0, math.inf)])
+    def test_truncated_gaussian_non_finite_rejected(self, center, width):
+        with pytest.raises(ValueError, match="finite"):
+            TruncatedGaussianRho(center=center, width=width)
+
+    def test_truncated_gaussian_far_but_massive_center(self):
+        rho = TruncatedGaussianRho(center=3.0, width=0.5)
+        xs = rho.sample(np.random.default_rng(4), size=1000)
+        assert np.all((xs >= -1.0) & (xs < 1.0))
+        assert 0.0 < rho.cdf(0.9) < 1.0
+
 
 class TestTransitionProbabilities:
     def test_uniform_is_cos_squared_half_angle(self):
