@@ -275,6 +275,8 @@ def run(config_path: str, seed_override: int | None = None, out_dir: str = ".") 
         config = load_config(config_path)
         kind = config["experiment"]
         seed = seed_override if seed_override is not None else config["seed"]
+        if seed < 0:
+            raise ValueError(f"'seed' must be nonnegative, got {seed}")
         resolved, results, files = _RUNNERS[kind](config["params"], seed)
     except ConfigParseError as exc:
         _emit_error("parse", str(exc))

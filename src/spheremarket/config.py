@@ -2,7 +2,9 @@
 
 Unknown or missing keys, bools where a number is expected, counts that are
 not integers and non-finite numbers raise ConfigParseError naming the key;
-values of the right type but out of range are left to the constructors.
+values of the right type but out of range are left to the constructors,
+which also reject NaN and infinities themselves (``require_finite``) when
+built from Python.
 """
 
 from __future__ import annotations
@@ -38,6 +40,15 @@ def block_kind(d, context: str, kinds) -> str:
     if d["kind"] not in tuple(kinds):
         raise ValueError(f"unknown {context} kind: {d['kind']!r}")
     return d["kind"]
+
+
+def require_finite(obj, *names: str):
+    """ValueError naming the first field of ``obj`` in ``names`` that is NaN
+    or infinite."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def number(value, name: str) -> float:

@@ -14,7 +14,7 @@ four facets directly.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,9 +31,19 @@ TRIANGLE_FACET_BOUND = 1.0
 SUM_FACET_BOUND = 1.0
 
 
+@functools.lru_cache(maxsize=64)
+def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (i, j) arrays of the pairs i < j in lexicographic order, for
+    whole-array gathers ``q[pair_index(n)]`` and scatters."""
+    index = np.triu_indices(n, 1)
+    for a in index:
+        a.setflags(write=False)
+    return index
+
+
 def pair_indices(n: int) -> list[tuple[int, int]]:
-    """Row order used everywhere: pairs (i, j), i < j, lexicographic."""
-    return list(itertools.combinations(range(n), 2))
+    """Row order used everywhere: the pairs of ``pair_index(n)`` as tuples."""
+    return list(zip(*(a.tolist() for a in pair_index(n))))
 
 
 def atom_signs(n: int) -> np.ndarray:
@@ -43,6 +53,17 @@ def atom_signs(n: int) -> np.ndarray:
     """
     atoms = np.arange(2 ** n, dtype=np.int64)
     return ((atoms[:, None] >> np.arange(n)) & 1).astype(np.int8)
+
+
+@functools.lru_cache(maxsize=MAX_OBSERVABLES + 1)
+def atom_agreement(n: int) -> np.ndarray:
+    """Read-only (pairs, 2^n) bool matrix: atom a gives the two observables
+    of pair k equal bits.  Every pair agrees on exactly half of the atoms."""
+    bits = atom_signs(n).T
+    i, j = pair_index(n)
+    agree = bits[i] == bits[j]
+    agree.setflags(write=False)
+    return agree
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,17 +109,16 @@ class AgreementTable:
         return pair_indices(self.n)
 
     def pair_values(self) -> np.ndarray:
-        return np.array([self.q[i, j] for i, j in self.pairs])
+        return self.q[pair_index(self.n)]
 
     @staticmethod
     def from_pair_values(n: int, values) -> "AgreementTable":
         values = np.asarray(values, dtype=float)
-        pairs = pair_indices(n)
-        if values.shape != (len(pairs),):
-            raise ValueError(f"expected {len(pairs)} pair values for n={n}")
+        i, j = pair_index(n)
+        if values.shape != i.shape:
+            raise ValueError(f"expected {i.size} pair values for n={n}")
         q = np.eye(n)
-        for (i, j), v in zip(pairs, values):
-            q[i, j] = q[j, i] = v
+        q[i, j] = q[j, i] = values
         return AgreementTable(q)
 
     def permuted(self, perm) -> "AgreementTable":
@@ -127,10 +147,11 @@ def table_from_atom_weights(n: int, weights) -> AgreementTable:
     total = w.sum()
     if total <= 0:
         raise ValueError("atom weights must have positive total mass")
-    w = w / total
-    signs = atom_signs(n)
-    return AgreementTable.from_pair_values(n, [w[signs[:, i] == signs[:, j]].sum()
-                                               for i, j in pair_indices(n)])
+    agree = atom_agreement(n)
+    # each row gathers the 2^(n-1) agreeing weights in atom order, so its sum
+    # is the same pairwise sum as w[mask].sum() over that pair's mask
+    w = np.broadcast_to(w / total, agree.shape)[agree].reshape(len(agree), -1)
+    return AgreementTable.from_pair_values(n, w.sum(axis=1))
 
 
 def random_agreement_table(n: int, rng: np.random.Generator) -> AgreementTable:
@@ -152,8 +173,8 @@ class InfeasibilityCertificate:
 
     def evaluate(self, table: AgreementTable) -> float:
         """Slack of the inequality on another table (>= 0 when satisfied)."""
-        vals = np.array([table.q[i, j] for i, j in self.pairs])
-        return float(self.coefficients @ vals - self.bound)
+        i, j = np.array(self.pairs).T
+        return float(self.coefficients @ table.q[i, j] - self.bound)
 
     def to_dict(self) -> dict:
         return {
@@ -204,47 +225,41 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     T[:m, :ncols] = A
     T[:m, ncols:ncols + m] = np.eye(m)
     T[:m, -1] = b
-    basis = list(range(ncols, ncols + m))
+    basis = np.arange(ncols, ncols + m)
     # reduced costs r_j = c_j - y.A_j with starting multipliers y = 1
     T[m, :ncols] = -A.sum(axis=0)
     T[m, -1] = -b.sum()  # stores -objective
+    red, rhs = T[m, :-1], T[:m, -1]  # views, updated by every pivot
 
-    max_iter = 200 * (ncols + m)
-    for _ in range(max_iter):
-        red = T[m, :ncols + m]
-        entering = -1
-        for j in range(ncols + m):  # Bland: lowest eligible index
-            if red[j] < -tol:
-                entering = j
-                break
-        if entering == -1:
+    for _ in range(200 * (ncols + m)):  # iteration cap
+        entering = int((red < -tol).argmax())  # Bland: lowest eligible index
+        if not red[entering] < -tol:
             break
         col = T[:m, entering]
+        rows = np.flatnonzero(col > tol)
         best_ratio, leaving = math.inf, -1
-        for i in range(m):
-            if col[i] > tol:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - tol or (
-                    abs(ratio - best_ratio) <= tol
-                    and (leaving == -1 or basis[i] < basis[leaving])
-                ):
-                    best_ratio, leaving = ratio, i
+        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
+            if ratio < best_ratio - tol or (
+                abs(ratio - best_ratio) <= tol
+                and (leaving == -1 or basis[i] < basis[leaving])
+            ):
+                best_ratio, leaving = ratio, i
         if leaving == -1:
             raise RuntimeError("phase-1 objective unbounded; should not happen")
-        piv = T[leaving, entering]
-        T[leaving, :] /= piv
-        for r in range(m + 1):
-            if r != leaving and T[r, entering] != 0.0:
-                T[r, :] -= T[r, entering] * T[leaving, :]
+        T[leaving] /= T[leaving, entering]
+        # rank-1 update of the other rows the pivot column touches; rows with
+        # a zero entry are not written, so their signed zeros stay as they are
+        factor = T[:, entering, None].copy()
+        factor[leaving] = 0.0
+        np.subtract(T, factor * T[leaving], out=T, where=factor != 0.0)
         basis[leaving] = entering
     else:
         raise RuntimeError("simplex iteration limit exceeded")
 
     optimum = -T[m, -1]
     x = np.zeros(ncols)
-    for row, bv in enumerate(basis):
-        if bv < ncols:
-            x[bv] = T[row, -1]
+    structural = basis < ncols
+    x[basis[structural]] = rhs[structural]
     # artificial column j has cost 1 and reduced cost 1 - y_j
     y = 1.0 - T[m, ncols:ncols + m]
     return optimum, x, y
@@ -260,14 +275,7 @@ def joint_feasibility(table: AgreementTable, tol: float = DEFAULT_TOL) -> Feasib
     n = table.n
     if n > MAX_OBSERVABLES:
         raise ValueError(f"n={n} exceeds the 2^n atom budget (max {MAX_OBSERVABLES})")
-    pairs = table.pairs
-    signs = atom_signs(n)
-    n_atoms = 2 ** n
-
-    A = np.zeros((len(pairs) + 1, n_atoms))
-    for r, (i, j) in enumerate(pairs):
-        A[r] = (signs[:, i] == signs[:, j]).astype(float)
-    A[-1] = 1.0
+    A = np.vstack([atom_agreement(n), np.ones(2 ** n)])
     b = np.append(table.pair_values(), 1.0)
 
     optimum, w, y = _phase1_simplex(A, b, tol)
@@ -278,12 +286,8 @@ def joint_feasibility(table: AgreementTable, tol: float = DEFAULT_TOL) -> Feasib
 
     # y.b > 0 and y.A_col <= 0, so  sum(-y_pair) q - y_norm >= 0  holds for
     # every classical table and fails here with slack exactly -optimum.
-    coeffs = -y[:-1]
-    bound = y[-1]
-    slack = -float(y @ b)
-    cert = InfeasibilityCertificate(
-        pairs=tuple(pairs), coefficients=coeffs, bound=float(bound), slack=slack
-    )
+    cert = InfeasibilityCertificate(pairs=tuple(table.pairs), coefficients=-y[:-1],
+                                    bound=float(y[-1]), slack=-float(y @ b))
     return FeasibilityResult(feasible=False, certificate=cert)
 
 
@@ -320,23 +324,17 @@ def bell_facets_n3(table: AgreementTable) -> list[FacetCheck]:
     if table.n != 3:
         raise ValueError("facet evaluation is defined for n = 3 tables only")
     q01, q02, q12 = table.pair_values()
-    checks = []
     # q_ij + q_ik - q_jk <= 1  <=>  -q_ij - q_ik + q_jk >= -1
     triangles = [
         ("triangle_drop_12", np.array([-1.0, -1.0, 1.0]), q01 + q02 - q12),
         ("triangle_drop_02", np.array([-1.0, 1.0, -1.0]), q01 + q12 - q02),
         ("triangle_drop_01", np.array([1.0, -1.0, -1.0]), q02 + q12 - q01),
     ]
-    for name, coeffs, lhs in triangles:
-        checks.append(
-            FacetCheck(name, coeffs, -TRIANGLE_FACET_BOUND,
+    return [FacetCheck(name, coeffs, -TRIANGLE_FACET_BOUND,
                        slack=float(TRIANGLE_FACET_BOUND - lhs))
-        )
-    checks.append(
+            for name, coeffs, lhs in triangles] + [
         FacetCheck("sum_lower", np.array([1.0, 1.0, 1.0]), SUM_FACET_BOUND,
-                   slack=float(q01 + q02 + q12 - SUM_FACET_BOUND))
-    )
-    return checks
+                   slack=float(q01 + q02 + q12 - SUM_FACET_BOUND))]
 
 
 def facets_feasible(checks: list[FacetCheck], tol: float = DEFAULT_TOL) -> bool:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import block_kind, count, items, number, parse_block
+from .config import block_kind, count, items, number, parse_block, require_finite
 from .geometry import UnitVector3, angle_between, dot, from_polar, perturb, sample_uniform
 from .kolmogorov_check import sphere_bell_scan
 from .pricing import GbmParams, gbm_path_matrix
@@ -43,6 +43,7 @@ class NewsSeries:
     rate: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "angle", "rate")
         if self.kind not in ("constant", "drift"):
             raise ValueError(f"unknown news series kind: {self.kind!r}")
         if self.kind == "constant" and self.rate != 0.0:
@@ -121,6 +122,7 @@ class MarketConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be positive")
+        require_finite(self, "price_min", "price_max")
         if not self.price_min < self.price_max:
             raise ValueError("price_min must be below price_max")
         if self.price_min <= 0:

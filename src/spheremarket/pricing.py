@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import count, number, parse_block
+from .config import count, number, parse_block, require_finite
 from .streams import map_chunks
 
 CHUNK_PATHS = 1 << 14  # fixed batch granularity for counter-based streams
@@ -52,6 +52,7 @@ class OptionSpec:
     style: ExerciseStyle = ExerciseStyle.EUROPEAN
 
     def __post_init__(self):
+        require_finite(self, "spot", "strike", "rate", "sigma", "tau")
         if self.spot <= 0 or self.strike <= 0:
             raise ValueError("spot and strike must be positive")
         if self.sigma < 0:
@@ -148,6 +149,7 @@ class GbmParams:
     steps: int
 
     def __post_init__(self):
+        require_finite(self, "s0", "drift", "sigma", "horizon")
         if self.s0 <= 0:
             raise ValueError("s0 must be positive")
         if self.sigma < 0:

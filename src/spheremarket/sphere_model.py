@@ -136,6 +136,9 @@ class PiecewiseConstantRho(RhoDistribution):
             raise ValueError("need at least two breakpoints")
         if dens.shape != (bp.size - 1,):
             raise ValueError("densities must have one entry per cell")
+        for name, values in (("breakpoints", bp), ("densities", dens)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite, got {values.tolist()}")
         if bp[0] != -1.0 or bp[-1] != 1.0:
             raise ValueError("breakpoints must span [-1, 1]")
         if np.any(np.diff(bp) <= 0):
@@ -319,6 +322,8 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
     dirs = np.array([[d.x, d.y, d.z] for d in directions])
     coords = np.clip(v @ dirs.T, -1.0, 1.0)  # (n_samples, n)
     breaks = rho.sample(rng, size=(n_samples, n))
-    outcomes = breaks < coords
-    return AgreementTable.from_pair_values(n, [np.mean(outcomes[:, i] == outcomes[:, j])
-                                               for i, j in pair_indices(n)])
+    outcomes = np.ascontiguousarray((breaks < coords).T)  # (n, n_samples)
+    # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
+    # pair_indices order, without an array of every pair's outcomes at once
+    agree = [np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1) for i in range(n - 1)]
+    return AgreementTable.from_pair_values(n, np.concatenate(agree) / n_samples)

@@ -102,6 +102,25 @@ class TestErrorHandling:
         run_cli(tmp_path, payload)
         assert not [f for f in os.listdir(tmp_path) if f.endswith(".part")]
 
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    @pytest.mark.parametrize("params", [
+        {"experiment": "price", "params": {"spec": ATM_SPEC, "methods": ["bs"]}},
+        {"experiment": "sphere", "params": {"rho": {"kind": "uniform"}, "state": [0, 0, 1],
+                                            "direction": [1, 0, 0], "n_trials": 10}},
+        {"experiment": "bell-scan", "params": {"rho": {"kind": "uniform"}, "theta_degrees": 60}},
+        {"experiment": "market", "params": {"market": {
+            "rho": {"kind": "uniform"}, "n_steps": 5,
+            "regime": {"kind": "local", "noise_angle": 0.3}}}},
+        {"experiment": "convergence", "params": {"spec": ATM_SPEC, "steps": [10, 20]}},
+    ], ids=lambda p: p["experiment"])
+    def test_negative_seed_named(self, tmp_path, capsys, params, via):
+        payload = dict(params, seed=-1) if via == "config" else params
+        extra = ("--seed", "-1") if via == "flag" else ()
+        assert run_cli(tmp_path, payload, extra_args=extra) == EXIT_VALIDATION
+        err = json.loads(capsys.readouterr().err)
+        assert "'seed'" in err["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(params, seed):
             raise RuntimeError("solver exploded")
