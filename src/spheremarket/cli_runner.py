@@ -39,6 +39,7 @@ from .kolmogorov_check import (
     sphere_bell_scan,
 )
 from .market_sim import (
+    MIN_TRADES,
     MarketConfig,
     compare_trades_with_gbm,
     run_market,
@@ -73,6 +74,13 @@ def _as_direction(value, context: str) -> UnitVector3:
         angles = parse_block(value, context, required={"theta": number}, optional={"phi": number})
         return from_polar(angles["theta"], angles.get("phi", 0.0))
     return UnitVector3.normalized(*items(number, value, context, 3))
+
+
+def _at_least(value: int, minimum: int, key: str) -> int:
+    """``value`` of config key ``key``; ValueError naming the key below ``minimum``."""
+    if value < minimum:
+        raise ValueError(f"'{key}' must be at least {minimum}, got {value}")
+    return value
 
 
 def _sanitize(obj):
@@ -120,8 +128,8 @@ def _run_price(params: dict, seed: int):
         if m not in ("bs", "binomial", "mc"):
             raise ConfigParseError(f"unknown key '{m}' in 'params.methods'")
     spec = OptionSpec.from_dict(p["spec"])
-    steps = p.get("binomial_steps", 1000)
-    n_paths = p.get("mc_paths", 100_000)
+    steps = _at_least(p.get("binomial_steps", 1000), 1, "params.binomial_steps")
+    n_paths = _at_least(p.get("mc_paths", 100_000), 2, "params.mc_paths")
 
     results = []
     for m in methods:
@@ -188,6 +196,7 @@ def _run_market(params: dict, seed: int):
     if isinstance(market, dict) and "seed" in market:
         raise ConfigParseError("unknown key 'seed' in 'market' (the seed is top-level)")
     cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market)
+    _at_least(cfg.n_steps, MIN_TRADES, "params.market.n_steps")  # for the return statistics
     gbm = None if p.get("compare_gbm") is None else GbmParams.from_dict(p["compare_gbm"])
     write_trades = p.get("write_trades", True)
 
@@ -211,13 +220,16 @@ def _run_convergence(params: dict, seed: int):
     p = parse_block(params, "params", required={"spec": None},
                     optional={"steps": lambda v, name: items(count, v, name)})
     steps = p.get("steps", [50, 100, 200, 400, 800, 1600])
-    if len(steps) < 2:
-        raise ConfigParseError("'params.steps' needs at least two entries")
+    if len(set(steps)) < 2:
+        raise ConfigParseError("'params.steps' needs at least two distinct entries")
     spec = OptionSpec.from_dict(p["spec"])
 
     reference = bs_price(spec)
     errors = [abs(binomial_price(spec, n) - reference) for n in steps]
-    slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0]) if min(errors) > 0 else None
+    if 0.0 in errors:
+        raise ValueError(f"binomial error is 0 at {steps[errors.index(0.0)]} steps (tau "
+                         f"{spec.tau!r}): the log-log slope needs nonzero errors")
+    slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
     rows = ["steps,abs_error"] + [f"{n},{e!r}" for n, e in zip(steps, errors)]
     files = {"convergence_errors.csv": "\r\n".join(rows) + "\r\n"}
     results = {"reference_value": reference, "steps": steps,

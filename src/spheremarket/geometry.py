@@ -24,7 +24,7 @@ class UnitVector3:
 
     def __post_init__(self):
         n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > NORM_TOL:
+        if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(f"not a unit vector: |v|^2 = {n2!r}")
 
     @staticmethod

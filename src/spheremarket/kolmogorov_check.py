@@ -104,10 +104,6 @@ class AgreementTable:
     def n(self) -> int:
         return self.q.shape[0]
 
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return pair_indices(self.n)
-
     def pair_values(self) -> np.ndarray:
         return self.q[pair_index(self.n)]
 
@@ -265,7 +261,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     return optimum, x, y
 
 
-def joint_feasibility(table: AgreementTable, tol: float = DEFAULT_TOL) -> FeasibilityResult:
+def joint_feasibility(table: AgreementTable) -> FeasibilityResult:
     """Decide whether the table lies in the classical agreement polytope.
 
     Feasible: returns atom weights over the 2^n deterministic assignments
@@ -278,15 +274,15 @@ def joint_feasibility(table: AgreementTable, tol: float = DEFAULT_TOL) -> Feasib
     A = np.vstack([atom_agreement(n), np.ones(2 ** n)])
     b = np.append(table.pair_values(), 1.0)
 
-    optimum, w, y = _phase1_simplex(A, b, tol)
-    if optimum <= tol:
+    optimum, w, y = _phase1_simplex(A, b, DEFAULT_TOL)
+    if optimum <= DEFAULT_TOL:
         w = np.maximum(w, 0.0)
         residual = float(np.max(np.abs(A @ w - b)))
         return FeasibilityResult(feasible=True, atom_weights=w, max_residual=residual)
 
     # y.b > 0 and y.A_col <= 0, so  sum(-y_pair) q - y_norm >= 0  holds for
     # every classical table and fails here with slack exactly -optimum.
-    cert = InfeasibilityCertificate(pairs=tuple(table.pairs), coefficients=-y[:-1],
+    cert = InfeasibilityCertificate(pairs=tuple(pair_indices(n)), coefficients=-y[:-1],
                                     bound=float(y[-1]), slack=-float(y @ b))
     return FeasibilityResult(feasible=False, certificate=cert)
 
@@ -337,8 +333,8 @@ def bell_facets_n3(table: AgreementTable) -> list[FacetCheck]:
                    slack=float(q01 + q02 + q12 - SUM_FACET_BOUND))]
 
 
-def facets_feasible(checks: list[FacetCheck], tol: float = DEFAULT_TOL) -> bool:
-    return all(c.slack >= -tol for c in checks)
+def facets_feasible(checks: list[FacetCheck]) -> bool:
+    return not any(c.violated for c in checks)
 
 
 @dataclass(frozen=True)

@@ -293,13 +293,12 @@ def representative_scan_angle(trades: list[TradeRecord]) -> float:
     return min(max(theta, 1e-6), math.pi - 1e-6)
 
 
-def compare_with_gbm(cfg: MarketConfig, gbm: GbmParams, n_workers: int = 1) -> dict:
+def compare_with_gbm(cfg: MarketConfig, gbm: GbmParams) -> dict:
     """``compare_trades_with_gbm`` on a fresh ``run_market(cfg)``."""
-    return compare_trades_with_gbm(cfg, run_market(cfg), gbm, n_workers=n_workers)
+    return compare_trades_with_gbm(cfg, run_market(cfg), gbm)
 
 
-def compare_trades_with_gbm(cfg: MarketConfig, trades: list[TradeRecord], gbm: GbmParams,
-                            n_workers: int = 1) -> dict:
+def compare_trades_with_gbm(cfg: MarketConfig, trades: list[TradeRecord], gbm: GbmParams) -> dict:
     """Side-by-side statistics of the sphere market run ``trades`` of
     ``cfg`` and a GBM path.
 
@@ -311,7 +310,7 @@ def compare_trades_with_gbm(cfg: MarketConfig, trades: list[TradeRecord], gbm: G
     if gbm.steps != cfg.n_steps:
         raise ValueError("gbm.steps must match cfg.n_steps")
     sphere_summary = summary_stats(trades)
-    _, values = gbm_path_matrix(gbm, 1, seed=cfg.seed + 1, n_workers=n_workers)
+    _, values = gbm_path_matrix(gbm, 1, seed=cfg.seed + 1)
     gbm_summary = summary_from_prices(values[0])
     theta = representative_scan_angle(trades)
     scan = sphere_bell_scan(cfg.rho, theta, seed=cfg.seed)

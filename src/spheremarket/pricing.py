@@ -189,13 +189,10 @@ class PriceSeries:
 
 
 def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
-                    n_workers: int = 1, scheme: str = "exact") -> tuple[np.ndarray, np.ndarray]:
-    """(times, values) with values of shape (n_paths, steps + 1).
-
-    ``exact`` uses the bias-free log-normal step
-    S_{k+1} = S_k exp((mu - sigma^2/2) dt + sigma sqrt(dt) Z); ``euler``
-    is the first-order scheme S_{k+1} = S_k (1 + mu dt + sigma sqrt(dt) Z),
-    offered for illustration only (it is biased and can go nonpositive).
+                    n_workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(times, values) with values of shape (n_paths, steps + 1), stepped
+    with the bias-free log-normal map
+    S_{k+1} = S_k exp((mu - sigma^2/2) dt + sigma sqrt(dt) Z).
 
     Path i is driven by the generator of chunk i // CHUNK_PATHS on the
     counter-based streams of ``streams.map_chunks``, so the matrix is
@@ -203,8 +200,6 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
-    if scheme not in ("exact", "euler"):
-        raise ValueError(f"unknown scheme: {scheme!r}")
     dt = params.horizon / params.steps
     times = np.linspace(0.0, params.horizon, params.steps + 1)
     values = np.empty((n_paths, params.steps + 1))
@@ -212,26 +207,18 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
 
     def fill_chunk(rng, lo, size):
         z = rng.standard_normal((size, params.steps))
-        if scheme == "exact":
-            log_steps = (params.drift - 0.5 * params.sigma ** 2) * dt + vol * z
-            values[lo:lo + size, 0] = params.s0
-            values[lo:lo + size, 1:] = params.s0 * np.exp(np.cumsum(log_steps, axis=1))
-        else:
-            s = np.full(size, params.s0)
-            values[lo:lo + size, 0] = s
-            for k in range(params.steps):
-                s = s * (1.0 + params.drift * dt + vol * z[:, k])
-                values[lo:lo + size, k + 1] = s
+        log_steps = (params.drift - 0.5 * params.sigma ** 2) * dt + vol * z
+        values[lo:lo + size, 0] = params.s0
+        values[lo:lo + size, 1:] = params.s0 * np.exp(np.cumsum(log_steps, axis=1))
 
     map_chunks(fill_chunk, n_paths, CHUNK_PATHS, seed, n_workers)
     return times, values
 
 
 def gbm_paths(params: GbmParams, n_paths: int, seed: int,
-              n_workers: int = 1, scheme: str = "exact") -> list[PriceSeries]:
+              n_workers: int = 1) -> list[PriceSeries]:
     """Simulated paths as PriceSeries; see ``gbm_path_matrix``."""
-    times, values = gbm_path_matrix(params, n_paths, seed,
-                                    n_workers=n_workers, scheme=scheme)
+    times, values = gbm_path_matrix(params, n_paths, seed, n_workers=n_workers)
     return [PriceSeries(times, row) for row in values]
 
 

@@ -19,8 +19,8 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import UnitVector3, dot
-from .sphere_model import RhoDistribution, rho_cdf
+from .geometry import UnitVector3
+from .sphere_model import RhoDistribution, transition_probabilities
 
 ROW_SUM_TOL = 1e-12
 
@@ -59,23 +59,21 @@ class ScopSystem:
     """States, contexts, properties plus the transition law and actuality map.
 
     ``states`` lists the materialized states; systems over a continuum keep
-    it to the distinguished states and accept anything ``contains_state``
-    admits.  ``mu(p, e)`` returns ((q, f), probability) pairs that must sum
-    to one; ``xi(p)`` returns the set of actual properties.
+    it to the distinguished states.  ``contains_state(p)`` decides which
+    states the system admits.  ``mu(p, e)`` returns ((q, f), probability)
+    pairs that must sum to one; ``xi(p)`` returns the set of actual
+    properties.
     """
 
     contexts: tuple
     properties: frozenset
     mu: Callable[[Hashable, Hashable], Sequence[Transition]]
     xi: Callable[[Hashable], frozenset]
-    states: tuple | None = None
-    contains_state: Callable[[Hashable], bool] | None = None
+    states: tuple
+    contains_state: Callable[[Hashable], bool]
 
     def _check_state(self, p):
-        if self.contains_state is not None:
-            if not self.contains_state(p):
-                raise UnknownStateError(f"unknown state: {p!r}")
-        elif self.states is not None and p not in self.states:
+        if not self.contains_state(p):
             raise UnknownStateError(f"unknown state: {p!r}")
 
     def _check_context(self, e):
@@ -127,8 +125,8 @@ class ScopSystem:
         def xi(p):
             return xi_rows[p]
 
-        return ScopSystem(contexts=contexts, properties=properties,
-                          mu=mu, xi=xi, states=states)
+        return ScopSystem(contexts=contexts, properties=properties, mu=mu, xi=xi,
+                          states=states, contains_state=frozenset(states).__contains__)
 
 
 def is_eigenstate(sys: ScopSystem, p, e) -> bool:
@@ -169,8 +167,8 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
     outside.  xi of an eigenstate holds its own interval plus every
     superinterval present in the property set.
     """
-    directions = list(directions)
-    if not directions:
+    contexts = tuple(dict.fromkeys(directions))
+    if not contexts:
         raise ValueError("need at least one measurement direction")
     if callable(price_map) and not isinstance(price_map, Mapping):
         lookup = price_map
@@ -183,17 +181,6 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
             except KeyError:
                 raise ValueError(f"price_map not defined for direction {d!r}") from None
 
-    # canonical endpoint objects shared by antipodal contexts
-    endpoints: dict[UnitVector3, UnitVector3] = {}
-    contexts: list[UnitVector3] = []
-    for u in directions:
-        if u in contexts:
-            continue
-        contexts.append(u)
-        endpoints.setdefault(u, u)
-        endpoints.setdefault(-u, -u)
-
-    xi_map: dict[UnitVector3, frozenset] = {}
     prop_of: dict[UnitVector3, PriceIntervalProperty] = {}
     for u in contexts:
         a_plus, a_minus = lookup(u), lookup(-u)
@@ -203,24 +190,24 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
             raise ValueError(
                 f"inconsistent price_map: intervals for the antipodal pair at {u!r} overlap"
             )
-        prop_of[endpoints[u]] = a_plus
-        prop_of[endpoints[-u]] = a_minus
+        prop_of[u] = a_plus
+        prop_of[-u] = a_minus
     properties = frozenset(prop_of.values())
-    for state, own in prop_of.items():
-        xi_map[state] = frozenset(a for a in properties if a.contains_interval(own))
+    xi_map = {state: frozenset(a for a in properties if a.contains_interval(own))
+              for state, own in prop_of.items()}
 
     def mu(p, e):
-        p1 = rho_cdf(rho, dot(p, e))
-        return (((endpoints[e], e), p1), ((endpoints[-e], e), 1.0 - p1))
+        p1, p2 = transition_probabilities(rho, p, e)
+        return (((e, e), p1), ((-e, e), p2))
 
     def xi(p):
         return xi_map.get(p, frozenset())
 
     return ScopSystem(
-        contexts=tuple(contexts),
+        contexts=contexts,
         properties=properties,
         mu=mu,
         xi=xi,
-        states=tuple(endpoints.values()),
+        states=tuple(prop_of),
         contains_state=lambda p: isinstance(p, UnitVector3),
     )

@@ -42,7 +42,7 @@ class OutcomeLabel(Enum):
 class MeasurementOutcome:
     label: OutcomeLabel
     collapsed_state: UnitVector3
-    break_point: float | None = None  # None for analytic evaluation
+    break_point: float
 
 
 class RhoDistribution:
@@ -61,7 +61,8 @@ class RhoDistribution:
         """The CDF at x strictly inside (-1, 1)."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """An array of ``size`` break points drawn from ``rng``."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -91,7 +92,7 @@ class UniformRho(RhoDistribution):
     def _cdf_inside(self, x):
         return (x + 1.0) / 2.0
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.uniform(-1.0, 1.0, size=size)
 
 
@@ -113,25 +114,27 @@ class DeltaRho(RhoDistribution):
     def _cdf_inside(self, x):
         return 1.0 if x >= self.x0 else 0.0
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.x0
+    def sample(self, rng, size):
         return np.full(size, self.x0)
 
 
+@dataclass(frozen=True)
 class PiecewiseConstantRho(RhoDistribution):
     """Step density over a partition of [-1, 1].
 
     ``breakpoints`` are the ascending cell edges and must span the full
     interval (first -1, last 1); ``densities`` holds one nonnegative level
-    per cell and is normalized to unit total mass.
+    per cell and is normalized to unit total mass.  Both are kept as float
+    lists; the CDF and the sampler read array copies of them.
     """
 
+    breakpoints: list
+    densities: list
     kind = "piecewise"
 
-    def __init__(self, breakpoints, densities):
-        bp = np.asarray(breakpoints, dtype=float)
-        dens = np.asarray(densities, dtype=float)
+    def __post_init__(self):
+        bp = np.asarray(self.breakpoints, dtype=float)
+        dens = np.asarray(self.densities, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
             raise ValueError("need at least two breakpoints")
         if dens.shape != (bp.size - 1,):
@@ -149,39 +152,24 @@ class PiecewiseConstantRho(RhoDistribution):
         total = mass.sum()
         if total <= 0:
             raise ValueError("density must have positive total mass")
-        self.breakpoints = bp
-        self.densities = dens / total
-        self._cum = np.concatenate([[0.0], np.cumsum(mass / total)])
-        self._cum[-1] = 1.0  # pin against cumsum roundoff
+        dens = dens / total
+        cum = np.concatenate([[0.0], np.cumsum(mass / total)])
+        cum[-1] = 1.0  # pin against cumsum roundoff
+        for name, value in (("breakpoints", bp.tolist()), ("densities", dens.tolist()),
+                            ("_bp", bp), ("_dens", dens), ("_cum", cum)):
+            object.__setattr__(self, name, value)
 
     def _cdf_inside(self, x):
-        i = int(np.searchsorted(self.breakpoints, x, side="right")) - 1
-        return float(min(1.0, self._cum[i] + self.densities[i] * (x - self.breakpoints[i])))
+        i = int(np.searchsorted(self._bp, x, side="right")) - 1
+        return float(min(1.0, self._cum[i] + self._dens[i] * (x - self._bp[i])))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         u = rng.random(size)
         idx = np.searchsorted(self._cum, u, side="right") - 1
-        idx = np.clip(idx, 0, self.densities.size - 1)
-        dens = self.densities[idx]
-        x = self.breakpoints[idx] + (u - self._cum[idx]) / np.where(dens > 0, dens, 1.0)
-        x = np.minimum(x, _BELOW_ONE)
-        return float(x) if size is None else x
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "breakpoints": self.breakpoints.tolist(),
-            "densities": self.densities.tolist(),
-        }
-
-    def __repr__(self):
-        return (f"PiecewiseConstantRho(breakpoints={self.breakpoints.tolist()}, "
-                f"densities={self.densities.tolist()})")
-
-    def __eq__(self, other):
-        return (isinstance(other, PiecewiseConstantRho)
-                and np.array_equal(self.breakpoints, other.breakpoints)
-                and np.array_equal(self.densities, other.densities))
+        idx = np.clip(idx, 0, self._dens.size - 1)
+        dens = self._dens[idx]
+        x = self._bp[idx] + (u - self._cum[idx]) / np.where(dens > 0, dens, 1.0)
+        return np.minimum(x, _BELOW_ONE)
 
 
 @dataclass(frozen=True)
@@ -219,21 +207,21 @@ class TruncatedGaussianRho(RhoDistribution):
         lo, hi = self._bounds()
         return float(min(1.0, max(0.0, (ndtr((x - self.center) / self.width) - lo) / (hi - lo))))
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         from scipy.special import ndtri
 
         lo, hi = self._bounds()
         u = rng.random(size)
         x = self.center + self.width * ndtri(lo + u * (hi - lo))
-        x = np.clip(x, -1.0, _BELOW_ONE)
-        return float(x) if size is None else x
+        return np.clip(x, -1.0, _BELOW_ONE)
 
 
 def rho_cdf(rho: RhoDistribution, x: float) -> float:
-    """P(break point <= x); x must lie in [-1, 1] up to a 1e-9 clamp."""
+    """P(break point <= x); x must lie in [-1, 1] up to a 1e-9 tolerance,
+    and ``cdf`` is 0 below -1 and 1 above 1."""
     if not -1.0 - X_DOMAIN_TOL <= x <= 1.0 + X_DOMAIN_TOL:
         raise ValueError(f"elastic coordinate {x!r} outside [-1, 1]")
-    return rho.cdf(min(1.0, max(-1.0, x)))
+    return rho.cdf(x)
 
 
 def transition_probabilities(rho: RhoDistribution, v: UnitVector3,
@@ -255,7 +243,7 @@ def simulate_measurement(rho: RhoDistribution, state: UnitVector3,
     v.u; ties go to O2 (measure zero for continuous rho, and the documented
     convention for the deterministic delta elastic).
     """
-    x = float(rho.sample(rng))
+    x = float(rho.sample(rng, 1)[0])
     d = dot(state, u)
     if x < d:
         return MeasurementOutcome(OutcomeLabel.O1, u, x)

@@ -121,6 +121,27 @@ class TestErrorHandling:
         assert "'seed'" in err["error"]["message"]
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("key, payload", [
+        ("workers", {"experiment": "sphere", "params": {
+            "rho": {"kind": "uniform"}, "state": [0, 0, 1], "direction": [1, 0, 0],
+            "n_trials": 10, "workers": 0}}),
+        ("workers", {"experiment": "sphere", "params": {
+            "rho": {"kind": "uniform"}, "state": [0, 0, 1], "direction": [1, 0, 0],
+            "n_trials": 10, "workers": -5}}),
+        ("binomial_steps", {"experiment": "price", "params": {
+            "spec": ATM_SPEC, "methods": ["binomial"], "binomial_steps": 0}}),
+        ("mc_paths", {"experiment": "price", "params": {
+            "spec": ATM_SPEC, "methods": ["mc"], "mc_paths": 1}}),
+        ("n_steps", {"experiment": "market", "params": {"market": {
+            "rho": {"kind": "uniform"}, "n_steps": 10,
+            "regime": {"kind": "local", "noise_angle": 0.3}}}}),
+    ], ids=["workers0", "workers-5", "binomial_steps0", "mc_paths1", "n_steps10"])
+    def test_count_out_of_range_named(self, tmp_path, capsys, key, payload):
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert key in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(params, seed):
             raise RuntimeError("solver exploded")
@@ -246,6 +267,24 @@ class TestConvergenceExperiment:
         assert -1.3 <= results["loglog_slope"] <= -0.7
         csv_text = (tmp_path / "convergence_errors.csv").read_text()
         assert csv_text.startswith("steps,abs_error")
+
+    def test_repeated_steps_rejected(self, tmp_path, capsys):
+        # one distinct step count once fitted a meaningless slope
+        payload = {"experiment": "convergence",
+                   "params": {"spec": ATM_SPEC, "steps": [100, 100]}}
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_PARSE
+        assert "params.steps" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    def test_zero_error_rejected(self, tmp_path, capsys):
+        # at tau 0 both prices are intrinsic value; this once reported a null slope
+        payload = {"experiment": "convergence",
+                   "params": {"spec": dict(ATM_SPEC, tau=0.0), "steps": [10, 20]}}
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "tau" in message and "10 steps" in message
+        assert os.listdir(tmp_path) == ["config.json"]
 
 
 class TestSelftest:

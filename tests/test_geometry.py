@@ -40,6 +40,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             UnitVector3.normalized(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: UnitVector3(math.nan, 0.0, 0.0),
+        lambda: from_polar(math.nan, 0.0),
+        lambda: UnitVector3.normalized(math.inf, 0.0, 0.0),
+    ], ids=["nan_component", "nan_polar", "inf_normalized"])
+    def test_nan_rejected(self, build):
+        # abs(n2 - 1) > tol is False for a NaN norm, which once let these through
+        with pytest.raises(ValueError, match="not a unit vector"):
+            build()
+
     def test_normalized_accepts_any_scale(self):
         v = UnitVector3.normalized(3.0, -4.0, 12.0)
         assert abs(v.x ** 2 + v.y ** 2 + v.z ** 2 - 1.0) < 1e-12

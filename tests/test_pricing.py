@@ -202,18 +202,6 @@ class TestGbm:
         assert all(isinstance(p, PriceSeries) for p in paths)
         assert all(p.values[0] == 100.0 for p in paths)
 
-    def test_euler_scheme_runs(self):
-        params = GbmParams(s0=100.0, drift=0.05, sigma=0.1, horizon=1.0, steps=50)
-        _, exact = gbm_path_matrix(params, 100, seed=4, scheme="exact")
-        _, euler = gbm_path_matrix(params, 100, seed=4, scheme="euler")
-        assert exact.shape == euler.shape
-        assert not np.array_equal(exact, euler)
-
-    def test_unknown_scheme_rejected(self):
-        params = GbmParams(s0=1.0, drift=0.0, sigma=0.1, horizon=1.0, steps=1)
-        with pytest.raises(ValueError):
-            gbm_path_matrix(params, 1, seed=0, scheme="milstein")
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GbmParams(s0=0.0, drift=0.0, sigma=0.1, horizon=1.0, steps=1)

@@ -248,6 +248,11 @@ class TestSimulateMeasurement:
         assert measurement_counts(*args, seed=99, n_workers=1) == ref
         assert measurement_counts(*args, seed=99, n_workers=8) == ref
 
+    def test_counts_reject_worker_count_below_one(self):
+        # once ran serially without a word
+        with pytest.raises(ValueError, match="n_workers"):
+            measurement_counts(UniformRho(), POLE, POLE, 1000, seed=0, n_workers=-3)
+
     def test_sampling_matches_cdf(self):
         # inverse-CDF sampling reproduces each variant's CDF on a grid
         rng = np.random.default_rng(55)

@@ -25,6 +25,11 @@ class TestMapChunks:
         many = map_chunks(draw, 1000, 64, seed=11, n_workers=n_workers)
         assert all(np.array_equal(a, b) for a, b in zip(one, many, strict=True))
 
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, n_workers):
+        with pytest.raises(ValueError, match="n_workers must be at least 1"):
+            map_chunks(lambda rng, lo, size: size, 10, 4, seed=0, n_workers=n_workers)
+
     def test_chunk_streams_are_seed_sequence_spawn_keys(self):
         # the stream policy every recorded report depends on
         expected = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2,))).random(4)
