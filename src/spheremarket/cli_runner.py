@@ -198,9 +198,17 @@ def _run_market(params: dict, seed: int):
     cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market)
     _at_least(cfg.n_steps, MIN_TRADES, "params.market.n_steps")  # for the return statistics
     gbm = None if p.get("compare_gbm") is None else GbmParams.from_dict(p["compare_gbm"])
+    # constant log returns have no kurtosis and no autocorrelations
+    if gbm is not None and gbm.sigma == 0.0:
+        raise ValueError("'params.compare_gbm.sigma' must be positive: "
+                         "at 0 the GBM path has constant log returns")
     write_trades = p.get("write_trades", True)
 
     trades = run_market(cfg)
+    if len({t.realized_price for t in trades}) == 1:
+        raise ValueError(f"the price never moved in {cfg.n_steps} trades at "
+                         f"'params.market.regime.noise_angle' {cfg.regime.noise_angle!r}: "
+                         "every context stayed on the state's own axis")
     if gbm is None:
         results = {"config": cfg.to_dict(), "stats": summary_stats(trades).to_dict()}
     else:

@@ -11,6 +11,7 @@ direction up to noise, the herding limit when the noise vanishes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -19,18 +20,16 @@ from typing import Optional
 import numpy as np
 
 from .config import block_kind, count, items, number, parse_block, require_finite
-from .geometry import UnitVector3, angle_between, dot, from_polar, perturb, sample_uniform
+from .geometry import UnitVector3, angle_between, dot, from_polar, perturb_by, sample_uniform
 from .kolmogorov_check import sphere_bell_scan
 from .pricing import GbmParams, gbm_path_matrix
-from .sphere_model import (
-    MeasurementOutcome,
-    RhoDistribution,
-    simulate_measurement,
-)
+from .sphere_model import MeasurementOutcome, RhoDistribution, break_elastic
 from .streams import map_chunks
 
 ACF_LAGS = 10
 MIN_TRADES = 30
+BLOCK_STEPS = 128  # steps whose uniforms one rng.random call draws
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -167,23 +166,38 @@ def price_of_state(cfg: MarketConfig, s: UnitVector3) -> float:
     return cfg.price_min + (cfg.price_max - cfg.price_min) * frac
 
 
-def _trade_direction(cfg: MarketConfig, state: UnitVector3, step: int,
-                     rng: np.random.Generator) -> UnitVector3:
-    regime = cfg.regime
-    if isinstance(regime, LocalRegime):
-        return perturb(state, regime.noise_angle, rng)
-    return perturb(regime.news.direction(step), regime.noise_angle, rng)
-
-
 def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> list[TradeRecord]:
+    """The initial state, then the steps in blocks of BLOCK_STEPS, each block
+    drawing its uniforms with one ``rng.random`` call.
+
+    Row t of a block holds step t's uniforms in the order of the scalar
+    draws they stand for: the context's z, phi and angle (``perturb``) when
+    noise_angle > 0, then the break point's ``rho.draws``.  Each column goes
+    through its scalar draw's arithmetic, so the history is bit for bit the
+    one those draws give.
+    """
+    regime, rho = cfg.regime, cfg.rho
+    noise = regime.noise_angle
+    local = isinstance(regime, LocalRegime)
+    width = (3 if noise > 0.0 else 0) + rho.draws
     state = sample_uniform(rng)
     trades = []
-    for step in range(cfg.n_steps):
-        direction = _trade_direction(cfg, state, step, rng)
-        outcome = simulate_measurement(cfg.rho, state, direction, rng)
-        state = outcome.collapsed_state
-        trades.append(TradeRecord(step=step, direction=direction, outcome=outcome,
-                                  realized_price=price_of_state(cfg, state)))
+    for start in range(0, cfg.n_steps, BLOCK_STEPS):
+        steps = range(start, min(start + BLOCK_STEPS, cfg.n_steps))
+        u = rng.random((len(steps), width))
+        breaks = rho.quantile(u[:, -1] if rho.draws else np.zeros(len(steps))).tolist()
+        if noise > 0.0:
+            kicks = zip((-1.0 + 2.0 * u[:, 0]).tolist(), (_TWO_PI * u[:, 1]).tolist(),
+                        (noise * u[:, 2]).tolist())
+        else:
+            kicks = itertools.repeat(None)
+        for step, x, kick in zip(steps, breaks, kicks):
+            center = state if local else regime.news.direction(step)
+            direction = center if kick is None else perturb_by(center, *kick)
+            outcome = break_elastic(state, direction, x)
+            state = outcome.collapsed_state
+            trades.append(TradeRecord(step=step, direction=direction, outcome=outcome,
+                                      realized_price=price_of_state(cfg, state)))
     return trades
 
 

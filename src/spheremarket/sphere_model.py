@@ -46,9 +46,14 @@ class MeasurementOutcome:
 
 
 class RhoDistribution:
-    """Break-point density on [-1, 1]; cdf(-1) = 0 and cdf(1) = 1."""
+    """Break-point density on [-1, 1]; cdf(-1) = 0 and cdf(1) = 1.
+
+    A break point is ``quantile`` of ``draws`` uniforms on [0, 1): one for
+    every density but the delta, which needs none.
+    """
 
     kind: str = ""
+    draws: int = 1
 
     def cdf(self, x: float) -> float:
         if x >= 1.0:
@@ -61,9 +66,13 @@ class RhoDistribution:
         """The CDF at x strictly inside (-1, 1)."""
         raise NotImplementedError
 
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """The break points of the uniforms ``u``, elementwise."""
+        raise NotImplementedError
+
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """An array of ``size`` break points drawn from ``rng``."""
-        raise NotImplementedError
+        return self.quantile(rng.random(size) if self.draws else np.zeros(size))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
@@ -92,8 +101,10 @@ class UniformRho(RhoDistribution):
     def _cdf_inside(self, x):
         return (x + 1.0) / 2.0
 
-    def sample(self, rng, size):
-        return rng.uniform(-1.0, 1.0, size=size)
+    def quantile(self, u):
+        x = 2.0 * u
+        x -= 1.0  # -1 + 2u, rng.uniform(-1.0, 1.0)'s arithmetic, with one temporary
+        return x
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,7 @@ class DeltaRho(RhoDistribution):
 
     x0: float
     kind = "delta"
+    draws = 0
 
     def __post_init__(self):
         if not -1.0 < self.x0 < 1.0:
@@ -114,8 +126,8 @@ class DeltaRho(RhoDistribution):
     def _cdf_inside(self, x):
         return 1.0 if x >= self.x0 else 0.0
 
-    def sample(self, rng, size):
-        return np.full(size, self.x0)
+    def quantile(self, u):
+        return np.full(np.shape(u), self.x0)
 
 
 @dataclass(frozen=True)
@@ -163,8 +175,7 @@ class PiecewiseConstantRho(RhoDistribution):
         i = int(np.searchsorted(self._bp, x, side="right")) - 1
         return float(min(1.0, self._cum[i] + self._dens[i] * (x - self._bp[i])))
 
-    def sample(self, rng, size):
-        u = rng.random(size)
+    def quantile(self, u):
         idx = np.searchsorted(self._cum, u, side="right") - 1
         idx = np.clip(idx, 0, self._dens.size - 1)
         dens = self._dens[idx]
@@ -178,6 +189,8 @@ class TruncatedGaussianRho(RhoDistribution):
 
     The bump must put some mass inside [-1, 1] in double precision: a
     center far outside the interval with a narrow width is rejected.
+    ``_lo`` and ``_hi`` hold the standard normal CDF at the standardized
+    ends -1 and 1.
     """
 
     center: float
@@ -189,29 +202,26 @@ class TruncatedGaussianRho(RhoDistribution):
             raise ValueError("center and width must be finite")
         if self.width <= 0:
             raise ValueError("width must be positive")
-        lo, hi = self._bounds()
+        from scipy.special import ndtr
+
+        lo = ndtr((-1.0 - self.center) / self.width)
+        hi = ndtr((1.0 - self.center) / self.width)
         if not hi > lo:
             raise ValueError(f"truncated Gaussian (center {self.center!r}, width "
                              f"{self.width!r}) has no mass inside [-1, 1]")
-
-    def _bounds(self):
-        """(lo, hi): the standard normal CDF at the standardized ends -1, 1."""
-        from scipy.special import ndtr
-
-        return (ndtr((-1.0 - self.center) / self.width),
-                ndtr((1.0 - self.center) / self.width))
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
 
     def _cdf_inside(self, x):
         from scipy.special import ndtr
 
-        lo, hi = self._bounds()
+        lo, hi = self._lo, self._hi
         return float(min(1.0, max(0.0, (ndtr((x - self.center) / self.width) - lo) / (hi - lo))))
 
-    def sample(self, rng, size):
+    def quantile(self, u):
         from scipy.special import ndtri
 
-        lo, hi = self._bounds()
-        u = rng.random(size)
+        lo, hi = self._lo, self._hi
         x = self.center + self.width * ndtri(lo + u * (hi - lo))
         return np.clip(x, -1.0, _BELOW_ONE)
 
@@ -235,19 +245,22 @@ def transition_probabilities(rho: RhoDistribution, v: UnitVector3,
     return p1, 1.0 - p1
 
 
-def simulate_measurement(rho: RhoDistribution, state: UnitVector3,
-                         u: UnitVector3, rng: np.random.Generator) -> MeasurementOutcome:
-    """One elastic break: samples the break point and collapses the state.
+def break_elastic(state: UnitVector3, u: UnitVector3, x: float) -> MeasurementOutcome:
+    """The collapse when the elastic along u breaks at x.
 
     Outcome is O1 iff the break lands strictly below the particle coordinate
     v.u; ties go to O2 (measure zero for continuous rho, and the documented
     convention for the deterministic delta elastic).
     """
-    x = float(rho.sample(rng, 1)[0])
-    d = dot(state, u)
-    if x < d:
+    if x < dot(state, u):
         return MeasurementOutcome(OutcomeLabel.O1, u, x)
     return MeasurementOutcome(OutcomeLabel.O2, -u, x)
+
+
+def simulate_measurement(rho: RhoDistribution, state: UnitVector3,
+                         u: UnitVector3, rng: np.random.Generator) -> MeasurementOutcome:
+    """One elastic break: samples the break point and collapses the state."""
+    return break_elastic(state, u, float(rho.sample(rng, 1)[0]))
 
 
 def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,

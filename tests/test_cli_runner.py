@@ -258,6 +258,41 @@ class TestMarketExperiment:
         assert "stats" in read_report(tmp_path, "market")["results"]
 
 
+    @pytest.mark.parametrize("rho", [{"kind": "uniform"}, {"kind": "delta", "x0": 0.0}],
+                             ids=["uniform", "delta"])
+    @pytest.mark.parametrize("regime", [
+        {"kind": "local", "noise_angle": 0.0},
+        {"kind": "global", "noise_angle": 0.0, "news": {"kind": "constant", "angle": 0.5}},
+    ], ids=["local", "global"])
+    def test_price_that_never_moves_rejected(self, tmp_path, capsys, rho, regime):
+        # this once exited 0 with null kurtosis and autocorrelations
+        payload = {"experiment": "market", "seed": 3,
+                   "params": {"market": {"rho": rho, "n_steps": 40, "regime": regime}}}
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert "params.market.regime.noise_angle" in message
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_drifting_news_without_noise_reports_numbers(self, tmp_path):
+        payload = {"experiment": "market", "seed": 3,
+                   "params": {"market": {"rho": {"kind": "uniform"}, "n_steps": 40,
+                                         "regime": {"kind": "global", "noise_angle": 0.0,
+                                                    "news": {"kind": "drift", "angle": 0.5,
+                                                             "rate": 0.05}}}}}
+        assert run_cli(tmp_path, payload) == EXIT_OK
+        assert "null" not in json.dumps(read_report(tmp_path, "market")["results"])
+
+    def test_gbm_without_volatility_rejected(self, tmp_path, capsys):
+        # every GBM moment past the variance was once reported as null
+        payload = json.loads(json.dumps(self.PAYLOAD))
+        payload["params"]["compare_gbm"]["sigma"] = 0.0
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert "params.compare_gbm.sigma" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
+
 class TestConvergenceExperiment:
     def test_slope_reported(self, tmp_path):
         payload = {"experiment": "convergence",

@@ -4,8 +4,10 @@ Every demo config runs at its own seed, in-process, and the selftest's
 stdout is captured; their SHA-256 digests must equal those recorded in
 perfbench/digests.json.  Under other numpy or scipy versions than the
 recorded ones, only the exit code and the set of written files are checked.
-The trade logs of one market per rho kind and regime are pinned the same
-way, since the demo configs trade only on the uniform elastic.
+The trade logs of one market per rho kind and regime (with and without
+context noise), of one ensemble, and the bytes of one array draw per rho
+kind are pinned the same way, since the demo configs trade only on the
+uniform elastic.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from spheremarket import cli_runner
@@ -22,6 +25,7 @@ from spheremarket.market_sim import (
     MarketConfig,
     NewsSeries,
     run_market,
+    run_market_ensemble,
     trades_to_csv,
 )
 from spheremarket.sphere_model import (
@@ -84,13 +88,62 @@ MARKET_DIGESTS = {
 }
 
 
+# the same at noise_angle 0, where a step draws only its break point (if any)
+STILL_REGIMES = {
+    "local": LocalRegime(noise_angle=0.0),
+    "global": GlobalRegime(news=NewsSeries(kind="drift", angle=0.3, rate=0.01), noise_angle=0.0),
+}
+STILL_MARKET_DIGESTS = {
+    "uniform-local": "d71bba8487cf6f01f3cf1b5b0a1227a9c523b262ea5ea39531a3ecfc3659f4ba",
+    "uniform-global": "e48f45a0eb734be25e978a4f3536231c7a96fa34bc3535897a3c4338983239c4",
+    "delta-local": "d71bba8487cf6f01f3cf1b5b0a1227a9c523b262ea5ea39531a3ecfc3659f4ba",
+    "delta-global": "71de1f81ddc424fef792ad7ba0561535f467b3bbf516f422ef74776f1a3f210e",
+}
+# SHA-256 of the 16 members' trades_to_csv, concatenated (200 steps each, seed 7)
+ENSEMBLE_DIGEST = "1c43a2fd2abe5f08d3cb23ff190ad21b8851cb40e3f806ca476a280d37e7edf2"
+# SHA-256 of rho.sample(default_rng(11), (257, 3)).tobytes()
+SAMPLE_DIGESTS = {
+    "uniform": "6026a1ec343ffdf9f8936e40fa06229f3d79b016b34023b2ae379d52800d1fde",
+    "delta": "5d8287110b5c60277e5c40cd893bfbf9c802aa0f7b71a8775e9dfc748d22ee55",
+    "piecewise": "7e147bde51545eca4e995e596bea3d326067568156462ba652df0498901d5efe",
+    "truncated_gaussian": "fe1bef5f2d846b510d77edd70abf4430ee6e046811e9796b88495639db51d059",
+}
+
+
+def csv_bytes(trades) -> bytes:
+    buf = io.StringIO()
+    trades_to_csv(buf, trades)
+    return buf.getvalue().encode()
+
+
 @pytest.mark.parametrize("case", sorted(MARKET_DIGESTS))
 def test_market_trades_per_density(case, recorded_versions_differ):
     rho, regime = case.rsplit("-", 1)
-    buf = io.StringIO()
-    trades_to_csv(buf, run_market(MarketConfig(rho=RHOS[rho], n_steps=300,
-                                               regime=REGIMES[regime], seed=7)))
-    check_digests({"trades": MARKET_DIGESTS[case]}, {"trades": buf.getvalue().encode()},
+    trades = run_market(MarketConfig(rho=RHOS[rho], n_steps=300, regime=REGIMES[regime], seed=7))
+    check_digests({"trades": MARKET_DIGESTS[case]}, {"trades": csv_bytes(trades)},
+                  recorded_versions_differ)
+
+
+@pytest.mark.parametrize("case", sorted(STILL_MARKET_DIGESTS))
+def test_market_trades_without_noise(case, recorded_versions_differ):
+    rho, regime = case.rsplit("-", 1)
+    trades = run_market(MarketConfig(rho=RHOS[rho], n_steps=300, regime=STILL_REGIMES[regime],
+                                     seed=7))
+    check_digests({"trades": STILL_MARKET_DIGESTS[case]}, {"trades": csv_bytes(trades)},
+                  recorded_versions_differ)
+
+
+def test_market_ensemble(recorded_versions_differ):
+    cfg = MarketConfig(rho=RHOS["piecewise"], n_steps=200, regime=REGIMES["local"], seed=7)
+    members = b"".join(csv_bytes(m) for m in run_market_ensemble(cfg, 16))
+    check_digests({"ensemble": ENSEMBLE_DIGEST}, {"ensemble": members}, recorded_versions_differ)
+
+
+@pytest.mark.parametrize("kind", sorted(SAMPLE_DIGESTS))
+def test_rho_sample_bytes(kind, recorded_versions_differ):
+    draws = RHOS[kind].sample(np.random.default_rng(11), (257, 3))
+    assert draws.shape == (257, 3)
+    check_digests({"sample": SAMPLE_DIGESTS[kind]}, {"sample": draws.tobytes()},
                   recorded_versions_differ)
 
 

@@ -1,16 +1,19 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spheremarket.geometry import (
     UnitVector3,
+    _fma,
     angle_between,
     dot,
     from_polar,
     perturb,
+    perturb_by,
     polar_angle,
     rotate,
     sample_uniform,
@@ -141,3 +144,98 @@ class TestRotation:
         for _ in range(200):
             w = perturb(v, 0.4, rng)
             assert angle_between(v, w) <= 0.4 + 1e-9
+
+    def test_perturb_is_perturb_by_of_its_draws(self):
+        v = from_polar(0.5, 0.5)
+        drawn, replayed = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(50):
+            z, phi, angle = replayed.random(3)
+            assert perturb(v, 0.4, drawn) == perturb_by(v, -1.0 + 2.0 * z, 2.0 * math.pi * phi,
+                                                        0.4 * angle)
+
+
+def exact_fma(a: float, b: float, c: float) -> float:
+    """a * b + c from its exact rational value, rounded once."""
+    return float(Fraction(a) * Fraction(b) + Fraction(c))
+
+
+# doubles in [-1, 1] at every scale down to the subnormals, and signed zeros
+unit_doubles = (st.floats(-1.0, 1.0)
+                | st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 0))
+                | st.sampled_from([0.0, -0.0]))
+# factors whose products lie on both sides of the underflow guard of _fma
+guard_factors = st.builds(math.ldexp, st.floats(0.5, 1.0) | st.floats(-1.0, -0.5),
+                          st.integers(-540, -440))
+
+
+class TestExactFma:
+    @given(unit_doubles, unit_doubles, unit_doubles)
+    @settings(max_examples=500, deadline=None)
+    def test_rounds_once(self, a, b, c):
+        assert _fma(a, b, c) == exact_fma(a, b, c)
+
+    @given(guard_factors, guard_factors, unit_doubles | guard_factors)
+    @settings(max_examples=300, deadline=None)
+    @example(math.ldexp(1.0, -450), math.ldexp(1.0, -450), 0.0)
+    @example(math.ldexp(1.0, -451), -math.ldexp(1.0, -450), math.ldexp(1.0, -1074))
+    def test_rounds_once_around_the_underflow_guard(self, a, b, c):
+        assert _fma(a, b, c) == exact_fma(a, b, c)
+
+    @given(guard_factors, guard_factors)
+    @settings(max_examples=300, deadline=None)
+    def test_keeps_the_rounding_error_of_tiny_products(self, a, b):
+        # only a * b - round(a * b) is left, which Dekker's split loses to
+        # underflow for products far enough below the guard
+        assert _fma(a, b, -(a * b)) == exact_fma(a, b, -(a * b))
+
+    @pytest.mark.parametrize("a, b, c, want", [
+        (-0.0, 1.0, -0.0, -0.0),
+        (0.0, -1.0, -0.0, -0.0),
+        (0.0, -1.0, 0.0, 0.0),
+        (0.5, 0.5, -0.25, 0.0),
+        (1e-200, -1e-200, 0.0, -0.0),
+        (1e-200, 1e-200, -0.0, 0.0),
+    ])
+    def test_signed_zeros_follow_ieee(self, a, b, c, want):
+        got = _fma(a, b, c)
+        assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def reference_rotate(v: UnitVector3, k: UnitVector3, angle: float) -> UnitVector3:
+    """Rodrigues in rotate's operation order, each operation rounded from
+    its exact rational value, the dot's products and sums fused."""
+    def mul(a, b):
+        return float(Fraction(a) * Fraction(b))
+
+    def add(a, b):
+        return float(Fraction(a) + Fraction(b))
+
+    c, s = math.cos(angle), math.sin(angle)
+    d = exact_fma(k.z, v.z, exact_fma(k.y, v.y, mul(k.x, v.x)))
+    cross = (add(mul(k.y, v.z), -mul(k.z, v.y)), add(mul(k.z, v.x), -mul(k.x, v.z)),
+             add(mul(k.x, v.y), -mul(k.y, v.x)))
+    t = add(1.0, -c)
+    return UnitVector3.normalized(*(add(add(mul(vi, c), mul(xi, s)), mul(mul(ki, d), t))
+                                    for vi, xi, ki in zip((v.x, v.y, v.z), cross,
+                                                          (k.x, k.y, k.z))))
+
+
+polar_points = st.builds(from_polar, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+
+
+class TestExactRotation:
+    @given(polar_points, polar_points, st.floats(0.0, math.pi))
+    @settings(max_examples=500, deadline=None)
+    @example(POLE, POLE, 0.7)
+    @example(POLE, -POLE, 0.7)
+    @example(from_polar(1.0, 2.0), from_polar(2.0, 1.0), 0.0)
+    def test_matches_exact_reference(self, v, k, angle):
+        got, want = rotate(v, k, angle), reference_rotate(v, k, angle)
+        assert (got.x, got.y, got.z) == (want.x, want.y, want.z)
+
+    def test_matches_exact_reference_on_random_draws(self):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            v, k = sample_uniform(rng), sample_uniform(rng)
+            angle = float(rng.uniform(0.0, math.pi))
+            assert rotate(v, k, angle) == reference_rotate(v, k, angle)

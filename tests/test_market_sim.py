@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from spheremarket.geometry import UnitVector3, angle_between, from_polar
+from spheremarket import market_sim
+from spheremarket.geometry import UnitVector3, angle_between, from_polar, perturb, sample_uniform
 from spheremarket.market_sim import (
     GlobalRegime,
     LocalRegime,
     MarketConfig,
     NewsSeries,
+    TradeRecord,
     compare_with_gbm,
     price_of_state,
     representative_scan_angle,
@@ -21,7 +23,14 @@ from spheremarket.market_sim import (
     trades_to_csv,
 )
 from spheremarket.pricing import GbmParams, gbm_path_matrix
-from spheremarket.sphere_model import DeltaRho, OutcomeLabel, UniformRho
+from spheremarket.sphere_model import (
+    DeltaRho,
+    OutcomeLabel,
+    PiecewiseConstantRho,
+    TruncatedGaussianRho,
+    UniformRho,
+    simulate_measurement,
+)
 
 POLE = UnitVector3(0.0, 0.0, 1.0)
 
@@ -34,6 +43,20 @@ def make_config(rho=None, regime=None, n_steps=200, seed=42, **kw):
         seed=seed,
         **kw,
     )
+
+
+def scalar_history(cfg):
+    """The market drawing one scalar at a time: perturb's three draws, then
+    simulate_measurement's break point."""
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    state, trades = sample_uniform(rng), []
+    for step in range(cfg.n_steps):
+        center = state if isinstance(cfg.regime, LocalRegime) else cfg.regime.news.direction(step)
+        direction = perturb(center, cfg.regime.noise_angle, rng)
+        outcome = simulate_measurement(cfg.rho, state, direction, rng)
+        state = outcome.collapsed_state
+        trades.append(TradeRecord(step, direction, outcome, price_of_state(cfg, state)))
+    return trades
 
 
 def ensemble_csv(cfg, n_runs, n_workers):
@@ -119,6 +142,21 @@ class TestRunMarket:
         expected = (4.0 / 3.0 + (2.0 / 3.0) * math.sin(noise) / noise) / 2.0
         stderr = math.sqrt(expected * (1.0 - expected) / n_steps)
         assert abs(rate - expected) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("rho", [
+        UniformRho(), DeltaRho(0.2), PiecewiseConstantRho([-1.0, 0.3, 1.0], [1.0, 3.0]),
+        TruncatedGaussianRho(center=-0.2, width=0.5),
+    ], ids=lambda rho: rho.kind)
+    @pytest.mark.parametrize("regime", [
+        LocalRegime(noise_angle=0.5), LocalRegime(noise_angle=0.0),
+        GlobalRegime(news=NewsSeries(kind="drift", angle=0.3, rate=0.02), noise_angle=0.3),
+        GlobalRegime(news=NewsSeries(kind="drift", angle=0.3, rate=0.02), noise_angle=0.0),
+    ], ids=["local", "local-still", "global", "global-still"])
+    def test_block_draws_replay_scalar_draws(self, monkeypatch, rho, regime):
+        # blocks of 64 steps, so 150 steps span three of them
+        monkeypatch.setattr(market_sim, "BLOCK_STEPS", 64)
+        cfg = make_config(rho=rho, regime=regime, n_steps=150, seed=5)
+        assert run_market(cfg) == scalar_history(cfg)
 
     def test_ensemble_worker_independence(self):
         cfg = make_config(n_steps=150)
