@@ -30,12 +30,10 @@ from .pricing import (
     GbmParams,
     OptionKind,
     OptionSpec,
-    PriceSeries,
     binomial_price,
     bs_price,
     d1_d2,
     gbm_path_matrix,
-    gbm_paths,
     intrinsic_value,
     mc_price,
     norm_cdf,

@@ -69,15 +69,6 @@ def angle_between(a: UnitVector3, b: UnitVector3) -> float:
     return math.acos(dot(a, b))
 
 
-def polar_angle(v: UnitVector3) -> float:
-    """Polar angle theta = arccos(z), the inverse of ``from_polar``.
-
-    Evaluated as atan2(hypot(x, y), z), which stays accurate near the
-    poles where arccos of a rounded z loses ~1e-8 of resolution.
-    """
-    return math.atan2(math.hypot(v.x, v.y), v.z)
-
-
 def _on_sphere(z: float, phi: float) -> UnitVector3:
     """The point at height ``z`` and azimuth ``phi``."""
     s = math.sqrt(max(0.0, 1.0 - z * z))

@@ -11,7 +11,6 @@ of the pricing PDE
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -19,6 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .config import count, number, parse_block, require_finite
+from .ndtr import erfc
 from .streams import map_chunks
 
 CHUNK_PATHS = 1 << 14  # fixed batch granularity for counter-based streams
@@ -97,10 +97,9 @@ def time_value(spec: OptionSpec, total_value: float) -> float:
     return total_value - intrinsic_value(spec)
 
 
-def norm_cdf(t):
-    """Standard normal CDF via the complementary error function."""
-    from scipy.special import erfc
-
+def norm_cdf(t: float) -> float:
+    """Standard normal CDF of the scalar t via the complementary error
+    function."""
     return 0.5 * erfc(-t / math.sqrt(2.0))
 
 
@@ -131,9 +130,9 @@ def bs_price(spec: OptionSpec) -> float:
     # clamp into the no-arbitrage envelope: the exact value satisfies the
     # bounds strictly, so this only removes last-ulp rounding dust
     if spec.kind is OptionKind.CALL:
-        value = float(norm_cdf(d1) * spec.spot - norm_cdf(d2) * disc_k)
+        value = norm_cdf(d1) * spec.spot - norm_cdf(d2) * disc_k
         return min(max(value, spec.spot - disc_k, 0.0), spec.spot)
-    value = float(norm_cdf(-d2) * disc_k - norm_cdf(-d1) * spec.spot)
+    value = norm_cdf(-d2) * disc_k - norm_cdf(-d1) * spec.spot
     return min(max(value, disc_k - spec.spot, 0.0), disc_k)
 
 
@@ -170,24 +169,6 @@ class GbmParams:
         ))
 
 
-@dataclass(frozen=True, eq=False)
-class PriceSeries:
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if times.shape != values.shape or times.ndim != 1:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size >= 2 and np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly ascending")
-        if np.any(values <= 0):
-            raise ValueError("prices must be strictly positive")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-
 def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
                     n_workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(times, values) with values of shape (n_paths, steps + 1), stepped
@@ -213,13 +194,6 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
 
     map_chunks(fill_chunk, n_paths, CHUNK_PATHS, seed, n_workers)
     return times, values
-
-
-def gbm_paths(params: GbmParams, n_paths: int, seed: int,
-              n_workers: int = 1) -> list[PriceSeries]:
-    """Simulated paths as PriceSeries; see ``gbm_path_matrix``."""
-    times, values = gbm_path_matrix(params, n_paths, seed, n_workers=n_workers)
-    return [PriceSeries(times, row) for row in values]
 
 
 def mc_price(spec: OptionSpec, n_paths: int, seed: int,
@@ -329,20 +303,3 @@ def pricing_report(spec: OptionSpec, method: str, value: float,
     if extra:
         report.update(extra)
     return report
-
-
-def write_series_csv(fileobj, series: PriceSeries):
-    """One path as RFC-4180 CSV with time and value columns."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["time", "value"])
-    for t, v in zip(series.times, series.values):
-        writer.writerow([repr(float(t)), repr(float(v))])
-
-
-def write_paths_csv(fileobj, times: np.ndarray, values: np.ndarray):
-    """Path batch in long format: path index, time, value."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["path", "time", "value"])
-    for i, row in enumerate(values):
-        for t, v in zip(times, row):
-            writer.writerow([i, repr(float(t)), repr(float(v))])

@@ -20,6 +20,7 @@ import numpy as np
 from .config import block_kind, items, number, parse_block
 from .geometry import UnitVector3, dot, sample_uniform_array
 from .kolmogorov_check import AgreementTable, pair_indices
+from .ndtr import ndtr
 from .streams import chunk_rng, map_chunks
 
 X_DOMAIN_TOL = 1e-9
@@ -202,8 +203,6 @@ class TruncatedGaussianRho(RhoDistribution):
             raise ValueError("center and width must be finite")
         if self.width <= 0:
             raise ValueError("width must be positive")
-        from scipy.special import ndtr
-
         lo = ndtr((-1.0 - self.center) / self.width)
         hi = ndtr((1.0 - self.center) / self.width)
         if not hi > lo:
@@ -213,10 +212,8 @@ class TruncatedGaussianRho(RhoDistribution):
         object.__setattr__(self, "_hi", hi)
 
     def _cdf_inside(self, x):
-        from scipy.special import ndtr
-
         lo, hi = self._lo, self._hi
-        return float(min(1.0, max(0.0, (ndtr((x - self.center) / self.width) - lo) / (hi - lo))))
+        return min(1.0, max(0.0, (ndtr((x - self.center) / self.width) - lo) / (hi - lo)))
 
     def quantile(self, u):
         from scipy.special import ndtri
@@ -321,9 +318,14 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
     rng = chunk_rng(seed, 0)
     v = sample_uniform_array(rng, n_samples)
     dirs = np.array([[d.x, d.y, d.z] for d in directions])
+    # each array is dropped once the next one exists, to keep the peak low;
+    # clipping in place instead freed its blocks in an order that left glibc
+    # holding 15-20 MB more resident memory in the batch benchmark
     coords = np.clip(v @ dirs.T, -1.0, 1.0)  # (n_samples, n)
+    del v
     breaks = rho.sample(rng, size=(n_samples, n))
     outcomes = np.ascontiguousarray((breaks < coords).T)  # (n, n_samples)
+    del coords, breaks
     # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
     # pair_indices order, without an array of every pair's outcomes at once
     agree = [np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1) for i in range(n - 1)]

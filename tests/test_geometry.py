@@ -14,7 +14,6 @@ from spheremarket.geometry import (
     from_polar,
     perturb,
     perturb_by,
-    polar_angle,
     rotate,
     sample_uniform,
     sample_uniform_array,
@@ -56,11 +55,6 @@ class TestConstruction:
     def test_normalized_accepts_any_scale(self):
         v = UnitVector3.normalized(3.0, -4.0, 12.0)
         assert abs(v.x ** 2 + v.y ** 2 + v.z ** 2 - 1.0) < 1e-12
-
-    @given(st.floats(0, math.pi), st.floats(0, 2 * math.pi))
-    @settings(max_examples=200, deadline=None)
-    def test_polar_round_trip(self, theta, phi):
-        assert abs(polar_angle(from_polar(theta, phi)) - theta) < 1e-9
 
 
 class TestDot:

@@ -1,5 +1,3 @@
-import csv
-import io
 import math
 
 import numpy as np
@@ -14,20 +12,16 @@ from spheremarket.pricing import (
     GbmParams,
     OptionKind,
     OptionSpec,
-    PriceSeries,
     binomial_price,
     bs_price,
     d1_d2,
     gbm_path_matrix,
-    gbm_paths,
     intrinsic_value,
     mc_price,
     norm_cdf,
     pde_residual,
     pricing_report,
     time_value,
-    write_paths_csv,
-    write_series_csv,
 )
 
 ATM = OptionSpec(spot=100.0, strike=100.0, rate=0.05, sigma=0.2, tau=1.0)
@@ -195,13 +189,6 @@ class TestGbm:
         _, wide = gbm_path_matrix(params, 40_000, seed=9, n_workers=8)
         assert ref.tobytes() == again.tobytes() == wide.tobytes()
 
-    def test_list_wrapper(self):
-        params = GbmParams(s0=100.0, drift=0.0, sigma=0.2, horizon=1.0, steps=5)
-        paths = gbm_paths(params, 7, seed=3)
-        assert len(paths) == 7
-        assert all(isinstance(p, PriceSeries) for p in paths)
-        assert all(p.values[0] == 100.0 for p in paths)
-
     def test_params_validation(self):
         with pytest.raises(ValueError):
             GbmParams(s0=0.0, drift=0.0, sigma=0.1, horizon=1.0, steps=1)
@@ -209,14 +196,6 @@ class TestGbm:
             GbmParams(s0=1.0, drift=0.0, sigma=-0.1, horizon=1.0, steps=1)
         with pytest.raises(ValueError):
             GbmParams(s0=1.0, drift=0.0, sigma=0.1, horizon=1.0, steps=0)
-
-    def test_series_validation(self):
-        with pytest.raises(ValueError):
-            PriceSeries(np.array([0.0, 1.0]), np.array([1.0, -2.0]))
-        with pytest.raises(ValueError):
-            PriceSeries(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            PriceSeries(np.array([0.0, 1.0]), np.array([1.0]))
 
 
 class TestMcPrice:
@@ -317,23 +296,3 @@ class TestReportsAndCsv:
         assert report["method"] == "black_scholes"
         assert report["value"] == 10.45
         assert report["error_estimate"] is None
-
-    def test_series_csv_round_trip(self):
-        series = PriceSeries(np.array([0.0, 0.5, 1.0]), np.array([100.0, 101.5, 99.25]))
-        buf = io.StringIO()
-        write_series_csv(buf, series)
-        text = buf.getvalue()
-        assert "\r\n" in text  # RFC-4180 line endings
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["time", "value"]
-        assert [float(r[1]) for r in rows[1:]] == [100.0, 101.5, 99.25]
-
-    def test_paths_csv_long_format(self):
-        times = np.array([0.0, 1.0])
-        values = np.array([[100.0, 105.0], [100.0, 95.0]])
-        buf = io.StringIO()
-        write_paths_csv(buf, times, values)
-        rows = list(csv.reader(io.StringIO(buf.getvalue())))
-        assert rows[0] == ["path", "time", "value"]
-        assert len(rows) == 5
-        assert rows[2][0] == "0" and rows[3][0] == "1"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,20 @@ class TestAgreementTable:
         table = hidden_state_agreement_table(DeltaRho(0.0), dirs, n_samples=2000, seed=1)
         assert np.array_equal(table.q, table.q.T)
         assert np.array_equal(np.diag(table.q), np.ones(3))
+
+    def test_hidden_state_table_peak_memory(self):
+        # a (20000, 10) float array is 1.6 MB; the uniform draw holds three
+        # at once (coordinates, uniforms, break points): 4.8 MB.  Keeping the
+        # (20000, 3) states alive as well read 5.28 MB.
+        dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(10)]
+        hidden_state_agreement_table(UniformRho(), dirs, n_samples=100, seed=1)
+        tracemalloc.start()
+        try:
+            hidden_state_agreement_table(UniformRho(), dirs, n_samples=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.0e6
 
 
 class TestSerialization:

@@ -46,9 +46,43 @@ class TestMapChunks:
             assert "spawn_key" not in text and "ThreadPoolExecutor" not in text, path
 
 
-def test_import_leaves_scipy_special_unloaded():
+def fresh_interpreter_lines(code: str) -> list[str]:
+    """The stdout lines of ``code`` run in a new interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.splitlines()
+
+
+def test_import_leaves_scipy_special_unloaded():
     code = "import sys, spheremarket; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert fresh_interpreter_lines(code) == ["False"]
+
+
+def test_cli_runs_leave_scipy_special_unloaded(tmp_path):
+    # every demo config and the selftest, in one interpreter
+    configs = sorted(glob.glob(os.path.join(os.path.dirname(SRC), "demos", "configs", "*.json")))
+    code = f"""
+import contextlib, io, sys
+from spheremarket import cli_runner
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli_runner.run(path, out_dir={str(tmp_path)!r}) for path in {configs!r}]
+    codes.append(cli_runner.selftest())
+print(codes)
+print('scipy.special' in sys.modules)
+"""
+    assert configs
+    assert fresh_interpreter_lines(code) == [str([0] * (len(configs) + 1)), "False"]
+
+
+def test_only_truncated_gaussian_sampling_loads_scipy_special():
+    code = """
+import sys
+import numpy as np
+from spheremarket.sphere_model import TruncatedGaussianRho
+rho = TruncatedGaussianRho(center=0.1, width=0.4)
+rho.cdf(0.3)
+print('scipy.special' in sys.modules)
+rho.sample(np.random.default_rng(0), 3)
+print('scipy.special' in sys.modules)
+"""
+    assert fresh_interpreter_lines(code) == ["False", "True"]
