@@ -31,6 +31,7 @@ import numpy as np
 from .config import ConfigParseError, count, flag, items, number, parse_block
 from .geometry import UnitVector3, from_polar
 from .kolmogorov_check import (
+    SCAN_MODES,
     AgreementTable,
     bell_facets_n3,
     facets_feasible,
@@ -179,11 +180,17 @@ def _run_bell_scan(params: dict, seed: int):
         raise ConfigParseError(
             "exactly one of 'theta' (radians) or 'theta_degrees' is required in 'params'"
         )
-    theta = p["theta"] if "theta" in p else math.radians(p["theta_degrees"])
     rho = RhoDistribution.from_dict(p["rho"])
+    theta = p["theta"] if "theta" in p else math.radians(p["theta_degrees"])
+    if not 0.0 < theta < math.pi:
+        key, bound = ("theta", "pi") if "theta" in p else ("theta_degrees", "180")
+        raise ValueError(f"'params.{key}' must lie strictly between 0 and {bound}, "
+                         f"got {p[key]!r}")
+    mode = p.get("mode", "auto")
+    if mode not in SCAN_MODES:
+        raise ValueError(f"'params.mode' must be one of {', '.join(SCAN_MODES)}, got {mode!r}")
     n_samples = p.get("n_samples", 100_000)
-    scan = sphere_bell_scan(rho, theta, mode=p.get("mode", "auto"),
-                            n_samples=n_samples, seed=seed)
+    scan = sphere_bell_scan(rho, theta, mode=mode, n_samples=n_samples, seed=seed)
     resolved = {"rho": rho.to_dict(), "theta": theta, "mode": scan.mode,
                 "n_samples": n_samples}
     return resolved, scan.to_dict(), {}

@@ -103,11 +103,14 @@ def _fma(a: float, b: float, c: float) -> float:
 
     Dekker's product gives a * b exactly as p + e, and ``math.fsum`` rounds
     p + e + c once.  Products too small for an exact split take the exact
-    rational sum instead.  An exact zero keeps IEEE's sign rules, which the
-    plain p + c follows whenever the sum is zero.
+    rational sum instead, unless a factor is zero: then p is the exact
+    product and p + c is already the once-rounded sum.  An exact zero keeps
+    IEEE's sign rules, which the plain p + c follows whenever the sum is zero.
     """
     p = a * b
     if not abs(p) >= _TINY_PRODUCT:
+        if a == 0.0 or b == 0.0:
+            return p + c
         exact = Fraction(a) * Fraction(b) + Fraction(c)
         return float(exact) if exact else p + c
     t = _SPLIT * a

@@ -24,6 +24,7 @@ from .geometry import from_polar
 
 MAX_OBSERVABLES = 12
 DEFAULT_TOL = 1e-9
+SCAN_MODES = ("auto", "sequential", "hidden_state")
 
 # Facet bounds for the n = 3 agreement polytope, kept as module constants so
 # the CLI selftest's mutation fixture can corrupt them.
@@ -226,6 +227,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     T[m, :ncols] = -A.sum(axis=0)
     T[m, -1] = -b.sum()  # stores -objective
     red, rhs = T[m, :-1], T[:m, -1]  # views, updated by every pivot
+    update = np.empty_like(T)
 
     for _ in range(200 * (ncols + m)):  # iteration cap
         entering = int((red < -tol).argmax())  # Bland: lowest eligible index
@@ -243,11 +245,15 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
         if leaving == -1:
             raise RuntimeError("phase-1 objective unbounded; should not happen")
         T[leaving] /= T[leaving, entering]
-        # rank-1 update of the other rows the pivot column touches; rows with
-        # a zero entry are not written, so their signed zeros stay as they are
-        factor = T[:, entering, None].copy()
-        factor[leaving] = 0.0
-        np.subtract(T, factor * T[leaving], out=T, where=factor != 0.0)
+        # rank-1 update of the other rows; a row whose pivot-column entry is
+        # zero subtracts +0.0, and x - (+0.0) is x bit for bit, signed zeros
+        # included, so the rows the pivot does not touch keep their bytes
+        factor = T[:, entering]
+        skip = factor == 0.0
+        skip[leaving] = True
+        np.multiply(factor[:, None], T[leaving], out=update)
+        update[skip] = 0.0
+        np.subtract(T, update, out=T)
         basis[leaving] = entering
     else:
         raise RuntimeError("simplex iteration limit exceeded")
@@ -274,9 +280,15 @@ def joint_feasibility(table: AgreementTable) -> FeasibilityResult:
     A = np.vstack([atom_agreement(n), np.ones(2 ** n)])
     b = np.append(table.pair_values(), 1.0)
 
-    optimum, w, y = _phase1_simplex(A, b, DEFAULT_TOL)
+    # Atom a and its complement a ^ (2^n - 1) have equal columns, and every
+    # pivot updates both alike, so Bland's rule (lowest index first) never
+    # lets the upper twin enter: solving on the lower half gives the same
+    # pivots, and the twins keep weight 0.
+    half = 2 ** (n - 1)
+    optimum, w_half, y = _phase1_simplex(A[:, :half], b, DEFAULT_TOL)
     if optimum <= DEFAULT_TOL:
-        w = np.maximum(w, 0.0)
+        w = np.zeros(2 ** n)
+        w[:half] = np.maximum(w_half, 0.0)
         residual = float(np.max(np.abs(A @ w - b)))
         return FeasibilityResult(feasible=True, atom_weights=w, max_residual=residual)
 
@@ -379,17 +391,17 @@ def sphere_bell_scan(rho, theta: float, mode: str = "auto",
 
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie strictly between 0 and pi")
+    if mode not in SCAN_MODES:
+        raise ValueError(f"unknown scan mode: {mode!r}")
     directions = tuple(from_polar(k * theta, 0.0) for k in range(3))
     if mode == "auto":
         mode = "hidden_state" if isinstance(rho, sphere_model.DeltaRho) else "sequential"
     if mode == "sequential":
         table = sphere_model.agreement_table(rho, list(directions))
-    elif mode == "hidden_state":
+    else:
         table = sphere_model.hidden_state_agreement_table(
             rho, list(directions), n_samples=n_samples, seed=seed
         )
-    else:
-        raise ValueError(f"unknown scan mode: {mode!r}")
 
     facets = bell_facets_n3(table)
     feas = joint_feasibility(table)

@@ -185,6 +185,21 @@ class TestBellScanExperiment:
                               "theta": 1.0, "theta_degrees": 60}}
         assert run_cli(tmp_path, payload) == EXIT_PARSE
 
+    @pytest.mark.parametrize("key, value", [
+        ("theta_degrees", 0), ("theta_degrees", 180), ("theta_degrees", -30),
+        ("theta_degrees", 1e308), ("theta", 0.0), ("theta", math.pi), ("theta", 4.0),
+        ("mode", "psychic"), ("mode", ["auto"]),
+    ])
+    def test_out_of_range_scan_named(self, tmp_path, capsys, key, value):
+        params = {"rho": {"kind": "uniform"}, "theta_degrees": 60, key: value}
+        if key == "theta":
+            del params["theta_degrees"]
+        payload = {"experiment": "bell-scan", "params": params}
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert f"'params.{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_delta_classical_feasible(self, tmp_path):
         payload = {"experiment": "bell-scan", "seed": 2,
                    "params": {"rho": {"kind": "delta", "x0": 0.0},

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spheremarket import geometry
 from spheremarket.geometry import (
     UnitVector3,
     _fma,
@@ -172,6 +174,9 @@ class TestExactFma:
     @settings(max_examples=300, deadline=None)
     @example(math.ldexp(1.0, -450), math.ldexp(1.0, -450), 0.0)
     @example(math.ldexp(1.0, -451), -math.ldexp(1.0, -450), math.ldexp(1.0, -1074))
+    # a * b rounds to 0.0 but tips 3.5 subnormal ulps up to 4: an underflowed
+    # product is not an exact zero factor
+    @example(math.ldexp(1.0, -537), math.ldexp(1.0, -538), math.ldexp(3.0, -1074))
     def test_rounds_once_around_the_underflow_guard(self, a, b, c):
         assert _fma(a, b, c) == exact_fma(a, b, c)
 
@@ -181,6 +186,18 @@ class TestExactFma:
         # only a * b - round(a * b) is left, which Dekker's split loses to
         # underflow for products far enough below the guard
         assert _fma(a, b, -(a * b)) == exact_fma(a, b, -(a * b))
+
+    @given(st.sampled_from([0.0, -0.0]), unit_doubles, unit_doubles, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_zero_factor_skips_the_rational_sum(self, zero, other, c, zero_first):
+        a, b = (zero, other) if zero_first else (other, zero)
+        with mock.patch.object(geometry, "Fraction", side_effect=AssertionError):
+            got = _fma(a, b, c)
+        # an exact zero product leaves c, and a zero sum is -0.0 only when
+        # both the product and c are -0.0
+        product_sign = math.copysign(1.0, a) * math.copysign(1.0, b)
+        want = c if c else (-0.0 if product_sign < 0 and math.copysign(1.0, c) < 0 else 0.0)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize("a, b, c, want", [
         (-0.0, 1.0, -0.0, -0.0),

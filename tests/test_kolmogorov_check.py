@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from spheremarket.geometry import UnitVector3
 from spheremarket.kolmogorov_check import (
     DEFAULT_TOL,
     AgreementTable,
+    _phase1_simplex,
     atom_agreement,
     atom_signs,
     bell_facets_n3,
@@ -252,6 +255,13 @@ class TestPairIndex:
         assert np.array_equal(atom_agreement(n), expected)
         assert (atom_agreement(n).sum(axis=1) == 2 ** (n - 1)).all()
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_complement_atoms_share_a_column(self, n):
+        # joint_feasibility solves on the lower half of the atoms because of this
+        agree = atom_agreement(n)
+        twins = np.arange(2 ** n) ^ (2 ** n - 1)
+        assert np.array_equal(agree, agree[:, twins])
+
     def test_atom_weight_tables_match_masked_sums(self):
         rng = np.random.default_rng(8)
         for n in range(2, 11):
@@ -335,3 +345,115 @@ def test_lp_outputs_pinned(kind, n, feasible, digest, recorded_versions_differ):
     if recorded_versions_differ:
         pytest.skip(recorded_versions_differ)
     assert lp_digest(res) == digest
+
+
+def full_width_feasibility(table: AgreementTable):
+    """joint_feasibility's outputs from a solve over all 2^n atom columns."""
+    n = table.n
+    A = np.vstack([atom_agreement(n), np.ones(2 ** n)])
+    b = np.append(table.pair_values(), 1.0)
+    optimum, w, y = _phase1_simplex(A, b, DEFAULT_TOL)
+    if optimum <= DEFAULT_TOL:
+        w = np.maximum(w, 0.0)
+        return True, w.tobytes(), float(np.max(np.abs(A @ w - b)))
+    return False, (-y[:-1]).tobytes(), float(y[-1]), -float(y @ b)
+
+
+def hypothesis_table(kind: str, n: int, seed: int) -> AgreementTable:
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_agreement_table(n, rng)
+    if kind == "mixture":  # sparse weights: degenerate vertices
+        return table_from_atom_weights(n, rng.random(2 ** n) * (rng.random(2 ** n) < 0.3)
+                                       + (np.arange(2 ** n) == 0))
+    dirs = [UnitVector3.normalized(*rng.normal(size=3)) for _ in range(n)]
+    if kind == "sequential":
+        return agreement_table(UniformRho(), dirs)
+    return hidden_state_agreement_table(UniformRho(), dirs, n_samples=500, seed=seed)
+
+
+@given(st.sampled_from(["random", "hidden_state", "sequential", "mixture"]),
+       st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_half_width_solve_matches_full_width(kind, n, seed):
+    table = hypothesis_table(kind, n, seed)
+    res = joint_feasibility(table)
+    if res.feasible:
+        got = (True, res.atom_weights.tobytes(), res.max_residual)
+        assert not res.atom_weights[2 ** (n - 1):].any()
+    else:
+        c = res.certificate
+        got = (False, c.coefficients.tobytes(), c.bound, c.slack)
+    want = full_width_feasibility(table)
+    assert got[:2] == want[:2]
+    assert np.array(got[2:]).tobytes() == np.array(want[2:]).tobytes()
+
+
+def masked_update_simplex(A: np.ndarray, b: np.ndarray, tol: float):
+    """_phase1_simplex with the rank-1 update that writes only the rows whose
+    pivot-column entry is nonzero (numpy's ``where=``): the reference for the
+    single full-matrix subtract."""
+    m, ncols = A.shape
+    T = np.zeros((m + 1, ncols + m + 1))
+    T[:m, :ncols] = A
+    T[:m, ncols:ncols + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = np.arange(ncols, ncols + m)
+    T[m, :ncols] = -A.sum(axis=0)
+    T[m, -1] = -b.sum()
+    red, rhs = T[m, :-1], T[:m, -1]
+    for _ in range(200 * (ncols + m)):
+        entering = int((red < -tol).argmax())
+        if not red[entering] < -tol:
+            break
+        col = T[:m, entering]
+        rows = np.flatnonzero(col > tol)
+        best_ratio, leaving = math.inf, -1
+        for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
+            if ratio < best_ratio - tol or (
+                abs(ratio - best_ratio) <= tol
+                and (leaving == -1 or basis[i] < basis[leaving])
+            ):
+                best_ratio, leaving = ratio, i
+        if leaving == -1:
+            raise RuntimeError("phase-1 objective unbounded; should not happen")
+        T[leaving] /= T[leaving, entering]
+        factor = T[:, entering, None].copy()
+        factor[leaving] = 0.0
+        np.subtract(T, factor * T[leaving], out=T, where=factor != 0.0)
+        basis[leaving] = entering
+    else:
+        raise RuntimeError("simplex iteration limit exceeded")
+    optimum = -T[m, -1]
+    x = np.zeros(ncols)
+    structural = basis < ncols
+    x[basis[structural]] = rhs[structural]
+    y = 1.0 - T[m, ncols:ncols + m]
+    return optimum, x, y
+
+
+def solve_outcome(solve, A, b, tol):
+    """Bytes of (optimum, x, y), or the error raised: at tol 0 a rounding
+    can leave an entering column with no positive entry."""
+    try:
+        return [np.asarray(a).tobytes() for a in solve(A, b, tol)]
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+@pytest.mark.parametrize("kind", ["binary", "gaussian"])
+def test_pivot_update_matches_masked_update(kind, tol):
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        m, ncols = rng.integers(2, 9), rng.integers(2, 25)
+        if kind == "binary":  # zeros of both signs, which the update must keep
+            A = np.where(rng.random((m, ncols)) < 0.5, 1.0,
+                         np.where(rng.random((m, ncols)) < 0.5, 0.0, -0.0))
+        else:
+            A = rng.normal(size=(m, ncols))
+        # half the right-hand sides are reachable, which makes degenerate vertices
+        b = np.abs(A @ rng.random(ncols) if rng.random() < 0.5 else rng.random(m))
+        b[rng.random(m) < 0.3] = -0.0
+        assert (solve_outcome(_phase1_simplex, A, b, tol)
+                == solve_outcome(masked_update_simplex, A, b, tol))
