@@ -43,14 +43,14 @@ global_trades = run_market(global_cfg)
 gstats = summary_stats(global_trades)
 print(f"mean log return {gstats.mean:+.2e}, variance {gstats.variance:.2e}")
 print(f"excess kurtosis: {gstats.excess_kurtosis:+.3f}")
-share_o1 = np.mean([t.outcome.label.value == "O1" for t in global_trades])
+share_o1 = global_trades.o1.mean()
 print(f"fraction of trades agreeing with the news side: {share_o1:.3f}")
 
 print("\n=== perfect herding: global news, zero noise ===")
 herd_cfg = MarketConfig(regime=GlobalRegime(news=news, noise_angle=0.0), **BASE)
 herd = run_market(herd_cfg)
-prices = {t.realized_price for t in herd}
-print(f"distinct realized prices over {len(herd)} trades: {len(prices)}")
+prices = np.unique(herd.price)
+print(f"distinct realized prices over {len(herd)} trades: {prices.size}")
 print("after the first collapse the context never moves the state again")
 
 print("\n=== side-by-side with the random-walk baseline ===")

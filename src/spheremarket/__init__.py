@@ -18,6 +18,7 @@ from .market_sim import (
     LocalRegime,
     MarketConfig,
     NewsSeries,
+    TradeLog,
     TradeRecord,
     compare_with_gbm,
     price_of_state,

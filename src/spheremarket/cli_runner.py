@@ -28,7 +28,7 @@ import tempfile
 
 import numpy as np
 
-from .config import ConfigParseError, count, flag, items, number, parse_block
+from .config import ConfigParseError, count, flag, items, number, parse_block, unit_vector
 from .geometry import UnitVector3, from_polar
 from .kolmogorov_check import (
     SCAN_MODES,
@@ -74,7 +74,7 @@ def _as_direction(value, context: str) -> UnitVector3:
     if isinstance(value, dict):
         angles = parse_block(value, context, required={"theta": number}, optional={"phi": number})
         return from_polar(angles["theta"], angles.get("phi", 0.0))
-    return UnitVector3.normalized(*items(number, value, context, 3))
+    return unit_vector(value, context)
 
 
 def _at_least(value: int, minimum: int, key: str) -> int:
@@ -202,7 +202,8 @@ def _run_market(params: dict, seed: int):
     market = p["market"]
     if isinstance(market, dict) and "seed" in market:
         raise ConfigParseError("unknown key 'seed' in 'market' (the seed is top-level)")
-    cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market)
+    cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market,
+                                 "params.market")
     _at_least(cfg.n_steps, MIN_TRADES, "params.market.n_steps")  # for the return statistics
     gbm = None if p.get("compare_gbm") is None else GbmParams.from_dict(p["compare_gbm"])
     # constant log returns have no kurtosis and no autocorrelations
@@ -212,7 +213,7 @@ def _run_market(params: dict, seed: int):
     write_trades = p.get("write_trades", True)
 
     trades = run_market(cfg)
-    if len({t.realized_price for t in trades}) == 1:
+    if (trades.price == trades.price[0]).all():
         raise ValueError(f"the price never moved in {cfg.n_steps} trades at "
                          f"'params.market.regime.noise_angle' {cfg.regime.noise_angle!r}: "
                          "every context stayed on the state's own axis")

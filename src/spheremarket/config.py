@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import numbers
 
+from .geometry import UnitVector3
+
 
 class ConfigParseError(ValueError):
     """Malformed config: bad JSON, wrong types, unknown or missing keys."""
@@ -76,3 +78,13 @@ def items(conv, value, name: str, length: int | None = None) -> list:
     if not isinstance(value, list) or length not in (None, len(value)):
         raise ConfigParseError(f"'{name}' must be a list of {length or 'any number of'} values")
     return [conv(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
+def unit_vector(value, name: str) -> UnitVector3:
+    """The JSON list ``[x, y, z]`` scaled to unit length; ValueError naming
+    the key when it has no direction (the zero vector)."""
+    xyz = items(number, value, name, 3)
+    try:
+        return UnitVector3.normalized(*xyz)
+    except ValueError as exc:
+        raise ValueError(f"'{name}' cannot be normalized: {exc}") from None

@@ -1,7 +1,10 @@
 """Unit-sphere vectors: construction, dot products, rotations, uniform sampling.
 
 Directions and states are kept in Cartesian coordinates; polar angles appear
-only at the API boundary (``from_polar``).
+only at the API boundary (``from_polar``).  The arithmetic lives in private
+kernels on ``(x, y, z)`` float tuples (``_normalize``, ``_dot``, ``_rotate``):
+the public functions wrap them in ``UnitVector3``s, and the market's trade
+loop calls them directly so that a trade builds no ``UnitVector3``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,7 @@ class UnitVector3:
 
     @staticmethod
     def normalized(x: float, y: float, z: float) -> "UnitVector3":
-        n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return UnitVector3(x / n, y / n, z / n)
+        return UnitVector3(*_normalize(x, y, z))
 
     def __neg__(self) -> "UnitVector3":
         # Component negation is exact in IEEE arithmetic, so -(-v) == v.
@@ -45,10 +45,47 @@ class UnitVector3:
         return dot(self, other)
 
 
+def _xyz(v: UnitVector3) -> tuple:
+    return v.x, v.y, v.z
+
+
+def _normalize(x: float, y: float, z: float) -> tuple:
+    """(x, y, z) scaled to norm 1; ValueError for the zero vector."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return x / n, y / n, z / n
+
+
+def _check_unit_rows(v: np.ndarray):
+    """``UnitVector3``'s norm check on every row of an (n, 3) array at once,
+    with the same left-to-right sum of squares."""
+    n2 = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1] + v[:, 2] * v[:, 2]
+    bad = ~(np.abs(n2 - 1.0) <= NORM_TOL)  # also rejects NaN
+    if bad.any():
+        raise ValueError(f"not a unit vector: |v|^2 = {float(n2[bad.argmax()])!r}")
+
+
+def _polar(theta: float, phi: float) -> tuple:
+    st = math.sin(theta)
+    return _normalize(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+
+
 def from_polar(theta: float, phi: float) -> UnitVector3:
     """Direction at polar angle ``theta`` from +z and azimuth ``phi``."""
-    st = math.sin(theta)
-    return UnitVector3.normalized(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+    return UnitVector3(*_polar(theta, phi))
+
+
+def _dot(a: tuple, b: tuple) -> float:
+    """``dot`` on (x, y, z) tuples."""
+    ax, ay, az = a
+    bx, by, bz = b
+    if ax == bx and ay == by and az == bz:
+        return 1.0
+    if ax == -bx and ay == -by and az == -bz:
+        return -1.0
+    d = ax * bx + ay * by + az * bz
+    return min(1.0, max(-1.0, d))
 
 
 def dot(a: UnitVector3, b: UnitVector3) -> float:
@@ -57,22 +94,17 @@ def dot(a: UnitVector3, b: UnitVector3) -> float:
     Exact-alignment shortcuts make dot(v, v) == 1.0 and dot(v, -v) == -1.0
     bit-exactly; downstream collapse/repeatability logic relies on this.
     """
-    if a.x == b.x and a.y == b.y and a.z == b.z:
-        return 1.0
-    if a.x == -b.x and a.y == -b.y and a.z == -b.z:
-        return -1.0
-    d = a.x * b.x + a.y * b.y + a.z * b.z
-    return min(1.0, max(-1.0, d))
+    return _dot(_xyz(a), _xyz(b))
 
 
 def angle_between(a: UnitVector3, b: UnitVector3) -> float:
     return math.acos(dot(a, b))
 
 
-def _on_sphere(z: float, phi: float) -> UnitVector3:
+def _on_sphere(z: float, phi: float) -> tuple:
     """The point at height ``z`` and azimuth ``phi``."""
     s = math.sqrt(max(0.0, 1.0 - z * z))
-    return UnitVector3.normalized(s * math.cos(phi), s * math.sin(phi), z)
+    return _normalize(s * math.cos(phi), s * math.sin(phi), z)
 
 
 def sample_uniform(rng: np.random.Generator) -> UnitVector3:
@@ -81,7 +113,7 @@ def sample_uniform(rng: np.random.Generator) -> UnitVector3:
     Uses the (z, phi) construction: z ~ U[-1, 1), phi ~ U[0, 2pi); exactly
     two uniform draws per sample, which keeps batch streams reproducible.
     """
-    return _on_sphere(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi))
+    return UnitVector3(*_on_sphere(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)))
 
 
 def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -123,6 +155,18 @@ def _fma(a: float, b: float, c: float) -> float:
     return math.fsum((p, e, c)) or p + c
 
 
+def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
+    """``rotate`` on (x, y, z) tuples."""
+    vx, vy, vz = v
+    kx, ky, kz = axis
+    c, s = math.cos(angle), math.sin(angle)
+    d = _fma(kz, vz, _fma(ky, vy, kx * vx))
+    t = 1.0 - c
+    return _normalize((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
+                      (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
+                      (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
+
+
 def rotate(v: UnitVector3, axis: UnitVector3, angle: float) -> UnitVector3:
     """Rotate ``v`` by ``angle`` about ``axis`` (Rodrigues), renormalized.
 
@@ -131,20 +175,13 @@ def rotate(v: UnitVector3, axis: UnitVector3, angle: float) -> UnitVector3:
     fma(kz, vz, fma(ky, vy, kx vx)); ``_fma`` makes that chain explicit, so
     the result does not depend on which BLAS kernel is installed.
     """
-    kx, ky, kz = axis.x, axis.y, axis.z
-    vx, vy, vz = v.x, v.y, v.z
-    c, s = math.cos(angle), math.sin(angle)
-    d = _fma(kz, vz, _fma(ky, vy, kx * vx))
-    t = 1.0 - c
-    return UnitVector3.normalized((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
-                                  (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
-                                  (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
+    return UnitVector3(*_rotate(_xyz(v), _xyz(axis), angle))
 
 
 def perturb_by(v: UnitVector3, z: float, phi: float, angle: float) -> UnitVector3:
     """``v`` rotated by ``angle`` about the axis at height ``z`` and azimuth
     ``phi``: ``perturb`` with its three draws given."""
-    return rotate(v, _on_sphere(z, phi), angle)
+    return UnitVector3(*_rotate(_xyz(v), _on_sphere(z, phi), angle))
 
 
 def perturb(v: UnitVector3, max_angle: float, rng: np.random.Generator) -> UnitVector3:

@@ -230,11 +230,21 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     update = np.empty_like(T)
 
     for _ in range(200 * (ncols + m)):  # iteration cap
-        entering = int((red < -tol).argmax())  # Bland: lowest eligible index
-        if not red[entering] < -tol:
+        eligible = red < -tol
+        entering = int(eligible.argmax())  # Bland: lowest eligible index
+        if not eligible[entering]:
             break
         col = T[:m, entering]
         rows = np.flatnonzero(col > tol)
+        if not rows.size:
+            # No ratio test: the phase-1 objective is bounded below by 0, so
+            # this reduced cost is rounding error.  Such a column cannot enter.
+            eligible &= (T[:m, :-1] > tol).any(axis=0)
+            entering = int(eligible.argmax())
+            if not eligible[entering]:
+                break
+            col = T[:m, entering]
+            rows = np.flatnonzero(col > tol)
         best_ratio, leaving = math.inf, -1
         for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
             if ratio < best_ratio - tol or (
@@ -242,8 +252,8 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
                 and (leaving == -1 or basis[i] < basis[leaving])
             ):
                 best_ratio, leaving = ratio, i
-        if leaving == -1:
-            raise RuntimeError("phase-1 objective unbounded; should not happen")
+        if leaving == -1:  # every ratio overflowed
+            raise RuntimeError("phase-1 ratio test found no finite ratio")
         T[leaving] /= T[leaving, entering]
         # rank-1 update of the other rows; a row whose pivot-column entry is
         # zero subtracts +0.0, and x - (+0.0) is x bit for bit, signed zeros

@@ -14,16 +14,26 @@ import csv
 import itertools
 import math
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .config import block_kind, count, items, number, parse_block, require_finite
-from .geometry import UnitVector3, angle_between, dot, from_polar, perturb_by, sample_uniform
+from .config import block_kind, count, number, parse_block, require_finite, unit_vector
+from .geometry import (
+    UnitVector3,
+    _check_unit_rows,
+    _dot,
+    _on_sphere,
+    _polar,
+    _rotate,
+    _xyz,
+    sample_uniform,
+)
 from .kolmogorov_check import sphere_bell_scan
 from .pricing import GbmParams, gbm_path_matrix
-from .sphere_model import MeasurementOutcome, RhoDistribution, break_elastic
+from .sphere_model import MeasurementOutcome, OutcomeLabel, RhoDistribution
 from .streams import map_chunks
 
 ACF_LAGS = 10
@@ -49,20 +59,24 @@ class NewsSeries:
             raise ValueError("constant news cannot have a drift rate")
 
     def direction(self, step: int) -> UnitVector3:
-        return from_polar(self.angle + self.rate * step, 0.0)
+        return UnitVector3(*self._direction_xyz(step))
+
+    def _direction_xyz(self, step: int) -> tuple:
+        return _polar(self.angle + self.rate * step, 0.0)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "angle": self.angle, "rate": self.rate}
 
     @staticmethod
-    def from_dict(d: dict) -> "NewsSeries":
-        return NewsSeries(**parse_block(d, "news", optional={"kind": None, "angle": number,
-                                                             "rate": number}))
+    def from_dict(d: dict, path: str = "news") -> "NewsSeries":
+        return NewsSeries(**parse_block(d, path, optional={"kind": None, "angle": number,
+                                                           "rate": number}))
 
 
-def _check_noise(noise_angle: float):
+def _check_noise(noise_angle: float, name: str = "noise_angle") -> float:
     if not 0.0 <= noise_angle <= math.pi:
-        raise ValueError("noise_angle must lie in [0, pi]")
+        raise ValueError(f"'{name}' must lie in [0, pi], got {noise_angle!r}")
+    return noise_angle
 
 
 @dataclass(frozen=True)
@@ -100,12 +114,13 @@ class GlobalRegime:
                 "news": self.news.to_dict()}
 
 
-def regime_from_dict(d: dict):
-    fields = {"kind": None, "noise_angle": number}
-    if block_kind(d, "regime", ("local", "global")) == "local":
-        return LocalRegime(noise_angle=parse_block(d, "regime", required=fields)["noise_angle"])
-    p = parse_block(d, "regime", required={**fields, "news": None})
-    return GlobalRegime(news=NewsSeries.from_dict(p["news"]), noise_angle=p["noise_angle"])
+def regime_from_dict(d: dict, path: str = "regime"):
+    fields = {"kind": None, "noise_angle": lambda v, name: _check_noise(number(v, name), name)}
+    if block_kind(d, path, ("local", "global")) == "local":
+        return LocalRegime(noise_angle=parse_block(d, path, required=fields)["noise_angle"])
+    p = parse_block(d, path, required={**fields, "news": None})
+    return GlobalRegime(news=NewsSeries.from_dict(p["news"], f"{path}.news"),
+                        noise_angle=p["noise_angle"])
 
 
 @dataclass(frozen=True)
@@ -139,15 +154,15 @@ class MarketConfig:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "MarketConfig":
+    def from_dict(d: dict, path: str = "market") -> "MarketConfig":
+        """The config of block ``d``; errors name keys under ``path``."""
         p = parse_block(
-            d, "market",
+            d, path,
             required={"rho": None, "n_steps": count, "regime": None, "seed": count},
-            optional={"price_axis": lambda v, name: UnitVector3.normalized(*items(number, v, name, 3)),
-                      "price_min": number, "price_max": number},
+            optional={"price_axis": unit_vector, "price_min": number, "price_max": number},
         )
         p["rho"] = RhoDistribution.from_dict(p["rho"])
-        p["regime"] = regime_from_dict(p["regime"])
+        p["regime"] = regime_from_dict(p["regime"], f"{path}.regime")
         return MarketConfig(**p)
 
 
@@ -159,14 +174,70 @@ class TradeRecord:
     realized_price: float
 
 
+def _record(step: int, xyz: list, o1: bool, break_point: float, price: float) -> TradeRecord:
+    u = UnitVector3(*xyz)
+    outcome = (MeasurementOutcome(OutcomeLabel.O1, u, break_point) if o1
+               else MeasurementOutcome(OutcomeLabel.O2, -u, break_point))
+    return TradeRecord(step=step, direction=u, outcome=outcome, realized_price=price)
+
+
+@dataclass(frozen=True, eq=False)
+class TradeLog(Sequence):
+    """A market history as columns, one row per trade: the step, the context
+    direction (n, 3), whether the outcome was O1 (the state collapsed onto
+    the direction; O2 onto its antipode), the elastic's break point and the
+    realized price.
+
+    Indexing and iteration build ``TradeRecord`` views on demand; a slice is
+    a ``TradeLog`` of the column slices.  Two logs are equal when every
+    column is; a log equals a list of records that equals its views.
+    """
+
+    step: np.ndarray
+    direction: np.ndarray
+    o1: np.ndarray
+    break_point: np.ndarray
+    price: np.ndarray
+
+    def __post_init__(self):
+        _check_unit_rows(self.direction)
+
+    def _columns(self) -> tuple:
+        return self.step, self.direction, self.o1, self.break_point, self.price
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return TradeLog(*(c[i] for c in self._columns()))
+        return _record(int(self.step[i]), self.direction[i].tolist(), bool(self.o1[i]),
+                       float(self.break_point[i]), float(self.price[i]))
+
+    def __iter__(self):
+        return itertools.starmap(_record, zip(*(c.tolist() for c in self._columns())))
+
+    def __eq__(self, other):
+        if isinstance(other, TradeLog):
+            return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
+def _pricer(cfg: MarketConfig):
+    """The function from an (x, y, z) state to its price under ``cfg``."""
+    axis, low, span = _xyz(cfg.price_axis), cfg.price_min, cfg.price_max - cfg.price_min
+    return lambda s: low + span * ((1.0 + _dot(s, axis)) / 2.0)
+
+
 def price_of_state(cfg: MarketConfig, s: UnitVector3) -> float:
     """Affine in the projection on the price axis: price_min at -axis,
     price_max at +axis."""
-    frac = (1.0 + dot(s, cfg.price_axis)) / 2.0
-    return cfg.price_min + (cfg.price_max - cfg.price_min) * frac
+    return _pricer(cfg)(_xyz(s))
 
 
-def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> list[TradeRecord]:
+def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
     """The initial state, then the steps in blocks of BLOCK_STEPS, each block
     drawing its uniforms with one ``rng.random`` call.
 
@@ -174,41 +245,45 @@ def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> list[TradeReco
     draws they stand for: the context's z, phi and angle (``perturb``) when
     noise_angle > 0, then the break point's ``rho.draws``.  Each column goes
     through its scalar draw's arithmetic, so the history is bit for bit the
-    one those draws give.
+    one those draws give.  States and contexts stay (x, y, z) tuples run
+    through the ``geometry`` kernels; the collapse is ``break_elastic``'s.
     """
     regime, rho = cfg.regime, cfg.rho
     noise = regime.noise_angle
-    local = isinstance(regime, LocalRegime)
+    news = None if isinstance(regime, LocalRegime) else regime.news
     width = (3 if noise > 0.0 else 0) + rho.draws
-    state = sample_uniform(rng)
-    trades = []
+    price = _pricer(cfg)
+    state = _xyz(sample_uniform(rng))
+    directions, o1, prices, breaks = [], [], [], []
     for start in range(0, cfg.n_steps, BLOCK_STEPS):
         steps = range(start, min(start + BLOCK_STEPS, cfg.n_steps))
         u = rng.random((len(steps), width))
-        breaks = rho.quantile(u[:, -1] if rho.draws else np.zeros(len(steps))).tolist()
+        breaks.append(rho.quantile(u[:, -1] if rho.draws else np.zeros(len(steps))))
         if noise > 0.0:
             kicks = zip((-1.0 + 2.0 * u[:, 0]).tolist(), (_TWO_PI * u[:, 1]).tolist(),
                         (noise * u[:, 2]).tolist())
         else:
             kicks = itertools.repeat(None)
-        for step, x, kick in zip(steps, breaks, kicks):
-            center = state if local else regime.news.direction(step)
-            direction = center if kick is None else perturb_by(center, *kick)
-            outcome = break_elastic(state, direction, x)
-            state = outcome.collapsed_state
-            trades.append(TradeRecord(step=step, direction=direction, outcome=outcome,
-                                      realized_price=price_of_state(cfg, state)))
-    return trades
+        for step, x, kick in zip(steps, breaks[-1].tolist(), kicks):
+            center = state if news is None else news._direction_xyz(step)
+            d = center if kick is None else _rotate(center, _on_sphere(kick[0], kick[1]), kick[2])
+            hit = x < _dot(state, d)
+            state = d if hit else (-d[0], -d[1], -d[2])
+            directions.append(d)
+            o1.append(hit)
+            prices.append(price(state))
+    return TradeLog(step=np.arange(cfg.n_steps), direction=np.array(directions),
+                    o1=np.array(o1), break_point=np.concatenate(breaks), price=np.array(prices))
 
 
-def run_market(cfg: MarketConfig) -> list[TradeRecord]:
+def run_market(cfg: MarketConfig) -> TradeLog:
     """One market history; fully determined by (config, seed)."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     return _run_with_rng(cfg, rng)
 
 
 def run_market_ensemble(cfg: MarketConfig, n_runs: int,
-                        n_workers: int = 1) -> list[list[TradeRecord]]:
+                        n_workers: int = 1) -> list[TradeLog]:
     """Independent runs; member r is chunk r of the counter-based streams of
     ``streams.map_chunks``, so the ensemble is identical for any worker
     count."""
@@ -292,17 +367,16 @@ def summary_from_prices(prices: np.ndarray) -> SeriesSummary:
     )
 
 
-def summary_stats(trades: list[TradeRecord]) -> SeriesSummary:
+def summary_stats(trades: TradeLog) -> SeriesSummary:
     """Summary of the realized-price series of a market run (>= 30 trades)."""
-    prices = np.array([t.realized_price for t in trades])
-    return summary_from_prices(prices)
+    return summary_from_prices(trades.price)
 
 
-def representative_scan_angle(trades: list[TradeRecord]) -> float:
+def representative_scan_angle(trades: TradeLog) -> float:
     """Median angle between consecutive trade directions, clamped into
     (0, pi); the spacing used for the three-direction feasibility scan."""
-    dirs = [t.direction for t in trades]
-    gaps = [angle_between(a, b) for a, b in zip(dirs, dirs[1:])]
+    dirs = trades.direction.tolist()
+    gaps = [math.acos(_dot(a, b)) for a, b in zip(dirs, dirs[1:])]
     theta = statistics.median(gaps) if gaps else 0.0
     return min(max(theta, 1e-6), math.pi - 1e-6)
 
@@ -312,7 +386,7 @@ def compare_with_gbm(cfg: MarketConfig, gbm: GbmParams) -> dict:
     return compare_trades_with_gbm(cfg, run_market(cfg), gbm)
 
 
-def compare_trades_with_gbm(cfg: MarketConfig, trades: list[TradeRecord], gbm: GbmParams) -> dict:
+def compare_trades_with_gbm(cfg: MarketConfig, trades: TradeLog, gbm: GbmParams) -> dict:
     """Side-by-side statistics of the sphere market run ``trades`` of
     ``cfg`` and a GBM path.
 
@@ -337,14 +411,13 @@ def compare_trades_with_gbm(cfg: MarketConfig, trades: list[TradeRecord], gbm: G
     }
 
 
-def trades_to_csv(fileobj, trades: list[TradeRecord]):
-    """Trade log as RFC-4180 CSV: step, direction components, outcome, price."""
+def trades_to_csv(fileobj, trades: TradeLog):
+    """Trade log as RFC-4180 CSV: step, direction components, outcome, price.
+
+    Floats are written as their ``repr``, the shortest string that reads
+    back to the same double."""
     writer = csv.writer(fileobj)
     writer.writerow(["step", "ux", "uy", "uz", "outcome", "price"])
-    for t in trades:
-        writer.writerow([
-            t.step,
-            repr(t.direction.x), repr(t.direction.y), repr(t.direction.z),
-            str(t.outcome.label),
-            repr(t.realized_price),
-        ])
+    labels = (str(OutcomeLabel.O2), str(OutcomeLabel.O1))
+    writer.writerows(zip(trades.step.tolist(), *trades.direction.T.tolist(),
+                         [labels[hit] for hit in trades.o1.tolist()], trades.price.tolist()))

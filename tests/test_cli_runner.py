@@ -6,6 +6,7 @@ import pytest
 
 from spheremarket import cli_runner, kolmogorov_check, market_sim
 from spheremarket.cli_runner import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
+from spheremarket.geometry import UnitVector3
 
 ATM_SPEC = {"spot": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2, "tau": 1.0}
 
@@ -288,6 +289,40 @@ class TestMarketExperiment:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "params.market.regime.noise_angle" in message
         assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("key, change", [
+        ("params.market.price_axis", {"price_axis": [0, 0, 0]}),
+        ("params.market.regime.noise_angle",
+         {"regime": {"kind": "global", "noise_angle": 4.0,
+                     "news": {"kind": "constant", "angle": 0.5}}}),
+        ("params.market.regime.noise_angle", {"regime": {"kind": "local", "noise_angle": -0.1}}),
+    ], ids=["zero_price_axis", "global_noise_4", "local_noise_negative"])
+    def test_out_of_range_market_key_named(self, tmp_path, capsys, key, change):
+        payload = json.loads(json.dumps(self.PAYLOAD))
+        payload["params"]["market"].update(change)
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("regime", [
+        {"kind": "local", "noise_angle": 0.4},
+        {"kind": "global", "noise_angle": 0.2, "news": {"kind": "drift", "angle": 0.5,
+                                                        "rate": 1e-3}},
+    ], ids=["local", "global"])
+    def test_trades_build_no_vectors(self, tmp_path, monkeypatch, regime):
+        # the trade loop and every reader of its log work on columns, so a
+        # 2000-step run with the GBM comparison builds a handful of
+        # UnitVector3s (the initial state and the scan directions), not
+        # several per trade
+        built = []
+        check = UnitVector3.__post_init__
+        monkeypatch.setattr(UnitVector3, "__post_init__", lambda v: built.append(check(v)))
+        payload = json.loads(json.dumps(self.PAYLOAD))
+        payload["params"]["market"]["regime"] = regime
+        payload["params"]["market"]["n_steps"] = payload["params"]["compare_gbm"]["steps"] = 2000
+        assert run_cli(tmp_path, payload) == EXIT_OK
+        assert 0 < len(built) <= 10
 
     def test_drifting_news_without_noise_reports_numbers(self, tmp_path):
         payload = {"experiment": "market", "seed": 3,

@@ -149,6 +149,9 @@ class TestCliExitCodes:
         ("spot Infinity", NAN_SPEC.replace("NaN", "Infinity"), EXIT_PARSE, "spot"),
         ("spot 1e999", NAN_SPEC.replace("NaN", "1e999"), EXIT_PARSE, "spot"),
         ("state NaN", json.dumps(sphere_payload(state=[0.0, math.nan, 1.0])), EXIT_PARSE, "state"),
+        ("zero direction", sphere_payload(direction=[0, 0, 0]), EXIT_VALIDATION,
+         "'params.direction'"),
+        ("zero state", sphere_payload(state=[0.0, -0.0, 0.0]), EXIT_VALIDATION, "'params.state'"),
         ("seed true", {"experiment": "price", "seed": True, "params": {"spec": SPEC}},
          EXIT_PARSE, "seed"),
         ("n_trials 10.7", sphere_payload(n_trials=10.7), EXIT_PARSE, "n_trials"),

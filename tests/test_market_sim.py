@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spheremarket import market_sim
 from spheremarket.geometry import UnitVector3, angle_between, from_polar, perturb, sample_uniform
@@ -12,6 +14,7 @@ from spheremarket.market_sim import (
     LocalRegime,
     MarketConfig,
     NewsSeries,
+    TradeLog,
     TradeRecord,
     compare_with_gbm,
     price_of_state,
@@ -57,6 +60,13 @@ def scalar_history(cfg):
         state = outcome.collapsed_state
         trades.append(TradeRecord(step, direction, outcome, price_of_state(cfg, state)))
     return trades
+
+
+RHOS = [UniformRho(), DeltaRho(0.2), PiecewiseConstantRho([-1.0, 0.3, 1.0], [1.0, 3.0]),
+        TruncatedGaussianRho(center=-0.2, width=0.5)]
+DRIFT = NewsSeries(kind="drift", angle=0.3, rate=0.02)
+REGIMES = [LocalRegime(noise_angle=0.5), LocalRegime(noise_angle=0.0),
+           GlobalRegime(news=DRIFT, noise_angle=0.3), GlobalRegime(news=DRIFT, noise_angle=0.0)]
 
 
 def ensemble_csv(cfg, n_runs, n_workers):
@@ -143,19 +153,22 @@ class TestRunMarket:
         stderr = math.sqrt(expected * (1.0 - expected) / n_steps)
         assert abs(rate - expected) <= 4.0 * stderr
 
-    @pytest.mark.parametrize("rho", [
-        UniformRho(), DeltaRho(0.2), PiecewiseConstantRho([-1.0, 0.3, 1.0], [1.0, 3.0]),
-        TruncatedGaussianRho(center=-0.2, width=0.5),
-    ], ids=lambda rho: rho.kind)
-    @pytest.mark.parametrize("regime", [
-        LocalRegime(noise_angle=0.5), LocalRegime(noise_angle=0.0),
-        GlobalRegime(news=NewsSeries(kind="drift", angle=0.3, rate=0.02), noise_angle=0.3),
-        GlobalRegime(news=NewsSeries(kind="drift", angle=0.3, rate=0.02), noise_angle=0.0),
-    ], ids=["local", "local-still", "global", "global-still"])
+    @pytest.mark.parametrize("rho", RHOS, ids=lambda rho: rho.kind)
+    @pytest.mark.parametrize("regime", REGIMES,
+                             ids=["local", "local-still", "global", "global-still"])
     def test_block_draws_replay_scalar_draws(self, monkeypatch, rho, regime):
         # blocks of 64 steps, so 150 steps span three of them
         monkeypatch.setattr(market_sim, "BLOCK_STEPS", 64)
         cfg = make_config(rho=rho, regime=regime, n_steps=150, seed=5)
+        assert run_market(cfg) == scalar_history(cfg)
+
+    @given(rho=st.sampled_from(RHOS), regime=st.sampled_from(REGIMES),
+           seed=st.integers(0, 2 ** 32 - 1), n_steps=st.sampled_from([1, 127, 128, 129, 300]))
+    @settings(max_examples=40, deadline=None)
+    def test_log_matches_scalar_history(self, rho, regime, seed, n_steps):
+        # block edges at the default BLOCK_STEPS of 128; every record field,
+        # break point included, equals the one-draw-at-a-time reference
+        cfg = make_config(rho=rho, regime=regime, n_steps=n_steps, seed=seed)
         assert run_market(cfg) == scalar_history(cfg)
 
     def test_ensemble_worker_independence(self):
@@ -165,6 +178,51 @@ class TestRunMarket:
     def test_ensemble_members_differ(self):
         runs = run_market_ensemble(make_config(n_steps=50), 4)
         assert len({runs[i][0].realized_price for i in range(4)}) > 1
+
+
+class TestTradeLog:
+    CFG = make_config(n_steps=40, seed=9)
+
+    def test_sequence_of_records(self):
+        log, records = run_market(self.CFG), scalar_history(self.CFG)
+        assert len(log) == 40
+        assert log[-1] == records[-1] == log[39]
+        assert list(log) == records
+        assert isinstance(log[3:7], TradeLog)
+        assert log[3:7] == records[3:7]
+        assert log[::-1] == records[::-1]
+        assert log == records and records == log
+        with pytest.raises(IndexError):
+            log[40]
+
+    def test_record_fields(self):
+        log = run_market(self.CFG)
+        t = log[5]
+        assert t.step == 5 and t.realized_price == log.price[5]
+        assert (t.direction.x, t.direction.y, t.direction.z) == tuple(log.direction[5])
+        assert t.outcome.break_point == log.break_point[5]
+        expected = t.direction if log.o1[5] else -t.direction
+        assert t.outcome.collapsed_state == expected
+        assert (t.outcome.label is OutcomeLabel.O1) == log.o1[5]
+
+    def test_one_changed_price_breaks_equality(self):
+        log, records = run_market(self.CFG), scalar_history(self.CFG)
+        price = log.price.copy()
+        price[17] = np.nextafter(price[17], np.inf)
+        changed = TradeLog(log.step, log.direction, log.o1, log.break_point, price)
+        assert changed != log and log != changed
+        assert changed != records
+        assert log != records[:-1]
+
+    def test_direction_rows_must_be_unit(self):
+        log = run_market(self.CFG)
+        direction = log.direction.copy()
+        direction[3] *= 2.0
+        with pytest.raises(ValueError, match="not a unit vector"):
+            TradeLog(log.step, direction, log.o1, log.break_point, log.price)
+        direction[3] = np.nan
+        with pytest.raises(ValueError, match="not a unit vector"):
+            TradeLog(log.step, direction, log.o1, log.break_point, log.price)
 
 
 class TestSummaryStats:
