@@ -37,6 +37,7 @@ from .kolmogorov_check import (
     facets_feasible,
     joint_feasibility,
     random_agreement_table,
+    resolve_scan_mode,
     sphere_bell_scan,
 )
 from .market_sim import (
@@ -155,8 +156,8 @@ def _run_sphere(params: dict, seed: int):
     rho = RhoDistribution.from_dict(p["rho"])
     state = _as_direction(p["state"], "params.state")
     direction = _as_direction(p["direction"], "params.direction")
-    n_trials = p.get("n_trials", 100_000)
-    workers = p.get("workers", 1)
+    n_trials = _at_least(p.get("n_trials", 100_000), 1, "params.n_trials")
+    workers = _at_least(p.get("workers", 1), 1, "params.workers")
 
     p1, p2 = transition_probabilities(rho, state, direction)
     n1, n2 = measurement_counts(rho, state, direction, n_trials, seed, n_workers=workers)
@@ -190,6 +191,8 @@ def _run_bell_scan(params: dict, seed: int):
     if mode not in SCAN_MODES:
         raise ValueError(f"'params.mode' must be one of {', '.join(SCAN_MODES)}, got {mode!r}")
     n_samples = p.get("n_samples", 100_000)
+    if resolve_scan_mode(rho, mode) == "hidden_state":
+        _at_least(n_samples, 1, "params.n_samples")
     scan = sphere_bell_scan(rho, theta, mode=mode, n_samples=n_samples, seed=seed)
     resolved = {"rho": rho.to_dict(), "theta": theta, "mode": scan.mode,
                 "n_samples": n_samples}

@@ -384,6 +384,16 @@ class SphereScanResult:
         }
 
 
+def resolve_scan_mode(rho, mode: str) -> str:
+    """The scan mode ``sphere_bell_scan`` runs: ``auto`` selects hidden_state
+    for the deterministic (delta) elastic and sequential otherwise."""
+    if mode not in SCAN_MODES:
+        raise ValueError(f"unknown scan mode: {mode!r}")
+    if mode != "auto":
+        return mode
+    return "hidden_state" if rho.kind == "delta" else "sequential"
+
+
 def sphere_bell_scan(rho, theta: float, mode: str = "auto",
                      n_samples: int = 100_000, seed: int = 0) -> SphereScanResult:
     """Feasibility of sphere-measurement statistics on three coplanar
@@ -401,11 +411,8 @@ def sphere_bell_scan(rho, theta: float, mode: str = "auto",
 
     if not 0.0 < theta < math.pi:
         raise ValueError("theta must lie strictly between 0 and pi")
-    if mode not in SCAN_MODES:
-        raise ValueError(f"unknown scan mode: {mode!r}")
+    mode = resolve_scan_mode(rho, mode)
     directions = tuple(from_polar(k * theta, 0.0) for k in range(3))
-    if mode == "auto":
-        mode = "hidden_state" if isinstance(rho, sphere_model.DeltaRho) else "sequential"
     if mode == "sequential":
         table = sphere_model.agreement_table(rho, list(directions))
     else:

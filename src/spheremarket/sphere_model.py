@@ -21,7 +21,7 @@ from .config import block_kind, items, number, parse_block
 from .geometry import UnitVector3, dot, sample_uniform_array
 from .kolmogorov_check import AgreementTable, pair_indices
 from .ndtr import ndtr
-from .streams import chunk_rng, map_chunks
+from .streams import check_workers, chunk_rng, map_chunks
 
 X_DOMAIN_TOL = 1e-9
 CHUNK_TRIALS = 1 << 16  # fixed batch granularity for counter-based streams
@@ -29,6 +29,8 @@ CHUNK_TRIALS = 1 << 16  # fixed batch granularity for counter-based streams
 # largest double strictly below 1; samples are clamped under it so an
 # eigenstate (v.u == 1) can never tie with the break point
 _BELOW_ONE = math.nextafter(1.0, -1.0)
+_UNIT_PIECE = np.array([0.0, 1.0])  # all of [0, 1) as one piece
+_UNIT_PIECE.flags.writeable = False
 
 
 class OutcomeLabel(Enum):
@@ -75,6 +77,12 @@ class RhoDistribution:
         """An array of ``size`` break points drawn from ``rng``."""
         return self.quantile(rng.random(size) if self.draws else np.zeros(size))
 
+    def monotone_pieces(self) -> np.ndarray | None:
+        """Ascending edges 0 = e_0 < ... < e_k = 1 such that ``quantile`` is
+        nondecreasing in floating point on every piece [e_i, e_i+1); None
+        when that is not known."""
+        return None
+
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
 
@@ -107,6 +115,9 @@ class UniformRho(RhoDistribution):
         x -= 1.0  # -1 + 2u, rng.uniform(-1.0, 1.0)'s arithmetic, with one temporary
         return x
 
+    def monotone_pieces(self):
+        return _UNIT_PIECE  # a multiply and a subtract, both monotone
+
 
 @dataclass(frozen=True)
 class DeltaRho(RhoDistribution):
@@ -129,6 +140,9 @@ class DeltaRho(RhoDistribution):
 
     def quantile(self, u):
         return np.full(np.shape(u), self.x0)
+
+    def monotone_pieces(self):
+        return _UNIT_PIECE
 
 
 @dataclass(frozen=True)
@@ -182,6 +196,12 @@ class PiecewiseConstantRho(RhoDistribution):
         dens = self._dens[idx]
         x = self._bp[idx] + (u - self._cum[idx]) / np.where(dens > 0, dens, 1.0)
         return np.minimum(x, _BELOW_ONE)
+
+    def monotone_pieces(self):
+        # u in [_cum[i], _cum[i+1]) keeps the cell index i fixed, and a
+        # subtract, a divide by a positive density, an add and a minimum
+        # are each monotone in IEEE arithmetic
+        return np.unique(np.minimum(self._cum, 1.0))
 
 
 @dataclass(frozen=True)
@@ -260,20 +280,64 @@ def simulate_measurement(rho: RhoDistribution, state: UnitVector3,
     return break_elastic(state, u, float(rho.sample(rng, 1)[0]))
 
 
+def _below_intervals(rho: RhoDistribution, d: float) -> list[tuple[float, float]] | None:
+    """The disjoint, ascending, non-touching intervals [a, b) whose union is
+    exactly {u in [0, 1) : rho.quantile(u) < d}; None when rho has no
+    ``monotone_pieces``.
+
+    On each piece the set is a prefix, so its end is the first u with
+    quantile(u) >= d.  All pieces are bisected at once on the int64 bit
+    patterns of their nonnegative doubles, which order as the doubles do,
+    and every candidate goes through ``rho.quantile`` itself.
+    """
+    edges = rho.monotone_pieces()
+    if edges is None:
+        return None
+    bits = edges.view(np.int64)
+    lo, hi = bits[:-1].copy(), bits[1:].copy()
+    while (open_ := lo < hi).any():
+        mid = lo + (hi - lo) // 2
+        below = rho.quantile(mid.view(np.float64)) < d
+        lo = np.where(open_ & below, mid + 1, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    intervals = []
+    for a, b in zip(edges[:-1].tolist(), lo.view(np.float64).tolist()):
+        if a == b:
+            continue
+        if intervals and intervals[-1][1] == a:
+            a = intervals.pop()[0]
+        intervals.append((a, b))
+    return intervals
+
+
 def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
                        n_trials: int, seed: int, n_workers: int = 1) -> tuple[int, int]:
     """(count O1, count O2) over independent trials.
 
     Trials run in chunks of CHUNK_TRIALS on the counter-based streams of
     ``streams.map_chunks``, so trial outcomes depend only on (seed, trial
-    index) and never on worker scheduling.
+    index) and never on worker scheduling.  Trial k is O1 when the break
+    point quantile(uniform k) falls below v.u.  A density with
+    ``monotone_pieces`` counts the chunk's uniforms inside the exact
+    ``_below_intervals`` instead of building break points, with the same
+    counts; when the intervals are empty or all of [0, 1) no trial draws.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
+    check_workers(n_workers)
     d = dot(state, u)
-
-    def run_chunk(rng, lo, size) -> int:
-        return int(np.count_nonzero(rho.sample(rng, size=size) < d))
+    intervals = _below_intervals(rho, d)
+    if intervals is None:
+        def run_chunk(rng, lo, size) -> int:
+            return int(np.count_nonzero(rho.sample(rng, size=size) < d))
+    elif intervals in ([], [(0.0, 1.0)]):
+        n1 = n_trials if intervals else 0
+        return n1, n_trials - n1
+    else:
+        def run_chunk(rng, lo, size) -> int:
+            r = rng.random(size)
+            return sum(int(np.count_nonzero(r < b)) - (int(np.count_nonzero(r < a)) if a else 0)
+                       for a, b in intervals)
 
     n1 = sum(map_chunks(run_chunk, n_trials, CHUNK_TRIALS, seed, n_workers))
     return n1, n_trials - n1

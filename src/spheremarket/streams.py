@@ -15,11 +15,16 @@ def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
+def check_workers(n_workers: int):
+    """ValueError unless ``n_workers`` is at least 1."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+
+
 def map_chunks(fn, n_items: int, chunk_size: int, seed: int, n_workers: int = 1) -> list:
     """[fn(rng, lo, size)] over the chunks [lo, lo + size) of range(n_items),
     in chunk order, run on up to ``n_workers`` threads."""
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    check_workers(n_workers)
 
     def run(c: int):
         lo = c * chunk_size

@@ -123,24 +123,33 @@ class TestErrorHandling:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("key, payload", [
-        ("workers", {"experiment": "sphere", "params": {
+        ("params.workers", {"experiment": "sphere", "params": {
             "rho": {"kind": "uniform"}, "state": [0, 0, 1], "direction": [1, 0, 0],
             "n_trials": 10, "workers": 0}}),
-        ("workers", {"experiment": "sphere", "params": {
-            "rho": {"kind": "uniform"}, "state": [0, 0, 1], "direction": [1, 0, 0],
+        ("params.workers", {"experiment": "sphere", "params": {
+            "rho": {"kind": "delta", "x0": 0.2}, "state": [0, 0, 1], "direction": [0, 0, 1],
             "n_trials": 10, "workers": -5}}),
-        ("binomial_steps", {"experiment": "price", "params": {
+        ("params.n_trials", {"experiment": "sphere", "params": {
+            "rho": {"kind": "uniform"}, "state": [0, 0, 1], "direction": [1, 0, 0],
+            "n_trials": 0}}),
+        ("params.n_samples", {"experiment": "bell-scan", "params": {
+            "rho": {"kind": "uniform"}, "theta_degrees": 60, "mode": "hidden_state",
+            "n_samples": 0}}),
+        ("params.n_samples", {"experiment": "bell-scan", "params": {
+            "rho": {"kind": "delta", "x0": 0.0}, "theta_degrees": 60, "n_samples": 0}}),
+        ("params.binomial_steps", {"experiment": "price", "params": {
             "spec": ATM_SPEC, "methods": ["binomial"], "binomial_steps": 0}}),
-        ("mc_paths", {"experiment": "price", "params": {
+        ("params.mc_paths", {"experiment": "price", "params": {
             "spec": ATM_SPEC, "methods": ["mc"], "mc_paths": 1}}),
-        ("n_steps", {"experiment": "market", "params": {"market": {
+        ("params.market.n_steps", {"experiment": "market", "params": {"market": {
             "rho": {"kind": "uniform"}, "n_steps": 10,
             "regime": {"kind": "local", "noise_angle": 0.3}}}}),
-    ], ids=["workers0", "workers-5", "binomial_steps0", "mc_paths1", "n_steps10"])
+    ], ids=["workers0", "workers-5", "n_trials0", "n_samples0", "n_samples0-auto",
+            "binomial_steps0", "mc_paths1", "n_steps10"])
     def test_count_out_of_range_named(self, tmp_path, capsys, key, payload):
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
-        assert key in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from spheremarket import cli_runner
+from spheremarket.geometry import UnitVector3, dot, from_polar
 from spheremarket.market_sim import (
     GlobalRegime,
     LocalRegime,
@@ -33,6 +34,7 @@ from spheremarket.sphere_model import (
     PiecewiseConstantRho,
     TruncatedGaussianRho,
     UniformRho,
+    measurement_counts,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -157,3 +159,62 @@ def test_piecewise_rho_identity():
     assert rho == PiecewiseConstantRho([-1.0, -0.25, 0.5, 1.0], [1.0, 4.0, 2.0])
     assert rho != PiecewiseConstantRho([-1.0, -0.25, 0.5, 1.0], [0.5, 2.0, 1.5])
     assert rho != UniformRho()
+
+
+# measurement_counts pins: (rho, state, direction) cases over 150,000 trials
+# (three chunks, the last one partial), at seeds 0 and 5
+_V = from_polar(1.1, 0.3)
+_U = from_polar(0.4, 2.0)
+_D = dot(_V, _U)
+_X, _Z = UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, 0.0, 1.0)
+COUNT_CASES = {
+    "uniform": (RHOS["uniform"], _V, _U),
+    "uniform-antipodal": (RHOS["uniform"], -_U, _U),
+    "delta": (RHOS["delta"], _V, _U),
+    "delta-tie": (DeltaRho(_D), _V, _U),  # v.u == x0 goes to O2
+    "piecewise": (RHOS["piecewise"], _V, _U),
+    "piecewise-zero-cell": (PiecewiseConstantRho([-1.0, -0.5, 0.0, 0.5, 1.0],
+                                                 [1.0, 0.0, 2.0, 1.0]), _V, _U),
+    "piecewise-on-breakpoint": (PiecewiseConstantRho([-1.0, _D, 1.0], [1.0, 3.0]), _V, _U),
+    "piecewise-on-zero-cell-edge": (PiecewiseConstantRho([-1.0, -0.25, 0.0, 0.5, 1.0],
+                                                         [0.5, 0.0, 2.0, 1.0]), _X, _Z),
+    "truncated_gaussian": (RHOS["truncated_gaussian"], _V, _U),
+    **{f"{kind}-eigenstate": (RHOS[kind], _U, _U) for kind in sorted(RHOS)},
+}
+COUNT_PINS = {
+    "delta@0": (150000, 0),
+    "delta@5": (150000, 0),
+    "delta-eigenstate@0": (150000, 0),
+    "delta-eigenstate@5": (150000, 0),
+    "delta-tie@0": (0, 150000),
+    "delta-tie@5": (0, 150000),
+    "piecewise@0": (102387, 47613),
+    "piecewise@5": (102669, 47331),
+    "piecewise-eigenstate@0": (150000, 0),
+    "piecewise-eigenstate@5": (150000, 0),
+    "piecewise-on-breakpoint@0": (63188, 86812),
+    "piecewise-on-breakpoint@5": (63229, 86771),
+    "piecewise-on-zero-cell-edge@0": (29968, 120032),
+    "piecewise-on-zero-cell-edge@5": (29950, 120050),
+    "piecewise-zero-cell@0": (93439, 56561),
+    "piecewise-zero-cell@5": (93714, 56286),
+    "truncated_gaussian@0": (114068, 35932),
+    "truncated_gaussian@5": (114543, 35457),
+    "truncated_gaussian-eigenstate@0": (150000, 0),
+    "truncated_gaussian-eigenstate@5": (150000, 0),
+    "uniform@0": (103018, 46982),
+    "uniform@5": (103284, 46716),
+    "uniform-antipodal@0": (0, 150000),
+    "uniform-antipodal@5": (0, 150000),
+    "uniform-eigenstate@0": (150000, 0),
+    "uniform-eigenstate@5": (150000, 0),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("case", sorted(COUNT_CASES))
+def test_measurement_count_pins(case, seed, workers):
+    rho, state, u = COUNT_CASES[case]
+    assert measurement_counts(rho, state, u, 150_000, seed, n_workers=workers) == \
+        COUNT_PINS[f"{case}@{seed}"]

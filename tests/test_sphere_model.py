@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spheremarket.geometry import UnitVector3, from_polar, sample_uniform
 from spheremarket.sphere_model import (
+    CHUNK_TRIALS,
     DeltaRho,
     OutcomeLabel,
     PiecewiseConstantRho,
@@ -21,7 +24,9 @@ from spheremarket.sphere_model import (
     sequential_agreement,
     simulate_measurement,
     transition_probabilities,
+    _below_intervals,
 )
+from spheremarket.streams import map_chunks
 
 POLE = UnitVector3(0.0, 0.0, 1.0)
 
@@ -254,6 +259,15 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match="n_workers"):
             measurement_counts(UniformRho(), POLE, POLE, 1000, seed=0, n_workers=-3)
 
+    @pytest.mark.parametrize("rho", [DeltaRho(0.2), UniformRho()], ids=["delta", "uniform"])
+    def test_counts_validate_before_the_drawless_answer(self, rho):
+        # both answer (n_trials, 0) at the eigenstate without drawing a uniform
+        assert measurement_counts(rho, POLE, POLE, 1000, seed=0) == (1000, 0)
+        with pytest.raises(ValueError, match="n_workers must be at least 1, got 0"):
+            measurement_counts(rho, POLE, POLE, 1000, seed=0, n_workers=0)
+        with pytest.raises(ValueError, match="n_trials must be positive"):
+            measurement_counts(rho, POLE, POLE, 0, seed=0)
+
     def test_sampling_matches_cdf(self):
         # inverse-CDF sampling reproduces each variant's CDF on a grid
         rng = np.random.default_rng(55)
@@ -266,6 +280,97 @@ class TestSimulateMeasurement:
                 # P(x <= c): ties have measure zero except for the delta
                 emp = float(np.mean(xs <= c))
                 assert abs(emp - p) <= 4.0 * sigma + 1e-9
+
+
+@st.composite
+def monotone_rhos(draw):
+    """Densities with ``monotone_pieces``: uniform, delta and piecewise with
+    1-8 cells, some of density 0."""
+    kind = draw(st.sampled_from(["uniform", "delta", "piecewise"]))
+    inside = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+    if kind == "uniform":
+        return UniformRho()
+    if kind == "delta":
+        return DeltaRho(draw(inside))
+    n = draw(st.integers(1, 8))
+    inner = sorted(draw(st.lists(inside, min_size=n - 1, max_size=n - 1, unique=True)))
+    levels = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    cells = np.diff([-1.0, *inner, 1.0])
+    assume(sum(level * width for level, width in zip(levels, cells)) > 0.0)
+    return PiecewiseConstantRho([-1.0, *inner, 1.0], levels)
+
+
+def critical_coordinates(rho, data, rng) -> tuple[float, np.ndarray]:
+    """An elastic coordinate d drawn from the breakpoints, from quantile
+    values and from their neighbours, and uniforms that hold every piece
+    edge, the float just below it and random draws."""
+    edges = rho.monotone_pieces()
+    u = np.concatenate([rng.random(2000), edges[:-1], np.nextafter(edges[1:], 0.0)])
+    points = [-1.0, 1.0, *getattr(rho, "breakpoints", []), *rho.quantile(u).tolist()]
+    d = data.draw(st.sampled_from(points))
+    d = data.draw(st.sampled_from([d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)]))
+    return min(1.0, max(-1.0, d)), u
+
+
+def at_coordinate(d: float) -> UnitVector3:
+    """A state whose coordinate on POLE, ``dot(state, POLE)``, is exactly d."""
+    return UnitVector3(math.sqrt(max(0.0, 1.0 - d * d)), 0.0, d)
+
+
+def in_intervals(u: np.ndarray, intervals) -> np.ndarray:
+    inside = np.zeros(u.shape, dtype=bool)
+    for a, b in intervals:
+        inside |= (a <= u) & (u < b)
+    return inside
+
+
+def sampled_count(rho, d: float, n_trials: int, seed: int) -> int:
+    """The O1 count from sampled break points: every chunk's comparison
+    before the thresholds."""
+    return sum(map_chunks(lambda rng, lo, size: int(np.count_nonzero(rho.sample(rng, size) < d)),
+                          n_trials, CHUNK_TRIALS, seed))
+
+
+class TestBelowIntervals:
+    @given(rho=monotone_rhos(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_select_exactly_the_uniforms_below(self, rho, data, seed):
+        d, u = critical_coordinates(rho, data, np.random.default_rng(seed))
+        intervals = _below_intervals(rho, d)
+        ends = np.array(intervals, dtype=float).ravel()
+        # disjoint, ascending and never touching, inside [0, 1]
+        assert np.all(np.diff(ends) > 0) and (ends.size == 0 or 0.0 <= ends[0] <= ends[-1] <= 1.0)
+        u = np.concatenate([u, ends[ends < 1.0], np.nextafter(ends, 0.0)])
+        np.testing.assert_array_equal(in_intervals(u, intervals), rho.quantile(u) < d)
+
+    @given(rho=monotone_rhos(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+           n_trials=st.sampled_from([1, CHUNK_TRIALS, CHUNK_TRIALS + 4465]))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_match_sampled_break_points(self, rho, data, seed, n_trials):
+        d, _ = critical_coordinates(rho, data, np.random.default_rng(seed))
+        n1 = sampled_count(rho, d, n_trials, seed)
+        counts = measurement_counts(rho, at_coordinate(d), POLE, n_trials, seed)
+        assert counts == (n1, n_trials - n1)
+
+    def test_cell_end_above_the_next_breakpoint(self):
+        # the first cell's last break point rounds to just above the breakpoint
+        # -0.23, where the second cell starts: the uniforms below it form two
+        # intervals, the second one starting at the cell edge
+        rho = PiecewiseConstantRho([-1.0, -0.23, 0.99, 1.0], [2.9, 2.1, 2.0])
+        edge = rho.monotone_pieces()[1]
+        d = float(rho.quantile(np.nextafter(edge, 0.0)))
+        assert d > -0.23
+        intervals = _below_intervals(rho, d)
+        assert len(intervals) == 2 and intervals[1][0] == edge
+        # the 8 floats on each side of the edge
+        near = (np.array([edge]).view(np.int64) + np.arange(-8, 9)).view(np.float64)
+        u = np.concatenate([near, np.array(intervals).ravel()])
+        np.testing.assert_array_equal(in_intervals(u, intervals), rho.quantile(u) < d)
+        n1 = sampled_count(rho, d, 100_000, 3)
+        assert measurement_counts(rho, at_coordinate(d), POLE, 100_000, 3) == (n1, 100_000 - n1)
+
+    def test_truncated_gaussian_keeps_sampling(self):
+        assert _below_intervals(TruncatedGaussianRho(center=0.1, width=0.4), 0.3) is None
 
 
 class TestSequentialAgreement:
