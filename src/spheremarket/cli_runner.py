@@ -49,6 +49,7 @@ from .market_sim import (
     trades_to_csv,
 )
 from .pricing import (
+    ExerciseStyle,
     GbmParams,
     OptionKind,
     OptionSpec,
@@ -83,6 +84,16 @@ def _at_least(value: int, minimum: int, key: str) -> int:
     if value < minimum:
         raise ValueError(f"'{key}' must be at least {minimum}, got {value}")
     return value
+
+
+def _european_spec(block) -> OptionSpec:
+    """The ``params.spec`` block; ValueError naming its style unless European,
+    the only exercise the pricers price."""
+    spec = OptionSpec.from_dict(block, "params.spec")
+    if spec.style is not ExerciseStyle.EUROPEAN:
+        raise ValueError(f"'params.spec.style' must be 'european', got {spec.style.value!r}: "
+                         "only European exercise is priced")
+    return spec
 
 
 def _sanitize(obj):
@@ -129,7 +140,7 @@ def _run_price(params: dict, seed: int):
     for m in methods:
         if m not in ("bs", "binomial", "mc"):
             raise ConfigParseError(f"unknown key '{m}' in 'params.methods'")
-    spec = OptionSpec.from_dict(p["spec"])
+    spec = _european_spec(p["spec"])
     steps = _at_least(p.get("binomial_steps", 1000), 1, "params.binomial_steps")
     n_paths = _at_least(p.get("mc_paths", 100_000), 2, "params.mc_paths")
 
@@ -153,7 +164,7 @@ def _run_price(params: dict, seed: int):
 def _run_sphere(params: dict, seed: int):
     p = parse_block(params, "params", required={"rho": None, "state": None, "direction": None},
                     optional={"n_trials": count, "workers": count})
-    rho = RhoDistribution.from_dict(p["rho"])
+    rho = RhoDistribution.from_dict(p["rho"], "params.rho")
     state = _as_direction(p["state"], "params.state")
     direction = _as_direction(p["direction"], "params.direction")
     n_trials = _at_least(p.get("n_trials", 100_000), 1, "params.n_trials")
@@ -181,7 +192,7 @@ def _run_bell_scan(params: dict, seed: int):
         raise ConfigParseError(
             "exactly one of 'theta' (radians) or 'theta_degrees' is required in 'params'"
         )
-    rho = RhoDistribution.from_dict(p["rho"])
+    rho = RhoDistribution.from_dict(p["rho"], "params.rho")
     theta = p["theta"] if "theta" in p else math.radians(p["theta_degrees"])
     if not 0.0 < theta < math.pi:
         key, bound = ("theta", "pi") if "theta" in p else ("theta_degrees", "180")
@@ -208,7 +219,8 @@ def _run_market(params: dict, seed: int):
     cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market,
                                  "params.market")
     _at_least(cfg.n_steps, MIN_TRADES, "params.market.n_steps")  # for the return statistics
-    gbm = None if p.get("compare_gbm") is None else GbmParams.from_dict(p["compare_gbm"])
+    gbm = p.get("compare_gbm")
+    gbm = None if gbm is None else GbmParams.from_dict(gbm, "params.compare_gbm")
     # constant log returns have no kurtosis and no autocorrelations
     if gbm is not None and gbm.sigma == 0.0:
         raise ValueError("'params.compare_gbm.sigma' must be positive: "
@@ -241,7 +253,7 @@ def _run_convergence(params: dict, seed: int):
     steps = p.get("steps", [50, 100, 200, 400, 800, 1600])
     if len(set(steps)) < 2:
         raise ConfigParseError("'params.steps' needs at least two distinct entries")
-    spec = OptionSpec.from_dict(p["spec"])
+    spec = _european_spec(p["spec"])
 
     reference = bs_price(spec)
     errors = [abs(binomial_price(spec, n) - reference) for n in steps]

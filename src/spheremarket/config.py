@@ -3,8 +3,9 @@
 Unknown or missing keys, bools where a number is expected, counts that are
 not integers and non-finite numbers raise ConfigParseError naming the key;
 values of the right type but out of range are left to the constructors,
-which also reject NaN and infinities themselves (``require_finite``) when
-built from Python.
+which raise a FieldError naming the field (and reject NaN and infinities
+themselves, ``require_finite``, when built from Python).  ``build`` turns
+that field into the key's dotted path under the block's own path.
 """
 
 from __future__ import annotations
@@ -17,6 +18,23 @@ from .geometry import UnitVector3
 
 class ConfigParseError(ValueError):
     """Malformed config: bad JSON, wrong types, unknown or missing keys."""
+
+
+class FieldError(ValueError):
+    """A field value out of range: ``field`` and what is wrong with it."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field, self.problem = field, problem
+
+
+def build(cls, path: str, fields: dict):
+    """``cls(**fields)`` for the block at ``path``; a FieldError becomes a
+    ValueError naming the key ``path.field``."""
+    try:
+        return cls(**fields)
+    except FieldError as exc:
+        raise ValueError(f"'{path}.{exc.field}' {exc.problem}") from None
 
 
 def parse_block(d, context: str, required=None, optional=None) -> dict:
@@ -45,12 +63,12 @@ def block_kind(d, context: str, kinds) -> str:
 
 
 def require_finite(obj, *names: str):
-    """ValueError naming the first field of ``obj`` in ``names`` that is NaN
+    """FieldError naming the first field of ``obj`` in ``names`` that is NaN
     or infinite."""
     for name in names:
         value = getattr(obj, name)
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise FieldError(name, f"must be finite, got {value!r}")
 
 
 def number(value, name: str) -> float:
@@ -71,6 +89,18 @@ def flag(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigParseError(f"'{name}' must be true or false, got {value!r}")
     return value
+
+
+def member(enum_cls):
+    """A converter to the member of ``enum_cls`` with the given value;
+    ValueError naming the key for any other value."""
+    def conv(value, name: str):
+        try:
+            return enum_cls(value)
+        except ValueError:
+            allowed = ", ".join(repr(m.value) for m in enum_cls)
+            raise ValueError(f"'{name}' must be one of {allowed}, got {value!r}") from None
+    return conv
 
 
 def items(conv, value, name: str, length: int | None = None) -> list:

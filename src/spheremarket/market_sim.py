@@ -20,7 +20,16 @@ from typing import Optional
 
 import numpy as np
 
-from .config import block_kind, count, number, parse_block, require_finite, unit_vector
+from .config import (
+    FieldError,
+    block_kind,
+    build,
+    count,
+    number,
+    parse_block,
+    require_finite,
+    unit_vector,
+)
 from .geometry import (
     UnitVector3,
     _check_unit_rows,
@@ -54,9 +63,9 @@ class NewsSeries:
     def __post_init__(self):
         require_finite(self, "angle", "rate")
         if self.kind not in ("constant", "drift"):
-            raise ValueError(f"unknown news series kind: {self.kind!r}")
+            raise FieldError("kind", f"must be 'constant' or 'drift', got {self.kind!r}")
         if self.kind == "constant" and self.rate != 0.0:
-            raise ValueError("constant news cannot have a drift rate")
+            raise FieldError("rate", "must be 0: constant news cannot drift")
 
     def direction(self, step: int) -> UnitVector3:
         return UnitVector3(*self._direction_xyz(step))
@@ -69,8 +78,8 @@ class NewsSeries:
 
     @staticmethod
     def from_dict(d: dict, path: str = "news") -> "NewsSeries":
-        return NewsSeries(**parse_block(d, path, optional={"kind": None, "angle": number,
-                                                           "rate": number}))
+        return build(NewsSeries, path, parse_block(d, path, optional={
+            "kind": None, "angle": number, "rate": number}))
 
 
 def _check_noise(noise_angle: float, name: str = "noise_angle") -> float:
@@ -135,12 +144,12 @@ class MarketConfig:
 
     def __post_init__(self):
         if self.n_steps < 1:
-            raise ValueError("n_steps must be positive")
+            raise FieldError("n_steps", "must be positive")
         require_finite(self, "price_min", "price_max")
         if not self.price_min < self.price_max:
-            raise ValueError("price_min must be below price_max")
+            raise FieldError("price_min", "must be below price_max")
         if self.price_min <= 0:
-            raise ValueError("price_min must be positive (log returns)")
+            raise FieldError("price_min", "must be positive (log returns)")
 
     def to_dict(self) -> dict:
         return {
@@ -161,9 +170,9 @@ class MarketConfig:
             required={"rho": None, "n_steps": count, "regime": None, "seed": count},
             optional={"price_axis": unit_vector, "price_min": number, "price_max": number},
         )
-        p["rho"] = RhoDistribution.from_dict(p["rho"])
+        p["rho"] = RhoDistribution.from_dict(p["rho"], f"{path}.rho")
         p["regime"] = regime_from_dict(p["regime"], f"{path}.regime")
-        return MarketConfig(**p)
+        return build(MarketConfig, path, p)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import count, number, parse_block, require_finite
+from .config import FieldError, build, count, member, number, parse_block, require_finite
 from .ndtr import erfc
 from .streams import map_chunks
 
@@ -53,21 +53,22 @@ class OptionSpec:
 
     def __post_init__(self):
         require_finite(self, "spot", "strike", "rate", "sigma", "tau")
-        if self.spot <= 0 or self.strike <= 0:
-            raise ValueError("spot and strike must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        for name in ("spot", "strike"):
+            if getattr(self, name) <= 0:
+                raise FieldError(name, "must be positive")
+        for name in ("sigma", "tau"):
+            if getattr(self, name) < 0:
+                raise FieldError(name, "must be nonnegative")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "kind": self.kind.value, "style": self.style.value}
 
     @staticmethod
-    def from_dict(d: dict) -> "OptionSpec":
-        return OptionSpec(**parse_block(
-            d, "spec", required=dict.fromkeys(("spot", "strike", "rate", "sigma", "tau"), number),
-            optional={"kind": lambda v, _: OptionKind(v), "style": lambda v, _: ExerciseStyle(v)},
+    def from_dict(d: dict, path: str = "spec") -> "OptionSpec":
+        """The spec of block ``d``; errors name keys under ``path``."""
+        return build(OptionSpec, path, parse_block(
+            d, path, required=dict.fromkeys(("spot", "strike", "rate", "sigma", "tau"), number),
+            optional={"kind": member(OptionKind), "style": member(ExerciseStyle)},
         ))
 
 
@@ -150,21 +151,22 @@ class GbmParams:
     def __post_init__(self):
         require_finite(self, "s0", "drift", "sigma", "horizon")
         if self.s0 <= 0:
-            raise ValueError("s0 must be positive")
+            raise FieldError("s0", "must be positive")
         if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+            raise FieldError("sigma", "must be nonnegative")
         if self.steps < 1:
-            raise ValueError("need at least one step")
+            raise FieldError("steps", "must be at least 1")
         if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+            raise FieldError("horizon", "must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @staticmethod
-    def from_dict(d: dict) -> "GbmParams":
-        return GbmParams(**parse_block(
-            d, "compare_gbm",
+    def from_dict(d: dict, path: str = "compare_gbm") -> "GbmParams":
+        """The parameters of block ``d``; errors name keys under ``path``."""
+        return build(GbmParams, path, parse_block(
+            d, path,
             required={**dict.fromkeys(("s0", "drift", "sigma", "horizon"), number), "steps": count},
         ))
 

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import block_kind, items, number, parse_block
+from .config import FieldError, block_kind, build, items, number, parse_block, require_finite
 from .geometry import UnitVector3, dot, sample_uniform_array
 from .kolmogorov_check import AgreementTable, pair_indices
 from .ndtr import ndtr
@@ -77,17 +77,19 @@ class RhoDistribution:
         """An array of ``size`` break points drawn from ``rng``."""
         return self.quantile(rng.random(size) if self.draws else np.zeros(size))
 
-    def monotone_pieces(self) -> np.ndarray | None:
-        """Ascending edges 0 = e_0 < ... < e_k = 1 such that ``quantile`` is
-        nondecreasing in floating point on every piece [e_i, e_i+1); None
-        when that is not known."""
-        return None
+    def monotone_pieces(self) -> tuple[np.ndarray, float]:
+        """(edges, slack): ascending edges 0 = e_0 < ... < e_k = 1 such that,
+        in floating point, ``quantile`` never falls by more than ``slack`` as
+        u rises within a piece [e_i, e_i+1).  A slack of 0 means quantile is
+        nondecreasing on every piece."""
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
 
     @staticmethod
-    def from_dict(d: dict) -> "RhoDistribution":
+    def from_dict(d: dict, path: str = "rho") -> "RhoDistribution":
+        """The density of block ``d``; errors name keys under ``path``."""
         numbers = partial(items, number)
         kinds = {
             "uniform": (UniformRho, {}),
@@ -95,10 +97,10 @@ class RhoDistribution:
             "piecewise": (PiecewiseConstantRho, {"breakpoints": numbers, "densities": numbers}),
             "truncated_gaussian": (TruncatedGaussianRho, {"center": number, "width": number}),
         }
-        cls, fields = kinds[block_kind(d, "rho", kinds)]
-        p = parse_block(d, "rho", required={"kind": None, **fields})
+        cls, fields = kinds[block_kind(d, path, kinds)]
+        p = parse_block(d, path, required={"kind": None, **fields})
         del p["kind"]
-        return cls(**p)
+        return build(cls, path, p)
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class UniformRho(RhoDistribution):
         return x
 
     def monotone_pieces(self):
-        return _UNIT_PIECE  # a multiply and a subtract, both monotone
+        return _UNIT_PIECE, 0.0  # a multiply and a subtract, both monotone
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class DeltaRho(RhoDistribution):
 
     def __post_init__(self):
         if not -1.0 < self.x0 < 1.0:
-            raise ValueError("delta break point must lie strictly inside (-1, 1)")
+            raise FieldError("x0", "must lie strictly inside (-1, 1)")
 
     def _cdf_inside(self, x):
         return 1.0 if x >= self.x0 else 0.0
@@ -142,7 +144,7 @@ class DeltaRho(RhoDistribution):
         return np.full(np.shape(u), self.x0)
 
     def monotone_pieces(self):
-        return _UNIT_PIECE
+        return _UNIT_PIECE, 0.0
 
 
 @dataclass(frozen=True)
@@ -163,22 +165,25 @@ class PiecewiseConstantRho(RhoDistribution):
         bp = np.asarray(self.breakpoints, dtype=float)
         dens = np.asarray(self.densities, dtype=float)
         if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("need at least two breakpoints")
+            raise FieldError("breakpoints", "must hold at least two values")
         if dens.shape != (bp.size - 1,):
-            raise ValueError("densities must have one entry per cell")
+            raise FieldError("densities", "must have one entry per cell")
         for name, values in (("breakpoints", bp), ("densities", dens)):
             if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite, got {values.tolist()}")
+                raise FieldError(name, f"must be finite, got {values.tolist()}")
         if bp[0] != -1.0 or bp[-1] != 1.0:
-            raise ValueError("breakpoints must span [-1, 1]")
+            raise FieldError("breakpoints", "must span [-1, 1]")
         if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly ascending")
+            raise FieldError("breakpoints", "must be strictly ascending")
         if dens.min() < 0:
-            raise ValueError("densities must be nonnegative")
+            raise FieldError("densities", "must be nonnegative")
         mass = dens * np.diff(bp)
         total = mass.sum()
         if total <= 0:
-            raise ValueError("density must have positive total mass")
+            raise FieldError("densities", "must give positive total mass")
+        if math.isinf(float(dens.max()) / float(total)):
+            raise FieldError("densities", f"give total mass {float(total)!r}, too small to "
+                             "normalize to finite levels")
         dens = dens / total
         cum = np.concatenate([[0.0], np.cumsum(mass / total)])
         cum[-1] = 1.0  # pin against cumsum roundoff
@@ -201,7 +206,7 @@ class PiecewiseConstantRho(RhoDistribution):
         # u in [_cum[i], _cum[i+1]) keeps the cell index i fixed, and a
         # subtract, a divide by a positive density, an add and a minimum
         # are each monotone in IEEE arithmetic
-        return np.unique(np.minimum(self._cum, 1.0))
+        return np.unique(np.minimum(self._cum, 1.0)), 0.0
 
 
 @dataclass(frozen=True)
@@ -219,15 +224,14 @@ class TruncatedGaussianRho(RhoDistribution):
     kind = "truncated_gaussian"
 
     def __post_init__(self):
-        if not (math.isfinite(self.center) and math.isfinite(self.width)):
-            raise ValueError("center and width must be finite")
+        require_finite(self, "center", "width")
         if self.width <= 0:
-            raise ValueError("width must be positive")
+            raise FieldError("width", "must be positive")
         lo = ndtr((-1.0 - self.center) / self.width)
         hi = ndtr((1.0 - self.center) / self.width)
         if not hi > lo:
-            raise ValueError(f"truncated Gaussian (center {self.center!r}, width "
-                             f"{self.width!r}) has no mass inside [-1, 1]")
+            raise FieldError("center", f"{self.center!r} at width {self.width!r} leaves the "
+                             "truncated Gaussian no mass inside [-1, 1]")
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
 
@@ -241,6 +245,25 @@ class TruncatedGaussianRho(RhoDistribution):
         lo, hi = self._lo, self._hi
         x = self.center + self.width * ndtri(lo + u * (hi - lo))
         return np.clip(x, -1.0, _BELOW_ONE)
+
+    def monotone_pieces(self):
+        """One piece, with slack 2**-29 (1 + |c|) for center c, about
+        1.9e-9 (1 + |c|).
+
+        quantile is clip(c + w * ndtri(p)) with p = lo + u * (hi - lo).  The
+        map u -> p, the multiply, the add and the clip are monotone IEEE
+        operations; ``ndtri`` is not, so quantile can fall between adjacent
+        doubles.  ``ndtri`` is accurate to a few ulps relative to its value
+        (over 3.2e8 adjacent pairs of p it fell by at most 1.01e-15 |z|), and
+        |z| stays within max(|z_lo|, |z_hi|) for the standardized ends
+        z_lo = (-1 - c) / w and z_hi = (1 - c) / w, where w |z_lo| and
+        w |z_hi| are at most 1 + |c|.  So between any two u, w * ndtri falls
+        by at most about 2e-15 (1 + |c|); the multiply and the add each round
+        by at most 2**-53 of a value below 1 + 2 |c|, so quantile falls by
+        less than 1e-14 (1 + |c|).  The slack is 10**5 times that, which also
+        covers the rounding of d - slack and d + slack.
+        """
+        return _UNIT_PIECE, 2.0 ** -29 * (1.0 + abs(self.center))
 
 
 def rho_cdf(rho: RhoDistribution, x: float) -> float:
@@ -280,34 +303,51 @@ def simulate_measurement(rho: RhoDistribution, state: UnitVector3,
     return break_elastic(state, u, float(rho.sample(rng, 1)[0]))
 
 
-def _below_intervals(rho: RhoDistribution, d: float) -> list[tuple[float, float]] | None:
-    """The disjoint, ascending, non-touching intervals [a, b) whose union is
-    exactly {u in [0, 1) : rho.quantile(u) < d}; None when rho has no
-    ``monotone_pieces``.
+Intervals = list[tuple[float, float]]
 
-    On each piece the set is a prefix, so its end is the first u with
-    quantile(u) >= d.  All pieces are bisected at once on the int64 bit
-    patterns of their nonnegative doubles, which order as the doubles do,
-    and every candidate goes through ``rho.quantile`` itself.
-    """
-    edges = rho.monotone_pieces()
-    if edges is None:
-        return None
-    bits = edges.view(np.int64)
-    lo, hi = bits[:-1].copy(), bits[1:].copy()
-    while (open_ := lo < hi).any():
-        mid = lo + (hi - lo) // 2
-        below = rho.quantile(mid.view(np.float64)) < d
-        lo = np.where(open_ & below, mid + 1, lo)
-        hi = np.where(open_ & ~below, mid, hi)
-    intervals = []
-    for a, b in zip(edges[:-1].tolist(), lo.view(np.float64).tolist()):
+
+def _merged(intervals) -> Intervals:
+    """The nonempty ascending intervals [a, b), touching ones joined."""
+    out = []
+    for a, b in intervals:
         if a == b:
             continue
-        if intervals and intervals[-1][1] == a:
-            a = intervals.pop()[0]
-        intervals.append((a, b))
-    return intervals
+        if out and out[-1][1] == a:
+            a = out.pop()[0]
+        out.append((a, b))
+    return out
+
+
+def _below_intervals(rho: RhoDistribution, d: float) -> tuple[Intervals, Intervals]:
+    """(below, band), each a list of disjoint, ascending, non-touching
+    intervals [a, b) of [0, 1).  Every u in ``below`` has
+    rho.quantile(u) < d, no u outside both lists has, and the u in ``band``
+    must be decided by quantile itself.
+
+    With ``edges, slack = rho.monotone_pieces()``, each piece is bisected for
+    a u0 whose quantile is at least t while the double before it (if in the
+    piece) has quantile below t: once at t = d - slack and once at
+    t = d + slack, or once at t = d when slack is 0.  Since quantile falls by
+    at most slack within a piece, every u before the first u0 is below d
+    and no u from the second u0 on is; between them lies the band, empty
+    when slack is 0.  All pieces and thresholds are bisected at once on the
+    int64 bit patterns of their nonnegative doubles, which order as the
+    doubles do, and every candidate goes through ``rho.quantile`` itself.
+    """
+    edges, slack = rho.monotone_pieces()
+    thresholds = np.array([d - slack, d + slack] if slack else [d])
+    k = edges.size - 1
+    t = np.repeat(thresholds, k)
+    bits = edges.view(np.int64)
+    lo, hi = np.tile(bits[:-1], thresholds.size), np.tile(bits[1:], thresholds.size)
+    while (open_ := lo < hi).any():
+        mid = lo + (hi - lo) // 2
+        below = rho.quantile(mid.view(np.float64)) < t
+        lo = np.where(open_ & below, mid + 1, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+    ends = lo.view(np.float64).tolist()
+    first, last = ends[:k], ends[-k:]
+    return _merged(zip(edges[:-1].tolist(), first)), _merged(zip(first, last))
 
 
 def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
@@ -317,27 +357,32 @@ def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
     Trials run in chunks of CHUNK_TRIALS on the counter-based streams of
     ``streams.map_chunks``, so trial outcomes depend only on (seed, trial
     index) and never on worker scheduling.  Trial k is O1 when the break
-    point quantile(uniform k) falls below v.u.  A density with
-    ``monotone_pieces`` counts the chunk's uniforms inside the exact
-    ``_below_intervals`` instead of building break points, with the same
-    counts; when the intervals are empty or all of [0, 1) no trial draws.
+    point quantile(uniform k) falls below v.u.  Each chunk draws the
+    uniforms that ``rho.sample`` would and counts those inside the
+    ``_below_intervals``, plus those in the band whose quantile falls below
+    v.u, which gives the sampled counts without building break points; when
+    the intervals are empty or all of [0, 1) and there is no band, no trial
+    draws.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     check_workers(n_workers)
     d = dot(state, u)
-    intervals = _below_intervals(rho, d)
-    if intervals is None:
-        def run_chunk(rng, lo, size) -> int:
-            return int(np.count_nonzero(rho.sample(rng, size=size) < d))
-    elif intervals in ([], [(0.0, 1.0)]):
-        n1 = n_trials if intervals else 0
+    below, band = _below_intervals(rho, d)
+    if not band and below in ([], [(0.0, 1.0)]):
+        n1 = n_trials if below else 0
         return n1, n_trials - n1
-    else:
-        def run_chunk(rng, lo, size) -> int:
-            r = rng.random(size)
-            return sum(int(np.count_nonzero(r < b)) - (int(np.count_nonzero(r < a)) if a else 0)
-                       for a, b in intervals)
+    # the interval ends whose count of uniforms below them a chunk needs
+    cuts = {x for interval in below + band for x in interval} - {0.0, 1.0}
+
+    def run_chunk(rng, lo, size) -> int:
+        r = rng.random(size)
+        n_below = {0.0: 0, 1.0: size, **{x: int(np.count_nonzero(r < x)) for x in cuts}}
+        n1 = sum(n_below[b] - n_below[a] for a, b in below)
+        for a, b in band:
+            if n_below[b] > n_below[a]:
+                n1 += int(np.count_nonzero(rho.quantile(r[(a <= r) & (r < b)]) < d))
+        return n1
 
     n1 = sum(map_chunks(run_chunk, n_trials, CHUNK_TRIALS, seed, n_workers))
     return n1, n_trials - n1

@@ -152,6 +152,50 @@ class TestErrorHandling:
         assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("key, payload", [
+        ("params.spec.style", {"experiment": "price", "params": {
+            "spec": dict(ATM_SPEC, style="american")}}),
+        ("params.spec.style", {"experiment": "convergence", "params": {
+            "spec": dict(ATM_SPEC, style="american"), "steps": [10, 20]}}),
+        ("params.spec.kind", {"experiment": "price", "params": {
+            "spec": dict(ATM_SPEC, kind="straddle")}}),
+        ("params.spec.sigma", {"experiment": "price", "params": {
+            "spec": dict(ATM_SPEC, sigma=-0.2)}}),
+        ("params.spec.strike", {"experiment": "convergence", "params": {
+            "spec": dict(ATM_SPEC, strike=0.0), "steps": [10, 20]}}),
+        ("params.rho.densities", {"experiment": "sphere", "params": {
+            "rho": {"kind": "piecewise", "breakpoints": [-1, 1], "densities": [0]},
+            "state": [0, 0, 1], "direction": [1, 0, 0]}}),
+        ("params.rho.width", {"experiment": "sphere", "params": {
+            "rho": {"kind": "truncated_gaussian", "center": 0.0, "width": -0.3},
+            "state": [0, 0, 1], "direction": [1, 0, 0]}}),
+        ("params.rho.x0", {"experiment": "bell-scan", "params": {
+            "rho": {"kind": "delta", "x0": 1.0}, "theta_degrees": 60}}),
+        ("params.compare_gbm.sigma", {"experiment": "market", "params": {
+            "market": {"rho": {"kind": "uniform"}, "n_steps": 40,
+                       "regime": {"kind": "local", "noise_angle": 0.4}},
+            "compare_gbm": {"s0": 100.0, "drift": 0.0, "sigma": -0.2, "horizon": 1.0,
+                            "steps": 40}}}),
+        ("params.market.rho.densities", {"experiment": "market", "params": {"market": {
+            "rho": {"kind": "piecewise", "breakpoints": [-1, 1], "densities": [-1]},
+            "n_steps": 40, "regime": {"kind": "local", "noise_angle": 0.4}}}}),
+        ("params.market.price_min", {"experiment": "market", "params": {"market": {
+            "rho": {"kind": "uniform"}, "n_steps": 40, "price_min": 150.0,
+            "regime": {"kind": "local", "noise_angle": 0.4}}}}),
+        ("params.market.regime.news.rate", {"experiment": "market", "params": {"market": {
+            "rho": {"kind": "uniform"}, "n_steps": 40, "regime": {
+                "kind": "global", "noise_angle": 0.4,
+                "news": {"kind": "constant", "angle": 0.5, "rate": 0.1}}}}}),
+    ], ids=["american", "american-convergence", "kind", "spec_sigma", "strike0",
+            "densities0", "width", "x0", "gbm_sigma", "market_densities", "price_min",
+            "constant_news_rate"])
+    def test_out_of_range_field_named(self, tmp_path, capsys, key, payload):
+        # each once exited 3 with the field's bare message, or none at all
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(params, seed):
             raise RuntimeError("solver exploded")

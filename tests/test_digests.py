@@ -5,9 +5,9 @@ stdout is captured; their SHA-256 digests must equal those recorded in
 perfbench/digests.json.  Under other numpy or scipy versions than the
 recorded ones, only the exit code and the set of written files are checked.
 The trade logs of one market per rho kind and regime (with and without
-context noise), of one ensemble, and the bytes of one array draw per rho
-kind are pinned the same way, since the demo configs trade only on the
-uniform elastic.
+context noise), of one ensemble, the bytes of one array draw per rho kind
+and a truncated-Gaussian sphere report are pinned the same way, since the
+demo configs trade and count only on the uniform elastic.
 """
 
 import hashlib
@@ -218,3 +218,26 @@ def test_measurement_count_pins(case, seed, workers):
     rho, state, u = COUNT_CASES[case]
     assert measurement_counts(rho, state, u, 150_000, seed, n_workers=workers) == \
         COUNT_PINS[f"{case}@{seed}"]
+
+
+# SHA-256 of the sphere report of a truncated Gaussian at 150,000 trials,
+# seed 5, by worker count (the report echoes ``workers``)
+SPHERE_CONFIG = {"experiment": "sphere", "seed": 5, "params": {
+    "rho": {"kind": "truncated_gaussian", "center": 0.1, "width": 0.4},
+    "state": {"theta": 1.1, "phi": 0.3}, "direction": {"theta": 0.4, "phi": 2.0},
+    "n_trials": 150_000}}
+SPHERE_REPORT_DIGESTS = {
+    1: "031918e2ee5551e7ebe84658d097f99315b0c24cea735d7778312db0903c83d3",
+    2: "8b1063bd9ebb2d233707cbc2e7a11012bc1810fcb6482540c61f32204dae0cf2",
+}
+
+
+@pytest.mark.parametrize("workers", sorted(SPHERE_REPORT_DIGESTS))
+def test_truncated_gaussian_sphere_report(workers, tmp_path, recorded_versions_differ):
+    config = tmp_path / "sphere.json"
+    config.write_text(json.dumps({**SPHERE_CONFIG, "params": {**SPHERE_CONFIG["params"],
+                                                              "workers": workers}}))
+    out = tmp_path / "out"
+    assert cli_runner.run(str(config), out_dir=str(out)) == cli_runner.EXIT_OK
+    check_digests({"sphere_report.json": SPHERE_REPORT_DIGESTS[workers]},
+                  {p.name: p.read_bytes() for p in out.iterdir()}, recorded_versions_differ)

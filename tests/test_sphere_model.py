@@ -101,6 +101,12 @@ class TestRhoCdf:
         with pytest.raises(ValueError):
             PiecewiseConstantRho([-1.0, 1.0], [0.0])  # zero total mass
 
+    def test_piecewise_mass_too_small_to_normalize_rejected(self):
+        # the only mass sits on a subnormal-width cell: normalizing once
+        # overflowed to an infinite density (a RuntimeWarning)
+        with pytest.raises(ValueError, match="^densities give total mass 2.2250738585e-313"):
+            PiecewiseConstantRho([-1.0, 0.0, 2.2250738585e-313, 1.0], [0.0, 1.0, 0.0])
+
     def test_piecewise_zero_cell_never_sampled(self):
         # zero-density middle cell: the inverse CDF must skip the plateau
         rho = PiecewiseConstantRho([-1.0, -0.5, 0.5, 1.0], [1.0, 0.0, 1.0])
@@ -283,28 +289,32 @@ class TestSimulateMeasurement:
 
 
 @st.composite
-def monotone_rhos(draw):
-    """Densities with ``monotone_pieces``: uniform, delta and piecewise with
-    1-8 cells, some of density 0."""
-    kind = draw(st.sampled_from(["uniform", "delta", "piecewise"]))
+def counted_rhos(draw):
+    """Every density kind: uniform, delta, piecewise with 1-8 cells (some of
+    density 0), and truncated Gaussians with center in [-1.5, 1.5] and width
+    in [0.05, 2]."""
+    kind = draw(st.sampled_from(["uniform", "delta", "piecewise", "truncated_gaussian"]))
     inside = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
     if kind == "uniform":
         return UniformRho()
     if kind == "delta":
         return DeltaRho(draw(inside))
-    n = draw(st.integers(1, 8))
-    inner = sorted(draw(st.lists(inside, min_size=n - 1, max_size=n - 1, unique=True)))
-    levels = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=n, max_size=n))
-    cells = np.diff([-1.0, *inner, 1.0])
-    assume(sum(level * width for level, width in zip(levels, cells)) > 0.0)
-    return PiecewiseConstantRho([-1.0, *inner, 1.0], levels)
+    try:
+        if kind == "truncated_gaussian":
+            return TruncatedGaussianRho(draw(st.floats(-1.5, 1.5)), draw(st.floats(0.05, 2.0)))
+        n = draw(st.integers(1, 8))
+        inner = sorted(draw(st.lists(inside, min_size=n - 1, max_size=n - 1, unique=True)))
+        levels = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=n, max_size=n))
+        return PiecewiseConstantRho([-1.0, *inner, 1.0], levels)
+    except ValueError:  # no mass in double precision, or too little to normalize
+        assume(False)
 
 
 def critical_coordinates(rho, data, rng) -> tuple[float, np.ndarray]:
     """An elastic coordinate d drawn from the breakpoints, from quantile
     values and from their neighbours, and uniforms that hold every piece
     edge, the float just below it and random draws."""
-    edges = rho.monotone_pieces()
+    edges, _ = rho.monotone_pieces()
     u = np.concatenate([rng.random(2000), edges[:-1], np.nextafter(edges[1:], 0.0)])
     points = [-1.0, 1.0, *getattr(rho, "breakpoints", []), *rho.quantile(u).tolist()]
     d = data.draw(st.sampled_from(points))
@@ -324,6 +334,20 @@ def in_intervals(u: np.ndarray, intervals) -> np.ndarray:
     return inside
 
 
+def classify(rho, d: float, u: np.ndarray) -> np.ndarray:
+    """O1 as ``measurement_counts`` decides it: inside the intervals below
+    d, or inside the band with a break point below d."""
+    below, band = _below_intervals(rho, d)
+    return in_intervals(u, below) | (in_intervals(u, band) & (rho.quantile(u) < d))
+
+
+def interval_ends(intervals) -> np.ndarray:
+    """Every end of ``intervals`` and the floats on each side of it, in [0, 1)."""
+    ends = np.array(intervals, dtype=float).ravel()
+    u = np.concatenate([ends, np.nextafter(ends, 0.0), np.nextafter(ends, 1.0)])
+    return u[u < 1.0]
+
+
 def sampled_count(rho, d: float, n_trials: int, seed: int) -> int:
     """The O1 count from sampled break points: every chunk's comparison
     before the thresholds."""
@@ -332,18 +356,30 @@ def sampled_count(rho, d: float, n_trials: int, seed: int) -> int:
 
 
 class TestBelowIntervals:
-    @given(rho=monotone_rhos(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    @given(rho=counted_rhos(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_select_exactly_the_uniforms_below(self, rho, data, seed):
-        d, u = critical_coordinates(rho, data, np.random.default_rng(seed))
-        intervals = _below_intervals(rho, d)
-        ends = np.array(intervals, dtype=float).ravel()
-        # disjoint, ascending and never touching, inside [0, 1]
-        assert np.all(np.diff(ends) > 0) and (ends.size == 0 or 0.0 <= ends[0] <= ends[-1] <= 1.0)
-        u = np.concatenate([u, ends[ends < 1.0], np.nextafter(ends, 0.0)])
-        np.testing.assert_array_equal(in_intervals(u, intervals), rho.quantile(u) < d)
+        rng = np.random.default_rng(seed)
+        d, u = critical_coordinates(rho, data, rng)
+        below, band = _below_intervals(rho, d)
+        # each list disjoint, ascending and never touching, inside [0, 1]
+        for intervals in (below, band):
+            ends = np.array(intervals, dtype=float).ravel()
+            assert np.all(np.diff(ends) > 0)
+            assert ends.size == 0 or 0.0 <= ends[0] <= ends[-1] <= 1.0
+        assert not in_intervals(np.array(band).ravel(), below).any()
+        # the band is empty without slack, and holds only uniforms whose
+        # break point lies within twice the slack of d
+        _, slack = rho.monotone_pieces()
+        assert slack > 0.0 or band == []
+        for a, b in band:
+            last = np.nextafter(b, 0.0)
+            inside = np.concatenate([[a, last], np.minimum(rng.uniform(a, b, 100), last)])
+            assert np.all(np.abs(rho.quantile(inside) - d) <= 2.0 * slack)
+        u = np.concatenate([u, interval_ends(below), interval_ends(band)])
+        np.testing.assert_array_equal(classify(rho, d, u), rho.quantile(u) < d)
 
-    @given(rho=monotone_rhos(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+    @given(rho=counted_rhos(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
            n_trials=st.sampled_from([1, CHUNK_TRIALS, CHUNK_TRIALS + 4465]))
     @settings(max_examples=60, deadline=None)
     def test_counts_match_sampled_break_points(self, rho, data, seed, n_trials):
@@ -357,11 +393,11 @@ class TestBelowIntervals:
         # -0.23, where the second cell starts: the uniforms below it form two
         # intervals, the second one starting at the cell edge
         rho = PiecewiseConstantRho([-1.0, -0.23, 0.99, 1.0], [2.9, 2.1, 2.0])
-        edge = rho.monotone_pieces()[1]
+        edge = rho.monotone_pieces()[0][1]
         d = float(rho.quantile(np.nextafter(edge, 0.0)))
         assert d > -0.23
-        intervals = _below_intervals(rho, d)
-        assert len(intervals) == 2 and intervals[1][0] == edge
+        intervals, band = _below_intervals(rho, d)
+        assert len(intervals) == 2 and intervals[1][0] == edge and band == []
         # the 8 floats on each side of the edge
         near = (np.array([edge]).view(np.int64) + np.arange(-8, 9)).view(np.float64)
         u = np.concatenate([near, np.array(intervals).ravel()])
@@ -369,8 +405,40 @@ class TestBelowIntervals:
         n1 = sampled_count(rho, d, 100_000, 3)
         assert measurement_counts(rho, at_coordinate(d), POLE, 100_000, 3) == (n1, 100_000 - n1)
 
-    def test_truncated_gaussian_keeps_sampling(self):
-        assert _below_intervals(TruncatedGaussianRho(center=0.1, width=0.4), 0.3) is None
+    def test_band_decides_a_falling_truncated_gaussian_pair(self, monkeypatch):
+        # quantile falls between these adjacent doubles, so the uniforms whose
+        # break point lies below d are not a prefix of [0, 1)
+        rho = TruncatedGaussianRho(center=0.1, width=0.4)
+        u0, d = 0.15345456636464716, -0.307600527589001
+        pair = np.array([u0, math.nextafter(u0, 1.0)])
+        assert rho.quantile(pair).tolist() == [d, -0.30760052758900114]
+        below, band = _below_intervals(rho, d)
+        assert len(below) == len(band) == 1 and below[0] == (0.0, band[0][0])
+        assert band[0][0] < u0 < band[0][1]
+        # the 16 floats on each side of u0, and the band edges with theirs
+        near = (np.array([u0]).view(np.int64) + np.arange(-16, 17)).view(np.float64)
+        u = np.concatenate([near, interval_ends(band)])
+        np.testing.assert_array_equal(classify(rho, d, u), rho.quantile(u) < d)
+        n1 = sampled_count(rho, d, 200_000, 4)
+        assert measurement_counts(rho, at_coordinate(d), POLE, 200_000, 4) == (n1, 200_000 - n1)
+        # without slack one threshold splits [0, 1), and it must misplace u0
+        # or its neighbour
+        monkeypatch.setattr(TruncatedGaussianRho, "monotone_pieces",
+                            lambda self: (np.array([0.0, 1.0]), 0.0))
+        below, band = _below_intervals(rho, d)
+        assert band == []
+        assert in_intervals(pair, below).tolist() != (rho.quantile(pair) < d).tolist()
+
+    @pytest.mark.parametrize("center, width", [(0.1, 0.4), (0.0, 0.05), (1.5, 0.05),
+                                               (-1.2, 0.05), (0.9, 2.0), (-0.3, 1.0)])
+    def test_truncated_gaussian_falls_far_inside_its_slack(self, center, width):
+        # the slack is meant to sit 10**5 above the largest fall of quantile
+        rho = TruncatedGaussianRho(center=center, width=width)
+        _, slack = rho.monotone_pieces()
+        u = np.sort(np.random.default_rng(8).random(1 << 18))
+        q = rho.quantile(u)
+        assert np.max(np.maximum.accumulate(q) - q) <= slack * 1e-4
+        assert np.max(q - rho.quantile(np.nextafter(u, 1.0))) <= slack * 1e-4
 
 
 class TestSequentialAgreement:
