@@ -28,7 +28,8 @@ import tempfile
 
 import numpy as np
 
-from .config import ConfigParseError, count, flag, items, number, parse_block, unit_vector
+from .config import (ConfigParseError, at_least, count, flag, items, member, number,
+                     parse_block, unit_vector)
 from .geometry import UnitVector3, from_polar
 from .kolmogorov_check import (
     SCAN_MODES,
@@ -37,7 +38,6 @@ from .kolmogorov_check import (
     facets_feasible,
     joint_feasibility,
     random_agreement_table,
-    resolve_scan_mode,
     sphere_bell_scan,
 )
 from .market_sim import (
@@ -49,7 +49,6 @@ from .market_sim import (
     trades_to_csv,
 )
 from .pricing import (
-    ExerciseStyle,
     GbmParams,
     OptionKind,
     OptionSpec,
@@ -79,32 +78,17 @@ def _as_direction(value, context: str) -> UnitVector3:
     return unit_vector(value, context)
 
 
-def _at_least(value: int, minimum: int, key: str) -> int:
-    """``value`` of config key ``key``; ValueError naming the key below ``minimum``."""
-    if value < minimum:
-        raise ValueError(f"'{key}' must be at least {minimum}, got {value}")
-    return value
-
-
-def _european_spec(block) -> OptionSpec:
-    """The ``params.spec`` block; ValueError naming its style unless European,
-    the only exercise the pricers price."""
-    spec = OptionSpec.from_dict(block, "params.spec")
-    if spec.style is not ExerciseStyle.EUROPEAN:
-        raise ValueError(f"'params.spec.style' must be 'european', got {spec.style.value!r}: "
-                         "only European exercise is priced")
-    return spec
-
-
-def _sanitize(obj):
-    """NaN/inf are not valid JSON scalars; map them to null."""
+def _non_finite_path(obj, path: str) -> str | None:
+    """The dotted path of the first NaN or infinity in ``obj``, or None."""
     if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
+        return None if math.isfinite(obj) else path
     if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    return obj
+        children = ((f"{path}.{key}", value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        children = ((f"{path}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite_path(v, p) for p, v in children)), None)
 
 
 def _atomic_write(path: str, text: str):
@@ -121,7 +105,7 @@ def _atomic_write(path: str, text: str):
 
 
 def _dump_report(report: dict) -> str:
-    return json.dumps(_sanitize(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # --- experiment runners ----------------------------------------------------
@@ -133,16 +117,17 @@ def _dump_report(report: dict) -> str:
 
 def _run_price(params: dict, seed: int):
     p = parse_block(params, "params", required={"spec": None},
-                    optional={"methods": None, "binomial_steps": count, "mc_paths": count})
+                    optional={"methods": None, "binomial_steps": at_least(1),
+                              "mc_paths": at_least(2)})
     methods = p.get("methods", ["bs"])
     if not isinstance(methods, list) or not methods:
         raise ConfigParseError("'params.methods' must be a non-empty list")
     for m in methods:
         if m not in ("bs", "binomial", "mc"):
             raise ConfigParseError(f"unknown key '{m}' in 'params.methods'")
-    spec = _european_spec(p["spec"])
-    steps = _at_least(p.get("binomial_steps", 1000), 1, "params.binomial_steps")
-    n_paths = _at_least(p.get("mc_paths", 100_000), 2, "params.mc_paths")
+    spec = OptionSpec.from_dict(p["spec"], "params.spec")
+    steps = p.get("binomial_steps", 1000)
+    n_paths = p.get("mc_paths", 100_000)
 
     results = []
     for m in methods:
@@ -163,12 +148,12 @@ def _run_price(params: dict, seed: int):
 
 def _run_sphere(params: dict, seed: int):
     p = parse_block(params, "params", required={"rho": None, "state": None, "direction": None},
-                    optional={"n_trials": count, "workers": count})
+                    optional={"n_trials": at_least(1), "workers": at_least(1)})
     rho = RhoDistribution.from_dict(p["rho"], "params.rho")
     state = _as_direction(p["state"], "params.state")
     direction = _as_direction(p["direction"], "params.direction")
-    n_trials = _at_least(p.get("n_trials", 100_000), 1, "params.n_trials")
-    workers = _at_least(p.get("workers", 1), 1, "params.workers")
+    n_trials = p.get("n_trials", 100_000)
+    workers = p.get("workers", 1)
 
     p1, p2 = transition_probabilities(rho, state, direction)
     n1, n2 = measurement_counts(rho, state, direction, n_trials, seed, n_workers=workers)
@@ -187,7 +172,7 @@ def _run_sphere(params: dict, seed: int):
 def _run_bell_scan(params: dict, seed: int):
     p = parse_block(params, "params", required={"rho": None},
                     optional={"theta": number, "theta_degrees": number,
-                              "mode": None, "n_samples": count})
+                              "mode": member(SCAN_MODES), "n_samples": at_least(1)})
     if ("theta" in p) == ("theta_degrees" in p):
         raise ConfigParseError(
             "exactly one of 'theta' (radians) or 'theta_degrees' is required in 'params'"
@@ -199,11 +184,7 @@ def _run_bell_scan(params: dict, seed: int):
         raise ValueError(f"'params.{key}' must lie strictly between 0 and {bound}, "
                          f"got {p[key]!r}")
     mode = p.get("mode", "auto")
-    if mode not in SCAN_MODES:
-        raise ValueError(f"'params.mode' must be one of {', '.join(SCAN_MODES)}, got {mode!r}")
     n_samples = p.get("n_samples", 100_000)
-    if resolve_scan_mode(rho, mode) == "hidden_state":
-        _at_least(n_samples, 1, "params.n_samples")
     scan = sphere_bell_scan(rho, theta, mode=mode, n_samples=n_samples, seed=seed)
     resolved = {"rho": rho.to_dict(), "theta": theta, "mode": scan.mode,
                 "n_samples": n_samples}
@@ -218,7 +199,9 @@ def _run_market(params: dict, seed: int):
         raise ConfigParseError("unknown key 'seed' in 'market' (the seed is top-level)")
     cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market,
                                  "params.market")
-    _at_least(cfg.n_steps, MIN_TRADES, "params.market.n_steps")  # for the return statistics
+    if cfg.n_steps < MIN_TRADES:  # for the return statistics
+        raise ValueError(f"'params.market.n_steps' must be at least {MIN_TRADES}, "
+                         f"got {cfg.n_steps}")
     gbm = p.get("compare_gbm")
     gbm = None if gbm is None else GbmParams.from_dict(gbm, "params.compare_gbm")
     # constant log returns have no kurtosis and no autocorrelations
@@ -249,11 +232,11 @@ def _run_market(params: dict, seed: int):
 
 def _run_convergence(params: dict, seed: int):
     p = parse_block(params, "params", required={"spec": None},
-                    optional={"steps": lambda v, name: items(count, v, name)})
+                    optional={"steps": lambda v, name: items(at_least(1), v, name)})
     steps = p.get("steps", [50, 100, 200, 400, 800, 1600])
     if len(set(steps)) < 2:
         raise ConfigParseError("'params.steps' needs at least two distinct entries")
-    spec = _european_spec(p["spec"])
+    spec = OptionSpec.from_dict(p["spec"], "params.spec")
 
     reference = bs_price(spec)
     errors = [abs(binomial_price(spec, n) - reference) for n in steps]
@@ -321,6 +304,9 @@ def run(config_path: str, seed_override: int | None = None, out_dir: str = ".") 
         if seed < 0:
             raise ValueError(f"'seed' must be nonnegative, got {seed}")
         resolved, results, files = _RUNNERS[kind](config["params"], seed)
+        bad = _non_finite_path(results, "results")
+        if bad is not None:
+            raise ValueError(f"'{bad}' is not finite")
     except ConfigParseError as exc:
         _emit_error("parse", str(exc))
         return EXIT_PARSE

@@ -2,10 +2,11 @@
 
 Unknown or missing keys, bools where a number is expected, counts that are
 not integers and non-finite numbers raise ConfigParseError naming the key;
-values of the right type but out of range are left to the constructors,
-which raise a FieldError naming the field (and reject NaN and infinities
-themselves, ``require_finite``, when built from Python).  ``build`` turns
-that field into the key's dotted path under the block's own path.
+counts below a floor (``at_least``) and values outside a fixed set
+(``member``) raise a ValueError naming it.  Other out-of-range values are
+left to the constructors, which raise a FieldError naming the field (and
+reject NaN and infinities, ``require_finite``, when built from Python).
+``build`` turns that field into the key's dotted path under the block's own path.
 """
 
 from __future__ import annotations
@@ -85,21 +86,31 @@ def count(value, name: str) -> int:
     return int(value)
 
 
+def at_least(minimum: int):
+    """``count``, plus a ValueError naming the key for a value below ``minimum``."""
+    def conv(value, name: str) -> int:
+        value = count(value, name)
+        if value < minimum:
+            raise ValueError(f"'{name}' must be at least {minimum}, got {value}")
+        return value
+    return conv
+
+
 def flag(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigParseError(f"'{name}' must be true or false, got {value!r}")
     return value
 
 
-def member(enum_cls):
-    """A converter to the member of ``enum_cls`` with the given value;
-    ValueError naming the key for any other value."""
+def member(choices):
+    """A converter to the member of ``choices`` (an Enum class or a tuple) with
+    the given value; ValueError naming the key for any other value."""
     def conv(value, name: str):
-        try:
-            return enum_cls(value)
-        except ValueError:
-            allowed = ", ".join(repr(m.value) for m in enum_cls)
-            raise ValueError(f"'{name}' must be one of {allowed}, got {value!r}") from None
+        for m in choices:
+            if getattr(m, "value", m) == value:
+                return m
+        allowed = ", ".join(repr(getattr(m, "value", m)) for m in choices)
+        raise ValueError(f"'{name}' must be one of {allowed}, got {value!r}")
     return conv
 
 

@@ -35,7 +35,15 @@ class UnitVector3:
 
     @staticmethod
     def normalized(x: float, y: float, z: float) -> "UnitVector3":
-        return UnitVector3(*_normalize(x, y, z))
+        """(x, y, z) scaled to norm 1; a finite nonzero vector whose sum of
+        squares under- or overflows is first divided by its largest |component|."""
+        try:
+            return UnitVector3(*_normalize(x, y, z))
+        except ValueError:
+            scale = max(abs(x), abs(y), abs(z))
+            if not 0.0 < scale < math.inf:
+                raise
+            return UnitVector3(*_normalize(x / scale, y / scale, z / scale))
 
     def __neg__(self) -> "UnitVector3":
         # Component negation is exact in IEEE arithmetic, so -(-v) == v.

@@ -82,10 +82,9 @@ class NewsSeries:
             "kind": None, "angle": number, "rate": number}))
 
 
-def _check_noise(noise_angle: float, name: str = "noise_angle") -> float:
+def _check_noise(noise_angle: float):
     if not 0.0 <= noise_angle <= math.pi:
-        raise ValueError(f"'{name}' must lie in [0, pi], got {noise_angle!r}")
-    return noise_angle
+        raise FieldError("noise_angle", f"must lie in [0, pi], got {noise_angle!r}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +123,13 @@ class GlobalRegime:
 
 
 def regime_from_dict(d: dict, path: str = "regime"):
-    fields = {"kind": None, "noise_angle": lambda v, name: _check_noise(number(v, name), name)}
+    fields = {"kind": None, "noise_angle": number}
     if block_kind(d, path, ("local", "global")) == "local":
-        return LocalRegime(noise_angle=parse_block(d, path, required=fields)["noise_angle"])
+        p = parse_block(d, path, required=fields)
+        return build(LocalRegime, path, {"noise_angle": p["noise_angle"]})
     p = parse_block(d, path, required={**fields, "news": None})
-    return GlobalRegime(news=NewsSeries.from_dict(p["news"], f"{path}.news"),
-                        noise_angle=p["noise_angle"])
+    return build(GlobalRegime, path, {"news": NewsSeries.from_dict(p["news"], f"{path}.news"),
+                                      "noise_angle": p["noise_angle"]})
 
 
 @dataclass(frozen=True)
@@ -341,9 +341,6 @@ def _acf(x: np.ndarray, lags: int) -> tuple:
         return tuple(float("nan") for _ in range(lags))
     out = []
     for k in range(1, lags + 1):
-        if n - k < 1:
-            out.append(float("nan"))
-            continue
         num = float(np.dot(xc[:-k], xc[k:])) / (n - k)
         out.append(num / denom)
     return tuple(out)

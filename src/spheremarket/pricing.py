@@ -30,8 +30,9 @@ class OptionKind(Enum):
 
 
 class ExerciseStyle(Enum):
+    """Only European exercise is priced; reports echo it as ``style``."""
+
     EUROPEAN = "european"
-    AMERICAN = "american"
 
 
 class DegenerateParametersError(ValueError):
@@ -70,11 +71,6 @@ class OptionSpec:
             d, path, required=dict.fromkeys(("spot", "strike", "rate", "sigma", "tau"), number),
             optional={"kind": member(OptionKind), "style": member(ExerciseStyle)},
         ))
-
-
-def _require_european(spec: OptionSpec):
-    if spec.style is not ExerciseStyle.EUROPEAN:
-        raise ValueError("only European exercise is priced")
 
 
 def _payoff(kind: OptionKind, s, strike):
@@ -121,7 +117,6 @@ def bs_price(spec: OptionSpec) -> float:
     Limit branches: tau = 0 returns intrinsic value; sigma = 0 returns the
     discounted deterministic payoff.
     """
-    _require_european(spec)
     if spec.tau == 0.0:
         return intrinsic_value(spec)
     disc_k = spec.strike * math.exp(-spec.rate * spec.tau)
@@ -206,7 +201,6 @@ def mc_price(spec: OptionSpec, n_paths: int, seed: int,
     only error is sampling noise.  Counter-based chunk seeding keeps the
     estimate identical for any worker count.
     """
-    _require_european(spec)
     if n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
     disc = math.exp(-spec.rate * spec.tau)
@@ -233,7 +227,6 @@ def binomial_price(spec: OptionSpec, steps: int) -> float:
     (exp(r dt) - d) / (u - d); parameters implying a weight outside [0, 1]
     are arbitrage-violating and rejected.
     """
-    _require_european(spec)
     if steps < 1:
         raise ValueError("steps must be positive")
     if spec.sigma <= 0.0:

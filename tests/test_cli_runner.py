@@ -9,6 +9,8 @@ from spheremarket.cli_runner import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALI
 from spheremarket.geometry import UnitVector3
 
 ATM_SPEC = {"spot": 100.0, "strike": 100.0, "rate": 0.05, "sigma": 0.2, "tau": 1.0}
+DEMO_CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "demos", "configs")
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -137,6 +139,13 @@ class TestErrorHandling:
             "n_samples": 0}}),
         ("params.n_samples", {"experiment": "bell-scan", "params": {
             "rho": {"kind": "delta", "x0": 0.0}, "theta_degrees": 60, "n_samples": 0}}),
+        ("params.n_samples", {"experiment": "bell-scan", "params": {
+            "rho": {"kind": "uniform"}, "theta_degrees": 60, "mode": "sequential",
+            "n_samples": 0}}),
+        ("params.steps[0]", {"experiment": "convergence", "params": {
+            "spec": ATM_SPEC, "steps": [0, 100, 200, 400, 800, 1600]}}),
+        ("params.steps[5]", {"experiment": "convergence", "params": {
+            "spec": ATM_SPEC, "steps": [50, 100, 200, 400, 800, -1]}}),
         ("params.binomial_steps", {"experiment": "price", "params": {
             "spec": ATM_SPEC, "methods": ["binomial"], "binomial_steps": 0}}),
         ("params.mc_paths", {"experiment": "price", "params": {
@@ -145,7 +154,8 @@ class TestErrorHandling:
             "rho": {"kind": "uniform"}, "n_steps": 10,
             "regime": {"kind": "local", "noise_angle": 0.3}}}}),
     ], ids=["workers0", "workers-5", "n_trials0", "n_samples0", "n_samples0-auto",
-            "binomial_steps0", "mc_paths1", "n_steps10"])
+            "n_samples0-sequential", "steps0", "steps-1", "binomial_steps0", "mc_paths1",
+            "n_steps10"])
     def test_count_out_of_range_named(self, tmp_path, capsys, key, payload):
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
@@ -186,14 +196,38 @@ class TestErrorHandling:
             "rho": {"kind": "uniform"}, "n_steps": 40, "regime": {
                 "kind": "global", "noise_angle": 0.4,
                 "news": {"kind": "constant", "angle": 0.5, "rate": 0.1}}}}}),
+        ("params.market.regime.noise_angle", {"experiment": "market", "params": {"market": {
+            "rho": {"kind": "uniform"}, "n_steps": 40, "regime": {
+                "kind": "global", "noise_angle": 4.0,
+                "news": {"kind": "constant", "angle": 0.5}}}}}),
     ], ids=["american", "american-convergence", "kind", "spec_sigma", "strike0",
             "densities0", "width", "x0", "gbm_sigma", "market_densities", "price_min",
-            "constant_news_rate"])
+            "constant_news_rate", "global_noise_angle"])
     def test_out_of_range_field_named(self, tmp_path, capsys, key, payload):
         # each once exited 3 with the field's bare message, or none at all
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
         assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("config, leaf, value, path", [
+        ("binomial_convergence", ("spec", "spot"), 1e308, "results.abs_errors[0]"),
+        ("price_atm", ("spec", "spot"), 1e308, "results.results[1].value"),
+        ("market_local_vs_gbm", ("compare_gbm", "drift"), 1e308,
+         "results.gbm_stats.mean_log_return"),
+        ("market_local_vs_gbm", ("compare_gbm", "horizon"), 5e-324,
+         "results.gbm_stats.acf_returns[0]"),
+    ], ids=["convergence_spot", "price_spot", "gbm_drift", "gbm_horizon"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
+    def test_non_finite_result_named(self, tmp_path, capsys, config, leaf, value, path):
+        # each once exited 0 with a null where the number belongs
+        with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"][leaf[0]][leaf[1]] = value
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == f"'{path}' is not finite"
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from spheremarket import cli_runner
 from spheremarket.cli_runner import EXIT_PARSE, EXIT_VALIDATION
-from spheremarket.config import ConfigParseError, count, number, parse_block
-from spheremarket.market_sim import MarketConfig, NewsSeries, regime_from_dict
+from spheremarket.config import (ConfigParseError, FieldError, at_least, count, member, number,
+                                 parse_block)
+from spheremarket.market_sim import (GlobalRegime, LocalRegime, MarketConfig, NewsSeries,
+                                     regime_from_dict)
 from spheremarket.pricing import GbmParams, OptionSpec
 from spheremarket.sphere_model import RhoDistribution
 
@@ -77,6 +79,25 @@ class TestParseBlock:
         with pytest.raises(ConfigParseError, match="'params.n_trials' must be an integer"):
             count(value, "params.n_trials")
 
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5])
+    def test_at_least_rejects_non_integers(self, value):
+        with pytest.raises(ConfigParseError, match="'params.mc_paths' must be an integer"):
+            at_least(2)(value, "params.mc_paths")
+
+    def test_at_least_names_the_key_below_its_floor(self):
+        assert at_least(2)(2, "params.mc_paths") == 2
+        with pytest.raises(ValueError, match="'params.mc_paths' must be at least 2, got 1") as exc:
+            at_least(2)(1, "params.mc_paths")
+        assert not isinstance(exc.value, ConfigParseError)  # a validation error, exit 3
+
+    def test_member_of_a_tuple(self):
+        conv = member(("auto", "sequential"))
+        assert conv("sequential", "params.mode") == "sequential"
+        for bad in ("psychic", ["auto"], None):
+            with pytest.raises(ValueError, match="'params.mode' must be one of 'auto', "
+                                                 "'sequential', got"):
+                conv(bad, "params.mode")
+
     def test_parse_error_is_a_value_error(self):
         assert issubclass(ConfigParseError, ValueError)
         assert cli_runner.ConfigParseError is ConfigParseError
@@ -126,6 +147,17 @@ class TestFromDict:
             MarketConfig.from_dict({**MARKET, "n_steps": 10.7})
         with pytest.raises(ConfigParseError, match="'market.seed'"):
             MarketConfig.from_dict({**MARKET, "seed": True})
+
+    @pytest.mark.parametrize("build", [
+        lambda noise: LocalRegime(noise_angle=noise),
+        lambda noise: GlobalRegime(news=NewsSeries(), noise_angle=noise),
+    ], ids=["local", "global"])
+    def test_regimes_own_the_noise_rule(self, build):
+        for noise in (-0.1, 3.2, math.nan):
+            with pytest.raises(FieldError, match=r"noise_angle must lie in \[0, pi\]"):
+                build(noise)
+        with pytest.raises(ValueError, match=r"'regime.noise_angle' must lie in \[0, pi\], got 4"):
+            regime_from_dict({**LOCAL, "noise_angle": 4.0})
 
     def test_defaults_live_in_the_domain_objects(self):
         spec = OptionSpec.from_dict(SPEC)

@@ -58,6 +58,22 @@ class TestConstruction:
         v = UnitVector3.normalized(3.0, -4.0, 12.0)
         assert abs(v.x ** 2 + v.y ** 2 + v.z ** 2 - 1.0) < 1e-12
 
+    @given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3)
+           .filter(lambda xyz: any(xyz)))
+    # sums of squares that underflow to 0 or to a subnormal, or overflow
+    @example((1e-170, 0.0, 0.0))
+    @example((5e-324, -5e-324, 0.0))
+    @example((-1e-160, 0.0, 0.0))
+    @example((1e308, 0.0, 0.0))
+    @example((1e200, 1e200, 0.0))
+    @example((1e308, -1e308, 1e308))
+    def test_finite_nonzero_triple_normalizes_to_its_rescaled_direction(self, xyz):
+        scale = max(map(abs, xyz))
+        v = UnitVector3.normalized(*xyz)
+        w = UnitVector3.normalized(*(c / scale for c in xyz))
+        assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+                   for a, b in zip((v.x, v.y, v.z), (w.x, w.y, w.z)))
+
 
 class TestDot:
     def test_self_is_exactly_one(self):

@@ -268,6 +268,14 @@ class TestSummaryStats:
         assert summary.variance == pytest.approx(x.var(ddof=1), abs=1e-15)
         assert summary.n_returns == 59
 
+    def test_shortest_series_has_every_acf(self):
+        # MIN_TRADES prices give MIN_TRADES - 1 returns, more than ACF_LAGS + 1
+        prices = 100.0 + np.sin(np.arange(market_sim.MIN_TRADES))
+        summary = summary_from_prices(prices)
+        for acf in (summary.acf_returns, summary.acf_abs_returns):
+            assert len(acf) == market_sim.ACF_LAGS
+            assert all(math.isfinite(a) for a in acf)
+
     def test_acf_lags_reported(self):
         summary = summary_stats(run_market(make_config(n_steps=100)))
         assert len(summary.acf_returns) == 10

@@ -144,9 +144,11 @@ class TestBsPrice:
         assert all(b >= a for a, b in zip(vols, vols[1:]))
 
     def test_american_rejected(self):
-        spec = OptionSpec(100, 100, 0.05, 0.2, 1.0, style=ExerciseStyle.AMERICAN)
-        with pytest.raises(ValueError):
-            bs_price(spec)
+        # the pricers price European exercise only, so an American spec is
+        # refused when it is parsed
+        with pytest.raises(ValueError, match="'spec.style' must be one of 'european', "
+                                             "got 'american'"):
+            OptionSpec.from_dict({**ATM.to_dict(), "style": "american"})
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -254,9 +256,11 @@ class TestBinomial:
             binomial_price(OptionSpec(100, 100, 2.0, 0.01, 1.0), 1)
 
     def test_american_rejected(self):
-        spec = OptionSpec(100, 100, 0.05, 0.2, 1.0, style=ExerciseStyle.AMERICAN)
+        # no American style exists, so no spec binomial_price receives has one
+        assert [style.value for style in ExerciseStyle] == ["european"]
         with pytest.raises(ValueError):
-            binomial_price(spec, 10)
+            ExerciseStyle("american")
+        assert OptionSpec.from_dict(ATM.to_dict()).style is ExerciseStyle.EUROPEAN
 
     def test_error_shrinks_like_one_over_n(self):
         reference = bs_price(ATM)
