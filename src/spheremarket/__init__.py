@@ -27,7 +27,6 @@ from .market_sim import (
     summary_stats,
 )
 from .pricing import (
-    ExerciseStyle,
     GbmParams,
     OptionKind,
     OptionSpec,

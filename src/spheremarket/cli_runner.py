@@ -28,8 +28,8 @@ import tempfile
 
 import numpy as np
 
-from .config import (ConfigParseError, at_least, count, flag, items, member, number,
-                     parse_block, unit_vector)
+from .config import (ConfigParseError, FieldError, at_least, count, flag, items, member,
+                     number, parse_block, unit_vector)
 from .geometry import UnitVector3, from_polar
 from .kolmogorov_check import (
     SCAN_MODES,
@@ -117,14 +117,12 @@ def _dump_report(report: dict) -> str:
 
 def _run_price(params: dict, seed: int):
     p = parse_block(params, "params", required={"spec": None},
-                    optional={"methods": None, "binomial_steps": at_least(1),
-                              "mc_paths": at_least(2)})
+                    optional={"methods": lambda v, name: items(member(("bs", "binomial", "mc")),
+                                                               v, name),
+                              "binomial_steps": at_least(1), "mc_paths": at_least(2)})
     methods = p.get("methods", ["bs"])
-    if not isinstance(methods, list) or not methods:
+    if not methods:
         raise ConfigParseError("'params.methods' must be a non-empty list")
-    for m in methods:
-        if m not in ("bs", "binomial", "mc"):
-            raise ConfigParseError(f"unknown key '{m}' in 'params.methods'")
     spec = OptionSpec.from_dict(p["spec"], "params.spec")
     steps = p.get("binomial_steps", 1000)
     n_paths = p.get("mc_paths", 100_000)
@@ -178,14 +176,14 @@ def _run_bell_scan(params: dict, seed: int):
             "exactly one of 'theta' (radians) or 'theta_degrees' is required in 'params'"
         )
     rho = RhoDistribution.from_dict(p["rho"], "params.rho")
-    theta = p["theta"] if "theta" in p else math.radians(p["theta_degrees"])
-    if not 0.0 < theta < math.pi:
-        key, bound = ("theta", "pi") if "theta" in p else ("theta_degrees", "180")
-        raise ValueError(f"'params.{key}' must lie strictly between 0 and {bound}, "
-                         f"got {p[key]!r}")
+    key = "theta" if "theta" in p else "theta_degrees"
+    theta = p["theta"] if key == "theta" else math.radians(p["theta_degrees"])
     mode = p.get("mode", "auto")
     n_samples = p.get("n_samples", 100_000)
-    scan = sphere_bell_scan(rho, theta, mode=mode, n_samples=n_samples, seed=seed)
+    try:
+        scan = sphere_bell_scan(rho, theta, mode=mode, n_samples=n_samples, seed=seed)
+    except FieldError as exc:
+        raise ValueError(f"'params.{key}' {p[key]!r}: {exc}") from None
     resolved = {"rho": rho.to_dict(), "theta": theta, "mode": scan.mode,
                 "n_samples": n_samples}
     return resolved, scan.to_dict(), {}
@@ -262,24 +260,13 @@ _RUNNERS = {
 EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
-class _NonFinite(str):
-    """A NaN/Infinity literal, kept until the key that holds it is known."""
-
-
-def _finite_pairs(pairs: list) -> dict:
-    for key, value in pairs:
-        if any(isinstance(v, _NonFinite) for v in (value if isinstance(value, list) else [value])):
-            raise ConfigParseError(f"'{key}' holds NaN or Infinity: JSON numbers must be finite")
-    return dict(pairs)
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh, parse_constant=_NonFinite, object_pairs_hook=_finite_pairs)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"invalid JSON: {exc}") from exc
     top = parse_block(raw, "config", required={"experiment": None},
                       optional={"seed": count, "params": None})
@@ -307,6 +294,13 @@ def run(config_path: str, seed_override: int | None = None, out_dir: str = ".") 
         bad = _non_finite_path(results, "results")
         if bad is not None:
             raise ValueError(f"'{bad}' is not finite")
+        report = {"experiment": kind, "seed": seed, "params": resolved, "results": results}
+        os.makedirs(out_dir, exist_ok=True)  # an unusable out_dir: OSError, exit 4
+        files = {f"{kind.replace('-', '_')}_report.json": _dump_report(report), **files}
+        for name, text in files.items():
+            path = os.path.join(out_dir, name)
+            _atomic_write(path, text)
+            print(f"wrote {path}")
     except ConfigParseError as exc:
         _emit_error("parse", str(exc))
         return EXIT_PARSE
@@ -316,21 +310,6 @@ def run(config_path: str, seed_override: int | None = None, out_dir: str = ".") 
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         _emit_error("runtime", f"{type(exc).__name__}: {exc}")
         return EXIT_RUNTIME
-
-    report = {
-        "experiment": kind,
-        "seed": seed,
-        "params": resolved,
-        "results": results,
-    }
-    os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, f"{kind.replace('-', '_')}_report.json")
-    _atomic_write(report_path, _dump_report(report))
-    print(f"wrote {report_path}")
-    for name, text in files.items():
-        path = os.path.join(out_dir, name)
-        _atomic_write(path, text)
-        print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -3,9 +3,14 @@
 Unknown or missing keys, bools where a number is expected, counts that are
 not integers and non-finite numbers raise ConfigParseError naming the key;
 counts below a floor (``at_least``) and values outside a fixed set
-(``member``) raise a ValueError naming it.  Other out-of-range values are
-left to the constructors, which raise a FieldError naming the field (and
-reject NaN and infinities, ``require_finite``, when built from Python).
+(``member``, ``block_kind``) raise a ValueError naming it.  The JSON literals
+``NaN``, ``Infinity`` and ``-Infinity`` load as floats and meet the same
+converters, so no separate pass looks for them: ``number`` rejects them as
+not finite; ``count``, ``flag``, ``items`` and ``parse_block`` as the wrong
+type; ``member`` and ``block_kind`` as outside their set.  Other out-of-range
+values are left to the constructors, which raise a FieldError naming the
+field (and reject NaN and infinities, ``require_finite``, when built from
+Python).
 ``build`` turns that field into the key's dotted path under the block's own path.
 """
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import FieldError
 from .geometry import from_polar
 
 MAX_OBSERVABLES = 12
@@ -384,16 +385,6 @@ class SphereScanResult:
         }
 
 
-def resolve_scan_mode(rho, mode: str) -> str:
-    """The scan mode ``sphere_bell_scan`` runs: ``auto`` selects hidden_state
-    for the deterministic (delta) elastic and sequential otherwise."""
-    if mode not in SCAN_MODES:
-        raise ValueError(f"unknown scan mode: {mode!r}")
-    if mode != "auto":
-        return mode
-    return "hidden_state" if rho.kind == "delta" else "sequential"
-
-
 def sphere_bell_scan(rho, theta: float, mode: str = "auto",
                      n_samples: int = 100_000, seed: int = 0) -> SphereScanResult:
     """Feasibility of sphere-measurement statistics on three coplanar
@@ -410,8 +401,11 @@ def sphere_bell_scan(rho, theta: float, mode: str = "auto",
     from . import sphere_model  # deferred: sphere_model imports AgreementTable
 
     if not 0.0 < theta < math.pi:
-        raise ValueError("theta must lie strictly between 0 and pi")
-    mode = resolve_scan_mode(rho, mode)
+        raise FieldError("theta", f"must lie strictly between 0 and pi, got {theta!r}")
+    if mode not in SCAN_MODES:
+        raise ValueError(f"unknown scan mode: {mode!r}")
+    if mode == "auto":
+        mode = "hidden_state" if rho.kind == "delta" else "sequential"
     directions = tuple(from_polar(k * theta, 0.0) for k in range(3))
     if mode == "sequential":
         table = sphere_model.agreement_table(rho, list(directions))

@@ -199,7 +199,7 @@ class TradeLog(Sequence):
 
     Indexing and iteration build ``TradeRecord`` views on demand; a slice is
     a ``TradeLog`` of the column slices.  Two logs are equal when every
-    column is; a log equals a list of records that equals its views.
+    column is.
     """
 
     step: np.ndarray
@@ -229,8 +229,6 @@ class TradeLog(Sequence):
     def __eq__(self, other):
         if isinstance(other, TradeLog):
             return all(np.array_equal(a, b) for a, b in zip(self._columns(), other._columns()))
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
 

@@ -29,12 +29,6 @@ class OptionKind(Enum):
     PUT = "put"
 
 
-class ExerciseStyle(Enum):
-    """Only European exercise is priced; reports echo it as ``style``."""
-
-    EUROPEAN = "european"
-
-
 class DegenerateParametersError(ValueError):
     """sigma * sqrt(tau) == 0: d1/d2 undefined, use the limit branches."""
 
@@ -42,7 +36,7 @@ class DegenerateParametersError(ValueError):
 @dataclass(frozen=True)
 class OptionSpec:
     """Contract parameters: spot S, strike K, rate r, volatility sigma,
-    time to expiry tau (years)."""
+    time to expiry tau (years).  Exercise is European, the only style priced."""
 
     spot: float
     strike: float
@@ -50,7 +44,6 @@ class OptionSpec:
     sigma: float
     tau: float
     kind: OptionKind = OptionKind.CALL
-    style: ExerciseStyle = ExerciseStyle.EUROPEAN
 
     def __post_init__(self):
         require_finite(self, "spot", "strike", "rate", "sigma", "tau")
@@ -62,15 +55,17 @@ class OptionSpec:
                 raise FieldError(name, "must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind.value, "style": self.style.value}
+        return {**asdict(self), "kind": self.kind.value, "style": "european"}
 
     @staticmethod
     def from_dict(d: dict, path: str = "spec") -> "OptionSpec":
         """The spec of block ``d``; errors name keys under ``path``."""
-        return build(OptionSpec, path, parse_block(
+        fields = parse_block(
             d, path, required=dict.fromkeys(("spot", "strike", "rate", "sigma", "tau"), number),
-            optional={"kind": member(OptionKind), "style": member(ExerciseStyle)},
-        ))
+            optional={"kind": member(OptionKind), "style": member(("european",))},
+        )
+        fields.pop("style", None)
+        return build(OptionSpec, path, fields)
 
 
 def _payoff(kind: OptionKind, s, strike):

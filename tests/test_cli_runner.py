@@ -76,6 +76,16 @@ class TestErrorHandling:
         path.write_text("{not json")
         assert main(["run", str(path)]) == EXIT_PARSE
 
+    def test_config_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, which once exited 3 as "validation"
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"experiment": "price", "params": {"spec": "\u00e9"}}'.encode("latin-1"))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "parse"
+        assert "utf-8" in err["error"]["message"]
+        assert os.listdir(tmp_path) == ["latin1.json"]
+
     def test_unknown_key_named(self, tmp_path, capsys):
         payload = {"experiment": "price",
                    "params": {"spec": dict(ATM_SPEC, spoot=1.0)}}
@@ -200,9 +210,11 @@ class TestErrorHandling:
             "rho": {"kind": "uniform"}, "n_steps": 40, "regime": {
                 "kind": "global", "noise_angle": 4.0,
                 "news": {"kind": "constant", "angle": 0.5}}}}}),
+        ("params.methods[1]", {"experiment": "price", "params": {
+            "spec": ATM_SPEC, "methods": ["bs", "lattice"]}}),
     ], ids=["american", "american-convergence", "kind", "spec_sigma", "strike0",
             "densities0", "width", "x0", "gbm_sigma", "market_densities", "price_min",
-            "constant_news_rate", "global_noise_angle"])
+            "constant_news_rate", "global_noise_angle", "methods_entry"])
     def test_out_of_range_field_named(self, tmp_path, capsys, key, payload):
         # each once exited 3 with the field's bare message, or none at all
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
@@ -277,6 +289,7 @@ class TestBellScanExperiment:
         ("theta_degrees", 0), ("theta_degrees", 180), ("theta_degrees", -30),
         ("theta_degrees", 1e308), ("theta", 0.0), ("theta", math.pi), ("theta", 4.0),
         ("mode", "psychic"), ("mode", ["auto"]),
+        ("theta_degrees", 5e-324),  # 0.0 rad
     ])
     def test_out_of_range_scan_named(self, tmp_path, capsys, key, value):
         params = {"rho": {"kind": "uniform"}, "theta_degrees": 60, key: value}
@@ -490,3 +503,17 @@ class TestOutputDirectory:
         out = tmp_path / "deep" / "nested"
         assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
         assert (out / "price_report.json").exists()
+
+    @pytest.mark.parametrize("out", ["afile", os.path.join("afile", "sub")],
+                             ids=["file", "under_a_file"])
+    def test_unusable_out_is_a_runtime_error(self, tmp_path, capsys, out):
+        # each once escaped run as a FileExistsError or NotADirectoryError traceback
+        cfg = write_config(tmp_path, {"experiment": "price", "params": {"spec": ATM_SPEC}})
+        (tmp_path / "afile").write_text("kept")
+        assert main(["run", cfg, "--out", str(tmp_path / out)]) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        error = json.loads(captured.err)["error"]
+        assert error["kind"] == "runtime" and "Error" in error["message"]
+        assert sorted(os.listdir(tmp_path)) == ["afile", "config.json"]
+        assert (tmp_path / "afile").read_text() == "kept"

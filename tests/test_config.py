@@ -28,18 +28,20 @@ LOCAL = {"kind": "local", "noise_angle": 0.3}
 MARKET = {"rho": {"kind": "uniform"}, "n_steps": 40, "regime": LOCAL, "seed": 1}
 
 
-def run_config(payload) -> tuple[int, str]:
-    """Run the CLI on ``payload`` (a dict, or raw JSON text); returns
-    (exit code, error message or "")."""
+def run_config(payload) -> tuple[int, str, list]:
+    """Run the CLI in process on ``payload`` (a dict, or raw JSON text);
+    returns (exit code, error message or "", names of the files written)."""
     text = payload if isinstance(payload, str) else json.dumps(payload)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli_runner.main(["run", path, "--out", tmp])
-    return code, json.loads(err.getvalue())["error"]["message"] if err.getvalue() else ""
+            code = cli_runner.run(path, out_dir=out)
+        written = os.listdir(out) if os.path.exists(out) else []
+    message = json.loads(err.getvalue())["error"]["message"] if err.getvalue() else ""
+    return code, message, written
 
 
 def market_payload(**market):
@@ -161,7 +163,7 @@ class TestFromDict:
 
     def test_defaults_live_in_the_domain_objects(self):
         spec = OptionSpec.from_dict(SPEC)
-        assert (spec.kind.value, spec.style.value) == ("call", "european")
+        assert spec.kind.value == "call" and spec.to_dict()["style"] == "european"
         cfg = MarketConfig.from_dict(MARKET)
         assert (cfg.price_min, cfg.price_max) == (50.0, 150.0)
         assert cfg.to_dict()["price_axis"] == [0.0, 0.0, 1.0]
@@ -204,7 +206,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("payload, code, named", [c[1:] for c in CASES],
                              ids=[c[0] for c in CASES])
     def test_malformed_config(self, payload, code, named):
-        got, message = run_config(payload)
+        got, message, _ = run_config(payload)
         assert got == code
         assert named in message
 
@@ -229,6 +231,73 @@ def test_unknown_key_at_any_level_is_named(config_path, data):
     for step in path:
         block = block[step]
     block[key] = data.draw(st.one_of(st.integers(), st.text(max_size=3), st.none()))
-    code, message = run_config(config)
+    code, message, _ = run_config(config)
     assert code == EXIT_PARSE
     assert f"'{key}'" in message
+
+
+# One config per experiment that sets every optional key, beside the demo configs.
+FULL_CONFIGS = {
+    "price": {"experiment": "price", "seed": 1, "params": {
+        "spec": {**SPEC, "kind": "put", "style": "european"}, "methods": ["bs", "binomial", "mc"],
+        "binomial_steps": 20, "mc_paths": 100}},
+    "sphere": {"experiment": "sphere", "seed": 1, "params": {
+        "rho": {"kind": "truncated_gaussian", "center": 0.1, "width": 0.4},
+        "state": {"theta": 1.0, "phi": 0.5}, "direction": [0.0, 0.6, 0.8],
+        "n_trials": 100, "workers": 2}},
+    "bell-scan": {"experiment": "bell-scan", "seed": 1, "params": {
+        "rho": {"kind": "piecewise", "breakpoints": [-1.0, 0.0, 1.0], "densities": [1.0, 3.0]},
+        "theta": 1.0, "mode": "hidden_state", "n_samples": 100}},
+    "market": {"experiment": "market", "seed": 1, "params": {
+        "market": {"rho": {"kind": "delta", "x0": 0.1}, "n_steps": 40,
+                   "regime": {"kind": "global", "noise_angle": 0.3,
+                              "news": {"kind": "drift", "angle": 0.3, "rate": 0.01}},
+                   "price_axis": [0.0, 0.6, 0.8], "price_min": 60.0, "price_max": 140.0},
+        "compare_gbm": GBM, "write_trades": True}},
+    "convergence": {"experiment": "convergence", "seed": 1, "params": {
+        "spec": {**SPEC, "kind": "call", "style": "european"}, "steps": [10, 20, 40]}},
+}
+
+
+def sweep_configs():
+    for path in DEMO_CONFIGS:
+        with open(path, encoding="utf-8") as fh:
+            yield os.path.basename(path), json.load(fh)
+    for kind, config in FULL_CONFIGS.items():
+        yield f"full-{kind}", config
+
+
+def value_paths(obj, path=(), key=None):
+    """(path, innermost object key) of every value inside ``obj``, whether a
+    number, a string, a list or a whole block."""
+    children = (obj.items() if isinstance(obj, dict)
+                else enumerate(obj) if isinstance(obj, list) else ())
+    for step, value in children:
+        holder = step if isinstance(obj, dict) else key
+        yield path + (step,), holder
+        yield from value_paths(value, path + (step,), holder)
+
+
+@pytest.mark.parametrize("config", list(FULL_CONFIGS.values()), ids=list(FULL_CONFIGS))
+def test_full_configs_run(config):
+    code, message, written = run_config(config)
+    assert (code, message) == (0, "")
+    assert written
+
+
+@pytest.mark.parametrize("config", [pytest.param(c, id=name) for name, c in sweep_configs()])
+def test_non_finite_literal_anywhere_is_named(config):
+    # each value, block or list in turn becomes NaN, Infinity or -Infinity:
+    # every variant exits 2 or 3, names the key that holds it and writes nothing
+    wrong = []
+    for path, key in value_paths(config):
+        for bad in (math.nan, math.inf, -math.inf):
+            variant = json.loads(json.dumps(config))
+            block = variant
+            for step in path[:-1]:
+                block = block[step]
+            block[path[-1]] = bad
+            code, message, written = run_config(variant)
+            if code not in (EXIT_PARSE, EXIT_VALIDATION) or key not in message or written:
+                wrong.append((path, bad, code, message, written))
+    assert not wrong

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from spheremarket.config import FieldError
 from spheremarket.geometry import UnitVector3
 from spheremarket.kolmogorov_check import (
     DEFAULT_TOL,
@@ -215,10 +216,10 @@ class TestSphereBellScan:
         assert not scan.feasible
 
     def test_theta_validation(self):
-        with pytest.raises(ValueError):
-            sphere_bell_scan(UniformRho(), 0.0)
-        with pytest.raises(ValueError):
-            sphere_bell_scan(UniformRho(), math.pi)
+        for theta in (0.0, math.pi, -1.0, math.nan):
+            with pytest.raises(FieldError, match="must lie strictly between 0 and pi") as exc:
+                sphere_bell_scan(UniformRho(), theta)
+            assert exc.value.field == "theta"
 
     def test_mode_validation(self):
         with pytest.raises(ValueError):

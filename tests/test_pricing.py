@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from spheremarket.pricing import (
     DegenerateParametersError,
-    ExerciseStyle,
     GbmParams,
     OptionKind,
     OptionSpec,
@@ -256,11 +255,13 @@ class TestBinomial:
             binomial_price(OptionSpec(100, 100, 2.0, 0.01, 1.0), 1)
 
     def test_american_rejected(self):
-        # no American style exists, so no spec binomial_price receives has one
-        assert [style.value for style in ExerciseStyle] == ["european"]
-        with pytest.raises(ValueError):
-            ExerciseStyle("american")
-        assert OptionSpec.from_dict(ATM.to_dict()).style is ExerciseStyle.EUROPEAN
+        # a spec holds no exercise style: every spec binomial_price receives
+        # is European, echoed as a constant and the only style parsed
+        assert "style" not in OptionSpec.__dataclass_fields__
+        assert ATM.to_dict()["style"] == "european"
+        assert OptionSpec.from_dict(ATM.to_dict()) == ATM
+        with pytest.raises(ValueError, match="'spec.style' must be one of 'european'"):
+            OptionSpec.from_dict({**ATM.to_dict(), "style": "american"})
 
     def test_error_shrinks_like_one_over_n(self):
         reference = bs_price(ATM)
