@@ -19,8 +19,7 @@ from spheremarket import (
     UniformRho,
     UnitVector3,
     from_polar,
-    measurement_frequency,
-    sequential_agreement,
+    measurement_counts,
     simulate_measurement,
     transition_probabilities,
 )
@@ -50,7 +49,7 @@ print("the delta elastic is the classical limit: outcomes are predetermined")
 print("\n=== Monte Carlo frequencies converge to the analytic law ===")
 state = from_polar(math.pi / 3, 0.0)  # 60 degrees: analytic p1 = 0.75
 for n in (100, 10_000, 1_000_000):
-    freq = measurement_frequency(UniformRho(), state, POLE, n, seed=5)
+    freq = measurement_counts(UniformRho(), state, POLE, n, seed=5)[0] / n
     print(f"n = {n:>9,}: freq(O1) = {freq:.4f}")
 
 print("\n=== collapse and repeatability ===")
@@ -62,5 +61,6 @@ print(f"second trade: outcome {repeat.label} (guaranteed: state is now an eigens
 
 print("\n=== sequential agreement between two contexts ===")
 for deg in (0, 60, 90, 120, 180):
-    q = sequential_agreement(UniformRho(), POLE, from_polar(math.radians(deg), 0.0))
+    # a prior trade along POLE left the state at POLE
+    q, _ = transition_probabilities(UniformRho(), POLE, from_polar(math.radians(deg), 0.0))
     print(f"angle {deg:>3}: agreement probability {q:.4f}")

@@ -61,9 +61,6 @@ from .sphere_model import (
     agreement_table,
     hidden_state_agreement_table,
     measurement_counts,
-    measurement_frequency,
-    rho_cdf,
-    sequential_agreement,
     simulate_measurement,
     transition_probabilities,
 )

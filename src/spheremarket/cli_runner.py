@@ -32,7 +32,6 @@ from .config import (ConfigParseError, FieldError, at_least, count, flag, items,
                      number, parse_block, unit_vector)
 from .geometry import UnitVector3, from_polar
 from .kolmogorov_check import (
-    SCAN_MODES,
     AgreementTable,
     bell_facets_n3,
     facets_feasible,
@@ -170,7 +169,7 @@ def _run_sphere(params: dict, seed: int):
 def _run_bell_scan(params: dict, seed: int):
     p = parse_block(params, "params", required={"rho": None},
                     optional={"theta": number, "theta_degrees": number,
-                              "mode": member(SCAN_MODES), "n_samples": at_least(1)})
+                              "mode": None, "n_samples": at_least(1)})
     if ("theta" in p) == ("theta_degrees" in p):
         raise ConfigParseError(
             "exactly one of 'theta' (radians) or 'theta_degrees' is required in 'params'"
@@ -183,7 +182,8 @@ def _run_bell_scan(params: dict, seed: int):
     try:
         scan = sphere_bell_scan(rho, theta, mode=mode, n_samples=n_samples, seed=seed)
     except FieldError as exc:
-        raise ValueError(f"'params.{key}' {p[key]!r}: {exc}") from None
+        field = key if exc.field == "theta" else exc.field
+        raise ValueError(f"'params.{field}' {p[field]!r}: {exc}") from None
     resolved = {"rho": rho.to_dict(), "theta": theta, "mode": scan.mode,
                 "n_samples": n_samples}
     return resolved, scan.to_dict(), {}
@@ -266,7 +266,7 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigParseError(f"cannot read config: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON, not UTF-8, or an integer over Python's digit limit
         raise ConfigParseError(f"invalid JSON: {exc}") from exc
     top = parse_block(raw, "config", required={"experiment": None},
                       optional={"seed": count, "params": None})

@@ -49,9 +49,6 @@ class UnitVector3:
         # Component negation is exact in IEEE arithmetic, so -(-v) == v.
         return UnitVector3(-self.x, -self.y, -self.z)
 
-    def dot(self, other: "UnitVector3") -> float:
-        return dot(self, other)
-
 
 def _xyz(v: UnitVector3) -> tuple:
     return v.x, v.y, v.z

@@ -403,7 +403,8 @@ def sphere_bell_scan(rho, theta: float, mode: str = "auto",
     if not 0.0 < theta < math.pi:
         raise FieldError("theta", f"must lie strictly between 0 and pi, got {theta!r}")
     if mode not in SCAN_MODES:
-        raise ValueError(f"unknown scan mode: {mode!r}")
+        raise FieldError("mode", f"must be one of {', '.join(map(repr, SCAN_MODES))}, "
+                         f"got {mode!r}")
     if mode == "auto":
         mode = "hidden_state" if rho.kind == "delta" else "sequential"
     directions = tuple(from_polar(k * theta, 0.0) for k in range(3))

@@ -30,7 +30,7 @@ class OptionKind(Enum):
 
 
 class DegenerateParametersError(ValueError):
-    """sigma * sqrt(tau) == 0: d1/d2 undefined, use the limit branches."""
+    """sigma * sqrt(tau) == 0: d1/d2 undefined, use the limit branch."""
 
 
 @dataclass(frozen=True)
@@ -96,11 +96,10 @@ def norm_cdf(t: float) -> float:
 
 
 def d1_d2(spec: OptionSpec) -> tuple[float, float]:
-    if spec.sigma <= 0.0 or spec.tau <= 0.0:
-        raise DegenerateParametersError(
-            "d1/d2 need sigma > 0 and tau > 0; use the pricer's limit branches"
-        )
     sig_sqrt = spec.sigma * math.sqrt(spec.tau)
+    if sig_sqrt == 0.0:
+        raise DegenerateParametersError("d1/d2 need sigma sqrt(tau) > 0; use the pricer's "
+                                        "limit branch")
     d1 = (math.log(spec.spot / spec.strike)
           + (spec.rate + 0.5 * spec.sigma ** 2) * spec.tau) / sig_sqrt
     return d1, d1 - sig_sqrt
@@ -109,13 +108,12 @@ def d1_d2(spec: OptionSpec) -> tuple[float, float]:
 def bs_price(spec: OptionSpec) -> float:
     """Black-Scholes value of a European option.
 
-    Limit branches: tau = 0 returns intrinsic value; sigma = 0 returns the
-    discounted deterministic payoff.
+    Limit branch: where sigma sqrt(tau) is 0 the value is the discounted
+    deterministic payoff, which at tau = 0 (discount exactly 1) is the
+    intrinsic value.
     """
-    if spec.tau == 0.0:
-        return intrinsic_value(spec)
     disc_k = spec.strike * math.exp(-spec.rate * spec.tau)
-    if spec.sigma == 0.0:
+    if spec.sigma * math.sqrt(spec.tau) == 0.0:
         return float(_payoff(spec.kind, spec.spot, disc_k))
     d1, d2 = d1_d2(spec)
     # clamp into the no-arbitrage envelope: the exact value satisfies the

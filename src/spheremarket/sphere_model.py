@@ -23,7 +23,6 @@ from .kolmogorov_check import AgreementTable, pair_indices
 from .ndtr import ndtr
 from .streams import check_workers, chunk_rng, map_chunks
 
-X_DOMAIN_TOL = 1e-9
 CHUNK_TRIALS = 1 << 16  # fixed batch granularity for counter-based streams
 
 # largest double strictly below 1; samples are clamped under it so an
@@ -266,22 +265,14 @@ class TruncatedGaussianRho(RhoDistribution):
         return _UNIT_PIECE, 2.0 ** -29 * (1.0 + abs(self.center))
 
 
-def rho_cdf(rho: RhoDistribution, x: float) -> float:
-    """P(break point <= x); x must lie in [-1, 1] up to a 1e-9 tolerance,
-    and ``cdf`` is 0 below -1 and 1 above 1."""
-    if not -1.0 - X_DOMAIN_TOL <= x <= 1.0 + X_DOMAIN_TOL:
-        raise ValueError(f"elastic coordinate {x!r} outside [-1, 1]")
-    return rho.cdf(x)
-
-
 def transition_probabilities(rho: RhoDistribution, v: UnitVector3,
                              u: UnitVector3) -> tuple[float, float]:
     """(P[O1], P[O2]) for measuring along u with the particle at v.
 
-    P[O1] is the rho-mass below the particle coordinate v.u; the pair sums
-    to 1 exactly by construction.
+    P[O1] is the rho-mass below the particle coordinate v.u, which ``dot``
+    keeps inside [-1, 1]; the pair sums to 1 exactly by construction.
     """
-    p1 = rho_cdf(rho, dot(v, u))
+    p1 = rho.cdf(dot(v, u))
     return p1, 1.0 - p1
 
 
@@ -388,27 +379,16 @@ def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
     return n1, n_trials - n1
 
 
-def measurement_frequency(rho, state, u, n_trials, seed, n_workers=1) -> float:
-    """Empirical frequency of O1; converges to transition_probabilities[0]."""
-    n1, _ = measurement_counts(rho, state, u, n_trials, seed, n_workers=n_workers)
-    return n1 / n_trials
-
-
-def sequential_agreement(rho: RhoDistribution, u_i: UnitVector3,
-                         u_j: UnitVector3) -> float:
-    """P[O1] when measuring along u_j with the state prepared at u_i.
-
-    Preparation means a prior measurement along u_i collapsed the state onto
-    u_i, so this is the rho CDF at u_i . u_j.
-    """
-    return rho_cdf(rho, dot(u_i, u_j))
-
-
 def agreement_table(rho: RhoDistribution, directions: list[UnitVector3]) -> AgreementTable:
-    """Pairwise sequential agreement among eigenstate-prepared measurements."""
+    """Pairwise sequential agreement among eigenstate-prepared measurements.
+
+    A prior measurement along d_i collapsed the state onto d_i, so pair
+    (i, j) agrees with P[O1] for the particle at d_i measured along d_j.
+    """
     n = len(directions)
-    return AgreementTable.from_pair_values(n, [sequential_agreement(rho, directions[i], directions[j])
-                                               for i, j in pair_indices(n)])
+    return AgreementTable.from_pair_values(
+        n, [transition_probabilities(rho, directions[i], directions[j])[0]
+            for i, j in pair_indices(n)])
 
 
 def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVector3],

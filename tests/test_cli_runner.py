@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -85,6 +86,19 @@ class TestErrorHandling:
         assert err["error"]["kind"] == "parse"
         assert "utf-8" in err["error"]["message"]
         assert os.listdir(tmp_path) == ["latin1.json"]
+
+    @pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+                        reason="this Python converts a 5000-digit integer literal")
+    def test_integer_over_the_digit_limit_is_a_parse_error(self, tmp_path, capsys):
+        # json.load raises a plain ValueError here, which once exited 3 as "validation"
+        path = tmp_path / "long.json"
+        path.write_text('{"experiment": "price", "seed": %s, "params": {"spec": %s}}'
+                        % ("9" * 5000, json.dumps(ATM_SPEC)))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["kind"] == "parse"
+        assert "digits" in err["error"]["message"]
+        assert os.listdir(tmp_path) == ["long.json"]
 
     def test_unknown_key_named(self, tmp_path, capsys):
         payload = {"experiment": "price",

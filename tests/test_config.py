@@ -193,6 +193,8 @@ class TestCliExitCodes:
                                  "params": {"market": market_payload()["params"]["market"],
                                             "write_trades": "no"}}, EXIT_PARSE, "write_trades"),
         ("seed inside market", market_payload(seed=3), EXIT_PARSE, "seed"),
+        ("methods empty", {"experiment": "price", "params": {"spec": SPEC, "methods": []}},
+         EXIT_PARSE, "'params.methods'"),
         ("gbm unknown key", {"experiment": "market",
                              "params": {"market": market_payload()["params"]["market"],
                                         "compare_gbm": {**GBM, "s1": 1.0}}}, EXIT_PARSE, "s1"),

@@ -2,8 +2,9 @@
 
 Every demo config runs at its own seed, in-process, and the selftest's
 stdout is captured; their SHA-256 digests must equal those recorded in
-perfbench/digests.json.  Under other numpy or scipy versions than the
-recorded ones, only the exit code and the set of written files are checked.
+perfbench/digests.json.  Each ``demos/*.py`` script's stdout is pinned
+here.  Under other numpy or scipy versions than the recorded ones, only the
+exit code and the set of written files are checked.
 The trade logs of one market per rho kind and regime (with and without
 context noise), of one ensemble, the bytes of one array draw per rho kind
 and a truncated-Gaussian sphere report are pinned the same way, since the
@@ -13,7 +14,10 @@ demo configs trade and count only on the uniform elastic.
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -65,6 +69,30 @@ def test_selftest_stdout(capsys, recorded_versions_differ):
     assert cli_runner.selftest() == 0
     stdout = capsys.readouterr().out.encode()
     check_digests(DIGESTS["selftest"], {"stdout": stdout}, recorded_versions_differ)
+
+
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# SHA-256 of each demo script's stdout, run in a fresh interpreter
+DEMO_STDOUT_DIGESTS = {
+    "classical_feasibility.py": "4372b3ed16c5e3167f3ffde545423a35dadad5f6ea557ae28855e712848f3975",
+    "market_regimes.py": "bffac48fbfd7cd4e3ba475db9427fbc226d01132cd99e2b1ff48afb07a20d260",
+    "pricing_baseline.py": "acb97bee6f5ec33ece4ab721c3726835c3287f09fe8b45d5699a2958f8181749",
+    "scop_walkthrough.py": "9d8dc2068fa41bd422335d138c3cc8ec72bc12f90359af47df1757d09daa9609",
+    "sphere_measurements.py": "11596f21a974a1f26325b85f200e90c41714cdfb704f5b1266e69a60036d4dfa",
+}
+
+
+def test_every_demo_has_a_digest():
+    assert sorted(p.name for p in DEMOS) == sorted(DEMO_STDOUT_DIGESTS)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_stdout(demo, recorded_versions_differ):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    stdout = subprocess.run([sys.executable, str(demo)], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, check=True, timeout=300).stdout
+    check_digests({"stdout": DEMO_STDOUT_DIGESTS[demo.name]}, {"stdout": stdout},
+                  recorded_versions_differ)
 
 
 RHOS = {

@@ -222,8 +222,11 @@ class TestSphereBellScan:
             assert exc.value.field == "theta"
 
     def test_mode_validation(self):
-        with pytest.raises(ValueError):
-            sphere_bell_scan(UniformRho(), 1.0, mode="psychic")
+        for mode in ("psychic", ["auto"], None):
+            with pytest.raises(FieldError, match="must be one of 'auto', 'sequential', "
+                                                 "'hidden_state'") as exc:
+                sphere_bell_scan(UniformRho(), 1.0, mode=mode)
+            assert exc.value.field == "mode"
 
     def test_report_shape(self):
         d = sphere_bell_scan(UniformRho(), math.pi / 3).to_dict()

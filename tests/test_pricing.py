@@ -104,6 +104,8 @@ class TestD1D2:
             d1_d2(OptionSpec(100, 100, 0.05, 0.0, 1.0))
         with pytest.raises(DegenerateParametersError):
             d1_d2(OptionSpec(100, 100, 0.05, 0.2, 0.0))
+        with pytest.raises(DegenerateParametersError):  # sigma sqrt(tau) underflows to 0
+            d1_d2(OptionSpec(100, 100, 0.05, 5e-324, 0.1))
 
 
 class TestBsPrice:
@@ -121,6 +123,9 @@ class TestBsPrice:
         assert bs_price(spec) == max(100 - 100 * math.exp(-0.05), 0.0)
         spec_put = OptionSpec(50, 100, 0.05, 0.0, 1.0, kind=OptionKind.PUT)
         assert bs_price(spec_put) == max(100 * math.exp(-0.05) - 50, 0.0)
+        # sigma sqrt(tau) underflows to 0 with both positive: the same limit
+        spec = OptionSpec(100, 50, 0.05, 5e-324, 0.1)
+        assert bs_price(spec) == 100 - 50 * math.exp(-0.005)
 
     @given(spec_strategy)
     @settings(max_examples=200, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from spheremarket.geometry import UnitVector3, from_polar, sample_uniform
+from spheremarket.geometry import UnitVector3, dot, from_polar, sample_uniform
 from spheremarket.sphere_model import (
     CHUNK_TRIALS,
     DeltaRho,
@@ -19,14 +19,11 @@ from spheremarket.sphere_model import (
     agreement_table,
     hidden_state_agreement_table,
     measurement_counts,
-    measurement_frequency,
-    rho_cdf,
-    sequential_agreement,
     simulate_measurement,
     transition_probabilities,
     _below_intervals,
 )
-from spheremarket.streams import map_chunks
+from spheremarket.streams import chunk_rng, map_chunks
 
 POLE = UnitVector3(0.0, 0.0, 1.0)
 
@@ -42,36 +39,34 @@ def all_variants():
 
 class TestRhoCdf:
     def test_uniform_full_interval(self):
-        assert rho_cdf(UniformRho(), 1.0) == 1.0
+        assert UniformRho().cdf(1.0) == 1.0
 
     def test_uniform_midpoint(self):
         # closed-form integral of the density 1/2 over [-1, 0]
-        assert rho_cdf(UniformRho(), 0.0) == 0.5
+        assert UniformRho().cdf(0.0) == 0.5
 
     def test_delta_step(self):
         rho = DeltaRho(0.2)
-        assert rho_cdf(rho, 0.1) == 0.0
-        assert rho_cdf(rho, 0.3) == 1.0
-        assert rho_cdf(rho, 0.2) == 1.0  # right-continuous step
+        assert rho.cdf(0.1) == 0.0
+        assert rho.cdf(0.3) == 1.0
+        assert rho.cdf(0.2) == 1.0  # right-continuous step
 
     def test_normalization_all_variants(self):
         for rho in all_variants():
-            assert rho_cdf(rho, -1.0) == 0.0
-            assert rho_cdf(rho, 1.0) == 1.0
+            assert rho.cdf(-1.0) == 0.0
+            assert rho.cdf(1.0) == 1.0
 
     def test_nondecreasing(self):
         grid = np.linspace(-1.0, 1.0, 401)
         for rho in all_variants():
-            vals = [rho_cdf(rho, float(x)) for x in grid]
+            vals = [rho.cdf(float(x)) for x in grid]
             assert np.all(np.diff(vals) >= -1e-15)
 
     def test_domain_clamp(self):
-        assert rho_cdf(UniformRho(), 1.0 + 5e-10) == 1.0
-        assert rho_cdf(UniformRho(), -1.0 - 5e-10) == 0.0
-        with pytest.raises(ValueError):
-            rho_cdf(UniformRho(), 1.1)
-        with pytest.raises(ValueError):
-            rho_cdf(UniformRho(), -1.1)
+        assert UniformRho().cdf(1.0 + 5e-10) == 1.0
+        assert UniformRho().cdf(-1.0 - 5e-10) == 0.0
+        assert UniformRho().cdf(1.1) == 1.0  # defined on the whole real line
+        assert UniformRho().cdf(-1.1) == 0.0
 
     def test_truncated_gaussian_matches_quadrature(self):
         # independent oracle: adaptive quadrature of the renormalized density
@@ -210,7 +205,7 @@ class TestSimulateMeasurement:
     def test_tie_goes_to_o2(self):
         rng = np.random.default_rng(6)
         v = from_polar(math.acos(0.2), 0.0)
-        d = v.dot(POLE)
+        d = dot(v, POLE)
         out = simulate_measurement(DeltaRho(d), v, POLE, rng)
         assert out.label is OutcomeLabel.O2
 
@@ -240,8 +235,8 @@ class TestSimulateMeasurement:
         # analytic p1 = cos^2(30 deg) = 0.75 for the uniform elastic
         v = from_polar(math.pi / 3, 0.0)
         n = 10 ** 6
-        freq = measurement_frequency(UniformRho(), v, POLE, n, seed=11)
-        assert abs(freq - 0.75) < 4.0 * math.sqrt(0.75 * 0.25 / n)
+        n1, _ = measurement_counts(UniformRho(), v, POLE, n, seed=11)
+        assert abs(n1 / n - 0.75) < 4.0 * math.sqrt(0.75 * 0.25 / n)
 
     def test_monte_carlo_matches_analytic_all_variants(self):
         rng = np.random.default_rng(1234)
@@ -250,8 +245,8 @@ class TestSimulateMeasurement:
             for k in range(20):
                 v, u = sample_uniform(rng), sample_uniform(rng)
                 p1, _ = transition_probabilities(rho, v, u)
-                freq = measurement_frequency(rho, v, u, n, seed=1000 + k)
-                assert abs(freq - p1) <= 4.0 * math.sqrt(p1 * (1 - p1) / n) + 1e-12
+                n1, _ = measurement_counts(rho, v, u, n, seed=1000 + k)
+                assert abs(n1 / n - p1) <= 4.0 * math.sqrt(p1 * (1 - p1) / n) + 1e-12
 
     def test_counts_deterministic_and_worker_independent(self):
         v = from_polar(1.0, 0.5)
@@ -429,6 +424,20 @@ class TestBelowIntervals:
         assert band == []
         assert in_intervals(pair, below).tolist() != (rho.quantile(pair) < d).tolist()
 
+    def test_band_holding_a_drawn_uniform_is_decided_by_quantile(self):
+        # the band is about 3e-8 wide, so few chunks draw a uniform inside
+        # it; chunk 0 at seed 730 draws one, and measurement_counts must send
+        # it through quantile
+        rho = TruncatedGaussianRho(center=0.0, width=0.05)
+        v = from_polar(math.pi / 2, 0.0)
+        d = dot(v, POLE)
+        _, band = _below_intervals(rho, d)
+        r = chunk_rng(730, 0).random(CHUNK_TRIALS)
+        assert in_intervals(r, band).sum() == 1
+        n1 = int(np.count_nonzero(rho.quantile(r) < d))
+        assert n1 == 33064
+        assert measurement_counts(rho, v, POLE, CHUNK_TRIALS, 730) == (n1, CHUNK_TRIALS - n1)
+
     @pytest.mark.parametrize("center, width", [(0.1, 0.4), (0.0, 0.05), (1.5, 0.05),
                                                (-1.2, 0.05), (0.9, 2.0), (-0.3, 1.0)])
     def test_truncated_gaussian_falls_far_inside_its_slack(self, center, width):
@@ -445,16 +454,16 @@ class TestSequentialAgreement:
     def test_uniform_120_degrees(self):
         u1 = from_polar(0.0, 0.0)
         u2 = from_polar(2 * math.pi / 3, 0.0)
-        assert abs(sequential_agreement(UniformRho(), u1, u2) - 0.25) < 1e-12
+        assert abs(transition_probabilities(UniformRho(), u1, u2)[0] - 0.25) < 1e-12
 
     def test_same_direction_certain(self):
         u = from_polar(0.7, 0.3)
         for rho in all_variants():
-            assert sequential_agreement(rho, u, u) == 1.0
+            assert transition_probabilities(rho, u, u)[0] == 1.0
 
     def test_uniform_antipodal_zero(self):
         u = from_polar(0.7, 0.3)
-        assert sequential_agreement(UniformRho(), u, -u) == 0.0
+        assert transition_probabilities(UniformRho(), u, -u)[0] == 0.0
 
 
 class TestAgreementTable:
