@@ -160,8 +160,8 @@ def _run_sphere(params: dict, seed: int):
                         "freq_o1": n1 / n_trials},
     }
     resolved = {"rho": rho.to_dict(),
-                "state": [state.x, state.y, state.z],
-                "direction": [direction.x, direction.y, direction.z],
+                "state": list(state),
+                "direction": list(direction),
                 "n_trials": n_trials, "workers": workers}
     return resolved, results, {}
 
@@ -194,7 +194,7 @@ def _run_market(params: dict, seed: int):
                     optional={"compare_gbm": None, "write_trades": flag})
     market = p["market"]
     if isinstance(market, dict) and "seed" in market:
-        raise ConfigParseError("unknown key 'seed' in 'market' (the seed is top-level)")
+        raise ConfigParseError("unknown key 'params.market.seed' (the seed is top-level)")
     cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market,
                                  "params.market")
     if cfg.n_steps < MIN_TRADES:  # for the return statistics

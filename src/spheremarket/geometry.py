@@ -1,16 +1,16 @@
 """Unit-sphere vectors: construction, dot products, rotations, uniform sampling.
 
 Directions and states are kept in Cartesian coordinates; polar angles appear
-only at the API boundary (``from_polar``).  The arithmetic lives in private
-kernels on ``(x, y, z)`` float tuples (``_normalize``, ``_dot``, ``_rotate``):
-the public functions wrap them in ``UnitVector3``s, and the market's trade
-loop calls them directly so that a trade builds no ``UnitVector3``.
+only at the API boundary (``from_polar``).  A point is an ``(x, y, z)`` tuple,
+and ``UnitVector3`` is that tuple with its norm checked, so every function here
+takes either.  The market's trade loop calls ``dot`` and the unchecked kernels
+(``_normalize``, ``_rotate``, ...) so that a trade builds no ``UnitVector3``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -20,18 +20,21 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for 53-bit doubles
 _TINY_PRODUCT = 2.0 ** -900  # a margin above where Dekker's error term can underflow
 
 
-@dataclass(frozen=True)
-class UnitVector3:
-    """A point on the unit sphere. Components must have norm 1 within 1e-12."""
+class UnitVector3(namedtuple("UnitVector3", "x y z")):
+    """A point on the unit sphere: an (x, y, z) tuple of norm 1 within 1e-12,
+    checked by every way of building one (constructor, ``_make``, ``_replace``)."""
 
-    x: float
-    y: float
-    z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
+    def __new__(cls, x: float, y: float, z: float) -> "UnitVector3":
+        n2 = x * x + y * y + z * z
         if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects NaN
             raise ValueError(f"not a unit vector: |v|^2 = {n2!r}")
+        return super().__new__(cls, x, y, z)
+
+    @classmethod
+    def _make(cls, iterable) -> "UnitVector3":
+        return cls(*iterable)
 
     @staticmethod
     def normalized(x: float, y: float, z: float) -> "UnitVector3":
@@ -48,10 +51,6 @@ class UnitVector3:
     def __neg__(self) -> "UnitVector3":
         # Component negation is exact in IEEE arithmetic, so -(-v) == v.
         return UnitVector3(-self.x, -self.y, -self.z)
-
-
-def _xyz(v: UnitVector3) -> tuple:
-    return v.x, v.y, v.z
 
 
 def _normalize(x: float, y: float, z: float) -> tuple:
@@ -81,8 +80,12 @@ def from_polar(theta: float, phi: float) -> UnitVector3:
     return UnitVector3(*_polar(theta, phi))
 
 
-def _dot(a: tuple, b: tuple) -> float:
-    """``dot`` on (x, y, z) tuples."""
+def dot(a: tuple, b: tuple) -> float:
+    """Inner product of two unit vectors, clamped into [-1, 1].
+
+    Exact-alignment shortcuts make dot(v, v) == 1.0 and dot(v, -v) == -1.0
+    bit-exactly; downstream collapse/repeatability logic relies on this.
+    """
     ax, ay, az = a
     bx, by, bz = b
     if ax == bx and ay == by and az == bz:
@@ -93,16 +96,7 @@ def _dot(a: tuple, b: tuple) -> float:
     return min(1.0, max(-1.0, d))
 
 
-def dot(a: UnitVector3, b: UnitVector3) -> float:
-    """Inner product of two unit vectors, clamped into [-1, 1].
-
-    Exact-alignment shortcuts make dot(v, v) == 1.0 and dot(v, -v) == -1.0
-    bit-exactly; downstream collapse/repeatability logic relies on this.
-    """
-    return _dot(_xyz(a), _xyz(b))
-
-
-def angle_between(a: UnitVector3, b: UnitVector3) -> float:
+def angle_between(a: tuple, b: tuple) -> float:
     return math.acos(dot(a, b))
 
 
@@ -161,7 +155,7 @@ def _fma(a: float, b: float, c: float) -> float:
 
 
 def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
-    """``rotate`` on (x, y, z) tuples."""
+    """``rotate`` without the norm check of a ``UnitVector3`` result."""
     vx, vy, vz = v
     kx, ky, kz = axis
     c, s = math.cos(angle), math.sin(angle)
@@ -172,7 +166,7 @@ def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
                       (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
 
 
-def rotate(v: UnitVector3, axis: UnitVector3, angle: float) -> UnitVector3:
+def rotate(v: tuple, axis: tuple, angle: float) -> UnitVector3:
     """Rotate ``v`` by ``angle`` about ``axis`` (Rodrigues), renormalized.
 
     Evaluates v c + (k x v) s + k (k.v)(1 - c) in the operation order of
@@ -180,13 +174,13 @@ def rotate(v: UnitVector3, axis: UnitVector3, angle: float) -> UnitVector3:
     fma(kz, vz, fma(ky, vy, kx vx)); ``_fma`` makes that chain explicit, so
     the result does not depend on which BLAS kernel is installed.
     """
-    return UnitVector3(*_rotate(_xyz(v), _xyz(axis), angle))
+    return UnitVector3(*_rotate(v, axis, angle))
 
 
-def perturb_by(v: UnitVector3, z: float, phi: float, angle: float) -> UnitVector3:
+def perturb_by(v: tuple, z: float, phi: float, angle: float) -> UnitVector3:
     """``v`` rotated by ``angle`` about the axis at height ``z`` and azimuth
     ``phi``: ``perturb`` with its three draws given."""
-    return UnitVector3(*_rotate(_xyz(v), _on_sphere(z, phi), angle))
+    return UnitVector3(*_rotate(v, _on_sphere(z, phi), angle))
 
 
 def perturb(v: UnitVector3, max_angle: float, rng: np.random.Generator) -> UnitVector3:

@@ -377,7 +377,7 @@ class SphereScanResult:
         return {
             "theta": self.theta,
             "mode": self.mode,
-            "directions": [[d.x, d.y, d.z] for d in self.directions],
+            "directions": [list(d) for d in self.directions],
             "table": self.table.to_dict(),
             "facets": [f.to_dict() for f in self.facets],
             "feasibility": self.feasibility.to_dict(),

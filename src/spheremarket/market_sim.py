@@ -33,11 +33,10 @@ from .config import (
 from .geometry import (
     UnitVector3,
     _check_unit_rows,
-    _dot,
     _on_sphere,
     _polar,
     _rotate,
-    _xyz,
+    dot,
     sample_uniform,
 )
 from .kolmogorov_check import sphere_bell_scan
@@ -157,7 +156,7 @@ class MarketConfig:
             "n_steps": self.n_steps,
             "regime": self.regime.to_dict(),
             "seed": self.seed,
-            "price_axis": [self.price_axis.x, self.price_axis.y, self.price_axis.z],
+            "price_axis": list(self.price_axis),
             "price_min": self.price_min,
             "price_max": self.price_max,
         }
@@ -234,14 +233,15 @@ class TradeLog(Sequence):
 
 def _pricer(cfg: MarketConfig):
     """The function from an (x, y, z) state to its price under ``cfg``."""
-    axis, low, span = _xyz(cfg.price_axis), cfg.price_min, cfg.price_max - cfg.price_min
-    return lambda s: low + span * ((1.0 + _dot(s, axis)) / 2.0)
+    # a plain tuple: ``dot`` unpacks a tuple subclass on a slower path, once per trade
+    axis, low, span = tuple(cfg.price_axis), cfg.price_min, cfg.price_max - cfg.price_min
+    return lambda s: low + span * ((1.0 + dot(s, axis)) / 2.0)
 
 
 def price_of_state(cfg: MarketConfig, s: UnitVector3) -> float:
     """Affine in the projection on the price axis: price_min at -axis,
     price_max at +axis."""
-    return _pricer(cfg)(_xyz(s))
+    return _pricer(cfg)(s)
 
 
 def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
@@ -260,7 +260,7 @@ def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
     news = None if isinstance(regime, LocalRegime) else regime.news
     width = (3 if noise > 0.0 else 0) + rho.draws
     price = _pricer(cfg)
-    state = _xyz(sample_uniform(rng))
+    state = sample_uniform(rng)
     directions, o1, prices, breaks = [], [], [], []
     for start in range(0, cfg.n_steps, BLOCK_STEPS):
         steps = range(start, min(start + BLOCK_STEPS, cfg.n_steps))
@@ -274,7 +274,7 @@ def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
         for step, x, kick in zip(steps, breaks[-1].tolist(), kicks):
             center = state if news is None else news._direction_xyz(step)
             d = center if kick is None else _rotate(center, _on_sphere(kick[0], kick[1]), kick[2])
-            hit = x < _dot(state, d)
+            hit = x < dot(state, d)
             state = d if hit else (-d[0], -d[1], -d[2])
             directions.append(d)
             o1.append(hit)
@@ -380,7 +380,7 @@ def representative_scan_angle(trades: TradeLog) -> float:
     """Median angle between consecutive trade directions, clamped into
     (0, pi); the spacing used for the three-direction feasibility scan."""
     dirs = trades.direction.tolist()
-    gaps = [math.acos(_dot(a, b)) for a, b in zip(dirs, dirs[1:])]
+    gaps = [math.acos(dot(a, b)) for a, b in zip(dirs, dirs[1:])]
     theta = statistics.median(gaps) if gaps else 0.0
     return min(max(theta, 1e-6), math.pi - 1e-6)
 

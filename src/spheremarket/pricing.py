@@ -218,17 +218,18 @@ def binomial_price(spec: OptionSpec, steps: int) -> float:
 
     u = exp(sigma sqrt(dt)), d = 1/u, risk-neutral weight
     (exp(r dt) - d) / (u - d); parameters implying a weight outside [0, 1]
-    are arbitrage-violating and rejected.
+    are arbitrage-violating and rejected, as is a lattice whose u rounds to d.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    if spec.sigma <= 0.0:
-        raise ValueError("binomial lattice needs sigma > 0")
     if spec.tau <= 0.0:
         return intrinsic_value(spec)
     dt = spec.tau / steps
     u = math.exp(spec.sigma * math.sqrt(dt))
     d = 1.0 / u
+    if not u > d:
+        raise ValueError(f"binomial lattice needs u > d, but sigma {spec.sigma!r}, tau "
+                         f"{spec.tau!r} and {steps} steps give u = d = {u!r}")
     growth = math.exp(spec.rate * dt)
     p = (growth - d) / (u - d)
     if not 0.0 <= p <= 1.0:

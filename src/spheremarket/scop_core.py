@@ -111,13 +111,6 @@ class ScopSystem:
         for p, actual in xi_rows.items():
             if not actual <= properties:
                 raise ValueError(f"xi({p!r}) lists properties outside the property set")
-        for p in states:
-            for e in contexts:
-                if (p, e) not in mu_rows:
-                    raise ValueError(f"mu_table missing row for ({p!r}, {e!r})")
-                total = sum(prob for _, prob in mu_rows[(p, e)])
-                if abs(total - 1.0) > ROW_SUM_TOL:
-                    raise ValueError(f"mu row for ({p!r}, {e!r}) sums to {total!r}")
 
         def mu(p, e):
             return mu_rows[(p, e)]
@@ -125,8 +118,14 @@ class ScopSystem:
         def xi(p):
             return xi_rows[p]
 
-        return ScopSystem(contexts=contexts, properties=properties, mu=mu, xi=xi,
-                          states=states, contains_state=frozenset(states).__contains__)
+        system = ScopSystem(contexts=contexts, properties=properties, mu=mu, xi=xi,
+                            states=states, contains_state=frozenset(states).__contains__)
+        for p in states:
+            for e in contexts:
+                if (p, e) not in mu_rows:
+                    raise ValueError(f"mu_table missing row for ({p!r}, {e!r})")
+                system.transition_distribution(p, e)
+        return system
 
 
 def is_eigenstate(sys: ScopSystem, p, e) -> bool:

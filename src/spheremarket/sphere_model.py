@@ -406,7 +406,7 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
         raise ValueError("n_samples must be positive")
     rng = chunk_rng(seed, 0)
     v = sample_uniform_array(rng, n_samples)
-    dirs = np.array([[d.x, d.y, d.z] for d in directions])
+    dirs = np.array(directions)
     # each array is dropped once the next one exists, to keep the peak low;
     # clipping in place instead freed its blocks in an order that left glibc
     # holding 15-20 MB more resident memory in the batch benchmark

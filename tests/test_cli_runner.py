@@ -256,6 +256,19 @@ class TestErrorHandling:
         assert message == f"'{path}' is not finite"
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
+    @pytest.mark.parametrize("field", ["sigma", "tau"])
+    def test_degenerate_lattice_is_a_validation_error(self, tmp_path, capsys, config, field):
+        # sigma sqrt(tau / steps) underflows, so u = d: this once exited 4
+        # with a ZeroDivisionError
+        with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["spec"][field] = 5e-324
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        assert "u > d" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(params, seed):
             raise RuntimeError("solver exploded")
@@ -430,8 +443,13 @@ class TestMarketExperiment:
         # UnitVector3s (the initial state and the scan directions), not
         # several per trade
         built = []
-        check = UnitVector3.__post_init__
-        monkeypatch.setattr(UnitVector3, "__post_init__", lambda v: built.append(check(v)))
+        new = UnitVector3.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args or kwargs)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(UnitVector3, "__new__", counted)
         payload = json.loads(json.dumps(self.PAYLOAD))
         payload["params"]["market"]["regime"] = regime
         payload["params"]["market"]["n_steps"] = payload["params"]["compare_gbm"]["steps"] = 2000

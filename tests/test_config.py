@@ -192,7 +192,7 @@ class TestCliExitCodes:
         ("write_trades string", {"experiment": "market",
                                  "params": {"market": market_payload()["params"]["market"],
                                             "write_trades": "no"}}, EXIT_PARSE, "write_trades"),
-        ("seed inside market", market_payload(seed=3), EXIT_PARSE, "seed"),
+        ("seed inside market", market_payload(seed=3), EXIT_PARSE, "'params.market.seed'"),
         ("methods empty", {"experiment": "price", "params": {"spec": SPEC, "methods": []}},
          EXIT_PARSE, "'params.methods'"),
         ("gbm unknown key", {"experiment": "market",

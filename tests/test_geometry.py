@@ -27,7 +27,7 @@ POLE = UnitVector3(0.0, 0.0, 1.0)
 class TestConstruction:
     def test_pole(self):
         v = from_polar(0.0, 0.0)
-        assert (v.x, v.y, v.z) == (0.0, 0.0, 1.0)
+        assert v == (0.0, 0.0, 1.0)
 
     def test_antipode(self):
         v = from_polar(math.pi, 0.0)
@@ -71,8 +71,7 @@ class TestConstruction:
         scale = max(map(abs, xyz))
         v = UnitVector3.normalized(*xyz)
         w = UnitVector3.normalized(*(c / scale for c in xyz))
-        assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
-                   for a, b in zip((v.x, v.y, v.z), (w.x, w.y, w.z)))
+        assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12) for a, b in zip(v, w))
 
 
 class TestDot:
@@ -258,7 +257,7 @@ class TestExactRotation:
     @example(from_polar(1.0, 2.0), from_polar(2.0, 1.0), 0.0)
     def test_matches_exact_reference(self, v, k, angle):
         got, want = rotate(v, k, angle), reference_rotate(v, k, angle)
-        assert (got.x, got.y, got.z) == (want.x, want.y, want.z)
+        assert got == want
 
     def test_matches_exact_reference_on_random_draws(self):
         rng = np.random.default_rng(31)
@@ -266,3 +265,50 @@ class TestExactRotation:
             v, k = sample_uniform(rng), sample_uniform(rng)
             angle = float(rng.uniform(0.0, math.pi))
             assert rotate(v, k, angle) == reference_rotate(v, k, angle)
+
+
+class TestTupleRepresentation:
+    """A UnitVector3 is the (x, y, z) tuple the kernels take, with its norm checked."""
+
+    @given(polar_points, polar_points, st.floats(0.0, math.pi))
+    @settings(max_examples=200, deadline=None)
+    @example(POLE, POLE, 0.7)
+    @example(POLE, -POLE, 0.7)
+    def test_vectors_and_bare_tuples_give_the_same_bits(self, v, u, angle):
+        plain_v, plain_u = tuple(v), tuple(u)
+        assert dot(v, u).hex() == dot(plain_v, plain_u).hex()
+        assert angle_between(v, u).hex() == angle_between(plain_v, plain_u).hex()
+        assert ([c.hex() for c in rotate(v, u, angle)]
+                == [c.hex() for c in rotate(plain_v, plain_u, angle)])
+
+    def test_equal_and_hashed_as_its_tuple(self):
+        v = from_polar(1.0, 2.0)
+        plain = (v.x, v.y, v.z)
+        assert isinstance(v, tuple) and tuple(v) == plain
+        assert v == plain and hash(v) == hash(plain)
+        assert repr(v) == f"UnitVector3(x={v.x!r}, y={v.y!r}, z={v.z!r})"
+        assert UnitVector3(x=v.x, y=v.y, z=v.z) == v
+
+    def test_negation_is_exact(self):
+        w = -UnitVector3(0.6, 0.0, -0.8)
+        assert type(w) is UnitVector3
+        assert [c.hex() for c in w] == [(-0.6).hex(), (-0.0).hex(), (0.8).hex()]
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            POLE.x = 1.0
+        with pytest.raises(TypeError):
+            POLE[0] = 1.0
+
+    def test_replace_builds_a_checked_vector(self):
+        assert POLE._replace(z=-1.0) == (0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: UnitVector3(x=math.nan, y=0.0, z=1.0),
+        lambda: UnitVector3._make((1.0, 1.0, 0.0)),
+        lambda: POLE._replace(x=1.0),
+        lambda: POLE._replace(z=math.nan),
+    ], ids=["keywords_nan", "make", "replace", "replace_nan"])
+    def test_every_construction_checks_the_norm(self, build):
+        with pytest.raises(ValueError, match="not a unit vector"):
+            build()

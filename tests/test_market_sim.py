@@ -199,7 +199,7 @@ class TestTradeLog:
         log = run_market(self.CFG)
         t = log[5]
         assert t.step == 5 and t.realized_price == log.price[5]
-        assert (t.direction.x, t.direction.y, t.direction.z) == tuple(log.direction[5])
+        assert t.direction == tuple(log.direction[5])
         assert t.outcome.break_point == log.break_point[5]
         expected = t.direction if log.o1[5] else -t.direction
         assert t.outcome.collapsed_state == expected

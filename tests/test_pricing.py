@@ -250,6 +250,8 @@ class TestBinomial:
 
     def test_zero_tau_intrinsic(self):
         assert binomial_price(OptionSpec(120, 100, 0.05, 0.2, 0.0), 10) == 20.0
+        # sigma 0 too: tau = 0 returns before the lattice is built
+        assert binomial_price(OptionSpec(120, 100, 0.05, 0.0, 0.0), 10) == 20.0
 
     def test_rejects_degenerate_and_arbitrage(self):
         with pytest.raises(ValueError):
@@ -267,6 +269,16 @@ class TestBinomial:
         assert OptionSpec.from_dict(ATM.to_dict()) == ATM
         with pytest.raises(ValueError, match="'spec.style' must be one of 'european'"):
             OptionSpec.from_dict({**ATM.to_dict(), "style": "american"})
+
+    @pytest.mark.parametrize("sigma, tau", [(5e-324, 1.0), (0.2, 5e-324)],
+                             ids=["sigma_subnormal", "tau_subnormal"])
+    def test_degenerate_lattice_rejected(self, sigma, tau):
+        # sigma sqrt(tau / steps) underflows, so u = d and the weight's
+        # denominator u - d is 0: this once raised ZeroDivisionError
+        spec = OptionSpec(100, 100, 0.05, sigma, tau)
+        with pytest.raises(ValueError, match=rf"u > d, but sigma {sigma!r}, tau {tau!r} "
+                                             r"and 1000 steps"):
+            binomial_price(spec, 1000)
 
     def test_error_shrinks_like_one_over_n(self):
         reference = bs_price(ATM)

@@ -101,6 +101,15 @@ class TestFiniteSystems:
                 ["a"], ["e"], [], {("a", "e"): {("a", "e"): 0.7}}, {}
             )
 
+    def test_negative_row_entry_rejected_at_construction(self):
+        # the row sums to 1, so only the sign check of the mu row catches it
+        with pytest.raises(ValueError, match="nonnegative"):
+            ScopSystem.from_tables(
+                ["a", "b"], ["e"], [],
+                {("a", "e"): {("a", "e"): 1.5, ("b", "e"): -0.5},
+                 ("b", "e"): {("b", "e"): 1.0}}, {}
+            )
+
     def test_foreign_property_rejected(self):
         with pytest.raises(ValueError):
             ScopSystem.from_tables(
