@@ -365,7 +365,7 @@ def _check_rho_normalization() -> tuple[bool, str]:
 
 def _check_lp_vs_facets() -> tuple[bool, str]:
     rng = np.random.default_rng(2718)
-    tables = [AgreementTable.from_pair_values(3, v) for v in _PROBE_TABLES]
+    tables = [AgreementTable(3, v) for v in _PROBE_TABLES]
     tables += [random_agreement_table(3, rng) for _ in range(100)]
     for idx, table in enumerate(tables):
         lp = joint_feasibility(table).feasible

@@ -68,67 +68,40 @@ def atom_agreement(n: int) -> np.ndarray:
     return agree
 
 
-@dataclass(frozen=True, eq=False)
 class AgreementTable:
-    """Symmetric n x n matrix of pairwise agreement probabilities.
+    """Pairwise agreement probabilities of n observables, stored as their
+    pair values: q_ij for the pairs i < j in ``pair_index(n)`` order, the
+    coordinates of the classical agreement polytope.
 
-    Unit diagonal, symmetry and [0, 1] entries are validated to 1e-12 and
-    then canonicalized (fp dust clipped, diagonal pinned to 1).
+    Entries are validated to [0, 1] within 1e-12 (NaN and infinities fail)
+    and then clipped.  ``q`` is the read-only symmetric n x n matrix with a
+    unit diagonal, derived once for reports.
     """
 
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError(f"agreement table must be square, got shape {q.shape}")
-        n = q.shape[0]
+    def __init__(self, n: int, values):
         if n < 2:
             raise ValueError("need at least 2 observables")
-        if not np.allclose(q, q.T, atol=1e-12, rtol=0.0):
-            raise ValueError("agreement table must be symmetric")
-        if not np.allclose(np.diag(q), 1.0, atol=1e-12, rtol=0.0):
-            raise ValueError("diagonal entries must equal 1")
-        if q.min() < -1e-12 or q.max() > 1.0 + 1e-12:
-            raise ValueError("entries must lie in [0, 1]")
-        q = np.clip(0.5 * (q + q.T), 0.0, 1.0)
-        np.fill_diagonal(q, 1.0)
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
-    def __eq__(self, other):
-        return isinstance(other, AgreementTable) and np.array_equal(self.q, other.q)
-
-    def __hash__(self):
-        return hash(self.q.tobytes())
-
-    @property
-    def n(self) -> int:
-        return self.q.shape[0]
-
-    def pair_values(self) -> np.ndarray:
-        return self.q[pair_index(self.n)]
-
-    @staticmethod
-    def from_pair_values(n: int, values) -> "AgreementTable":
         values = np.asarray(values, dtype=float)
         i, j = pair_index(n)
         if values.shape != i.shape:
             raise ValueError(f"expected {i.size} pair values for n={n}")
-        q = np.eye(n)
-        q[i, j] = q[j, i] = values
-        return AgreementTable(q)
+        if not np.all((values >= -1e-12) & (values <= 1.0 + 1e-12)):
+            raise ValueError("entries must lie in [0, 1]")
+        self.n = n
+        self._values = np.clip(values, 0.0, 1.0)
+        self.q = np.eye(n)
+        self.q[i, j] = self.q[j, i] = self._values
+        self._values.setflags(write=False)
+        self.q.setflags(write=False)
 
-    def permuted(self, perm) -> "AgreementTable":
-        p = np.asarray(perm, dtype=int)
-        return AgreementTable(self.q[np.ix_(p, p)])
+    def __eq__(self, other):
+        return isinstance(other, AgreementTable) and np.array_equal(self.q, other.q)
+
+    def pair_values(self) -> np.ndarray:
+        return self._values
 
     def to_dict(self) -> dict:
         return {"n": self.n, "q": self.q.tolist()}
-
-    @staticmethod
-    def from_dict(d: dict) -> "AgreementTable":
-        return AgreementTable(np.asarray(d["q"], dtype=float))
 
 
 def table_from_atom_weights(n: int, weights) -> AgreementTable:
@@ -149,34 +122,35 @@ def table_from_atom_weights(n: int, weights) -> AgreementTable:
     # each row gathers the 2^(n-1) agreeing weights in atom order, so its sum
     # is the same pairwise sum as w[mask].sum() over that pair's mask
     w = np.broadcast_to(w / total, agree.shape)[agree].reshape(len(agree), -1)
-    return AgreementTable.from_pair_values(n, w.sum(axis=1))
+    return AgreementTable(n, w.sum(axis=1))
 
 
 def random_agreement_table(n: int, rng: np.random.Generator) -> AgreementTable:
     """Valid table with off-diagonal entries i.i.d. uniform on [0, 1]."""
     vals = rng.random(len(pair_indices(n)))
-    return AgreementTable.from_pair_values(n, vals)
+    return AgreementTable(n, vals)
 
 
 @dataclass(frozen=True, eq=False)
 class InfeasibilityCertificate:
-    """Separating inequality: every classical table satisfies
-    sum_k coefficients[k] * q[pairs[k]] >= bound; this table violates it
-    with the stated (strictly negative) slack."""
+    """Separating inequality over the pair values of n observables: every
+    classical table satisfies  coefficients . pair_values >= bound;  this
+    table violates it with the stated (strictly negative) slack."""
 
-    pairs: tuple[tuple[int, int], ...]
+    n: int
     coefficients: np.ndarray
     bound: float
     slack: float
 
     def evaluate(self, table: AgreementTable) -> float:
         """Slack of the inequality on another table (>= 0 when satisfied)."""
-        i, j = np.array(self.pairs).T
-        return float(self.coefficients @ table.q[i, j] - self.bound)
+        if table.n != self.n:
+            raise ValueError(f"certificate for n={self.n} evaluated on a table with n={table.n}")
+        return float(self.coefficients @ table.pair_values() - self.bound)
 
     def to_dict(self) -> dict:
         return {
-            "pairs": [list(p) for p in self.pairs],
+            "pairs": [list(p) for p in pair_indices(self.n)],
             "coefficients": self.coefficients.tolist(),
             "bound": self.bound,
             "slack": self.slack,
@@ -184,7 +158,7 @@ class InfeasibilityCertificate:
 
     def __str__(self):
         terms = " + ".join(
-            f"{c:+.6g}*q{i}{j}" for c, (i, j) in zip(self.coefficients, self.pairs)
+            f"{c:+.6g}*q{i}{j}" for c, (i, j) in zip(self.coefficients, pair_indices(self.n))
         )
         return f"{terms} >= {self.bound:.6g} (slack {self.slack:.3g})"
 
@@ -305,8 +279,8 @@ def joint_feasibility(table: AgreementTable) -> FeasibilityResult:
 
     # y.b > 0 and y.A_col <= 0, so  sum(-y_pair) q - y_norm >= 0  holds for
     # every classical table and fails here with slack exactly -optimum.
-    cert = InfeasibilityCertificate(pairs=tuple(pair_indices(n)), coefficients=-y[:-1],
-                                    bound=float(y[-1]), slack=-float(y @ b))
+    cert = InfeasibilityCertificate(n=n, coefficients=-y[:-1], bound=float(y[-1]),
+                                    slack=-float(y @ b))
     return FeasibilityResult(feasible=False, certificate=cert)
 
 

@@ -214,8 +214,10 @@ class TruncatedGaussianRho(RhoDistribution):
 
     The bump must put some mass inside [-1, 1] in double precision: a
     center far outside the interval with a narrow width is rejected.
-    ``_lo`` and ``_hi`` hold the standard normal CDF at the standardized
-    ends -1 and 1.
+    ``_lo`` and ``_hi`` hold the standard normal CDF at the ends -1 and 1
+    standardized about |center|.  A negative center is handled as the
+    mirror image of the density at -center, so its mass sits in the lower
+    tail of ``ndtr``, where doubles are dense, instead of just below 1.
     """
 
     center: float
@@ -226,8 +228,9 @@ class TruncatedGaussianRho(RhoDistribution):
         require_finite(self, "center", "width")
         if self.width <= 0:
             raise FieldError("width", "must be positive")
-        lo = ndtr((-1.0 - self.center) / self.width)
-        hi = ndtr((1.0 - self.center) / self.width)
+        c = abs(self.center)
+        lo = ndtr((-1.0 - c) / self.width)
+        hi = ndtr((1.0 - c) / self.width)
         if not hi > lo:
             raise FieldError("center", f"{self.center!r} at width {self.width!r} leaves the "
                              "truncated Gaussian no mass inside [-1, 1]")
@@ -236,31 +239,41 @@ class TruncatedGaussianRho(RhoDistribution):
 
     def _cdf_inside(self, x):
         lo, hi = self._lo, self._hi
-        return min(1.0, max(0.0, (ndtr((x - self.center) / self.width) - lo) / (hi - lo)))
+        if self.center < 0:
+            p = hi - ndtr((self.center - x) / self.width)
+        else:
+            p = ndtr((x - self.center) / self.width) - lo
+        return min(1.0, max(0.0, p / (hi - lo)))
 
     def quantile(self, u):
         from scipy.special import ndtri
 
         lo, hi = self._lo, self._hi
-        x = self.center + self.width * ndtri(lo + u * (hi - lo))
+        if self.center < 0:
+            x = self.center - self.width * ndtri(hi - u * (hi - lo))
+        else:
+            x = self.center + self.width * ndtri(lo + u * (hi - lo))
         return np.clip(x, -1.0, _BELOW_ONE)
 
     def monotone_pieces(self):
         """One piece, with slack 2**-29 (1 + |c|) for center c, about
         1.9e-9 (1 + |c|).
 
-        quantile is clip(c + w * ndtri(p)) with p = lo + u * (hi - lo).  The
-        map u -> p, the multiply, the add and the clip are monotone IEEE
-        operations; ``ndtri`` is not, so quantile can fall between adjacent
-        doubles.  ``ndtri`` is accurate to a few ulps relative to its value
-        (over 3.2e8 adjacent pairs of p it fell by at most 1.01e-15 |z|), and
-        |z| stays within max(|z_lo|, |z_hi|) for the standardized ends
-        z_lo = (-1 - c) / w and z_hi = (1 - c) / w, where w |z_lo| and
-        w |z_hi| are at most 1 + |c|.  So between any two u, w * ndtri falls
-        by at most about 2e-15 (1 + |c|); the multiply and the add each round
-        by at most 2**-53 of a value below 1 + 2 |c|, so quantile falls by
-        less than 1e-14 (1 + |c|).  The slack is 10**5 times that, which also
-        covers the rounding of d - slack and d + slack.
+        For c >= 0, quantile is clip(c + w * ndtri(p)) with
+        p = lo + u * (hi - lo); for c < 0 it is the mirror image
+        clip(c - w * ndtri(p)) with p = hi - u * (hi - lo), p falling as u
+        rises.  The map u -> p, the multiply, the add or subtract and the
+        clip are monotone IEEE operations; ``ndtri`` is not, so quantile can
+        fall between adjacent doubles.  ``ndtri`` is accurate to a few ulps
+        relative to its value (over 3.2e8 adjacent pairs of p it fell by at
+        most 1.01e-15 |z|), and |z| stays within max(|z_lo|, |z_hi|) for the
+        ends standardized about |c|, z_lo = (-1 - |c|) / w and
+        z_hi = (1 - |c|) / w, where w |z_lo| and w |z_hi| are at most
+        1 + |c|.  So between any two u, w * ndtri moves against u by at most
+        about 2e-15 (1 + |c|); the multiply and the add or subtract each
+        round by at most 2**-53 of a value below 1 + 2 |c|, so quantile
+        falls by less than 1e-14 (1 + |c|).  The slack is 10**5 times that,
+        which also covers the rounding of d - slack and d + slack.
         """
         return _UNIT_PIECE, 2.0 ** -29 * (1.0 + abs(self.center))
 
@@ -386,9 +399,8 @@ def agreement_table(rho: RhoDistribution, directions: list[UnitVector3]) -> Agre
     (i, j) agrees with P[O1] for the particle at d_i measured along d_j.
     """
     n = len(directions)
-    return AgreementTable.from_pair_values(
-        n, [transition_probabilities(rho, directions[i], directions[j])[0]
-            for i, j in pair_indices(n)])
+    return AgreementTable(n, [transition_probabilities(rho, directions[i], directions[j])[0]
+                              for i, j in pair_indices(n)])
 
 
 def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVector3],
@@ -418,4 +430,4 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
     # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
     # pair_indices order, without an array of every pair's outcomes at once
     agree = [np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1) for i in range(n - 1)]
-    return AgreementTable.from_pair_values(n, np.concatenate(agree) / n_samples)
+    return AgreementTable(n, np.concatenate(agree) / n_samples)

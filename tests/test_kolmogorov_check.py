@@ -34,7 +34,7 @@ from spheremarket.sphere_model import (
 
 
 def table3(q01, q02, q12):
-    return AgreementTable.from_pair_values(3, [q01, q02, q12])
+    return AgreementTable(3, [q01, q02, q12])
 
 
 def linprog_feasible(table):
@@ -50,28 +50,29 @@ def linprog_feasible(table):
 
 
 class TestAgreementTableType:
-    def test_rejects_asymmetric(self):
-        q = np.eye(3)
-        q[0, 1] = 0.4
-        with pytest.raises(ValueError):
-            AgreementTable(q)
-
-    def test_rejects_bad_diagonal(self):
-        q = np.full((3, 3), 0.5)
-        with pytest.raises(ValueError):
-            AgreementTable(q)
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             table3(1.2, 0.5, 0.5)
 
-    def test_rejects_tiny(self):
-        with pytest.raises(ValueError):
-            AgreementTable(np.eye(1))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"entries must lie in \[0, 1\]"):
+            table3(0.5, bad, 0.5)
 
-    def test_round_trip(self):
-        t = table3(0.1, 0.2, 0.3)
-        assert AgreementTable.from_dict(t.to_dict()) == t
+    def test_rejects_tiny(self):
+        with pytest.raises(ValueError, match="need at least 2 observables"):
+            AgreementTable(1, [])
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 3 pair values for n=3"):
+            AgreementTable(3, [0.5, 0.5])
+
+    def test_clips_rounding_dust_and_derives_q(self):
+        t = table3(-1e-13, 0.5, 1.0 + 1e-13)
+        assert t.pair_values().tolist() == [0.0, 0.5, 1.0]
+        assert t.q.tolist() == [[1.0, 0.0, 0.5], [0.0, 1.0, 1.0], [0.5, 1.0, 1.0]]
+        assert not t.q.flags.writeable and not t.pair_values().flags.writeable
+        assert t.to_dict() == {"n": 3, "q": t.q.tolist()}
 
 
 class TestJointFeasibility:
@@ -102,10 +103,9 @@ class TestJointFeasibility:
         rng = np.random.default_rng(17)
         lam = rng.random(10 ** 5)
         outcomes = np.stack([lam < 0.3, lam < 0.6, lam > 0.45], axis=1)
-        q = np.eye(3)
-        for i, j in itertools.combinations(range(3), 2):
-            q[i, j] = q[j, i] = float(np.mean(outcomes[:, i] == outcomes[:, j]))
-        res = joint_feasibility(AgreementTable(q))
+        q = [float(np.mean(outcomes[:, i] == outcomes[:, j]))
+             for i, j in itertools.combinations(range(3), 2)]
+        res = joint_feasibility(table3(*q))
         assert res.feasible
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -133,7 +133,9 @@ class TestJointFeasibility:
             table = random_agreement_table(4, rng)
             verdict = joint_feasibility(table).feasible
             perm = rng.permutation(4)
-            assert joint_feasibility(table.permuted(perm)).feasible == verdict
+            # relabel observable k as perm[k]: pair (i, j) reads q[perm[i], perm[j]]
+            values = [table.q[perm[i], perm[j]] for i, j in pair_indices(4)]
+            assert joint_feasibility(AgreementTable(4, values)).feasible == verdict
 
     def test_certificate_separates(self):
         rng = np.random.default_rng(31)
@@ -153,9 +155,14 @@ class TestJointFeasibility:
                 classical = table_from_atom_weights(3, w)
                 assert cert.evaluate(classical) >= -1e-9
 
+    def test_certificate_rejects_a_table_of_another_size(self):
+        cert = joint_feasibility(table3(0.25, 0.25, 0.25)).certificate
+        with pytest.raises(ValueError, match="certificate for n=3 evaluated on a table with n=4"):
+            cert.evaluate(AgreementTable(4, np.ones(6)))
+
     def test_size_limit(self):
         with pytest.raises(ValueError):
-            joint_feasibility(AgreementTable(np.eye(13)))
+            joint_feasibility(AgreementTable(13, np.ones(78)))
 
 
 class TestBellFacets:
@@ -179,7 +186,7 @@ class TestBellFacets:
 
     def test_requires_three_observables(self):
         with pytest.raises(ValueError):
-            bell_facets_n3(AgreementTable(np.eye(4)))
+            bell_facets_n3(AgreementTable(4, np.ones(6)))
 
     def test_agrees_with_lp_on_random_tables(self):
         rng = np.random.default_rng(2024)
@@ -278,7 +285,7 @@ class TestPairIndex:
         rng = np.random.default_rng(4)
         for n in range(2, 9):
             vals = rng.random(n * (n - 1) // 2)
-            table = AgreementTable.from_pair_values(n, vals)
+            table = AgreementTable(n, vals)
             assert np.array_equal(table.pair_values(), vals)
             assert all(table.q[i, j] == table.q[j, i] == v
                        for (i, j), v in zip(pair_indices(n), vals))

@@ -139,6 +139,20 @@ class TestRhoCdf:
         assert np.all((xs >= -1.0) & (xs < 1.0))
         assert 0.0 < rho.cdf(0.9) < 1.0
 
+    def test_truncated_gaussian_far_below_is_the_mirror_image(self):
+        # at center -1.4 the mass once sat just below ndtr = 1, where
+        # lo + u (hi - lo) spans a few doubles: 7 distinct break points in
+        # 10**5 draws and cdf steps of 1/6
+        rho = TruncatedGaussianRho(center=-1.4, width=0.05)
+        mirror = TruncatedGaussianRho(center=1.4, width=0.05)
+        u = np.random.default_rng(5).random(10 ** 5)
+        xs = rho.quantile(u)
+        assert np.unique(xs).size == u.size
+        assert np.allclose([rho.cdf(float(x)) for x in xs[:500]], u[:500], rtol=0, atol=1e-9)
+        for x in np.linspace(-0.9999, 0.9999, 41).tolist():
+            assert abs(rho.cdf(x) - (1.0 - mirror.cdf(-x))) < 1e-12
+        assert abs(rho.cdf(-0.999) - 0.150090) < 5e-7
+
 
 class TestTransitionProbabilities:
     def test_uniform_is_cos_squared_half_angle(self):
@@ -439,7 +453,8 @@ class TestBelowIntervals:
         assert measurement_counts(rho, v, POLE, CHUNK_TRIALS, 730) == (n1, CHUNK_TRIALS - n1)
 
     @pytest.mark.parametrize("center, width", [(0.1, 0.4), (0.0, 0.05), (1.5, 0.05),
-                                               (-1.2, 0.05), (0.9, 2.0), (-0.3, 1.0)])
+                                               (-1.2, 0.05), (-1.4, 0.05), (0.9, 2.0),
+                                               (-0.3, 1.0)])
     def test_truncated_gaussian_falls_far_inside_its_slack(self, center, width):
         # the slack is meant to sit 10**5 above the largest fall of quantile
         rho = TruncatedGaussianRho(center=center, width=width)
