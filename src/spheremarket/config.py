@@ -27,20 +27,24 @@ class ConfigParseError(ValueError):
 
 
 class FieldError(ValueError):
-    """A field value out of range: ``field`` and what is wrong with it."""
+    """A field value out of range: ``field`` and what is wrong with it.  A
+    rule that relates two fields names the second as ``other``, the field
+    the problem ends by comparing against ("price_min must be below
+    price_max")."""
 
-    def __init__(self, field: str, problem: str):
-        super().__init__(f"{field} {problem}")
-        self.field, self.problem = field, problem
+    def __init__(self, field: str, problem: str, other: str | None = None):
+        super().__init__(f"{field} {problem}" + ("" if other is None else f" {other}"))
+        self.field, self.problem, self.other = field, problem, other
 
 
 def build(cls, path: str, fields: dict):
     """``cls(**fields)`` for the block at ``path``; a FieldError becomes a
-    ValueError naming the key ``path.field``."""
+    ValueError naming the key ``path.field``, and ``path.other`` too."""
     try:
         return cls(**fields)
     except FieldError as exc:
-        raise ValueError(f"'{path}.{exc.field}' {exc.problem}") from None
+        other = "" if exc.other is None else f" '{path}.{exc.other}'"
+        raise ValueError(f"'{path}.{exc.field}' {exc.problem}{other}") from None
 
 
 def parse_block(d, context: str, required=None, optional=None) -> dict:

@@ -134,8 +134,11 @@ def random_agreement_table(n: int, rng: np.random.Generator) -> AgreementTable:
 @dataclass(frozen=True, eq=False)
 class InfeasibilityCertificate:
     """Separating inequality over the pair values of n observables: every
-    classical table satisfies  coefficients . pair_values >= bound;  this
-    table violates it with the stated (strictly negative) slack."""
+    classical table satisfies  coefficients . pair_values >= bound  exactly,
+    in real arithmetic, because ``bound`` is at most the exact minimum of the
+    left side over the 2^n deterministic atoms and a classical table is a
+    mixture of them.  This table violates it with the stated (strictly
+    negative) slack, the left side summed by ``math.fsum`` minus the bound."""
 
     n: int
     coefficients: np.ndarray
@@ -146,7 +149,7 @@ class InfeasibilityCertificate:
         """Slack of the inequality on another table (>= 0 when satisfied)."""
         if table.n != self.n:
             raise ValueError(f"certificate for n={self.n} evaluated on a table with n={table.n}")
-        return float(self.coefficients @ table.pair_values() - self.bound)
+        return math.fsum(self.coefficients * table.pair_values()) - self.bound
 
     def to_dict(self) -> dict:
         return {
@@ -180,12 +183,36 @@ class FeasibilityResult:
         return out
 
 
-def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
-    """Phase-1 simplex with Bland's rule for  A x = b, x >= 0,  b >= 0.
+def _entering(red: np.ndarray, eligible: np.ndarray, bland: bool) -> int:
+    """Entering column among the ``eligible`` ones: the most negative reduced
+    cost (Dantzig's rule), or the lowest index under Bland's rule.  Ties go
+    to the lowest index either way.  When no column is eligible the index
+    returned is not eligible either."""
+    if bland:
+        return int(eligible.argmax())
+    return int(np.where(eligible, red, np.inf).argmin())
 
-    Minimizes the total artificial infeasibility.  Returns
-    ``(optimum, x, y)`` where ``x`` is the primal point over the original
-    columns and ``y`` the simplex multipliers at termination.  When
+
+def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
+    """Phase-1 simplex for  A x = b, x >= 0,  b >= 0.
+
+    Minimizes the total artificial infeasibility, and stops as soon as it
+    is at most ``tol``: the point is then feasible, and further pivots among
+    the degenerate bases of that point only gather rounding error.
+
+    The entering column has the most negative reduced cost (Dantzig's
+    rule), ties to the lowest index.  A pivot whose ratio is at most ``tol``
+    is degenerate: the point does not move.  After a run of m degenerate
+    pivots (m, the row count, is the size of the basis) entering switches to
+    Bland's rule, the lowest eligible index, until the next nondegenerate
+    pivot.  The leaving row is always the minimum ratio with ties to the
+    lowest basis index.  In exact arithmetic this terminates: Bland's rule
+    never cycles, so every degenerate run ends, and each nondegenerate pivot
+    strictly lowers the phase-1 objective, so no basis recurs across runs.
+    The iteration cap guards against rounding.
+
+    Returns ``(optimum, x, y)`` where ``x`` is the primal point over the
+    original columns and ``y`` the simplex multipliers at termination.  When
     ``optimum > 0`` the multipliers are a Farkas certificate:
     y . b = optimum > 0 while y . A_col <= 0 for every column.
     """
@@ -203,10 +230,14 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     T[m, -1] = -b.sum()  # stores -objective
     red, rhs = T[m, :-1], T[:m, -1]  # views, updated by every pivot
     update = np.empty_like(T)
+    degenerate_run = 0
 
     for _ in range(200 * (ncols + m)):  # iteration cap
+        if -T[m, -1] <= tol:  # the artificials are out: the point is feasible
+            break
+        bland = degenerate_run >= m
         eligible = red < -tol
-        entering = int(eligible.argmax())  # Bland: lowest eligible index
+        entering = _entering(red, eligible, bland)
         if not eligible[entering]:
             break
         col = T[:m, entering]
@@ -215,7 +246,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
             # No ratio test: the phase-1 objective is bounded below by 0, so
             # this reduced cost is rounding error.  Such a column cannot enter.
             eligible &= (T[:m, :-1] > tol).any(axis=0)
-            entering = int(eligible.argmax())
+            entering = _entering(red, eligible, bland)
             if not eligible[entering]:
                 break
             col = T[:m, entering]
@@ -229,6 +260,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
                 best_ratio, leaving = ratio, i
         if leaving == -1:  # every ratio overflowed
             raise RuntimeError("phase-1 ratio test found no finite ratio")
+        degenerate_run = degenerate_run + 1 if best_ratio <= tol else 0
         T[leaving] /= T[leaving, entering]
         # rank-1 update of the other rows; a row whose pivot-column entry is
         # zero subtracts +0.0, and x - (+0.0) is x bit for bit, signed zeros
@@ -257,7 +289,8 @@ def joint_feasibility(table: AgreementTable) -> FeasibilityResult:
 
     Feasible: returns atom weights over the 2^n deterministic assignments
     reproducing every q_ij (marginals unconstrained).  Infeasible: returns a
-    separating inequality with strictly negative slack.
+    separating inequality with strictly negative slack, which every
+    classical table satisfies exactly (see ``InfeasibilityCertificate``).
     """
     n = table.n
     if n > MAX_OBSERVABLES:
@@ -266,9 +299,10 @@ def joint_feasibility(table: AgreementTable) -> FeasibilityResult:
     b = np.append(table.pair_values(), 1.0)
 
     # Atom a and its complement a ^ (2^n - 1) have equal columns, and every
-    # pivot updates both alike, so Bland's rule (lowest index first) never
-    # lets the upper twin enter: solving on the lower half gives the same
-    # pivots, and the twins keep weight 0.
+    # pivot updates both alike, so they always have equal reduced costs; both
+    # entering rules break ties by the lowest index, so the upper twin never
+    # enters: solving on the lower half gives the same pivots, and the twins
+    # keep weight 0.
     half = 2 ** (n - 1)
     optimum, w_half, y = _phase1_simplex(A[:, :half], b, DEFAULT_TOL)
     if optimum <= DEFAULT_TOL:
@@ -277,11 +311,31 @@ def joint_feasibility(table: AgreementTable) -> FeasibilityResult:
         residual = float(np.max(np.abs(A @ w - b)))
         return FeasibilityResult(feasible=True, atom_weights=w, max_residual=residual)
 
-    # y.b > 0 and y.A_col <= 0, so  sum(-y_pair) q - y_norm >= 0  holds for
-    # every classical table and fails here with slack exactly -optimum.
-    cert = InfeasibilityCertificate(n=n, coefficients=-y[:-1], bound=float(y[-1]),
-                                    slack=-float(y @ b))
+    # y.b > 0 and y.A_col <= 0, so the coefficients -y_pair separate this
+    # table from every atom; the bound is their exact minimum over the atoms
+    # rounded down (twins share a column, so the lower half covers them all)
+    coefficients = -y[:-1]
+    bound = _atom_minimum(coefficients, atom_agreement(n)[:, :half])
+    cert = InfeasibilityCertificate(n=n, coefficients=coefficients, bound=bound,
+                                    slack=math.fsum(coefficients * table.pair_values()) - bound)
     return FeasibilityResult(feasible=False, certificate=cert)
+
+
+def _atom_minimum(coefficients: np.ndarray, agree: np.ndarray) -> float:
+    """The largest float at most  min over columns a of the exact sum of
+    ``coefficients[agree[:, a]]``.
+
+    ``math.fsum`` rounds each column's exact sum once, to nearest; rounding
+    is monotone, so the smallest rounded sum is the exact minimum rounded
+    once.  Where that rounding went up, the bound steps one float down.
+    Columns are summed one at a time, never gathered all at once.
+    """
+    sums = [math.fsum(coefficients[column].tolist()) for column in agree.T]
+    bound = min(sums)
+    for column, total in zip(agree.T, sums):
+        if total == bound and math.fsum(coefficients[column].tolist() + [-bound]) < 0.0:
+            return math.nextafter(bound, -math.inf)
+    return bound
 
 
 @dataclass(frozen=True, eq=False)

@@ -146,7 +146,7 @@ class MarketConfig:
             raise FieldError("n_steps", "must be positive")
         require_finite(self, "price_min", "price_max")
         if not self.price_min < self.price_max:
-            raise FieldError("price_min", "must be below price_max")
+            raise FieldError("price_min", "must be below", other="price_max")
         if self.price_min <= 0:
             raise FieldError("price_min", "must be positive (log returns)")
 

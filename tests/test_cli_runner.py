@@ -236,6 +236,18 @@ class TestErrorHandling:
         assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("price_max", [0.0, -1.0, -1e308, 5e-324])
+    def test_price_range_names_both_keys(self, tmp_path, capsys, price_max):
+        # the rule spans both keys; the message once named only price_min
+        with open(os.path.join(DEMO_CONFIGS, "market_local_vs_gbm.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["market"]["price_max"] = price_max
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == "'params.market.price_min' must be below 'params.market.price_max'"
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("config, leaf, value, path", [
         ("binomial_convergence", ("spec", "spot"), 1e308, "results.abs_errors[0]"),
         ("price_atm", ("spec", "spot"), 1e308, "results.results[1].value"),

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from spheremarket import kolmogorov_check
 from spheremarket.config import FieldError
 from spheremarket.geometry import UnitVector3
 from spheremarket.kolmogorov_check import (
     DEFAULT_TOL,
+    MAX_OBSERVABLES,
     AgreementTable,
+    _entering,
     _phase1_simplex,
     atom_agreement,
     atom_signs,
@@ -35,6 +39,19 @@ from spheremarket.sphere_model import (
 
 def table3(q01, q02, q12):
     return AgreementTable(3, [q01, q02, q12])
+
+
+def exact_atom_sums(coefficients: np.ndarray, n: int) -> np.ndarray:
+    """coefficients . a for each of the 2^n atom columns a, in exact
+    rationals (object array of Fractions)."""
+    exact = np.array([Fraction(c) for c in coefficients.tolist()], dtype=object)
+    return atom_agreement(n).T.astype(object) @ exact
+
+
+def certificate_holds_exactly(cert) -> bool:
+    """Every atom, hence every classical table, satisfies the inequality in
+    exact arithmetic."""
+    return min(exact_atom_sums(cert.coefficients, cert.n)) >= Fraction(cert.bound)
 
 
 def linprog_feasible(table):
@@ -292,33 +309,35 @@ class TestPairIndex:
 
 
 # SHA-256 of the LP output bytes (atom weights, or certificate coefficients,
-# bound and slack), recorded before the simplex and the pair gathers were
-# vectorized and reproduced bit for bit since.  The coarse 2000-sample
-# hidden-state tables at n = 8, 9 hit ratio-test ties, so they also pin the
-# tie rule.
+# bound and slack).  Recorded before the simplex and the pair gathers were
+# vectorized; the 15 that Dantzig entering and the exact certificate bound
+# moved were recorded again, each after its weights rebuilt the table within
+# 1e-9 or its certificate held for every atom in Fractions.  The coarse
+# 2000-sample hidden-state tables at n = 8, 9 hit ratio-test ties, so they
+# also pin the tie rule.
 LP_PINS = (
     ("hidden_uniform", 3, True, "b2b7298c2242cfa7e6d38d9429b4502fef3256a4f626d55edfdb8d4bc0e172b0"),
-    ("hidden_uniform", 4, True, "81e368af723d37f5ff459fa33ecd662d676065c4b87f52099673a696b929db80"),
-    ("hidden_uniform", 5, True, "f475708ba6dc69ff8ba8217f7b8675cb71738b739ec087277b24028e8db70068"),
-    ("hidden_uniform", 6, True, "4ead884e14636cc2063b2338991daf28390dfaa3715b56afeb2d7b3cd7b85aec"),
-    ("hidden_uniform", 7, True, "e76b12858ee9664339c9d8384e2ebee8b9bc0d1dcb299a6350a2a74228ca8532"),
-    ("hidden_uniform", 8, True, "fa57cc38561c051a6d2ded1b98e7f8fd981bfc3a78ecc01fcbef3cc33b1c6b42"),
-    ("hidden_uniform", 9, True, "45521e7231f5192a85a894275157d56b846c775c05382f91845cfea92a6d89a1"),
+    ("hidden_uniform", 4, True, "26c29fb181556d748e97799461d49236db0af4d6f3945e58546e6761e1260e40"),
+    ("hidden_uniform", 5, True, "ee4052169d5b069a124467458d6b5433821699341c8a757966451e49951e8417"),
+    ("hidden_uniform", 6, True, "2405fa89dd9c1ef59d28c7c07ffe44219ebeeab2321ea1ae043976142e02e379"),
+    ("hidden_uniform", 7, True, "040a234d2b2e001ee3b55ee705f2adf0540b836ff30238027f1b6e747fb73727"),
+    ("hidden_uniform", 8, True, "f3c80143234da4c7f07a02b082f20a23b9fc772a483f2d59c1478269dc389593"),
+    ("hidden_uniform", 9, True, "db3dc55d35ae4009ee7659b1f35364f8e2345404c667b178347fc4d6de2dc734"),
     ("hidden_delta", 3, True, "a435777277b7ed926f8f2f7f458c960105f503b7a327f203321d2e81f2b0b22b"),
-    ("hidden_delta", 5, True, "904c588613df45016d0a0f8081ed4c4cd2c06ae9fbe4b4de38f845aec8a73751"),
-    ("hidden_delta", 7, True, "35ace9a73f5abaf561c40ab2fa7768914664f88eef7bc2fba8c3d3e733fd304a"),
+    ("hidden_delta", 5, True, "c8c043fce1b90c042bb9b4f6c5f5da59b8534b168e1a16b2e2f892e55a25bec5"),
+    ("hidden_delta", 7, True, "4634ae304210e39ec81074897a2ad47341536c6c103d3ce9b7e7c477e0adba4c"),
     ("random", 3, False, "da55e87b2be7888f6a69cc034ef83f8d96faae90d278e583c19b3660494dde03"),
     ("random", 4, False, "8e2bf6f6e209893a600cb0510da91ef1e66b768850d2d58a99eea13ecf7c8b78"),
     ("random", 5, False, "4499c63a4a4d71140174bb2c5e85f03eb3f272b39ea0d658d945119f06b31019"),
     ("random", 6, False, "c9dba9258cdf5eaca22dc4fe9a40c509a181b0d5d3f1b8cf1843287781281877"),
-    ("random", 7, False, "64389c1c5efadc4f86322f8b85181c2695ddb5819e03b55472e67ed9629c2f87"),
-    ("random", 8, False, "d10d64d6e15170bfe45995765b669fdae0af7ec7f810a1cfdce804680d07c019"),
-    ("random", 9, False, "b9d1737ae210caa42a386c481475f17c80b94c70f8b0456e8955ba6f8c7bb20e"),
+    ("random", 7, False, "e67076c62853f02683ef74c4c0e9f93b383c4de69ad7a44f429e7f7517a851db"),
+    ("random", 8, False, "550f501945b059cc244c2d1ff01408571e8a1498672e5962834bbcbd6b5f9bbc"),
+    ("random", 9, False, "f76cee1c2b51b5210cc83e42ad0b235a5e889f0bb2653cdffbfbfd626bf84903"),
     ("sequential", 5, False, "a7d4c19c4a19d6402cb4cbfa8750e33ce19db744903e0e71012df4d0de6fcfb4"),
-    ("sequential", 7, False, "989cf0295b053057cf6d6a57b69b2c63c60313958e1a357ae7add16f6c7836b3"),
-    ("sequential", 9, False, "335a8da7886817372a481a2e67192248386eafaacfc3cc6e7f47f31572f02248"),
-    ("mixture", 4, True, "d14afee876b2596c0a55a222109c2409eac9f027aaab9654129d11cfe8ae5e7a"),
-    ("mixture", 6, True, "576985d24c5b013e3942034aced73a25eb2b41024f135c7e58d6fd4aa9cd3472"),
+    ("sequential", 7, False, "b9e3b4e194784caa6c610f796f5bd1ae1b06f4afcfeb952408fcdb73a5346925"),
+    ("sequential", 9, False, "3e26fd5a2b5ca9ec2b589950d86cc8709c23de72777f19584c9bd47e73b9a229"),
+    ("mixture", 4, True, "b9cf01d7712a7729e9e0422e3dac7e7935982258fe1205bdd74997e7f2d98f3c"),
+    ("mixture", 6, True, "e5ca81104f0310e59d8545c7b9542c9dabe829d1456d1717603c1b1eb50c0c61"),
 )
 
 
@@ -353,13 +372,16 @@ def test_lp_outputs_pinned(kind, n, feasible, digest, recorded_versions_differ):
         assert res.max_residual < 1e-9
     else:
         assert res.certificate.slack < -DEFAULT_TOL
+        assert certificate_holds_exactly(res.certificate)
     if recorded_versions_differ:
         pytest.skip(recorded_versions_differ)
     assert lp_digest(res) == digest
 
 
 def full_width_feasibility(table: AgreementTable):
-    """joint_feasibility's outputs from a solve over all 2^n atom columns."""
+    """joint_feasibility's outputs from a solve over all 2^n atom columns,
+    the certificate's bound taken as the largest float at most the exact
+    minimum over all 2^n atoms, found in Fractions."""
     n = table.n
     A = np.vstack([atom_agreement(n), np.ones(2 ** n)])
     b = np.append(table.pair_values(), 1.0)
@@ -367,15 +389,22 @@ def full_width_feasibility(table: AgreementTable):
     if optimum <= DEFAULT_TOL:
         w = np.maximum(w, 0.0)
         return True, w.tobytes(), float(np.max(np.abs(A @ w - b)))
-    return False, (-y[:-1]).tobytes(), float(y[-1]), -float(y @ b)
+    coefficients = -y[:-1]
+    minimum = min(exact_atom_sums(coefficients, n))
+    bound = float(minimum)  # rounded to nearest
+    if Fraction(bound) > minimum:
+        bound = math.nextafter(bound, -math.inf)
+    slack = math.fsum(coefficients * table.pair_values()) - bound
+    return False, coefficients.tobytes(), bound, slack
 
 
 def hypothesis_table(kind: str, n: int, seed: int) -> AgreementTable:
     rng = np.random.default_rng(seed)
     if kind == "random":
         return random_agreement_table(n, rng)
-    if kind == "mixture":  # sparse weights: degenerate vertices
-        return table_from_atom_weights(n, rng.random(2 ** n) * (rng.random(2 ** n) < 0.3)
+    if kind in ("mixture", "sparse_mixture"):  # sparse weights: degenerate vertices
+        density = 0.3 if kind == "mixture" else 0.01
+        return table_from_atom_weights(n, rng.random(2 ** n) * (rng.random(2 ** n) < density)
                                        + (np.arange(2 ** n) == 0))
     dirs = [UnitVector3.normalized(*rng.normal(size=3)) for _ in range(n)]
     if kind == "sequential":
@@ -383,7 +412,7 @@ def hypothesis_table(kind: str, n: int, seed: int) -> AgreementTable:
     return hidden_state_agreement_table(UniformRho(), dirs, n_samples=500, seed=seed)
 
 
-@given(st.sampled_from(["random", "hidden_state", "sequential", "mixture"]),
+@given(st.sampled_from(["random", "hidden_state", "sequential", "mixture", "sparse_mixture"]),
        st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_half_width_solve_matches_full_width(kind, n, seed):
@@ -400,11 +429,68 @@ def test_half_width_solve_matches_full_width(kind, n, seed):
     assert np.array(got[2:]).tobytes() == np.array(want[2:]).tobytes()
 
 
+@given(st.sampled_from(["random", "sequential", "hidden_state"]),
+       st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_certificates_hold_exactly(kind, n, seed):
+    # with float multipliers as the bound, 170 of 683 certificates on
+    # default_rng(0) random tables at n = 3..8 were broken by some atom, by
+    # up to 4.4e-14
+    res = joint_feasibility(hypothesis_table(kind, n, seed))
+    if res.feasible:
+        assert res.max_residual <= 1e-9
+    else:
+        assert res.certificate.slack < -DEFAULT_TOL
+        assert certificate_holds_exactly(res.certificate)
+
+
+@given(st.sampled_from(["mixture", "sparse_mixture"]), st.integers(3, 10),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_degenerate_mixtures_terminate(kind, n, seed):
+    res = joint_feasibility(hypothesis_table(kind, n, seed))
+    assert res.feasible
+    assert res.max_residual <= 1e-9
+    assert not res.atom_weights[2 ** (n - 1):].any()
+
+
+def test_bland_fallback_is_reached(monkeypatch):
+    # sparse mixtures at n = 8 make degenerate runs longer than the basis;
+    # after Bland's rule takes over, the solve must still reproduce the table
+    # and the half-width solve must still match the full-width one
+    calls = {False: 0, True: 0}
+
+    def counted(red, eligible, bland):
+        calls[bland] += 1
+        return _entering(red, eligible, bland)
+
+    monkeypatch.setattr(kolmogorov_check, "_entering", counted)
+    for seed in range(4):
+        table = hypothesis_table("sparse_mixture", 8, seed)
+        res = joint_feasibility(table)
+        assert res.feasible and res.max_residual <= 1e-9
+        assert full_width_feasibility(table)[1] == res.atom_weights.tobytes()
+    assert calls[True] and calls[False]
+
+
+def test_feasible_at_max_observables():
+    rng = np.random.default_rng(100 + MAX_OBSERVABLES)
+    dirs = [UnitVector3.normalized(*rng.normal(size=3)) for _ in range(MAX_OBSERVABLES)]
+    table = hidden_state_agreement_table(UniformRho(), dirs, n_samples=20_000, seed=1)
+    res = joint_feasibility(table)
+    assert res.feasible
+    assert res.max_residual <= 1e-9
+    assert not res.atom_weights[2 ** (MAX_OBSERVABLES - 1):].any()
+
+
 def masked_update_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     """_phase1_simplex with the rank-1 update that writes only the rows whose
     pivot-column entry is nonzero (numpy's ``where=``): the reference for the
-    single full-matrix subtract.  Its entering rule is _phase1_simplex's: a
-    column with no entry above tol is passed over."""
+    single full-matrix subtract.  Its entering rule and stop are
+    _phase1_simplex's, written out apart from them: among the columns with a
+    reduced cost below -tol and an entry above tol, the most negative reduced
+    cost (lowest index on ties), or after m degenerate pivots in a row the
+    lowest index; no pivot once the objective is at most tol."""
     m, ncols = A.shape
     T = np.zeros((m + 1, ncols + m + 1))
     T[:m, :ncols] = A
@@ -414,11 +500,17 @@ def masked_update_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     T[m, :ncols] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
     red, rhs = T[m, :-1], T[:m, -1]
+    degenerate_run = 0
     for _ in range(200 * (ncols + m)):
-        eligible = (red < -tol) & (T[:m, :-1] > tol).any(axis=0)
-        entering = int(eligible.argmax())
-        if not eligible[entering]:
+        if T[m, -1] >= -tol:
             break
+        candidates = np.flatnonzero((red < -tol) & (T[:m, :-1] > tol).any(axis=0))
+        if not candidates.size:
+            break
+        if degenerate_run >= m:
+            entering = int(candidates[0])
+        else:
+            entering = int(candidates[np.argmin(red[candidates])])
         col = T[:m, entering]
         rows = np.flatnonzero(col > tol)
         best_ratio, leaving = math.inf, -1
@@ -428,6 +520,7 @@ def masked_update_simplex(A: np.ndarray, b: np.ndarray, tol: float):
                 and (leaving == -1 or basis[i] < basis[leaving])
             ):
                 best_ratio, leaving = ratio, i
+        degenerate_run = degenerate_run + 1 if best_ratio <= tol else 0
         T[leaving] /= T[leaving, entering]
         factor = T[:, entering, None].copy()
         factor[leaving] = 0.0
