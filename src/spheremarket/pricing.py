@@ -12,8 +12,10 @@ of the pricing PDE
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from .ndtr import erfc
 from .streams import map_chunks
 
 CHUNK_PATHS = 1 << 14  # fixed batch granularity for counter-based streams
+# natural logs of the smallest normal and the largest finite float
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class OptionKind(Enum):
@@ -146,6 +150,23 @@ class GbmParams:
             raise FieldError("steps", "must be at least 1")
         if self.horizon <= 0:
             raise FieldError("horizon", "must be positive")
+        dt = float(Fraction(self.horizon) / self.steps)  # exact for any int steps
+        if dt == 0.0:
+            raise FieldError("horizon", "leaves a time step of 0 when split into", other="steps")
+        if self.sigma > 0 and self.sigma * math.sqrt(dt) == 0.0:
+            raise FieldError("sigma", "is positive, but sigma sqrt(horizon / steps) rounds to 0 "
+                                      "at this", other="horizon")
+        # The mean log price log(s0) + (drift - sigma^2/2) t is linear in t, so
+        # it stays where exp gives a normal, finite price if both ends do.
+        if self.s0 < sys.float_info.min:
+            raise FieldError("s0", f"must be at least {sys.float_info.min!r}, the smallest "
+                                   "normal float")
+        growth = self.drift * self.horizon
+        decay = 0.5 * self.sigma * self.sigma * self.horizon  # inf, not OverflowError
+        if not _LOG_MIN <= math.log(self.s0) + growth - decay <= _LOG_MAX:
+            raise FieldError("drift" if abs(growth) > decay else "sigma",
+                             f"takes the mean log price log(s0) + (drift - sigma^2/2) t out of "
+                             f"[{_LOG_MIN:.2f}, {_LOG_MAX:.2f}] before t reaches", other="horizon")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -167,7 +188,10 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
 
     Path i is driven by the generator of chunk i // CHUNK_PATHS on the
     counter-based streams of ``streams.map_chunks``, so the matrix is
-    bit-identical for any worker count.
+    bit-identical for any worker count.  Each chunk turns its normals into
+    log steps in place and sums them straight into its rows of ``values``,
+    so the call holds the output plus one chunk of normals,
+    CHUNK_PATHS x steps float64, per worker.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -175,12 +199,18 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
     times = np.linspace(0.0, params.horizon, params.steps + 1)
     values = np.empty((n_paths, params.steps + 1))
     vol = params.sigma * math.sqrt(dt)
+    loc = (params.drift - 0.5 * params.sigma ** 2) * dt
 
     def fill_chunk(rng, lo, size):
         z = rng.standard_normal((size, params.steps))
-        log_steps = (params.drift - 0.5 * params.sigma ** 2) * dt + vol * z
+        z *= vol
+        z += loc
         values[lo:lo + size, 0] = params.s0
-        values[lo:lo + size, 1:] = params.s0 * np.exp(np.cumsum(log_steps, axis=1))
+        block = values[lo:lo + size, 1:]
+        np.cumsum(z, axis=1, out=block)
+        del z
+        np.exp(block, out=block)
+        block *= params.s0
 
     map_chunks(fill_chunk, n_paths, CHUNK_PATHS, seed, n_workers)
     return times, values

@@ -251,11 +251,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("config, leaf, value, path", [
         ("binomial_convergence", ("spec", "spot"), 1e308, "results.abs_errors[0]"),
         ("price_atm", ("spec", "spot"), 1e308, "results.results[1].value"),
-        ("market_local_vs_gbm", ("compare_gbm", "drift"), 1e308,
-         "results.gbm_stats.mean_log_return"),
-        ("market_local_vs_gbm", ("compare_gbm", "horizon"), 5e-324,
-         "results.gbm_stats.acf_returns[0]"),
-    ], ids=["convergence_spot", "price_spot", "gbm_drift", "gbm_horizon"])
+    ], ids=["convergence_spot", "price_spot"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
     def test_non_finite_result_named(self, tmp_path, capsys, config, leaf, value, path):
         # each once exited 0 with a null where the number belongs
@@ -266,6 +262,32 @@ class TestErrorHandling:
         assert code == EXIT_VALIDATION
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message == f"'{path}' is not finite"
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("key, value, field, other", [
+        ("s0", 5e-324, "s0", None),
+        ("drift", 1e308, "drift", "horizon"),
+        ("drift", -1e308, "drift", "horizon"),
+        ("sigma", 1e308, "sigma", "horizon"),
+        ("sigma", 5e-324, "sigma", "horizon"),
+        ("horizon", 1e308, "sigma", "horizon"),
+        ("horizon", 5e-324, "horizon", "steps"),
+        ("steps", 10 ** 400, "horizon", "steps"),
+    ], ids=["s0_subnormal", "drift_high", "drift_low", "sigma_high", "sigma_subnormal",
+            "horizon_high", "horizon_subnormal", "steps_beyond_float"])
+    def test_gbm_log_range_names_key(self, tmp_path, capsys, key, value, field, other):
+        # the log steps left the float range: these once exited 4 with an
+        # OverflowError, 3 naming no key or only a 'results.' path, or 0 with
+        # statistics of rounding noise (sigma 5e-324)
+        with open(os.path.join(DEMO_CONFIGS, "market_local_vs_gbm.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["compare_gbm"][key] = value
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"'params.compare_gbm.{field}' ")
+        assert other is None or message.endswith(f" 'params.compare_gbm.{other}'")
+        assert f"'params.compare_gbm.{key}'" in message
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spheremarket.pricing import (
+    CHUNK_PATHS,
     DegenerateParametersError,
     GbmParams,
     OptionKind,
@@ -22,6 +24,7 @@ from spheremarket.pricing import (
     pricing_report,
     time_value,
 )
+from spheremarket.streams import chunk_rng
 
 ATM = OptionSpec(spot=100.0, strike=100.0, rate=0.05, sigma=0.2, tau=1.0)
 
@@ -194,6 +197,35 @@ class TestGbm:
         _, again = gbm_path_matrix(params, 40_000, seed=9, n_workers=1)
         _, wide = gbm_path_matrix(params, 40_000, seed=9, n_workers=8)
         assert ref.tobytes() == again.tobytes() == wide.tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 64])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_in_place_fill_matches_the_formula(self, steps, n_workers):
+        params = GbmParams(s0=37.5, drift=-0.4, sigma=1.3, horizon=3.0, steps=steps)
+        n_paths = 2 * CHUNK_PATHS + 17
+        dt = params.horizon / params.steps
+        vol = params.sigma * math.sqrt(dt)
+        rows = []
+        for c in range(3):
+            z = chunk_rng(11, c).standard_normal((min(CHUNK_PATHS, n_paths - c * CHUNK_PATHS),
+                                                  params.steps))
+            log_steps = (params.drift - 0.5 * params.sigma ** 2) * dt + vol * z
+            rows.append(params.s0 * np.exp(np.cumsum(log_steps, axis=1)))
+        expected = np.hstack([np.full((n_paths, 1), params.s0), np.vstack(rows)])
+        _, values = gbm_path_matrix(params, n_paths, seed=11, n_workers=n_workers)
+        assert values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_peak_memory_is_one_chunk_of_normals_per_worker(self, n_workers):
+        params = GbmParams(s0=100.0, drift=0.05, sigma=0.2, horizon=1.0, steps=64)
+        tracemalloc.start()
+        try:
+            _, values = gbm_path_matrix(params, 3 * CHUNK_PATHS + 5, seed=4, n_workers=n_workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = CHUNK_PATHS * params.steps * 8
+        assert peak - values.nbytes <= 1.5 * n_workers * chunk_bytes
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
