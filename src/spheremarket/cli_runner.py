@@ -206,6 +206,8 @@ def _run_market(params: dict, seed: int):
     if gbm is not None and gbm.sigma == 0.0:
         raise ValueError("'params.compare_gbm.sigma' must be positive: "
                          "at 0 the GBM path has constant log returns")
+    if gbm is not None and gbm.steps != cfg.n_steps:  # compare_trades_with_gbm's rule, by key
+        raise ValueError("'params.compare_gbm.steps' must equal 'params.market.n_steps'")
     write_trades = p.get("write_trades", True)
 
     trades = run_market(cfg)

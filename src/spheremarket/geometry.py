@@ -5,6 +5,10 @@ only at the API boundary (``from_polar``).  A point is an ``(x, y, z)`` tuple,
 and ``UnitVector3`` is that tuple with its norm checked, so every function here
 takes either.  The market's trade loop calls ``dot`` and the unchecked kernels
 (``_normalize``, ``_rotate``, ...) so that a trade builds no ``UnitVector3``.
+The ``*_arrays`` kernels take each component as an array and give, lane by
+lane, the bits of their scalar namesakes: the same operations in the same
+order, ``cos`` and ``sin`` through ``math`` and the fused multiply-add
+emulated exactly.
 """
 
 from __future__ import annotations
@@ -61,6 +65,20 @@ def _normalize(x: float, y: float, z: float) -> tuple:
     return x / n, y / n, z / n
 
 
+def _normalize_arrays(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
+    """``_normalize`` lane by lane."""
+    n = np.sqrt(x * x + y * y + z * z)
+    if not n.all():
+        raise ValueError("cannot normalize the zero vector")
+    return x / n, y / n, z / n
+
+
+def _math_map(f, x: np.ndarray) -> np.ndarray:
+    """The scalar ``f`` of ``math`` on every element, so the bits are libm's
+    and never depend on which SIMD kernels numpy picked for this CPU."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
+
 def _check_unit_rows(v: np.ndarray):
     """``UnitVector3``'s norm check on every row of an (n, 3) array at once,
     with the same left-to-right sum of squares."""
@@ -73,6 +91,12 @@ def _check_unit_rows(v: np.ndarray):
 def _polar(theta: float, phi: float) -> tuple:
     st = math.sin(theta)
     return _normalize(st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+
+
+def _polar_arrays(theta: np.ndarray, phi: float) -> tuple:
+    """``_polar`` lane by lane, at one azimuth."""
+    st = _math_map(math.sin, theta)
+    return _normalize_arrays(st * math.cos(phi), st * math.sin(phi), _math_map(math.cos, theta))
 
 
 def from_polar(theta: float, phi: float) -> UnitVector3:
@@ -96,6 +120,17 @@ def dot(a: tuple, b: tuple) -> float:
     return min(1.0, max(-1.0, d))
 
 
+def _dot_arrays(a: tuple, b: tuple) -> np.ndarray:
+    """``dot`` lane by lane, shortcuts and clamp included; either argument
+    may hold plain floats, which broadcast."""
+    ax, ay, az = a
+    bx, by, bz = b
+    d = np.clip(ax * bx + ay * by + az * bz, -1.0, 1.0)
+    d[(ax == -bx) & (ay == -by) & (az == -bz)] = -1.0
+    d[(ax == bx) & (ay == by) & (az == bz)] = 1.0  # checked first by ``dot``, so it wins
+    return d
+
+
 def angle_between(a: tuple, b: tuple) -> float:
     return math.acos(dot(a, b))
 
@@ -104,6 +139,13 @@ def _on_sphere(z: float, phi: float) -> tuple:
     """The point at height ``z`` and azimuth ``phi``."""
     s = math.sqrt(max(0.0, 1.0 - z * z))
     return _normalize(s * math.cos(phi), s * math.sin(phi), z)
+
+
+def _on_sphere_arrays(z: np.ndarray, phi: np.ndarray) -> tuple:
+    """``_on_sphere`` lane by lane (``1 - z z`` is never -0.0, so the max
+    picks the same value as Python's)."""
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return _normalize_arrays(s * _math_map(math.cos, phi), s * _math_map(math.sin, phi), z)
 
 
 def sample_uniform(rng: np.random.Generator) -> UnitVector3:
@@ -154,6 +196,44 @@ def _fma(a: float, b: float, c: float) -> float:
     return math.fsum((p, e, c)) or p + c
 
 
+def _fma_arrays(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``_fma`` lane by lane, as the emulated FMA of Boldo and Melquiond
+    (*Emulation of FMA and correctly rounded sums: proved algorithms using
+    rounding to odd*, IEEE TC 2008).
+
+    Dekker's product gives a * b exactly as p + e and TwoSum gives c + p
+    exactly as h + l.  Then l + e is rounded to odd: its round-to-nearest
+    sum, moved one ulp towards the exact value when that sum is inexact and
+    its significand even.  One round-to-nearest h + that gives a * b + c
+    rounded once.  Lanes with a zero factor or a zero result take p + c, as
+    ``_fma`` does, and lanes whose product is below the underflow guard go
+    through ``_fma`` itself.
+    """
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    h = c + p
+    t = h - c
+    lo = (c - (h - t)) + (p - t)
+    s = lo + e
+    t = s - lo
+    err = (lo - (s - t)) + (e - t)
+    even = (s.view(np.int64) & 1) == 0
+    s = np.where((err != 0.0) & even, np.nextafter(s, np.copysign(np.inf, err)), s)
+    r = h + s
+    zero_factor = (a == 0.0) | (b == 0.0)
+    plain = zero_factor | (r == 0.0)
+    r[plain] = (p + c)[plain]
+    for i in np.flatnonzero(~(np.abs(p) >= _TINY_PRODUCT) & ~zero_factor):
+        r[i] = _fma(float(a[i]), float(b[i]), float(c[i]))
+    return r
+
+
 def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
     """``rotate`` without the norm check of a ``UnitVector3`` result."""
     vx, vy, vz = v
@@ -164,6 +244,18 @@ def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
     return _normalize((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
                       (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
                       (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
+
+
+def _rotate_arrays(v: tuple, axis: tuple, angle: np.ndarray) -> tuple:
+    """``_rotate`` lane by lane."""
+    vx, vy, vz = v
+    kx, ky, kz = axis
+    c, s = _math_map(math.cos, angle), _math_map(math.sin, angle)
+    d = _fma_arrays(kz, vz, _fma_arrays(ky, vy, kx * vx))
+    t = 1.0 - c
+    return _normalize_arrays((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
+                             (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
+                             (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
 
 
 def rotate(v: tuple, axis: tuple, angle: float) -> UnitVector3:

@@ -10,7 +10,6 @@ direction up to noise, the herding limit when the noise vanishes.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import statistics
@@ -33,10 +32,14 @@ from .config import (
 from .geometry import (
     UnitVector3,
     _check_unit_rows,
+    _dot_arrays,
     _on_sphere,
-    _polar,
+    _on_sphere_arrays,
+    _polar_arrays,
     _rotate,
+    _rotate_arrays,
     dot,
+    from_polar,
     sample_uniform,
 )
 from .kolmogorov_check import sphere_bell_scan
@@ -66,11 +69,12 @@ class NewsSeries:
         if self.kind == "constant" and self.rate != 0.0:
             raise FieldError("rate", "must be 0: constant news cannot drift")
 
-    def direction(self, step: int) -> UnitVector3:
-        return UnitVector3(*self._direction_xyz(step))
+    def angle_at(self, step):
+        """The polar angle at ``step``, an int or an array of them."""
+        return self.angle + self.rate * step
 
-    def _direction_xyz(self, step: int) -> tuple:
-        return _polar(self.angle + self.rate * step, 0.0)
+    def direction(self, step: int) -> UnitVector3:
+        return from_polar(self.angle_at(step), 0.0)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "angle": self.angle, "rate": self.rate}
@@ -232,16 +236,16 @@ class TradeLog(Sequence):
 
 
 def _pricer(cfg: MarketConfig):
-    """The function from an (x, y, z) state to its price under ``cfg``."""
-    # a plain tuple: ``dot`` unpacks a tuple subclass on a slower path, once per trade
-    axis, low, span = tuple(cfg.price_axis), cfg.price_min, cfg.price_max - cfg.price_min
-    return lambda s: low + span * ((1.0 + dot(s, axis)) / 2.0)
+    """The function from a state's projection on the price axis (a float, or
+    an array of them) to its price under ``cfg``."""
+    low, span = cfg.price_min, cfg.price_max - cfg.price_min
+    return lambda projection: low + span * ((1.0 + projection) / 2.0)
 
 
 def price_of_state(cfg: MarketConfig, s: UnitVector3) -> float:
     """Affine in the projection on the price axis: price_min at -axis,
     price_max at +axis."""
-    return _pricer(cfg)(s)
+    return _pricer(cfg)(dot(s, cfg.price_axis))
 
 
 def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
@@ -252,35 +256,66 @@ def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
     draws they stand for: the context's z, phi and angle (``perturb``) when
     noise_angle > 0, then the break point's ``rho.draws``.  Each column goes
     through its scalar draw's arithmetic, so the history is bit for bit the
-    one those draws give.  States and contexts stay (x, y, z) tuples run
-    through the ``geometry`` kernels; the collapse is ``break_elastic``'s.
+    one those draws give.
     """
-    regime, rho = cfg.regime, cfg.rho
-    noise = regime.noise_angle
-    news = None if isinstance(regime, LocalRegime) else regime.news
+    rho, noise, n = cfg.rho, cfg.regime.noise_angle, cfg.n_steps
     width = (3 if noise > 0.0 else 0) + rho.draws
-    price = _pricer(cfg)
     state = sample_uniform(rng)
-    directions, o1, prices, breaks = [], [], [], []
-    for start in range(0, cfg.n_steps, BLOCK_STEPS):
-        steps = range(start, min(start + BLOCK_STEPS, cfg.n_steps))
-        u = rng.random((len(steps), width))
-        breaks.append(rho.quantile(u[:, -1] if rho.draws else np.zeros(len(steps))))
-        if noise > 0.0:
-            kicks = zip((-1.0 + 2.0 * u[:, 0]).tolist(), (_TWO_PI * u[:, 1]).tolist(),
-                        (noise * u[:, 2]).tolist())
-        else:
-            kicks = itertools.repeat(None)
-        for step, x, kick in zip(steps, breaks[-1].tolist(), kicks):
-            center = state if news is None else news._direction_xyz(step)
-            d = center if kick is None else _rotate(center, _on_sphere(kick[0], kick[1]), kick[2])
-            hit = x < dot(state, d)
-            state = d if hit else (-d[0], -d[1], -d[2])
-            directions.append(d)
-            o1.append(hit)
-            prices.append(price(state))
-    return TradeLog(step=np.arange(cfg.n_steps), direction=np.array(directions),
-                    o1=np.array(o1), break_point=np.concatenate(breaks), price=np.array(prices))
+    blocks = [rng.random((min(BLOCK_STEPS, n - start), width))
+              for start in range(0, n, BLOCK_STEPS)]
+    breaks = np.concatenate([rho.quantile(u[:, -1] if rho.draws else np.zeros(len(u)))
+                             for u in blocks])
+    u = np.concatenate(blocks)
+    kicks = (-1.0 + 2.0 * u[:, 0], _TWO_PI * u[:, 1], noise * u[:, 2]) if noise > 0.0 else None
+    history = _local_history if isinstance(cfg.regime, LocalRegime) else _global_history
+    direction, o1, price = history(cfg, state, kicks, breaks)
+    return TradeLog(step=np.arange(n), direction=direction, o1=o1, break_point=breaks,
+                    price=price)
+
+
+def _local_history(cfg: MarketConfig, state: tuple, kicks, breaks: np.ndarray) -> tuple:
+    """The trade loop: each context is the state, kicked by ``_rotate`` about
+    its drawn axis, so every step waits for the one before.  States and
+    contexts stay (x, y, z) tuples run through the ``geometry`` kernels; the
+    collapse is ``break_elastic``'s."""
+    price = _pricer(cfg)
+    axis = tuple(cfg.price_axis)  # ``dot`` unpacks a tuple subclass on a slower path
+    kicks = itertools.repeat(None) if kicks is None else zip(*(k.tolist() for k in kicks))
+    directions, o1, prices = [], [], []
+    for x, kick in zip(breaks.tolist(), kicks):
+        d = state if kick is None else _rotate(state, _on_sphere(kick[0], kick[1]), kick[2])
+        hit = x < dot(state, d)
+        state = d if hit else (-d[0], -d[1], -d[2])
+        directions.append(d)
+        o1.append(hit)
+        prices.append(price(dot(state, axis)))
+    return np.array(directions), np.array(o1), np.array(prices)
+
+
+def _global_history(cfg: MarketConfig, state: tuple, kicks, breaks: np.ndarray) -> tuple:
+    """The global regime in array passes over all steps.
+
+    A context depends only on the news angle and its step's uniforms, so
+    every context d_t comes out of the ``*_arrays`` kernels at once, bit for
+    bit the scalar ``_polar``, ``_on_sphere`` and ``_rotate``.  The state
+    before step t is +-d_{t-1}, and dot(-a, b) is exactly -dot(a, b) (up to
+    the sign of a zero, which no comparison or price sees), so with
+    g_t = dot(d_{t-1}, d_t) step t is O1 when x_t < g_t after an O1 and when
+    x_t < -g_t after an O2.  Only that scan over two boolean lists stays in
+    Python; step 0 counts as following an O1 onto the initial state.
+    """
+    news = cfg.regime.news
+    d = _polar_arrays(news.angle_at(np.arange(len(breaks))), 0.0)
+    if kicks is not None:
+        d = _rotate_arrays(d, _on_sphere_arrays(kicks[0], kicks[1]), kicks[2])
+    g = _dot_arrays(tuple(np.concatenate(([s], c[:-1])) for s, c in zip(state, d)), d)
+    hit, o1 = True, []
+    for above, below in zip((breaks < g).tolist(), (breaks < -g).tolist()):
+        hit = above if hit else below
+        o1.append(hit)
+    o1 = np.array(o1)
+    on_axis = _dot_arrays(d, tuple(cfg.price_axis))
+    return np.column_stack(d), o1, _pricer(cfg)(np.where(o1, on_axis, -on_axis))
 
 
 def run_market(cfg: MarketConfig) -> TradeLog:
@@ -419,9 +454,11 @@ def trades_to_csv(fileobj, trades: TradeLog):
     """Trade log as RFC-4180 CSV: step, direction components, outcome, price.
 
     Floats are written as their ``repr``, the shortest string that reads
-    back to the same double."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["step", "ux", "uy", "uz", "outcome", "price"])
+    back to the same double.  No field needs quoting: they are ints, float
+    reprs and the labels O1 and O2."""
     labels = (str(OutcomeLabel.O2), str(OutcomeLabel.O1))
-    writer.writerows(zip(trades.step.tolist(), *trades.direction.T.tolist(),
-                         [labels[hit] for hit in trades.o1.tolist()], trades.price.tolist()))
+    fileobj.write("step,ux,uy,uz,outcome,price\r\n")
+    fileobj.write("".join(
+        f"{step},{ux!r},{uy!r},{uz!r},{labels[hit]},{price!r}\r\n"
+        for step, ux, uy, uz, hit, price in zip(trades.step.tolist(), *trades.direction.T.tolist(),
+                                                trades.o1.tolist(), trades.price.tolist())))

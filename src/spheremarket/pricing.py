@@ -57,6 +57,14 @@ class OptionSpec:
         for name in ("sigma", "tau"):
             if getattr(self, name) < 0:
                 raise FieldError(name, "must be nonnegative")
+        # the pricers take exp of +-rate tau (discount and growth) and of
+        # sigma sqrt(tau) (the lattice's up factor)
+        if not abs(self.rate * self.tau) <= _LOG_MAX:
+            raise FieldError("rate", f"makes |rate tau| exceed {_LOG_MAX:.2f}, where exp "
+                                     "overflows, at this", other="tau")
+        if not self.sigma * math.sqrt(self.tau) <= _LOG_MAX:
+            raise FieldError("sigma", f"makes sigma sqrt(tau) exceed {_LOG_MAX:.2f}, where exp "
+                                      "overflows, at this", other="tau")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "kind": self.kind.value, "style": "european"}
@@ -163,10 +171,22 @@ class GbmParams:
                                    "normal float")
         growth = self.drift * self.horizon
         decay = 0.5 * self.sigma * self.sigma * self.horizon  # inf, not OverflowError
-        if not _LOG_MIN <= math.log(self.s0) + growth - decay <= _LOG_MAX:
+        start = math.log(self.s0)
+        end = start + growth - decay
+        if not _LOG_MIN <= end <= _LOG_MAX:
             raise FieldError("drift" if abs(growth) > decay else "sigma",
                              f"takes the mean log price log(s0) + (drift - sigma^2/2) t out of "
                              f"[{_LOG_MIN:.2f}, {_LOG_MAX:.2f}] before t reaches", other="horizon")
+        # ... and so must the noise about it: sigma W_t leaves the band
+        # +-40 sigma sqrt(horizon) before t = horizon with probability below
+        # 1e-340.  The rule names the key of the largest term.
+        spread = 40.0 * self.sigma * math.sqrt(self.horizon)
+        if not (_LOG_MIN <= min(start, end) - spread and max(start, end) + spread <= _LOG_MAX):
+            terms = {"s0": abs(start), "drift": abs(growth), "sigma": decay + spread}
+            raise FieldError(max(terms, key=terms.get),
+                             f"lets the log price log(s0) + (drift - sigma^2/2) t +- 40 sigma "
+                             f"sqrt(horizon) leave [{_LOG_MIN:.2f}, {_LOG_MAX:.2f}] before t "
+                             "reaches", other="horizon")
 
     def to_dict(self) -> dict:
         return asdict(self)

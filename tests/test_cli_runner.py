@@ -290,6 +290,62 @@ class TestErrorHandling:
         assert f"'params.compare_gbm.{key}'" in message
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("change, field", [
+        # drift cancels sigma^2 / 2, so the mean log path stays at log(s0), but
+        # sigma sqrt(horizon) = 2000 carries every price to 0 or inf: this once
+        # exited 3 with "prices must be positive" and no key
+        ({"drift": 2e6, "sigma": 2000.0, "horizon": 1.0}, "sigma"),
+        # log(s0) sits 0.56 below the largest log, one standard deviation of
+        # the path at the horizon: at seeds 0-11 this exited 0 ten times and
+        # twice exited 3 naming only a 'results.' path
+        ({"s0": 1e308}, "s0"),
+    ], ids=["sigma_cancelled_by_drift", "s0_near_the_largest_float"])
+    def test_gbm_log_noise_names_key(self, tmp_path, capsys, change, field):
+        with open(os.path.join(DEMO_CONFIGS, "market_local_vs_gbm.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["compare_gbm"].update(change)
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"'params.compare_gbm.{field}' ")
+        assert message.endswith(" 'params.compare_gbm.horizon'")
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("steps", [1999, 10 ** 300], ids=["1999", "1e300"])
+    def test_gbm_steps_apart_from_the_market_name_both_keys(self, tmp_path, capsys, monkeypatch,
+                                                            steps):
+        # this once exited 3 with "gbm.steps must match cfg.n_steps", no key
+        with open(os.path.join(DEMO_CONFIGS, "market_local_vs_gbm.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["compare_gbm"]["steps"] = steps
+        calls = []
+        monkeypatch.setattr(cli_runner, "run_market", calls.append)
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION and calls == []  # checked before the simulation
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message == "'params.compare_gbm.steps' must equal 'params.market.n_steps'"
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
+    @pytest.mark.parametrize("key, value, field", [
+        ("rate", 1e308, "rate"),
+        ("rate", -1e308, "rate"),
+        ("sigma", 1e308, "sigma"),
+        ("tau", 1e308, "rate"),
+    ], ids=["rate_high", "rate_low", "sigma_high", "tau_high"])
+    def test_option_exp_range_names_both_keys(self, tmp_path, capsys, config, key, value, field):
+        # exp(+-rate tau) or exp(sigma sqrt(tau)) overflowed: each once
+        # exited 4 with an OverflowError
+        with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["spec"][key] = value
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"'params.spec.{field}' ")
+        assert message.endswith(" 'params.spec.tau'")
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
     @pytest.mark.parametrize("field", ["sigma", "tau"])
     def test_degenerate_lattice_is_a_validation_error(self, tmp_path, capsys, config, field):

@@ -11,6 +11,14 @@ from spheremarket import geometry
 from spheremarket.geometry import (
     UnitVector3,
     _fma,
+    _dot_arrays,
+    _fma_arrays,
+    _on_sphere,
+    _on_sphere_arrays,
+    _polar,
+    _polar_arrays,
+    _rotate,
+    _rotate_arrays,
     angle_between,
     dot,
     from_polar,
@@ -179,11 +187,22 @@ guard_factors = st.builds(math.ldexp, st.floats(0.5, 1.0) | st.floats(-1.0, -0.5
                           st.integers(-540, -440))
 
 
+def lane_fma(a: float, b: float, c: float) -> float:
+    """``_fma_arrays`` on the one lane (a, b, c)."""
+    return float(_fma_arrays(np.array([a]), np.array([b]), np.array([c]))[0])
+
+
 class TestExactFma:
+    """``_fma`` and, one lane at a time, ``_fma_arrays``."""
+
     @given(unit_doubles, unit_doubles, unit_doubles)
     @settings(max_examples=500, deadline=None)
+    # c + a * b lies 2^-158 below a tie, the rounding error of a * b:
+    # rounding the two low parts to nearest loses it and the tie goes up to
+    # even, rounding them to odd keeps it
+    @example(1.0 - 2.0 ** -52, 2.0 ** -54 + 2.0 ** -106, 0.5 + 2.0 ** -53)
     def test_rounds_once(self, a, b, c):
-        assert _fma(a, b, c) == exact_fma(a, b, c)
+        assert _fma(a, b, c) == lane_fma(a, b, c) == exact_fma(a, b, c)
 
     @given(guard_factors, guard_factors, unit_doubles | guard_factors)
     @settings(max_examples=300, deadline=None)
@@ -193,26 +212,26 @@ class TestExactFma:
     # product is not an exact zero factor
     @example(math.ldexp(1.0, -537), math.ldexp(1.0, -538), math.ldexp(3.0, -1074))
     def test_rounds_once_around_the_underflow_guard(self, a, b, c):
-        assert _fma(a, b, c) == exact_fma(a, b, c)
+        assert _fma(a, b, c) == lane_fma(a, b, c) == exact_fma(a, b, c)
 
     @given(guard_factors, guard_factors)
     @settings(max_examples=300, deadline=None)
     def test_keeps_the_rounding_error_of_tiny_products(self, a, b):
         # only a * b - round(a * b) is left, which Dekker's split loses to
         # underflow for products far enough below the guard
-        assert _fma(a, b, -(a * b)) == exact_fma(a, b, -(a * b))
+        assert _fma(a, b, -(a * b)) == lane_fma(a, b, -(a * b)) == exact_fma(a, b, -(a * b))
 
     @given(st.sampled_from([0.0, -0.0]), unit_doubles, unit_doubles, st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_zero_factor_skips_the_rational_sum(self, zero, other, c, zero_first):
         a, b = (zero, other) if zero_first else (other, zero)
         with mock.patch.object(geometry, "Fraction", side_effect=AssertionError):
-            got = _fma(a, b, c)
+            got, lane = _fma(a, b, c), lane_fma(a, b, c)
         # an exact zero product leaves c, and a zero sum is -0.0 only when
         # both the product and c are -0.0
         product_sign = math.copysign(1.0, a) * math.copysign(1.0, b)
         want = c if c else (-0.0 if product_sign < 0 and math.copysign(1.0, c) < 0 else 0.0)
-        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert got.hex() == lane.hex() == want.hex()
 
     @pytest.mark.parametrize("a, b, c, want", [
         (-0.0, 1.0, -0.0, -0.0),
@@ -223,8 +242,27 @@ class TestExactFma:
         (1e-200, 1e-200, -0.0, 0.0),
     ])
     def test_signed_zeros_follow_ieee(self, a, b, c, want):
-        got = _fma(a, b, c)
-        assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, want)
+        for got in (_fma(a, b, c), lane_fma(a, b, c)):
+            assert got == 0.0 and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @given(st.lists(st.tuples(unit_doubles | guard_factors, unit_doubles | guard_factors,
+                              unit_doubles | guard_factors), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_lanes_keep_the_scalar_bits(self, triples):
+        # zero-factor, tiny and round-to-odd lanes side by side; the bits,
+        # zero signs included, are the scalar _fma's
+        a, b, c = (np.array(column) for column in zip(*triples))
+        got = _fma_arrays(a, b, c)
+        assert [float(r).hex() for r in got] == [_fma(*t).hex() for t in triples]
+
+    def test_rounds_once_where_plain_arithmetic_rounds_twice(self):
+        # every lane is a * b + c rounded once, and a plain a * b + c, which
+        # rounds twice, misses some of them
+        rng = np.random.default_rng(4)
+        a, b, c = (rng.uniform(-1.0, 1.0, 20_000) for _ in range(3))
+        got = _fma_arrays(a, b, c)
+        assert got.tolist() == [exact_fma(*t) for t in zip(a.tolist(), b.tolist(), c.tolist())]
+        assert (a * b + c != got).any()
 
 
 def reference_rotate(v: UnitVector3, k: UnitVector3, angle: float) -> UnitVector3:
@@ -265,6 +303,59 @@ class TestExactRotation:
             v, k = sample_uniform(rng), sample_uniform(rng)
             angle = float(rng.uniform(0.0, math.pi))
             assert rotate(v, k, angle) == reference_rotate(v, k, angle)
+
+
+def columns(points) -> tuple:
+    """The x, y and z arrays of a list of points."""
+    return tuple(np.array(c) for c in zip(*points))
+
+
+def hex_points(points) -> list:
+    """Each point with each component as its hex string."""
+    return [tuple(c.hex() for c in p) for p in points]
+
+
+def rows(xyz: tuple) -> list:
+    """``hex_points`` of the points whose x, y and z arrays are ``xyz``."""
+    return hex_points(zip(*(a.tolist() for a in xyz)))
+
+
+class TestArrayKernels:
+    """Each ``*_arrays`` kernel gives, lane by lane, its scalar namesake's bits."""
+
+    EDGE = [POLE, -POLE, UnitVector3(1.0, 0.0, 0.0), UnitVector3(0.0, -1.0, 0.0),
+            from_polar(math.pi, 0.0), from_polar(math.pi / 2, 0.0)]
+
+    def points(self, n: int, seed: int) -> list:
+        rng = np.random.default_rng(seed)
+        return self.EDGE + [tuple(sample_uniform(rng)) for _ in range(n)]
+
+    def test_rotate(self):
+        rng = np.random.default_rng(41)
+        v, k = self.points(300, 1), self.points(300, 2)[::-1]
+        angle = rng.uniform(0.0, math.pi, len(v))
+        angle[:3] = [0.0, math.pi, 0.7]
+        want = [_rotate(a, b, t) for a, b, t in zip(v, k, angle.tolist())]
+        assert rows(_rotate_arrays(columns(v), columns(k), angle)) == hex_points(want)
+
+    def test_dot_shortcuts_and_broadcast_axis(self):
+        a = self.points(200, 3)
+        b = a[:50] + [(-x, -y, -z) for x, y, z in a[50:100]] + self.points(200, 4)[100:]
+        got = _dot_arrays(columns(a), columns(b))
+        assert [d.hex() for d in got.tolist()] == [dot(p, q).hex() for p, q in zip(a, b)]
+        got = _dot_arrays(columns(a), tuple(POLE))
+        assert [d.hex() for d in got.tolist()] == [dot(p, POLE).hex() for p in a]
+
+    def test_on_sphere_and_polar(self):
+        rng = np.random.default_rng(5)
+        z, phi = -1.0 + 2.0 * rng.random(300), 2.0 * math.pi * rng.random(300)
+        z[:3] = [-1.0, 1.0, 0.0]
+        want = [_on_sphere(a, b) for a, b in zip(z.tolist(), phi.tolist())]
+        assert rows(_on_sphere_arrays(z, phi)) == hex_points(want)
+        theta = np.concatenate(([0.0, math.pi / 2, math.pi, -math.pi], rng.uniform(-4, 4, 300)))
+        for azimuth in (0.0, 2.5):
+            want = [_polar(t, azimuth) for t in theta.tolist()]
+            assert rows(_polar_arrays(theta, azimuth)) == hex_points(want)
 
 
 class TestTupleRepresentation:

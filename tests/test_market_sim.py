@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremarket import market_sim
+from spheremarket import geometry, market_sim
 from spheremarket.geometry import UnitVector3, angle_between, from_polar, perturb, sample_uniform
 from spheremarket.market_sim import (
     GlobalRegime,
@@ -65,8 +65,16 @@ def scalar_history(cfg):
 RHOS = [UniformRho(), DeltaRho(0.2), PiecewiseConstantRho([-1.0, 0.3, 1.0], [1.0, 3.0]),
         TruncatedGaussianRho(center=-0.2, width=0.5)]
 DRIFT = NewsSeries(kind="drift", angle=0.3, rate=0.02)
+# constant news at 0, pi/2 and pi puts exact zeros (and, at 0, the price
+# axis itself) into the contexts; the last is the herding demo's regime
 REGIMES = [LocalRegime(noise_angle=0.5), LocalRegime(noise_angle=0.0),
-           GlobalRegime(news=DRIFT, noise_angle=0.3), GlobalRegime(news=DRIFT, noise_angle=0.0)]
+           GlobalRegime(news=DRIFT, noise_angle=0.3), GlobalRegime(news=DRIFT, noise_angle=0.0),
+           GlobalRegime(news=NewsSeries(angle=0.0), noise_angle=0.0),
+           GlobalRegime(news=NewsSeries(angle=math.pi / 2), noise_angle=0.3),
+           GlobalRegime(news=NewsSeries(angle=math.pi), noise_angle=0.3),
+           GlobalRegime(news=NewsSeries(angle=0.8), noise_angle=0.1)]
+REGIME_IDS = ["local", "local-still", "global", "global-still", "news-0", "news-half-pi",
+              "news-pi", "herding"]
 
 
 def ensemble_csv(cfg, n_runs, n_workers):
@@ -154,13 +162,28 @@ class TestRunMarket:
         assert abs(rate - expected) <= 4.0 * stderr
 
     @pytest.mark.parametrize("rho", RHOS, ids=lambda rho: rho.kind)
-    @pytest.mark.parametrize("regime", REGIMES,
-                             ids=["local", "local-still", "global", "global-still"])
+    @pytest.mark.parametrize("regime", REGIMES, ids=REGIME_IDS)
     def test_block_draws_replay_scalar_draws(self, monkeypatch, rho, regime):
         # blocks of 64 steps, so 150 steps span three of them
         monkeypatch.setattr(market_sim, "BLOCK_STEPS", 64)
         cfg = make_config(rho=rho, regime=regime, n_steps=150, seed=5)
         assert list(run_market(cfg)) == scalar_history(cfg)
+
+    @pytest.mark.parametrize("regime", REGIMES[2:], ids=REGIME_IDS[2:])
+    def test_global_history_never_reaches_the_scalar_kernels(self, monkeypatch, regime):
+        # the global regime runs in array passes over all its steps: no
+        # scalar rotation, axis, dot or FMA per trade
+        cfg = make_config(regime=regime, n_steps=300, seed=8)
+        expected = scalar_history(cfg)
+
+        def scalar_kernel(*args):
+            raise AssertionError("a scalar kernel ran in the global regime")
+
+        for module, name in [(market_sim, "_rotate"), (market_sim, "_on_sphere"),
+                             (market_sim, "dot"), (geometry, "_rotate"), (geometry, "_fma"),
+                             (geometry, "dot")]:
+            monkeypatch.setattr(module, name, scalar_kernel)
+        assert list(run_market(cfg)) == expected
 
     @given(rho=st.sampled_from(RHOS), regime=st.sampled_from(REGIMES),
            seed=st.integers(0, 2 ** 32 - 1), n_steps=st.sampled_from([1, 127, 128, 129, 300]))
