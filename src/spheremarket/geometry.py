@@ -3,12 +3,12 @@
 Directions and states are kept in Cartesian coordinates; polar angles appear
 only at the API boundary (``from_polar``).  A point is an ``(x, y, z)`` tuple,
 and ``UnitVector3`` is that tuple with its norm checked, so every function here
-takes either.  The market's trade loop calls ``dot`` and the unchecked kernels
-(``_normalize``, ``_rotate``, ...) so that a trade builds no ``UnitVector3``.
-The ``*_arrays`` kernels take each component as an array and give, lane by
-lane, the bits of their scalar namesakes: the same operations in the same
-order, ``cos`` and ``sin`` through ``math`` and the fused multiply-add
-emulated exactly.
+takes either.  The market's rotation chain (``_rotate_chain``) runs the
+unchecked kernel ``_rodrigues`` on floats, so that a trade builds no
+``UnitVector3``.  The ``*_arrays`` kernels take each component as an array
+and give, lane by lane, the bits of their scalar namesakes: the same
+operations in the same order, ``cos`` and ``sin`` through ``math`` and the
+fused multiply-add emulated exactly.
 """
 
 from __future__ import annotations
@@ -236,14 +236,32 @@ def _fma_arrays(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
     """``rotate`` without the norm check of a ``UnitVector3`` result."""
+    c = math.cos(angle)
+    return _rodrigues(v, axis, c, math.sin(angle), 1.0 - c)
+
+
+def _rodrigues(v: tuple, axis: tuple, c: float, s: float, t: float) -> tuple:
+    """``_rotate`` by the angle whose cos, sin and 1 - cos are given."""
     vx, vy, vz = v
     kx, ky, kz = axis
-    c, s = math.cos(angle), math.sin(angle)
     d = _fma(kz, vz, _fma(ky, vy, kx * vx))
-    t = 1.0 - c
     return _normalize((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
                       (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
                       (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
+
+
+def _rotate_chain(v: tuple, axis: tuple, angle: np.ndarray) -> np.ndarray:
+    """The chain v_t = ``_rotate``(v_{t-1}, axis_t, angle_t) from v_{-1} = ``v``,
+    as the (n, 3) array of v_0 .. v_{n-1}.  Each step waits for the one
+    before, so only ``_rodrigues`` stays in the loop; ``cos``, ``sin`` and
+    ``1 - cos`` come first, lane by lane."""
+    cos = _math_map(math.cos, angle)
+    chain = []
+    for k, c, s, t in zip(zip(*(a.tolist() for a in axis)), cos.tolist(),
+                          _math_map(math.sin, angle).tolist(), (1.0 - cos).tolist()):
+        v = _rodrigues(v, k, c, s, t)
+        chain.append(v)
+    return np.array(chain)
 
 
 def _rotate_arrays(v: tuple, axis: tuple, angle: np.ndarray) -> tuple:

@@ -33,11 +33,12 @@ from .geometry import (
     UnitVector3,
     _check_unit_rows,
     _dot_arrays,
-    _on_sphere,
+    _math_map,
     _on_sphere_arrays,
     _polar_arrays,
     _rotate,
     _rotate_arrays,
+    _rotate_chain,
     dot,
     from_polar,
     sample_uniform,
@@ -274,22 +275,38 @@ def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
 
 
 def _local_history(cfg: MarketConfig, state: tuple, kicks, breaks: np.ndarray) -> tuple:
-    """The trade loop: each context is the state, kicked by ``_rotate`` about
-    its drawn axis, so every step waits for the one before.  States and
-    contexts stay (x, y, z) tuples run through the ``geometry`` kernels; the
-    collapse is ``break_elastic``'s."""
-    price = _pricer(cfg)
-    axis = tuple(cfg.price_axis)  # ``dot`` unpacks a tuple subclass on a slower path
-    kicks = itertools.repeat(None) if kicks is None else zip(*(k.tolist() for k in kicks))
-    directions, o1, prices = [], [], []
-    for x, kick in zip(breaks.tolist(), kicks):
-        d = state if kick is None else _rotate(state, _on_sphere(kick[0], kick[1]), kick[2])
-        hit = x < dot(state, d)
-        state = d if hit else (-d[0], -d[1], -d[2])
-        directions.append(d)
-        o1.append(hit)
-        prices.append(price(dot(state, axis)))
-    return np.array(directions), np.array(o1), np.array(prices)
+    """The local regime: each context is the state before it, kicked by
+    ``_rotate`` about its drawn axis.
+
+    Every operation of ``_rotate`` is odd in the vector (products, sums,
+    ``_fma`` and the normalization), so a state of either sign gives the
+    same context up to sign.  With the chain C_t = ``_rotate``(C_{t-1}, k_t,
+    a_t) from C_{-1} the initial state, the context of step t is +-C_t and
+    dot(state, context) is dot(C_{t-1}, C_t), whatever the outcomes.  Only
+    that chain stays in a Python loop (``_rotate_chain``).  Step t is O1
+    when x_t < dot(C_{t-1}, C_t), and its context is -C_t when an odd number
+    of O2s came before it.
+
+    Oddness holds in value but not for an exact zero that comes from a
+    cancellation: x - x is +0 at either sign of x.  So the rows of C with a
+    zero component are replayed in step order through ``_rotate`` from the
+    logged state.  With noise 0 every C_t is the initial state and repeated
+    negation is exact, so nothing needs replaying.
+    """
+    if kicks is None:
+        chain = np.tile(state, (len(breaks), 1))
+    else:
+        axes = _on_sphere_arrays(kicks[0], kicks[1])
+        chain = _rotate_chain(state, axes, kicks[2])
+    before = np.vstack((state, chain[:-1]))
+    o1 = breaks < _dot_arrays(tuple(before.T), tuple(chain.T))
+    flip = np.logical_xor.accumulate(np.concatenate(([False], ~o1[:-1])))  # odd O2s before t
+    direction = np.where(flip[:, None], -chain, chain)
+    if kicks is not None:
+        for t in np.flatnonzero((chain == 0.0).any(axis=1)).tolist():
+            s = state if t == 0 else (direction[t - 1] if o1[t - 1] else -direction[t - 1]).tolist()
+            direction[t] = _rotate(s, tuple(float(k[t]) for k in axes), float(kicks[2][t]))
+    return direction, o1, _prices(cfg, tuple(direction.T), o1)
 
 
 def _global_history(cfg: MarketConfig, state: tuple, kicks, breaks: np.ndarray) -> tuple:
@@ -314,8 +331,16 @@ def _global_history(cfg: MarketConfig, state: tuple, kicks, breaks: np.ndarray) 
         hit = above if hit else below
         o1.append(hit)
     o1 = np.array(o1)
-    on_axis = _dot_arrays(d, tuple(cfg.price_axis))
-    return np.column_stack(d), o1, _pricer(cfg)(np.where(o1, on_axis, -on_axis))
+    return np.column_stack(d), o1, _prices(cfg, d, o1)
+
+
+def _prices(cfg: MarketConfig, direction: tuple, o1: np.ndarray) -> np.ndarray:
+    """The realized prices of a history with contexts ``direction`` (x, y
+    and z arrays): the state after step t is d_t after an O1 and -d_t after
+    an O2, and dot(-d, axis) is -dot(d, axis) up to the sign of a zero,
+    which no price sees."""
+    on_axis = _dot_arrays(direction, tuple(cfg.price_axis))
+    return _pricer(cfg)(np.where(o1, on_axis, -on_axis))
 
 
 def run_market(cfg: MarketConfig) -> TradeLog:
@@ -414,8 +439,8 @@ def summary_stats(trades: TradeLog) -> SeriesSummary:
 def representative_scan_angle(trades: TradeLog) -> float:
     """Median angle between consecutive trade directions, clamped into
     (0, pi); the spacing used for the three-direction feasibility scan."""
-    dirs = trades.direction.tolist()
-    gaps = [math.acos(dot(a, b)) for a, b in zip(dirs, dirs[1:])]
+    d = trades.direction
+    gaps = _math_map(math.acos, _dot_arrays(tuple(d[:-1].T), tuple(d[1:].T))).tolist()
     theta = statistics.median(gaps) if gaps else 0.0
     return min(max(theta, 1e-6), math.pi - 1e-6)
 

@@ -26,6 +26,7 @@ from .streams import map_chunks
 CHUNK_PATHS = 1 << 14  # fixed batch granularity for counter-based streams
 # natural logs of the smallest normal and the largest finite float
 _LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+_SIGMA_MAX = math.sqrt(sys.float_info.max)  # the largest sigma whose square is finite
 
 
 class OptionKind(Enum):
@@ -58,13 +59,15 @@ class OptionSpec:
             if getattr(self, name) < 0:
                 raise FieldError(name, "must be nonnegative")
         # the pricers take exp of +-rate tau (discount and growth) and of
-        # sigma sqrt(tau) (the lattice's up factor)
+        # sigma sqrt(tau) (the lattice's up factor), and square sigma
         if not abs(self.rate * self.tau) <= _LOG_MAX:
             raise FieldError("rate", f"makes |rate tau| exceed {_LOG_MAX:.2f}, where exp "
                                      "overflows, at this", other="tau")
         if not self.sigma * math.sqrt(self.tau) <= _LOG_MAX:
             raise FieldError("sigma", f"makes sigma sqrt(tau) exceed {_LOG_MAX:.2f}, where exp "
                                       "overflows, at this", other="tau")
+        if self.sigma > _SIGMA_MAX:
+            raise FieldError("sigma", f"must be at most {_SIGMA_MAX!r}, where sigma^2 overflows")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "kind": self.kind.value, "style": "european"}
@@ -259,7 +262,9 @@ def mc_price(spec: OptionSpec, n_paths: int, seed: int,
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     mean = total / n_paths
-    var = max(0.0, (total_sq - n_paths * mean * mean) / (n_paths - 1))
+    # max keeps its first argument unless the second is larger, so a NaN
+    # from an overflowed sum of squares stays NaN for the report's check
+    var = max((total_sq - n_paths * mean * mean) / (n_paths - 1), 0.0)
     return float(mean), float(math.sqrt(var / n_paths))
 
 

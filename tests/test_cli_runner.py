@@ -248,16 +248,20 @@ class TestErrorHandling:
         assert message == "'params.market.price_min' must be below 'params.market.price_max'"
         assert os.listdir(tmp_path) == ["config.json"]
 
-    @pytest.mark.parametrize("config, leaf, value, path", [
-        ("binomial_convergence", ("spec", "spot"), 1e308, "results.abs_errors[0]"),
-        ("price_atm", ("spec", "spot"), 1e308, "results.results[1].value"),
-    ], ids=["convergence_spot", "price_spot"])
+    @pytest.mark.parametrize("config, spec, path", [
+        ("binomial_convergence", {"spot": 1e308}, "results.abs_errors[0]"),
+        ("price_atm", {"spot": 1e308}, "results.results[1].value"),
+        # the squared payoffs overflow, so the variance is NaN
+        *(("price_atm", {"spot": size, "strike": size}, "results.results[2].error_estimate")
+          for size in (1e155, 1e160, 1e200)),
+    ], ids=["convergence_spot", "price_spot", "mc_1e155", "mc_1e160", "mc_1e200"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
-    def test_non_finite_result_named(self, tmp_path, capsys, config, leaf, value, path):
-        # each once exited 0 with a null where the number belongs
+    def test_non_finite_result_named(self, tmp_path, capsys, config, spec, path):
+        # each once exited 0, with a null where the number belongs or (the
+        # Monte Carlo error) a variance of max(0.0, nan) = 0.0
         with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
-        payload["params"][leaf[0]][leaf[1]] = value
+        payload["params"]["spec"].update(spec)
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
         message = json.loads(capsys.readouterr().err)["error"]["message"]
@@ -344,6 +348,19 @@ class TestErrorHandling:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message.startswith(f"'params.spec.{field}' ")
         assert message.endswith(" 'params.spec.tau'")
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
+    def test_sigma_whose_square_overflows_named(self, tmp_path, capsys, config):
+        # sigma sqrt(tau) = 10, but sigma^2 overflows: this once exited 4
+        # with an OverflowError
+        with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["spec"].update(sigma=1e160, tau=1e-318)
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("'params.spec.sigma' ")
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])

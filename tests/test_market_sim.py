@@ -1,10 +1,11 @@
 import io
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spheremarket import geometry, market_sim
@@ -62,19 +63,61 @@ def scalar_history(cfg):
     return trades
 
 
+def same_history(log, records):
+    """Every record field equal, and every direction component equal by
+    ``repr``, which tells -0.0 from 0.0 where ``==`` does not."""
+    def signed(trades):
+        return [tuple(map(repr, t.direction)) for t in trades]
+    return list(log) == records and signed(log) == signed(records)
+
+
+def scalar_local_history(cfg, state, kicks, breaks):
+    """The per-trade loop of the local regime: each context is the state
+    rotated by ``_rotate``, and the state becomes the context or its
+    antipode."""
+    directions, o1, prices = [], [], []
+    for x, z, phi, angle in zip(breaks.tolist(), *(k.tolist() for k in kicks)):
+        d = geometry._rotate(state, geometry._on_sphere(z, phi), angle)
+        hit = x < geometry.dot(state, d)
+        state = d if hit else (-d[0], -d[1], -d[2])
+        directions.append(d)
+        o1.append(hit)
+        prices.append(price_of_state(cfg, state))
+    return directions, o1, prices
+
+
+def forbid_per_trade_kernels(monkeypatch, names):
+    """Make the named scalar ``geometry`` kernels raise, in ``geometry`` and
+    in ``market_sim``'s bindings of them; returns the list of
+    ``_on_sphere`` calls, whose one call per run draws the initial state."""
+    def scalar_kernel(*args):
+        raise AssertionError("a scalar kernel ran per trade")
+
+    for name in names:
+        for module in (geometry, market_sim):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, scalar_kernel)
+    points, on_sphere = [], geometry._on_sphere
+    monkeypatch.setattr(geometry, "_on_sphere", lambda *a: points.append(a) or on_sphere(*a))
+    return points
+
+
 RHOS = [UniformRho(), DeltaRho(0.2), PiecewiseConstantRho([-1.0, 0.3, 1.0], [1.0, 3.0]),
         TruncatedGaussianRho(center=-0.2, width=0.5)]
 DRIFT = NewsSeries(kind="drift", angle=0.3, rate=0.02)
+# a local noise of pi lets contexts land anywhere; at 1e-9, 1 - cos is 0
+LOCAL_REGIMES = {"local": LocalRegime(noise_angle=0.5), "local-still": LocalRegime(noise_angle=0.0),
+                 "local-pi": LocalRegime(noise_angle=math.pi),
+                 "local-tiny": LocalRegime(noise_angle=1e-9)}
 # constant news at 0, pi/2 and pi puts exact zeros (and, at 0, the price
 # axis itself) into the contexts; the last is the herding demo's regime
-REGIMES = [LocalRegime(noise_angle=0.5), LocalRegime(noise_angle=0.0),
-           GlobalRegime(news=DRIFT, noise_angle=0.3), GlobalRegime(news=DRIFT, noise_angle=0.0),
-           GlobalRegime(news=NewsSeries(angle=0.0), noise_angle=0.0),
-           GlobalRegime(news=NewsSeries(angle=math.pi / 2), noise_angle=0.3),
-           GlobalRegime(news=NewsSeries(angle=math.pi), noise_angle=0.3),
-           GlobalRegime(news=NewsSeries(angle=0.8), noise_angle=0.1)]
-REGIME_IDS = ["local", "local-still", "global", "global-still", "news-0", "news-half-pi",
-              "news-pi", "herding"]
+GLOBAL_REGIMES = {"global": GlobalRegime(news=DRIFT, noise_angle=0.3),
+                  "global-still": GlobalRegime(news=DRIFT, noise_angle=0.0),
+                  "news-0": GlobalRegime(news=NewsSeries(angle=0.0), noise_angle=0.0),
+                  "news-half-pi": GlobalRegime(news=NewsSeries(angle=math.pi / 2), noise_angle=0.3),
+                  "news-pi": GlobalRegime(news=NewsSeries(angle=math.pi), noise_angle=0.3),
+                  "herding": GlobalRegime(news=NewsSeries(angle=0.8), noise_angle=0.1)}
+REGIMES = {**LOCAL_REGIMES, **GLOBAL_REGIMES}
 
 
 def ensemble_csv(cfg, n_runs, n_workers):
@@ -162,37 +205,67 @@ class TestRunMarket:
         assert abs(rate - expected) <= 4.0 * stderr
 
     @pytest.mark.parametrize("rho", RHOS, ids=lambda rho: rho.kind)
-    @pytest.mark.parametrize("regime", REGIMES, ids=REGIME_IDS)
+    @pytest.mark.parametrize("regime", REGIMES.values(), ids=REGIMES)
     def test_block_draws_replay_scalar_draws(self, monkeypatch, rho, regime):
         # blocks of 64 steps, so 150 steps span three of them
         monkeypatch.setattr(market_sim, "BLOCK_STEPS", 64)
         cfg = make_config(rho=rho, regime=regime, n_steps=150, seed=5)
-        assert list(run_market(cfg)) == scalar_history(cfg)
+        assert same_history(run_market(cfg), scalar_history(cfg))
 
-    @pytest.mark.parametrize("regime", REGIMES[2:], ids=REGIME_IDS[2:])
+    @pytest.mark.parametrize("regime", GLOBAL_REGIMES.values(), ids=GLOBAL_REGIMES)
     def test_global_history_never_reaches_the_scalar_kernels(self, monkeypatch, regime):
         # the global regime runs in array passes over all its steps: no
         # scalar rotation, axis, dot or FMA per trade
         cfg = make_config(regime=regime, n_steps=300, seed=8)
         expected = scalar_history(cfg)
+        points = forbid_per_trade_kernels(monkeypatch, ("_rotate", "_fma", "dot"))
+        assert same_history(run_market(cfg), expected)
+        assert len(points) == 1
 
-        def scalar_kernel(*args):
-            raise AssertionError("a scalar kernel ran in the global regime")
+    @pytest.mark.parametrize("regime", LOCAL_REGIMES.values(), ids=LOCAL_REGIMES)
+    def test_local_history_never_reaches_the_scalar_kernels(self, monkeypatch, regime):
+        # only the rotation chain stays in a loop, on plain floats: no scalar
+        # rotation, axis or dot per trade
+        cfg = make_config(regime=regime, n_steps=300, seed=8)
+        expected = scalar_history(cfg)
+        points = forbid_per_trade_kernels(monkeypatch, ("_rotate", "dot"))
+        assert same_history(run_market(cfg), expected)
+        assert len(points) == 1
 
-        for module, name in [(market_sim, "_rotate"), (market_sim, "_on_sphere"),
-                             (market_sim, "dot"), (geometry, "_rotate"), (geometry, "_fma"),
-                             (geometry, "dot")]:
-            monkeypatch.setattr(module, name, scalar_kernel)
-        assert list(run_market(cfg)) == expected
+    @given(state=st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0),
+                                  (-0.0, 0.0, -1.0), (0.6, 0.0, 0.8)]),
+           kicks=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
+                                    st.sampled_from([0.0, math.pi / 2, math.pi, 3.0]),
+                                    st.sampled_from([0.0, 1e-9, math.pi / 2, math.pi, 1.0])),
+                          min_size=1, max_size=8),
+           breaks=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 0.99]), min_size=8,
+                           max_size=8))
+    # quarter turns about +z from (1, 0, 0), each step O2: step 1 rotates the
+    # state -C_0 = (-6e-17, -1, -0.0), whose uz is
+    # -0.0 c + (0.0 (-1) - 0.0 (-6e-17)) s + (1 (-0.0)) (1 - c) = +0.0,
+    # where negating the chain's C_1 would give -0.0
+    @example(state=(1.0, 0.0, 0.0), kicks=[(1.0, 0.0, math.pi / 2)] * 3, breaks=[0.99] * 8)
+    @settings(max_examples=200, deadline=None)
+    def test_axis_aligned_kicks_match_the_scalar_loop(self, state, kicks, breaks):
+        # axes, states and angles that make exact zeros in the contexts:
+        # every component, sign of zero included, is the per-trade loop's
+        cfg = make_config(price_axis=UnitVector3(0.0, 1.0, 0.0))
+        kicks = tuple(np.array(k) for k in zip(*kicks))
+        breaks = np.array(breaks[:len(kicks[0])])
+        direction, o1, price = market_sim._local_history(cfg, state, kicks, breaks)
+        expected = scalar_local_history(cfg, state, kicks, breaks)
+        assert [tuple(map(repr, d)) for d in direction.tolist()] == \
+            [tuple(map(repr, d)) for d in expected[0]]
+        assert (o1.tolist(), price.tolist()) == expected[1:]
 
-    @given(rho=st.sampled_from(RHOS), regime=st.sampled_from(REGIMES),
+    @given(rho=st.sampled_from(RHOS), regime=st.sampled_from(list(REGIMES.values())),
            seed=st.integers(0, 2 ** 32 - 1), n_steps=st.sampled_from([1, 127, 128, 129, 300]))
     @settings(max_examples=40, deadline=None)
     def test_log_matches_scalar_history(self, rho, regime, seed, n_steps):
         # block edges at the default BLOCK_STEPS of 128; every record field,
         # break point included, equals the one-draw-at-a-time reference
         cfg = make_config(rho=rho, regime=regime, n_steps=n_steps, seed=seed)
-        assert list(run_market(cfg)) == scalar_history(cfg)
+        assert same_history(run_market(cfg), scalar_history(cfg))
 
     def test_ensemble_worker_independence(self):
         cfg = make_config(n_steps=150)
@@ -345,6 +418,14 @@ class TestCompareWithGbm:
 
 
 class TestScanAngle:
+    @pytest.mark.parametrize("regime", REGIMES.values(), ids=REGIMES)
+    def test_matches_the_scalar_angles(self, regime):
+        log = run_market(make_config(regime=regime, n_steps=301, seed=4))
+        dirs = log.direction.tolist()
+        gaps = [math.acos(geometry.dot(a, b)) for a, b in zip(dirs, dirs[1:])]
+        theta = min(max(statistics.median(gaps), 1e-6), math.pi - 1e-6)
+        assert representative_scan_angle(log).hex() == theta.hex()
+
     def test_constant_directions_clamped(self):
         news = NewsSeries(kind="constant", angle=0.7)
         cfg = make_config(regime=GlobalRegime(news=news, noise_angle=0.0), n_steps=40)
