@@ -21,7 +21,6 @@ from .market_sim import (
     TradeLog,
     TradeRecord,
     compare_with_gbm,
-    price_of_state,
     run_market,
     run_market_ensemble,
     summary_stats,

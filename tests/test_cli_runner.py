@@ -364,6 +364,22 @@ class TestErrorHandling:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
+    @pytest.mark.parametrize("spec", [{"spot": 5e-324}, {"spot": 1e-300, "strike": 1e300}],
+                             ids=["spot_subnormal", "spot_over_strike_underflows"])
+    def test_spot_over_strike_rounding_to_zero_named(self, tmp_path, capsys, config, spec):
+        # log(spot / strike) got 0: the subnormal spot once exited 3 with
+        # "math domain error" and no key
+        with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["spec"].update(spec)
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("'params.spec.spot' ")
+        assert message.endswith(" 'params.spec.strike'")
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
     @pytest.mark.parametrize("field", ["sigma", "tau"])
     def test_degenerate_lattice_is_a_validation_error(self, tmp_path, capsys, config, field):
         # sigma sqrt(tau / steps) underflows, so u = d: this once exited 4

@@ -18,7 +18,6 @@ from spheremarket.market_sim import (
     TradeLog,
     TradeRecord,
     compare_with_gbm,
-    price_of_state,
     representative_scan_angle,
     run_market,
     run_market_ensemble,
@@ -49,17 +48,26 @@ def make_config(rho=None, regime=None, n_steps=200, seed=42, **kw):
     )
 
 
+def scalar_price(cfg, state):
+    """The price of one state, affine in its projection on the price axis."""
+    projection = geometry.dot(state, cfg.price_axis)
+    return cfg.price_min + (cfg.price_max - cfg.price_min) * ((1.0 + projection) / 2.0)
+
+
 def scalar_history(cfg):
     """The market drawing one scalar at a time: perturb's three draws, then
     simulate_measurement's break point."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     state, trades = sample_uniform(rng), []
     for step in range(cfg.n_steps):
-        center = state if isinstance(cfg.regime, LocalRegime) else cfg.regime.news.direction(step)
+        if isinstance(cfg.regime, LocalRegime):
+            center = state
+        else:
+            center = from_polar(cfg.regime.news.angle_at(step), 0.0)
         direction = perturb(center, cfg.regime.noise_angle, rng)
         outcome = simulate_measurement(cfg.rho, state, direction, rng)
         state = outcome.collapsed_state
-        trades.append(TradeRecord(step, direction, outcome, price_of_state(cfg, state)))
+        trades.append(TradeRecord(step, direction, outcome, scalar_price(cfg, state)))
     return trades
 
 
@@ -82,7 +90,7 @@ def scalar_local_history(cfg, state, kicks, breaks):
         state = d if hit else (-d[0], -d[1], -d[2])
         directions.append(d)
         o1.append(hit)
-        prices.append(price_of_state(cfg, state))
+        prices.append(scalar_price(cfg, state))
     return directions, o1, prices
 
 
@@ -127,17 +135,22 @@ def ensemble_csv(cfg, n_runs, n_workers):
     return buf.getvalue()
 
 
+def state_prices(cfg, states, o1=True):
+    """``market_sim._prices`` of contexts ``states``, each after an O1 (or,
+    with ``o1`` False, after an O2, which prices the antipode)."""
+    return market_sim._prices(cfg, tuple(np.array(states).T),
+                              np.full(len(states), o1)).tolist()
+
+
 class TestPriceOfState:
     def test_axis_extremes_and_midpoint(self):
         cfg = make_config(price_min=50.0, price_max=150.0)
-        assert price_of_state(cfg, POLE) == 150.0
-        assert price_of_state(cfg, -POLE) == 50.0
-        assert price_of_state(cfg, UnitVector3(1.0, 0.0, 0.0)) == 100.0
+        assert state_prices(cfg, [POLE, -POLE, UnitVector3(1.0, 0.0, 0.0)]) == [150.0, 50.0, 100.0]
+        assert state_prices(cfg, [POLE, -POLE], o1=False) == [50.0, 150.0]
 
     def test_monotone_in_polar_angle(self):
         cfg = make_config()
-        prices = [price_of_state(cfg, from_polar(t, 0.3))
-                  for t in np.linspace(0.0, math.pi, 50)]
+        prices = state_prices(cfg, [from_polar(t, 0.3) for t in np.linspace(0.0, math.pi, 50)])
         assert all(b <= a for a, b in zip(prices, prices[1:]))
 
 
@@ -163,7 +176,7 @@ class TestRunMarket:
         news = NewsSeries(kind="constant", angle=1.0)
         cfg = make_config(regime=GlobalRegime(news=news, noise_angle=0.0), n_steps=100)
         trades = run_market(cfg)
-        expected = news.direction(0)
+        expected = from_polar(news.angle_at(0), 0.0)
         assert all(t.direction == expected for t in trades)
         # repeatability: after the first collapse the outcome never changes
         labels = {t.outcome.label for t in trades[1:]}
@@ -206,9 +219,8 @@ class TestRunMarket:
 
     @pytest.mark.parametrize("rho", RHOS, ids=lambda rho: rho.kind)
     @pytest.mark.parametrize("regime", REGIMES.values(), ids=REGIMES)
-    def test_block_draws_replay_scalar_draws(self, monkeypatch, rho, regime):
-        # blocks of 64 steps, so 150 steps span three of them
-        monkeypatch.setattr(market_sim, "BLOCK_STEPS", 64)
+    def test_block_draws_replay_scalar_draws(self, rho, regime):
+        # one rng.random call draws every step's uniforms
         cfg = make_config(rho=rho, regime=regime, n_steps=150, seed=5)
         assert same_history(run_market(cfg), scalar_history(cfg))
 
@@ -262,8 +274,8 @@ class TestRunMarket:
            seed=st.integers(0, 2 ** 32 - 1), n_steps=st.sampled_from([1, 127, 128, 129, 300]))
     @settings(max_examples=40, deadline=None)
     def test_log_matches_scalar_history(self, rho, regime, seed, n_steps):
-        # block edges at the default BLOCK_STEPS of 128; every record field,
-        # break point included, equals the one-draw-at-a-time reference
+        # histories of one to a few hundred steps; every record field, break
+        # point included, equals the one-draw-at-a-time reference
         cfg = make_config(rho=rho, regime=regime, n_steps=n_steps, seed=seed)
         assert same_history(run_market(cfg), scalar_history(cfg))
 

@@ -14,7 +14,13 @@ from spheremarket.scop_core import (
     sphere_as_scop,
     transition,
 )
-from spheremarket.sphere_model import DeltaRho, UniformRho, transition_probabilities
+from spheremarket.sphere_model import (
+    DeltaRho,
+    PiecewiseConstantRho,
+    TruncatedGaussianRho,
+    UniformRho,
+    transition_probabilities,
+)
 
 POLE = UnitVector3(0.0, 0.0, 1.0)
 EAST = UnitVector3(1.0, 0.0, 0.0)
@@ -30,14 +36,16 @@ def two_state_system(p_stay=1.0):
     return ScopSystem.from_tables(["a", "b"], ["e"], ["prop_a"], mu_table, xi_table)
 
 
-def default_price_map(price_min=50.0, price_max=150.0):
-    """Half-sphere split with lexicographic tie-break on the equator."""
-    def lookup(d):
-        key = d.z or d.x or d.y
-        if key > 0:
-            return PriceIntervalProperty(100.0, price_max)
-        return PriceIntervalProperty(price_min, 100.0)
-    return lookup
+def default_price_map(directions, price_min=50.0, price_max=150.0):
+    """The intervals of each direction and its antipode: a half-sphere split
+    with lexicographic tie-break on the equator."""
+    price_map = {}
+    for u in directions:
+        for d in (u, -u):
+            key = d.z or d.x or d.y
+            price_map[d] = (PriceIntervalProperty(100.0, price_max) if key > 0
+                            else PriceIntervalProperty(price_min, 100.0))
+    return price_map
 
 
 class TestPriceIntervalProperty:
@@ -121,33 +129,38 @@ class TestFiniteSystems:
 
 class TestSphereScop:
     def test_single_direction_shape(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         assert len(sys.contexts) == 1
         assert len(sys.states) == 2
         assert len(sys.properties) == 2
 
     def test_endpoint_is_eigenstate(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         assert is_eigenstate(sys, POLE, POLE)
         assert is_eigenstate(sys, -POLE, POLE)
 
     def test_orthogonal_state_not_eigenstate(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         assert not is_eigenstate(sys, EAST, POLE)
 
     def test_mu_rows_normalized_exactly(self):
+        # no call checks a row, so every density must give distributions
         rng = np.random.default_rng(5)
-        sys = sphere_as_scop(UniformRho(), [POLE, EAST], default_price_map())
-        probes = list(sys.states) + [sample_uniform(rng) for _ in range(100)]
-        for p in probes:
-            for e in sys.contexts:
-                row = sys.transition_distribution(p, e)
-                assert sum(prob for _, prob in row) == 1.0
+        probes = [POLE, -POLE, EAST, -EAST] + [sample_uniform(rng) for _ in range(100)]
+        for rho in (UniformRho(), DeltaRho(0.2),
+                    PiecewiseConstantRho([-1.0, -0.2, 0.5, 1.0], [0.5, 3.0, 1.0]),
+                    TruncatedGaussianRho(center=-0.3, width=0.4)):
+            sys = sphere_as_scop(rho, [POLE, EAST], default_price_map([POLE, EAST]))
+            for p in probes:
+                for e in sys.contexts:
+                    row = sys.transition_distribution(p, e)
+                    assert sum(prob for _, prob in row) == 1.0
+                    assert all(prob >= 0.0 for _, prob in row)
 
     def test_mu_matches_transition_probabilities(self):
         rho = UniformRho()
         dirs = [POLE, from_polar(1.0, 0.4), from_polar(2.2, 2.0)]
-        sys = sphere_as_scop(rho, dirs, default_price_map())
+        sys = sphere_as_scop(rho, dirs, default_price_map(dirs))
         for p in sys.states:
             for e in sys.contexts:
                 row = dict(sys.transition_distribution(p, e))
@@ -156,14 +169,14 @@ class TestSphereScop:
                 assert row[(-e, e)] == p2
 
     def test_orthogonal_collapse_frequency(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         rng = np.random.default_rng(42)
         n = 10 ** 5
         hits = sum(transition(sys, EAST, POLE, rng)[0] == POLE for _ in range(n))
         assert abs(hits / n - 0.5) < 4.0 * math.sqrt(0.25 / n)
 
     def test_transition_sequence_deterministic(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(77)
@@ -176,14 +189,14 @@ class TestSphereScop:
         assert runs[0] == runs[1]
 
     def test_eigenstate_repeatability(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         rng = np.random.default_rng(8)
         for _ in range(2000):
             q, f = transition(sys, POLE, POLE, rng)
             assert q == POLE and f == POLE
 
     def test_potentiality_states_branch(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         rng = np.random.default_rng(9)
         successors = {transition(sys, EAST, POLE, rng)[0] for _ in range(10_000)}
         assert len(successors) == 2
@@ -206,7 +219,7 @@ class TestSphereScop:
         assert actual_properties(sys, tilted) == {wide}
 
     def test_unvisited_state_has_no_actual_price(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         assert actual_properties(sys, EAST) == frozenset()
 
     def test_overlapping_antipodal_intervals_rejected(self):
@@ -220,13 +233,13 @@ class TestSphereScop:
             sphere_as_scop(UniformRho(), [POLE], {POLE: PriceIntervalProperty(0.0, 1.0)})
 
     def test_delta_rho_deterministic_collapse(self):
-        sys = sphere_as_scop(DeltaRho(0.0), [POLE], default_price_map())
+        sys = sphere_as_scop(DeltaRho(0.0), [POLE], default_price_map([POLE]))
         rng = np.random.default_rng(12)
         above = from_polar(1.0, 0.0)  # v.u = cos(1) > 0
         assert all(transition(sys, above, POLE, rng)[0] == POLE for _ in range(50))
 
     def test_non_vector_state_rejected(self):
-        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map())
+        sys = sphere_as_scop(UniformRho(), [POLE], default_price_map([POLE]))
         with pytest.raises(UnknownStateError):
             actual_properties(sys, "not a state")
         with pytest.raises(UnknownContextError):
