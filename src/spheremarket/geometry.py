@@ -53,8 +53,9 @@ class UnitVector3(namedtuple("UnitVector3", "x y z")):
             return UnitVector3(*_normalize(x / scale, y / scale, z / scale))
 
     def __neg__(self) -> "UnitVector3":
-        # Component negation is exact in IEEE arithmetic, so -(-v) == v.
-        return UnitVector3(-self.x, -self.y, -self.z)
+        # Component negation is exact in IEEE arithmetic, so -v has v's
+        # squared norm and needs no check, and -(-v) == v.
+        return tuple.__new__(UnitVector3, (-self.x, -self.y, -self.z))
 
 
 def _normalize(x: float, y: float, z: float) -> tuple:

@@ -193,6 +193,15 @@ def _entering(red: np.ndarray, eligible: np.ndarray, bland: bool) -> int:
     return int(np.where(eligible, red, np.inf).argmin())
 
 
+def _dantzig(red: np.ndarray, tol: float) -> int:
+    """Dantzig's column from one argmin: the lowest index of the most
+    negative reduced cost when that is below -tol, which is ``_entering``'s
+    pick whenever some column is eligible; else -1 (no column is eligible,
+    or a NaN took the argmin), and the caller falls back to ``_entering``."""
+    j = int(red.argmin())
+    return j if red[j] < -tol else -1
+
+
 def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     """Phase-1 simplex for  A x = b, x >= 0,  b >= 0.
 
@@ -224,7 +233,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
     T[:m, :ncols] = A
     T[:m, ncols:ncols + m] = np.eye(m)
     T[:m, -1] = b
-    basis = np.arange(ncols, ncols + m)
+    basis = list(range(ncols, ncols + m))  # plain ints for the tie rule
     # reduced costs r_j = c_j - y.A_j with starting multipliers y = 1
     T[m, :ncols] = -A.sum(axis=0)
     T[m, -1] = -b.sum()  # stores -objective
@@ -236,21 +245,23 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
         if -T[m, -1] <= tol:  # the artificials are out: the point is feasible
             break
         bland = degenerate_run >= m
-        eligible = red < -tol
-        entering = _entering(red, eligible, bland)
-        if not eligible[entering]:
-            break
+        entering = -1 if bland else _dantzig(red, tol)
+        if entering == -1:
+            eligible = red < -tol
+            entering = _entering(red, eligible, bland)
+            if not eligible[entering]:
+                break
         col = T[:m, entering]
-        rows = np.flatnonzero(col > tol)
+        rows = (col > tol).nonzero()[0]
         if not rows.size:
             # No ratio test: the phase-1 objective is bounded below by 0, so
             # this reduced cost is rounding error.  Such a column cannot enter.
-            eligible &= (T[:m, :-1] > tol).any(axis=0)
+            eligible = (red < -tol) & (T[:m, :-1] > tol).any(axis=0)
             entering = _entering(red, eligible, bland)
             if not eligible[entering]:
                 break
             col = T[:m, entering]
-            rows = np.flatnonzero(col > tol)
+            rows = (col > tol).nonzero()[0]
         best_ratio, leaving = math.inf, -1
         for i, ratio in zip(rows.tolist(), (rhs[rows] / col[rows]).tolist()):
             if ratio < best_ratio - tol or (
@@ -262,13 +273,16 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
             raise RuntimeError("phase-1 ratio test found no finite ratio")
         degenerate_run = degenerate_run + 1 if best_ratio <= tol else 0
         T[leaving] /= T[leaving, entering]
-        # rank-1 update of the other rows; a row whose pivot-column entry is
-        # zero subtracts +0.0, and x - (+0.0) is x bit for bit, signed zeros
+        # rank-1 update of the other rows: the leaving row copied, then scaled
+        # row by row in place (IEEE products commute, so each one keeps the
+        # bits of factor * row); a row whose pivot-column entry is zero
+        # subtracts +0.0, and x - (+0.0) is x bit for bit, signed zeros
         # included, so the rows the pivot does not touch keep their bytes
         factor = T[:, entering]
         skip = factor == 0.0
         skip[leaving] = True
-        np.multiply(factor[:, None], T[leaving], out=update)
+        np.copyto(update, T[leaving])
+        update *= factor[:, None]
         update[skip] = 0.0
         np.subtract(T, update, out=T)
         basis[leaving] = entering
@@ -277,6 +291,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
 
     optimum = -T[m, -1]
     x = np.zeros(ncols)
+    basis = np.array(basis)
     structural = basis < ncols
     x[basis[structural]] = rhs[structural]
     # artificial column j has cost 1 and reduced cost 1 - y_j
@@ -328,11 +343,32 @@ def _atom_minimum(coefficients: np.ndarray, agree: np.ndarray) -> float:
     ``math.fsum`` rounds each column's exact sum once, to nearest; rounding
     is monotone, so the smallest rounded sum is the exact minimum rounded
     once.  Where that rounding went up, the bound steps one float down.
-    Columns are summed one at a time, never gathered all at once.
+
+    Only the columns near the minimum are summed exactly.  One product gives
+    every column's float sum; its 0/1 products are exact, so without
+    overflow each float sum lies within gamma_k * sum|c| of the exact one
+    whatever the summation order, k being the coefficient count (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, sec. 4.2).  A column
+    whose float sum exceeds the smallest by more than
+    band = 4(k+1) 2^-53 sum|c| >= 2 gamma_k sum|c|  cannot hold the exact
+    minimum, and every column whose rounded sum ties with it, which is all
+    the step-down test needs, lies inside the band.  An overflowed product
+    or sum|c| keeps every column.  Columns are summed one at a time, never
+    gathered all at once.
     """
-    sums = [math.fsum(coefficients[column].tolist()) for column in agree.T]
+    columns = agree.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = coefficients @ agree
+    if np.isfinite(approx).all():
+        try:
+            scale = math.fsum(np.abs(coefficients).tolist())
+        except OverflowError:
+            scale = math.inf
+        band = 4 * (len(coefficients) + 1) * 2.0 ** -53 * scale
+        columns = columns[approx <= approx.min() + band]
+    sums = [math.fsum(coefficients[column].tolist()) for column in columns]
     bound = min(sums)
-    for column, total in zip(agree.T, sums):
+    for column, total in zip(columns, sums):
         if total == bound and math.fsum(coefficients[column].tolist() + [-bound]) < 0.0:
             return math.nextafter(bound, -math.inf)
     return bound

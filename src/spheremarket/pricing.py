@@ -58,9 +58,9 @@ class OptionSpec:
         for name in ("sigma", "tau"):
             if getattr(self, name) < 0:
                 raise FieldError(name, "must be nonnegative")
-        if self.spot / self.strike == 0.0:  # d1 takes log(spot / strike)
-            raise FieldError("spot", "makes spot / strike round to 0, whose log is undefined, "
-                                     "at this", other="strike")
+        if not 0.0 < self.spot / self.strike < math.inf:  # d1 takes log(spot / strike)
+            raise FieldError("spot", "makes spot / strike round to 0 or overflow, where its log "
+                                     "is not finite, at this", other="strike")
         # the pricers take exp of +-rate tau (discount and growth) and of
         # sigma sqrt(tau) (the lattice's up factor), and square sigma
         if not abs(self.rate * self.tau) <= _LOG_MAX:

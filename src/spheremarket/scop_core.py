@@ -63,10 +63,12 @@ class ScopSystem:
     states the system admits.  ``mu(p, e)`` returns a row of ((q, f),
     probability) pairs; ``xi(p)`` returns the set of actual properties.
 
-    Every row is a distribution: its probabilities are nonnegative and sum
-    to 1 within ROW_SUM_TOL.  The builders ensure it, ``from_tables`` by
-    checking each row once and ``sphere_as_scop`` by construction; a system
-    built directly must keep the contract itself, since no call rechecks it.
+    Every row is a distribution over (state, context) pairs of the system:
+    its probabilities are nonnegative and sum to 1 within ROW_SUM_TOL, and
+    each successor (q, f) has q admitted and f in ``contexts``.  The
+    builders ensure it, ``from_tables`` by checking each row once and
+    ``sphere_as_scop`` by construction; a system built directly must keep
+    the contract itself, since no call rechecks it.
     """
 
     contexts: tuple
@@ -117,22 +119,29 @@ class ScopSystem:
         def xi(p):
             return xi_rows[p]
 
+        state_set, context_set = frozenset(states), frozenset(contexts)
         for p in states:
             for e in contexts:
                 if (p, e) not in mu_rows:
                     raise ValueError(f"mu_table missing row for ({p!r}, {e!r})")
-                _check_row(p, e, mu_rows[(p, e)])
+                _check_row(p, e, mu_rows[(p, e)], state_set, context_set)
         return ScopSystem(contexts=contexts, properties=properties, mu=mu, xi=xi,
-                          states=states, contains_state=frozenset(states).__contains__)
+                          states=states, contains_state=state_set.__contains__)
 
 
-def _check_row(p, e, row: Sequence[Transition]):
-    """Raise ValueError unless the mu row for (p, e) is a distribution."""
+def _check_row(p, e, row: Sequence[Transition], states: frozenset, contexts: frozenset):
+    """Raise ValueError unless the mu row for (p, e) is a distribution over
+    (state, context) pairs of the system."""
     total = sum(prob for _, prob in row)
     if abs(total - 1.0) > ROW_SUM_TOL:
         raise ValueError(f"mu row for ({p!r}, {e!r}) sums to {total!r}")
     if any(prob < 0 for _, prob in row):
         raise ValueError("mu probabilities must be nonnegative")
+    for qf, _ in row:
+        if not (isinstance(qf, tuple) and len(qf) == 2
+                and qf[0] in states and qf[1] in contexts):
+            raise ValueError(f"mu row for ({p!r}, {e!r}) leads to {qf!r}, "
+                             "which is not a (state, context) of the system")
 
 
 def is_eigenstate(sys: ScopSystem, p, e) -> bool:

@@ -364,11 +364,15 @@ class TestErrorHandling:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
-    @pytest.mark.parametrize("spec", [{"spot": 5e-324}, {"spot": 1e-300, "strike": 1e300}],
-                             ids=["spot_subnormal", "spot_over_strike_underflows"])
+    @pytest.mark.parametrize("spec", [{"spot": 5e-324}, {"spot": 1e-300, "strike": 1e300},
+                                      {"strike": 5e-324}, {"spot": 1e300, "strike": 1e-300}],
+                             ids=["spot_subnormal", "spot_over_strike_underflows",
+                                  "strike_subnormal", "spot_over_strike_overflows"])
     def test_spot_over_strike_rounding_to_zero_named(self, tmp_path, capsys, config, spec):
         # log(spot / strike) got 0: the subnormal spot once exited 3 with
-        # "math domain error" and no key
+        # "math domain error" and no key.  The last two round the ratio to
+        # inf instead: both once exited 0, except spot 1e300 in price, which
+        # exited 3 naming only a 'results.' path
         with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
         payload["params"]["spec"].update(spec)

@@ -385,6 +385,18 @@ class TestTupleRepresentation:
         assert type(w) is UnitVector3
         assert [c.hex() for c in w] == [(-0.6).hex(), (-0.0).hex(), (0.8).hex()]
 
+    @given(polar_points)
+    @settings(max_examples=200, deadline=None)
+    @example(UnitVector3(0.6, 0.0, -0.8))
+    @example(UnitVector3(1.0 + 4e-13, -0.0, 0.0))  # norm off 1 by the tolerance's edge
+    def test_negation_skips_the_check_it_would_pass(self, v):
+        # -v is built without the norm check; negation is exact, so it has
+        # v's squared norm and is the vector the checked constructor builds
+        w = -v
+        assert type(w) is UnitVector3
+        assert [c.hex() for c in w] == [c.hex() for c in UnitVector3(-v.x, -v.y, -v.z)]
+        assert [c.hex() for c in -w] == [c.hex() for c in v]
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             POLE.x = 1.0

@@ -16,6 +16,8 @@ from spheremarket.kolmogorov_check import (
     DEFAULT_TOL,
     MAX_OBSERVABLES,
     AgreementTable,
+    _atom_minimum,
+    _dantzig,
     _entering,
     _phase1_simplex,
     atom_agreement,
@@ -457,20 +459,97 @@ def test_degenerate_mixtures_terminate(kind, n, seed):
 def test_bland_fallback_is_reached(monkeypatch):
     # sparse mixtures at n = 8 make degenerate runs longer than the basis;
     # after Bland's rule takes over, the solve must still reproduce the table
-    # and the half-width solve must still match the full-width one
+    # and the half-width solve must still match the full-width one.  Dantzig
+    # picks are counted where they happen: in _dantzig, and in _entering on
+    # its fallback paths
     calls = {False: 0, True: 0}
 
     def counted(red, eligible, bland):
         calls[bland] += 1
         return _entering(red, eligible, bland)
 
+    def counted_dantzig(red, tol):
+        entering = _dantzig(red, tol)
+        calls[False] += entering != -1
+        return entering
+
     monkeypatch.setattr(kolmogorov_check, "_entering", counted)
+    monkeypatch.setattr(kolmogorov_check, "_dantzig", counted_dantzig)
     for seed in range(4):
         table = hypothesis_table("sparse_mixture", 8, seed)
         res = joint_feasibility(table)
         assert res.feasible and res.max_residual <= 1e-9
         assert full_width_feasibility(table)[1] == res.atom_weights.tobytes()
     assert calls[True] and calls[False]
+
+
+REDUCED_COSTS = [-2.0, -1.0, -1e-3, -1e-9, -1e-10, -5e-324, -0.0, 0.0, 1.0,
+                 math.nan, -math.inf, math.inf]
+
+
+@given(st.lists(st.sampled_from(REDUCED_COSTS) | st.floats(allow_nan=True), min_size=1,
+                max_size=12),
+       st.sampled_from([0.0, 1e-9, 1e-3]))
+@settings(max_examples=300, deadline=None)
+def test_dantzig_pick_matches_masked_argmin(red, tol):
+    # _dantzig's one argmin picks what the masked argmin of _entering picks
+    # whenever it picks; it declines only when no column is eligible or a NaN
+    # is present, and the solver then falls back to _entering itself
+    red = np.array(red)
+    eligible = red < -tol
+    masked = int(np.where(eligible, red, np.inf).argmin())
+    entering = _dantzig(red, tol)
+    if entering != -1:
+        assert entering == masked and red[entering] < -tol
+    else:
+        assert np.isnan(red).any() or not eligible.any()
+
+
+def enumerated_atom_minimum(coefficients: np.ndarray, agree: np.ndarray) -> float:
+    """_atom_minimum as it was before the screen: every column summed with
+    math.fsum, the smallest sum stepped one float down where its rounding
+    went up."""
+    sums = [math.fsum(coefficients[column].tolist()) for column in agree.T]
+    bound = min(sums)
+    for column, total in zip(agree.T, sums):
+        if total == bound and math.fsum(coefficients[column].tolist() + [-bound]) < 0.0:
+            return math.nextafter(bound, -math.inf)
+    return bound
+
+
+def certificate_coefficients(kind: str, k: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "gaussian":
+        return rng.normal(size=k)
+    if kind == "small_integers":  # many columns tie exactly
+        return rng.integers(-3, 4, size=k).astype(float)
+    if kind == "near_ties":  # many column sums apart by less than their float sums' error
+        return 1.0 + rng.normal(size=k) * 2.0 ** -52
+    if kind == "scaled":  # one scale for all, or a mix of the two
+        scales = rng.choice([-1000, 1000], size=1 + (k - 1) * rng.integers(2))
+        return rng.normal(size=k) * 2.0 ** scales
+    if kind == "subnormal":  # subnormal multiples of the smallest float, and zeros of both signs
+        values = rng.integers(-2 ** 20, 2 ** 20, size=k) * 5e-324
+        return np.where(rng.random(k) < 0.3, np.where(rng.random(k) < 0.5, 0.0, -0.0), values)
+    return rng.uniform(-1.0, 1.0, size=k) * 1.7e308  # "huge": sum |c| overflows
+
+
+def atom_minimum_outcome(atom_minimum, coefficients, agree):
+    """The bound's hex, or the error raised."""
+    try:
+        return atom_minimum(coefficients, agree).hex()
+    except OverflowError as err:
+        return str(err)
+
+
+@given(st.sampled_from(["gaussian", "small_integers", "near_ties", "scaled", "subnormal",
+                        "huge"]),
+       st.integers(2, 10), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_screened_atom_minimum_matches_enumeration(kind, n, seed):
+    coefficients = certificate_coefficients(kind, n * (n - 1) // 2, np.random.default_rng(seed))
+    agree = atom_agreement(n)[:, :2 ** (n - 1)]
+    assert (atom_minimum_outcome(_atom_minimum, coefficients, agree)
+            == atom_minimum_outcome(enumerated_atom_minimum, coefficients, agree))
 
 
 def test_feasible_at_max_observables():

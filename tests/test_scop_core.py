@@ -118,6 +118,13 @@ class TestFiniteSystems:
                  ("b", "e"): {("b", "e"): 1.0}}, {}
             )
 
+    @pytest.mark.parametrize("successor", [("zz", "e"), ("a", "f"), "ae", ("a", "e", "x")],
+                             ids=["unknown_state", "unknown_context", "not_a_pair", "triple"])
+    def test_successor_outside_the_system_rejected_at_construction(self, successor):
+        # ("zz", "e") once built, and a later is_eigenstate raised UnknownStateError
+        with pytest.raises(ValueError, match=r"mu row for \('a', 'e'\) leads to"):
+            ScopSystem.from_tables(["a"], ["e"], [], {("a", "e"): {successor: 1.0}}, {})
+
     def test_foreign_property_rejected(self):
         with pytest.raises(ValueError):
             ScopSystem.from_tables(
