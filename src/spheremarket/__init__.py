@@ -2,7 +2,7 @@
 option-pricing baseline, with Kolmogorovian feasibility tests for the
 resulting statistics."""
 
-from .geometry import UnitVector3, angle_between, dot, from_polar, rotate, sample_uniform
+from .geometry import UnitVector3, dot, from_polar, sample_uniform
 from .kolmogorov_check import (
     AgreementTable,
     FeasibilityResult,

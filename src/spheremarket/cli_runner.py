@@ -28,8 +28,8 @@ import tempfile
 
 import numpy as np
 
-from .config import (ConfigParseError, FieldError, at_least, count, flag, items, member,
-                     number, parse_block, unit_vector)
+from .config import (ConfigParseError, FieldError, at_least, count, field_keys, flag, items,
+                     member, number, parse_block, unit_vector)
 from .geometry import UnitVector3, from_polar
 from .kolmogorov_check import (
     AgreementTable,
@@ -131,8 +131,9 @@ def _run_price(params: dict, seed: int):
         if m == "bs":
             results.append(pricing_report(spec, "black_scholes", bs_price(spec)))
         elif m == "binomial":
-            results.append(pricing_report(spec, "binomial", binomial_price(spec, steps),
-                                          extra={"steps": steps}))
+            with field_keys("params.spec"):
+                value = binomial_price(spec, steps)
+            results.append(pricing_report(spec, "binomial", value, extra={"steps": steps}))
         else:
             value, stderr = mc_price(spec, n_paths, seed=seed)
             results.append(pricing_report(spec, "monte_carlo", value,
@@ -239,7 +240,8 @@ def _run_convergence(params: dict, seed: int):
     spec = OptionSpec.from_dict(p["spec"], "params.spec")
 
     reference = bs_price(spec)
-    errors = [abs(binomial_price(spec, n) - reference) for n in steps]
+    with field_keys("params.spec"):
+        errors = [abs(binomial_price(spec, n) - reference) for n in steps]
     if 0.0 in errors:
         raise ValueError(f"binomial error is 0 at {steps[errors.index(0.0)]} steps (tau "
                          f"{spec.tau!r}): the log-log slope needs nonzero errors")

@@ -11,11 +11,12 @@ type; ``member`` and ``block_kind`` as outside their set.  Other out-of-range
 values are left to the constructors, which raise a FieldError naming the
 field (and reject NaN and infinities, ``require_finite``, when built from
 Python).
-``build`` turns that field into the key's dotted path under the block's own path.
+``build`` and ``field_keys`` turn that field into the key's dotted path under the block's path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 
@@ -37,14 +38,20 @@ class FieldError(ValueError):
         self.field, self.problem, self.other = field, problem, other
 
 
-def build(cls, path: str, fields: dict):
-    """``cls(**fields)`` for the block at ``path``; a FieldError becomes a
-    ValueError naming the key ``path.field``, and ``path.other`` too."""
+@contextlib.contextmanager
+def field_keys(path: str):
+    """A FieldError in the block becomes a ValueError naming ``path.field``, and ``path.other``."""
     try:
-        return cls(**fields)
+        yield
     except FieldError as exc:
         other = "" if exc.other is None else f" '{path}.{exc.other}'"
         raise ValueError(f"'{path}.{exc.field}' {exc.problem}{other}") from None
+
+
+def build(cls, path: str, fields: dict):
+    """``cls(**fields)`` for the block at ``path``, under ``field_keys``."""
+    with field_keys(path):
+        return cls(**fields)
 
 
 def parse_block(d, context: str, required=None, optional=None) -> dict:

@@ -132,10 +132,6 @@ def _dot_arrays(a: tuple, b: tuple) -> np.ndarray:
     return d
 
 
-def angle_between(a: tuple, b: tuple) -> float:
-    return math.acos(dot(a, b))
-
-
 def _on_sphere(z: float, phi: float) -> tuple:
     """The point at height ``z`` and azimuth ``phi``."""
     s = math.sqrt(max(0.0, 1.0 - z * z))
@@ -236,13 +232,15 @@ def _fma_arrays(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
-    """``rotate`` without the norm check of a ``UnitVector3`` result."""
+    """Rotate ``v`` by ``angle`` about ``axis`` (Rodrigues), renormalized."""
     c = math.cos(angle)
     return _rodrigues(v, axis, c, math.sin(angle), 1.0 - c)
 
 
 def _rodrigues(v: tuple, axis: tuple, c: float, s: float, t: float) -> tuple:
-    """``_rotate`` by the angle whose cos, sin and 1 - cos are given."""
+    """``_rotate`` by the angle whose cos, sin and 1 - cos are given.  The dot
+    k.v is the fused chain fma(kz, vz, fma(ky, vy, kx vx)) that BLAS once
+    computed, made explicit so that the bits do not depend on the BLAS kernel."""
     vx, vy, vz = v
     kx, ky, kz = axis
     d = _fma(kz, vz, _fma(ky, vy, kx * vx))
@@ -275,36 +273,3 @@ def _rotate_arrays(v: tuple, axis: tuple, angle: np.ndarray) -> tuple:
     return _normalize_arrays((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
                              (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
                              (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
-
-
-def rotate(v: tuple, axis: tuple, angle: float) -> UnitVector3:
-    """Rotate ``v`` by ``angle`` about ``axis`` (Rodrigues), renormalized.
-
-    Evaluates v c + (k x v) s + k (k.v)(1 - c) in the operation order of
-    its numpy form, whose 3-vector dot BLAS computes as the fused chain
-    fma(kz, vz, fma(ky, vy, kx vx)); ``_fma`` makes that chain explicit, so
-    the result does not depend on which BLAS kernel is installed.
-    """
-    return UnitVector3(*_rotate(v, axis, angle))
-
-
-def perturb_by(v: tuple, z: float, phi: float, angle: float) -> UnitVector3:
-    """``v`` rotated by ``angle`` about the axis at height ``z`` and azimuth
-    ``phi``: ``perturb`` with its three draws given."""
-    return UnitVector3(*_rotate(v, _on_sphere(z, phi), angle))
-
-
-def perturb(v: UnitVector3, max_angle: float, rng: np.random.Generator) -> UnitVector3:
-    """Rotate ``v`` by an angle ~ U[0, max_angle] about a random axis.
-
-    The axis k is uniform on the sphere, not orthogonal to ``v``, so the
-    angle gamma between ``v`` and the result is not U[0, max_angle]: for a
-    rotation by alpha, cos gamma = cos alpha + (1 - cos alpha) (k.v)^2.
-    ``max_angle == 0`` returns ``v`` unchanged (same object), so perfectly
-    aligned contexts stay bit-identical.  The draws are z, phi (the axis,
-    as in ``sample_uniform``) and the angle, in that order.
-    """
-    if max_angle == 0.0:
-        return v
-    return perturb_by(v, rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0 * math.pi),
-                      rng.uniform(0.0, max_angle))

@@ -43,25 +43,11 @@ def pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return index
 
 
-def pair_indices(n: int) -> list[tuple[int, int]]:
-    """Row order used everywhere: the pairs of ``pair_index(n)`` as tuples."""
-    return list(zip(*(a.tolist() for a in pair_index(n))))
-
-
-def atom_signs(n: int) -> np.ndarray:
-    """(2^n, n) matrix of deterministic outcome assignments in {0, 1}.
-
-    Atom a assigns observable i the bit (a >> i) & 1.
-    """
-    atoms = np.arange(2 ** n, dtype=np.int64)
-    return ((atoms[:, None] >> np.arange(n)) & 1).astype(np.int8)
-
-
 @functools.lru_cache(maxsize=MAX_OBSERVABLES + 1)
 def atom_agreement(n: int) -> np.ndarray:
-    """Read-only (pairs, 2^n) bool matrix: atom a gives the two observables
-    of pair k equal bits.  Every pair agrees on exactly half of the atoms."""
-    bits = atom_signs(n).T
+    """Read-only (pairs, 2^n) bool matrix: atom a (observable i gets bit (a >> i) & 1)
+    gives both observables of pair k equal bits.  Each pair agrees on half the atoms."""
+    bits = (np.arange(2 ** n) >> np.arange(n)[:, None]) & 1
     i, j = pair_index(n)
     agree = bits[i] == bits[j]
     agree.setflags(write=False)
@@ -127,8 +113,7 @@ def table_from_atom_weights(n: int, weights) -> AgreementTable:
 
 def random_agreement_table(n: int, rng: np.random.Generator) -> AgreementTable:
     """Valid table with off-diagonal entries i.i.d. uniform on [0, 1]."""
-    vals = rng.random(len(pair_indices(n)))
-    return AgreementTable(n, vals)
+    return AgreementTable(n, rng.random(n * (n - 1) // 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,16 +138,15 @@ class InfeasibilityCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "pairs": [list(p) for p in pair_indices(self.n)],
+            "pairs": np.column_stack(pair_index(self.n)).tolist(),
             "coefficients": self.coefficients.tolist(),
             "bound": self.bound,
             "slack": self.slack,
         }
 
     def __str__(self):
-        terms = " + ".join(
-            f"{c:+.6g}*q{i}{j}" for c, (i, j) in zip(self.coefficients, pair_indices(self.n))
-        )
+        terms = " + ".join(f"{c:+.6g}*q{i}{j}"
+                           for c, i, j in zip(self.coefficients, *pair_index(self.n)))
         return f"{terms} >= {self.bound:.6g} (slack {self.slack:.3g})"
 
 

@@ -89,10 +89,10 @@ def _check_noise(noise_angle: float):
 class LocalRegime:
     """Contexts wander around the current state by at most noise_angle.
 
-    Each context is the state rotated by alpha ~ U[0, noise_angle] about a
-    uniformly random axis k (``geometry.perturb``).  The angle gamma between
-    context and state is therefore not U[0, noise_angle]: with v the state,
-    cos gamma = cos alpha + (1 - cos alpha) (k.v)^2, so for the uniform
+    Each context is the state v rotated by alpha ~ U[0, noise_angle] about a
+    uniform axis k, drawn as k's height z, its azimuth phi, then alpha.  So
+    the angle gamma between context and state is not U[0, noise_angle]:
+    cos gamma = cos alpha + (1 - cos alpha) (k.v)^2, and for the uniform
     elastic the O1 rate is (4/3 + (2/3) sin(a) / a) / 2 at noise_angle a.
     """
 
@@ -148,6 +148,12 @@ class MarketConfig:
             raise FieldError("price_min", "must be below", other="price_max")
         if self.price_min <= 0:
             raise FieldError("price_min", "must be positive (log returns)")
+        # the news angle is affine in the step, so the last step's bounds the
+        # others (and numpy runs no history of 2**63 steps or more)
+        if isinstance(self.regime, GlobalRegime) and not math.isfinite(
+                self.regime.news.angle_at(min(self.n_steps, 2 ** 63) - 1)):
+            raise FieldError("regime.news.rate", f"{self.regime.news.rate!r} takes the news angle "
+                             "(angle + rate * step) past the float range within", other="n_steps")
 
     def to_dict(self) -> dict:
         return {
@@ -235,10 +241,10 @@ def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
     ``rng.random`` call.
 
     Row t holds step t's uniforms in the order of the scalar draws they
-    stand for: the context's z, phi and angle (``perturb``) when
-    noise_angle > 0, then the break point's ``rho.draws``.  Each column goes
-    through its scalar draw's arithmetic, so the history is bit for bit the
-    one those draws give.
+    stand for: the context's axis k (height z, azimuth phi) and angle alpha
+    if noise_angle > 0, which move the state v by gamma with cos gamma =
+    cos alpha + (1 - cos alpha) (k.v)^2; then the break point's ``rho.draws``.
+    Each column takes its draw's arithmetic, so the history is theirs bit for bit.
     """
     rho, noise, n = cfg.rho, cfg.regime.noise_angle, cfg.n_steps
     width = (3 if noise > 0.0 else 0) + rho.draws

@@ -286,14 +286,14 @@ def binomial_price(spec: OptionSpec, steps: int) -> float:
     u = math.exp(spec.sigma * math.sqrt(dt))
     d = 1.0 / u
     if not u > d:
-        raise ValueError(f"binomial lattice needs u > d, but sigma {spec.sigma!r}, tau "
-                         f"{spec.tau!r} and {steps} steps give u = d = {u!r}")
+        raise FieldError("sigma", f"leaves the lattice flat: binomial lattice needs u > d, but "
+                         f"sigma {spec.sigma!r}, tau {spec.tau!r} and {steps} steps give "
+                         f"u = d = {u!r} at this", other="tau")
     growth = math.exp(spec.rate * dt)
     p = (growth - d) / (u - d)
     if not 0.0 <= p <= 1.0:
-        raise ValueError(
-            f"arbitrage-violating parameters: risk-neutral weight {p!r} outside [0, 1]"
-        )
+        raise FieldError("sigma", "is below |rate| sqrt(dt): arbitrage-violating parameters: "
+                         f"risk-neutral weight {p!r} outside [0, 1] at this", other="rate")
     disc = math.exp(-spec.rate * dt)
     j = np.arange(steps + 1)
     terminal = spec.spot * u ** j * d ** (steps - j)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import FieldError, block_kind, build, items, number, parse_block, require_finite
 from .geometry import UnitVector3, dot, sample_uniform_array
-from .kolmogorov_check import AgreementTable, pair_indices
+from .kolmogorov_check import AgreementTable, pair_index
 from .ndtr import ndtr
 from .streams import check_workers, chunk_rng, map_chunks
 
@@ -289,22 +289,18 @@ def transition_probabilities(rho: RhoDistribution, v: UnitVector3,
     return p1, 1.0 - p1
 
 
-def break_elastic(state: UnitVector3, u: UnitVector3, x: float) -> MeasurementOutcome:
-    """The collapse when the elastic along u breaks at x.
+def simulate_measurement(rho: RhoDistribution, state: UnitVector3,
+                         u: UnitVector3, rng: np.random.Generator) -> MeasurementOutcome:
+    """One elastic break: samples the break point x and collapses the state.
 
     Outcome is O1 iff the break lands strictly below the particle coordinate
     v.u; ties go to O2 (measure zero for continuous rho, and the documented
     convention for the deterministic delta elastic).
     """
+    x = float(rho.sample(rng, 1)[0])
     if x < dot(state, u):
         return MeasurementOutcome(OutcomeLabel.O1, u, x)
     return MeasurementOutcome(OutcomeLabel.O2, -u, x)
-
-
-def simulate_measurement(rho: RhoDistribution, state: UnitVector3,
-                         u: UnitVector3, rng: np.random.Generator) -> MeasurementOutcome:
-    """One elastic break: samples the break point and collapses the state."""
-    return break_elastic(state, u, float(rho.sample(rng, 1)[0]))
 
 
 Intervals = list[tuple[float, float]]
@@ -400,7 +396,7 @@ def agreement_table(rho: RhoDistribution, directions: list[UnitVector3]) -> Agre
     """
     n = len(directions)
     return AgreementTable(n, [transition_probabilities(rho, directions[i], directions[j])[0]
-                              for i, j in pair_indices(n)])
+                              for i, j in zip(*pair_index(n))])
 
 
 def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVector3],
@@ -428,6 +424,6 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
     outcomes = np.ascontiguousarray((breaks < coords).T)  # (n, n_samples)
     del coords, breaks
     # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
-    # pair_indices order, without an array of every pair's outcomes at once
+    # pair_index order, without an array of every pair's outcomes at once
     agree = [np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1) for i in range(n - 1)]
     return AgreementTable(n, np.concatenate(agree) / n_samples)

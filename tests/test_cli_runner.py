@@ -384,16 +384,27 @@ class TestErrorHandling:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
-    @pytest.mark.parametrize("field", ["sigma", "tau"])
-    def test_degenerate_lattice_is_a_validation_error(self, tmp_path, capsys, config, field):
+    @pytest.mark.parametrize("field, value, text, other", [
+        pytest.param("sigma", 5e-324, "u > d", "tau", id="sigma"),
+        pytest.param("tau", 5e-324, "u > d", "tau", id="tau"),
+        pytest.param("sigma", 0.0, "u > d", "tau", id="sigma_zero"),
+        pytest.param("sigma", 1e-8, "risk-neutral weight", "rate", id="sigma_below_rate"),
+    ])
+    def test_degenerate_lattice_is_a_validation_error(self, tmp_path, capsys, config, field,
+                                                      value, text, other):
         # sigma sqrt(tau / steps) underflows, so u = d: this once exited 4
-        # with a ZeroDivisionError
+        # with a ZeroDivisionError.  At sigma 1e-8, sigma sqrt(dt) falls below
+        # rate dt and the risk-neutral weight exceeds 1.  Both then exited 3
+        # naming no key
         with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
-        payload["params"]["spec"][field] = 5e-324
+        payload["params"]["spec"][field] = value
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
-        assert "u > d" in json.loads(capsys.readouterr().err)["error"]["message"]
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert text in message
+        assert message.startswith("'params.spec.sigma' ")
+        assert message.endswith(f" 'params.spec.{other}'")
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
@@ -557,6 +568,21 @@ class TestMarketExperiment:
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
         assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("rate", [1e306, -1e306])
+    def test_news_angle_overflow_names_rate_and_steps(self, tmp_path, capsys, rate):
+        # angle + rate * step leaves the float range near step 180: this once
+        # warned of an overflow in numpy and exited 3 with "math domain error"
+        payload = json.loads(json.dumps(self.PAYLOAD))
+        payload["params"]["market"].update({"n_steps": 1000, "regime": {
+            "kind": "global", "noise_angle": 0.5,
+            "news": {"kind": "drift", "angle": 0.5, "rate": rate}}})
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("'params.market.regime.news.rate' ")
+        assert message.endswith(" 'params.market.n_steps'")
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("regime", [

@@ -89,7 +89,8 @@ def test_every_demo_has_a_digest():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_stdout(demo, recorded_versions_differ):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    stdout = subprocess.run([sys.executable, str(demo)], env={**os.environ, "PYTHONPATH": path},
+    stdout = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                            env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, check=True, timeout=300).stdout
     check_digests({"stdout": DEMO_STDOUT_DIGESTS[demo.name]}, {"stdout": stdout},
                   recorded_versions_differ)

@@ -21,12 +21,10 @@ from spheremarket.kolmogorov_check import (
     _entering,
     _phase1_simplex,
     atom_agreement,
-    atom_signs,
     bell_facets_n3,
     facets_feasible,
     joint_feasibility,
     pair_index,
-    pair_indices,
     random_agreement_table,
     sphere_bell_scan,
     table_from_atom_weights,
@@ -37,6 +35,17 @@ from spheremarket.sphere_model import (
     agreement_table,
     hidden_state_agreement_table,
 )
+
+
+def pairs(n: int) -> list:
+    """The pairs i < j of n observables, in lexicographic order."""
+    return list(itertools.combinations(range(n), 2))
+
+
+def atom_bits(n: int) -> np.ndarray:
+    """(2^n, n) deterministic assignments: atom a gives observable i the bit
+    (a >> i) & 1."""
+    return np.array([[(a >> i) & 1 for i in range(n)] for a in range(2 ** n)])
 
 
 def table3(q01, q02, q12):
@@ -59,8 +68,8 @@ def certificate_holds_exactly(cert) -> bool:
 def linprog_feasible(table):
     """Independent oracle: scipy LP over the 2^n atoms."""
     n = table.n
-    signs = atom_signs(n)
-    rows = [(signs[:, i] == signs[:, j]).astype(float) for i, j in pair_indices(n)]
+    signs = atom_bits(n)
+    rows = [(signs[:, i] == signs[:, j]).astype(float) for i, j in pairs(n)]
     rows.append(np.ones(2 ** n))
     b = np.append(table.pair_values(), 1.0)
     res = linprog(c=np.zeros(2 ** n), A_eq=np.array(rows), b_eq=b,
@@ -113,7 +122,7 @@ class TestJointFeasibility:
         assert res.feasible
         # weights reproduce the table and concentrate on all-equal atoms
         assert res.max_residual < 1e-9
-        signs = atom_signs(3)
+        signs = atom_bits(3)
         all_equal = (signs.sum(axis=1) % 3) == 0
         assert res.atom_weights[~all_equal].sum() < 1e-9
 
@@ -153,7 +162,7 @@ class TestJointFeasibility:
             verdict = joint_feasibility(table).feasible
             perm = rng.permutation(4)
             # relabel observable k as perm[k]: pair (i, j) reads q[perm[i], perm[j]]
-            values = [table.q[perm[i], perm[j]] for i, j in pair_indices(4)]
+            values = [table.q[perm[i], perm[j]] for i, j in pairs(4)]
             assert joint_feasibility(AgreementTable(4, values)).feasible == verdict
 
     def test_certificate_separates(self):
@@ -274,14 +283,13 @@ class TestPairIndex:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_lexicographic_pairs(self, n):
         i, j = pair_index(n)
-        assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(n), 2))
-        assert pair_indices(n) == list(itertools.combinations(range(n), 2))
+        assert list(zip(i.tolist(), j.tolist())) == pairs(n)
         assert not i.flags.writeable and not j.flags.writeable
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_atom_agreement_matches_signs(self, n):
-        signs = atom_signs(n)
-        expected = [signs[:, i] == signs[:, j] for i, j in pair_indices(n)]
+        signs = atom_bits(n)
+        expected = [signs[:, i] == signs[:, j] for i, j in pairs(n)]
         assert np.array_equal(atom_agreement(n), expected)
         assert (atom_agreement(n).sum(axis=1) == 2 ** (n - 1)).all()
 
@@ -296,8 +304,8 @@ class TestPairIndex:
         rng = np.random.default_rng(8)
         for n in range(2, 11):
             w = rng.random(2 ** n)
-            signs, w_norm = atom_signs(n), w / w.sum()
-            expected = [w_norm[signs[:, i] == signs[:, j]].sum() for i, j in pair_indices(n)]
+            signs, w_norm = atom_bits(n), w / w.sum()
+            expected = [w_norm[signs[:, i] == signs[:, j]].sum() for i, j in pairs(n)]
             assert table_from_atom_weights(n, w).pair_values().tobytes() == np.array(expected).tobytes()
 
     def test_pair_values_round_trip(self):
@@ -307,7 +315,7 @@ class TestPairIndex:
             table = AgreementTable(n, vals)
             assert np.array_equal(table.pair_values(), vals)
             assert all(table.q[i, j] == table.q[j, i] == v
-                       for (i, j), v in zip(pair_indices(n), vals))
+                       for (i, j), v in zip(pairs(n), vals))
 
 
 # SHA-256 of the LP output bytes (atom weights, or certificate coefficients,

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spheremarket import geometry, market_sim
-from spheremarket.geometry import UnitVector3, angle_between, from_polar, perturb, sample_uniform
+from spheremarket.config import FieldError
+from spheremarket.geometry import UnitVector3, from_polar, sample_uniform
 from spheremarket.market_sim import (
     GlobalRegime,
     LocalRegime,
@@ -55,16 +56,22 @@ def scalar_price(cfg, state):
 
 
 def scalar_history(cfg):
-    """The market drawing one scalar at a time: perturb's three draws, then
-    simulate_measurement's break point."""
+    """The market drawing one scalar at a time: the context's rotation axis
+    (height z, then azimuth phi) and angle when the noise angle is
+    positive, then simulate_measurement's break point."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    state, trades = sample_uniform(rng), []
+    state, trades, noise = sample_uniform(rng), [], cfg.regime.noise_angle
     for step in range(cfg.n_steps):
         if isinstance(cfg.regime, LocalRegime):
             center = state
         else:
             center = from_polar(cfg.regime.news.angle_at(step), 0.0)
-        direction = perturb(center, cfg.regime.noise_angle, rng)
+        direction = center
+        if noise > 0.0:
+            z = rng.uniform(-1.0, 1.0)
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            angle = rng.uniform(0.0, noise)
+            direction = UnitVector3(*geometry._rotate(center, geometry._on_sphere(z, phi), angle))
         outcome = simulate_measurement(cfg.rho, state, direction, rng)
         state = outcome.collapsed_state
         trades.append(TradeRecord(step, direction, outcome, scalar_price(cfg, state)))
@@ -198,7 +205,7 @@ class TestRunMarket:
         # state; obtuse separations must occur
         cfg = make_config(regime=LocalRegime(noise_angle=math.pi), n_steps=300)
         trades = run_market(cfg)
-        gaps = [angle_between(t.outcome.collapsed_state, nxt.direction)
+        gaps = [math.acos(geometry.dot(t.outcome.collapsed_state, nxt.direction))
                 for t, nxt in zip(trades, trades[1:])]
         assert max(gaps) > math.pi / 2
 
@@ -466,6 +473,20 @@ class TestConfigAndCsv:
         with pytest.raises(ValueError):
             NewsSeries(kind="sinusoid")
 
+    @pytest.mark.parametrize("rate", [1e306, -1e306])
+    def test_news_angle_overflow_rejected(self, rate):
+        # angle + rate * step is affine in the step, so the last step decides:
+        # 0.5 + 1e306 * 999 overflows, and 0.5 + 1e306 * 99 does not
+        news = NewsSeries(kind="drift", angle=0.5, rate=rate)
+        with pytest.raises(FieldError) as info:
+            make_config(regime=GlobalRegime(news=news, noise_angle=0.5), n_steps=1000)
+        assert (info.value.field, info.value.other) == ("regime.news.rate", "n_steps")
+        make_config(regime=GlobalRegime(news=news, noise_angle=0.5), n_steps=100)
+        # a step count past the float range is checked at step 2**63 - 1
+        # instead of raising OverflowError
+        slow = NewsSeries(kind="drift", angle=0.5, rate=1e-3)
+        make_config(regime=GlobalRegime(news=slow, noise_angle=0.5), n_steps=10 ** 400)
+
     def test_round_trip(self):
         news = NewsSeries(kind="drift", angle=0.3, rate=0.05)
         cfg = make_config(regime=GlobalRegime(news=news, noise_angle=0.2), seed=5)
@@ -483,4 +504,4 @@ class TestConfigAndCsv:
         assert first[0] == "0"
         assert first[4] in (str(OutcomeLabel.O1), str(OutcomeLabel.O2))
         direction = UnitVector3(float(first[1]), float(first[2]), float(first[3]))
-        assert angle_between(direction, trades[0].direction) < 1e-12
+        assert math.acos(geometry.dot(direction, trades[0].direction)) < 1e-12
