@@ -110,8 +110,9 @@ def _dump_report(report: dict) -> str:
 # --- experiment runners ----------------------------------------------------
 # Each runner parses its params block and hands every nested block to the
 # ``from_dict`` of the object it describes (ConfigParseError on malformed
-# input), builds domain objects (ValueError -> validation failure), computes,
-# and returns (resolved_params, results, {filename: text}).
+# input), builds domain objects (ValueError -> validation failure; its own
+# rules raise FieldError on keys under ``params``, which ``run`` names),
+# computes, and returns (resolved_params, results, {filename: text}).
 
 
 def _run_price(params: dict, seed: int):
@@ -182,9 +183,8 @@ def _run_bell_scan(params: dict, seed: int):
     n_samples = p.get("n_samples", 100_000)
     try:
         scan = sphere_bell_scan(rho, theta, mode=mode, n_samples=n_samples, seed=seed)
-    except FieldError as exc:
-        field = key if exc.field == "theta" else exc.field
-        raise ValueError(f"'params.{field}' {p[field]!r}: {exc}") from None
+    except FieldError as exc:  # theta under the key the config spelled it with
+        raise FieldError(key, exc.problem, exc.other) if exc.field == "theta" else exc
     resolved = {"rho": rho.to_dict(), "theta": theta, "mode": scan.mode,
                 "n_samples": n_samples}
     return resolved, scan.to_dict(), {}
@@ -199,23 +199,21 @@ def _run_market(params: dict, seed: int):
     cfg = MarketConfig.from_dict({**market, "seed": seed} if isinstance(market, dict) else market,
                                  "params.market")
     if cfg.n_steps < MIN_TRADES:  # for the return statistics
-        raise ValueError(f"'params.market.n_steps' must be at least {MIN_TRADES}, "
-                         f"got {cfg.n_steps}")
+        raise FieldError("market.n_steps", f"must be at least {MIN_TRADES}, got {cfg.n_steps}")
     gbm = p.get("compare_gbm")
     gbm = None if gbm is None else GbmParams.from_dict(gbm, "params.compare_gbm")
     # constant log returns have no kurtosis and no autocorrelations
     if gbm is not None and gbm.sigma == 0.0:
-        raise ValueError("'params.compare_gbm.sigma' must be positive: "
-                         "at 0 the GBM path has constant log returns")
+        raise FieldError("compare_gbm.sigma", "must be positive: at 0 GBM log returns are constant")
     if gbm is not None and gbm.steps != cfg.n_steps:  # compare_trades_with_gbm's rule, by key
-        raise ValueError("'params.compare_gbm.steps' must equal 'params.market.n_steps'")
+        raise FieldError("compare_gbm.steps", "must equal", other="market.n_steps")
     write_trades = p.get("write_trades", True)
 
     trades = run_market(cfg)
     if (trades.price == trades.price[0]).all():
-        raise ValueError(f"the price never moved in {cfg.n_steps} trades at "
-                         f"'params.market.regime.noise_angle' {cfg.regime.noise_angle!r}: "
-                         "every context stayed on the state's own axis")
+        raise FieldError("market.regime.noise_angle",
+                         f"{cfg.regime.noise_angle!r} never moved the price in {cfg.n_steps} "
+                         "trades: every context stayed on the state's own axis")
     if gbm is None:
         results = {"config": cfg.to_dict(), "stats": summary_stats(trades).to_dict()}
     else:
@@ -243,8 +241,11 @@ def _run_convergence(params: dict, seed: int):
     with field_keys("params.spec"):
         errors = [abs(binomial_price(spec, n) - reference) for n in steps]
     if 0.0 in errors:
-        raise ValueError(f"binomial error is 0 at {steps[errors.index(0.0)]} steps (tau "
-                         f"{spec.tau!r}): the log-log slope needs nonzero errors")
+        zero = (f"leaves a binomial error of 0 at {steps[errors.index(0.0)]} steps "
+                "(the log-log slope needs nonzero errors)")
+        if spec.tau == 0.0:
+            raise FieldError("spec.tau", f"is 0, which {zero}")
+        raise FieldError("spec.strike", f"{zero} against", other="spec.spot")
     slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
     rows = ["steps,abs_error"] + [f"{n},{e!r}" for n, e in zip(steps, errors)]
     files = {"convergence_errors.csv": "\r\n".join(rows) + "\r\n"}
@@ -294,7 +295,8 @@ def run(config_path: str, seed_override: int | None = None, out_dir: str = ".") 
         seed = seed_override if seed_override is not None else config["seed"]
         if seed < 0:
             raise ValueError(f"'seed' must be nonnegative, got {seed}")
-        resolved, results, files = _RUNNERS[kind](config["params"], seed)
+        with field_keys("params"):
+            resolved, results, files = _RUNNERS[kind](config["params"], seed)
         bad = _non_finite_path(results, "results")
         if bad is not None:
             raise ValueError(f"'{bad}' is not finite")

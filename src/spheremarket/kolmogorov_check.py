@@ -167,23 +167,20 @@ class FeasibilityResult:
         return out
 
 
-def _entering(red: np.ndarray, eligible: np.ndarray, bland: bool) -> int:
-    """Entering column among the ``eligible`` ones: the most negative reduced
-    cost (Dantzig's rule), or the lowest index under Bland's rule.  Ties go
-    to the lowest index either way.  When no column is eligible the index
-    returned is not eligible either."""
-    if bland:
-        return int(eligible.argmax())
-    return int(np.where(eligible, red, np.inf).argmin())
-
-
-def _dantzig(red: np.ndarray, tol: float) -> int:
-    """Dantzig's column from one argmin: the lowest index of the most
-    negative reduced cost when that is below -tol, which is ``_entering``'s
-    pick whenever some column is eligible; else -1 (no column is eligible,
-    or a NaN took the argmin), and the caller falls back to ``_entering``."""
-    j = int(red.argmin())
-    return j if red[j] < -tol else -1
+def _entering(red: np.ndarray, tol: float, bland: bool, usable: np.ndarray | None = None) -> int:
+    """Entering column among those with reduced cost below -tol (and
+    ``usable``, when given): the most negative (Dantzig's rule) or the lowest
+    index (Bland's), ties to the lowest index; -1 when none is eligible.
+    Dantzig's pick is one argmin whenever that column is eligible."""
+    if not bland:
+        j = int(red.argmin())
+        if red[j] < -tol and (usable is None or usable[j]):
+            return j
+    eligible = red < -tol
+    if usable is not None:
+        eligible &= usable
+    j = int(eligible.argmax()) if bland else int(np.where(eligible, red, np.inf).argmin())
+    return j if eligible[j] else -1
 
 
 def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
@@ -229,20 +226,16 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float):
         if -T[m, -1] <= tol:  # the artificials are out: the point is feasible
             break
         bland = degenerate_run >= m
-        entering = -1 if bland else _dantzig(red, tol)
+        entering = _entering(red, tol, bland)
         if entering == -1:
-            eligible = red < -tol
-            entering = _entering(red, eligible, bland)
-            if not eligible[entering]:
-                break
+            break
         col = T[:m, entering]
         rows = (col > tol).nonzero()[0]
         if not rows.size:
             # No ratio test: the phase-1 objective is bounded below by 0, so
             # this reduced cost is rounding error.  Such a column cannot enter.
-            eligible = (red < -tol) & (T[:m, :-1] > tol).any(axis=0)
-            entering = _entering(red, eligible, bland)
-            if not eligible[entering]:
+            entering = _entering(red, tol, bland, (T[:m, :-1] > tol).any(axis=0))
+            if entering == -1:
                 break
             col = T[:m, entering]
             rows = (col > tol).nonzero()[0]

@@ -141,17 +141,17 @@ class MarketConfig:
     price_max: float = 150.0
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise FieldError("n_steps", "must be positive")
+        # below 2**53 every step index in angle + rate * step is exact as a float
+        if not 1 <= self.n_steps <= 2 ** 53:
+            raise FieldError("n_steps", f"must lie in [1, 2**53], got {self.n_steps!r}")
         require_finite(self, "price_min", "price_max")
         if not self.price_min < self.price_max:
             raise FieldError("price_min", "must be below", other="price_max")
         if self.price_min <= 0:
             raise FieldError("price_min", "must be positive (log returns)")
-        # the news angle is affine in the step, so the last step's bounds the
-        # others (and numpy runs no history of 2**63 steps or more)
+        # the news angle is affine in the step, so the last step's bounds the others
         if isinstance(self.regime, GlobalRegime) and not math.isfinite(
-                self.regime.news.angle_at(min(self.n_steps, 2 ** 63) - 1)):
+                self.regime.news.angle_at(self.n_steps - 1)):
             raise FieldError("regime.news.rate", f"{self.regime.news.rate!r} takes the news angle "
                              "(angle + rate * step) past the float range within", other="n_steps")
 

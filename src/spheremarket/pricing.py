@@ -170,29 +170,26 @@ class GbmParams:
         if self.sigma > 0 and self.sigma * math.sqrt(dt) == 0.0:
             raise FieldError("sigma", "is positive, but sigma sqrt(horizon / steps) rounds to 0 "
                                       "at this", other="horizon")
-        # The mean log price log(s0) + (drift - sigma^2/2) t is linear in t, so
-        # it stays where exp gives a normal, finite price if both ends do.
+        # math.log rounds the 132 largest subnormals to _LOG_MIN, so at sigma 0
+        # the band below would admit them
         if self.s0 < sys.float_info.min:
             raise FieldError("s0", f"must be at least {sys.float_info.min!r}, the smallest "
                                    "normal float")
+        # The mean log price log(s0) + (drift - sigma^2/2) t is linear in t, and
+        # sigma W_t leaves +-40 sigma sqrt(horizon) about it by the horizon with
+        # probability below 1e-340: prices stay normal and finite if that band
+        # does at both ends, each checked alone so that a NaN end fails too.
         growth = self.drift * self.horizon
         decay = 0.5 * self.sigma * self.sigma * self.horizon  # inf, not OverflowError
-        start = math.log(self.s0)
-        end = start + growth - decay
-        if not _LOG_MIN <= end <= _LOG_MAX:
-            raise FieldError("drift" if abs(growth) > decay else "sigma",
-                             f"takes the mean log price log(s0) + (drift - sigma^2/2) t out of "
-                             f"[{_LOG_MIN:.2f}, {_LOG_MAX:.2f}] before t reaches", other="horizon")
-        # ... and so must the noise about it: sigma W_t leaves the band
-        # +-40 sigma sqrt(horizon) before t = horizon with probability below
-        # 1e-340.  The rule names the key of the largest term.
         spread = 40.0 * self.sigma * math.sqrt(self.horizon)
-        if not (_LOG_MIN <= min(start, end) - spread and max(start, end) + spread <= _LOG_MAX):
-            terms = {"s0": abs(start), "drift": abs(growth), "sigma": decay + spread}
-            raise FieldError(max(terms, key=terms.get),
-                             f"lets the log price log(s0) + (drift - sigma^2/2) t +- 40 sigma "
-                             f"sqrt(horizon) leave [{_LOG_MIN:.2f}, {_LOG_MAX:.2f}] before t "
-                             "reaches", other="horizon")
+        start = math.log(self.s0)
+        for end in (start, start + growth - decay):
+            if not (_LOG_MIN <= end - spread and end + spread <= _LOG_MAX):
+                terms = {"s0": abs(start), "drift": abs(growth), "sigma": decay + spread}
+                raise FieldError(max(terms, key=terms.get),
+                                 f"lets the log price log(s0) + (drift - sigma^2/2) t +- 40 sigma "
+                                 f"sqrt(horizon) leave [{_LOG_MIN:.2f}, {_LOG_MAX:.2f}] before t "
+                                 "reaches", other="horizon")
 
     def to_dict(self) -> dict:
         return asdict(self)

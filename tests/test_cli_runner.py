@@ -315,6 +315,19 @@ class TestErrorHandling:
         assert message.endswith(" 'params.compare_gbm.horizon'")
         assert os.listdir(tmp_path) == ["config.json"]
 
+    def test_gbm_nan_log_price_end_named(self, tmp_path, capsys):
+        # drift * horizon and sigma^2 / 2 * horizon both overflow, so the mean
+        # log price at the horizon is inf - inf = NaN, which the band rule
+        # must reject rather than pass over
+        with open(os.path.join(DEMO_CONFIGS, "market_local_vs_gbm.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["compare_gbm"].update(drift=1e308, sigma=1e200)
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("'params.compare_gbm.")
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("steps", [1999, 10 ** 300], ids=["1999", "1e300"])
     def test_gbm_steps_apart_from_the_market_name_both_keys(self, tmp_path, capsys, monkeypatch,
                                                             steps):
@@ -463,7 +476,8 @@ class TestBellScanExperiment:
         payload = {"experiment": "bell-scan", "params": params}
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
-        assert f"'params.{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"'params.{key}' ")
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_delta_classical_feasible(self, tmp_path):
@@ -585,6 +599,19 @@ class TestMarketExperiment:
         assert message.endswith(" 'params.market.n_steps'")
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("config", ["market_global_herding", "market_local_vs_gbm"])
+    def test_n_steps_past_the_range_named(self, tmp_path, capsys, config):
+        # this once exited 3 with numpy's "Maximum allowed dimension
+        # exceeded", naming no key
+        with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["market"]["n_steps"] = 10 ** 20
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("'params.market.n_steps' ")
+        assert os.listdir(tmp_path) == ["config.json"]
+
     @pytest.mark.parametrize("regime", [
         {"kind": "local", "noise_angle": 0.4},
         {"kind": "global", "noise_angle": 0.2, "news": {"kind": "drift", "angle": 0.5,
@@ -654,6 +681,22 @@ class TestConvergenceExperiment:
         assert code == EXIT_VALIDATION
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert "tau" in message and "10 steps" in message
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("spec, field, other", [
+        ({"tau": 0.0}, "tau", None),
+        ({"strike": 1e308}, "strike", "spot"),
+    ], ids=["tau_zero", "strike_1e308"])
+    def test_zero_error_names_key(self, tmp_path, capsys, spec, field, other):
+        # both once exited 3 with "binomial error is 0 at 50 steps", no key
+        with open(os.path.join(DEMO_CONFIGS, "binomial_convergence.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["spec"].update(spec)
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"'params.spec.{field}' ") and "50 steps" in message
+        assert other is None or message.endswith(f" 'params.spec.{other}'")
         assert os.listdir(tmp_path) == ["config.json"]
 
 

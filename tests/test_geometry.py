@@ -158,8 +158,11 @@ class TestRotation:
 
 
 def exact_fma(a: float, b: float, c: float) -> float:
-    """a * b + c from its exact rational value, rounded once."""
-    return float(Fraction(a) * Fraction(b) + Fraction(c))
+    """a * b + c from its exact rational value, rounded once.  An exact 0
+    comes from IEEE's a * b + c, which is then exact too and carries the
+    zero sign that ``Fraction`` drops."""
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    return float(exact) if exact else a * b + c
 
 
 # doubles in [-1, 1] at every scale down to the subnormals, and signed zeros
@@ -252,11 +255,13 @@ class TestExactFma:
 def reference_rotate(v: UnitVector3, k: UnitVector3, angle: float) -> UnitVector3:
     """Rodrigues in ``_rotate``'s operation order, each operation rounded from
     its exact rational value, the dot's products and sums fused."""
-    def mul(a, b):
-        return float(Fraction(a) * Fraction(b))
+    def mul(a, b):  # an exact 0 takes IEEE's sign, as in exact_fma
+        exact = Fraction(a) * Fraction(b)
+        return float(exact) if exact else a * b
 
     def add(a, b):
-        return float(Fraction(a) + Fraction(b))
+        exact = Fraction(a) + Fraction(b)
+        return float(exact) if exact else a + b
 
     c, s = math.cos(angle), math.sin(angle)
     d = exact_fma(k.z, v.z, exact_fma(k.y, v.y, mul(k.x, v.x)))
@@ -292,9 +297,10 @@ class TestExactRotation:
     @example(POLE, POLE, 0.7)
     @example(POLE, -POLE, 0.7)
     @example(from_polar(1.0, 2.0), from_polar(2.0, 1.0), 0.0)
+    @example(from_polar(0.0, 2.0), from_polar(0.0, 4.0), 0.0)  # x is -0.0
     def test_matches_exact_reference(self, v, k, angle):
-        # the rational reference has no signed zero, so a zero matches either sign
-        assert _rotate(v, k, angle) == reference_rotate(v, k, angle)
+        assert (hex_points([_rotate(v, k, angle)])
+                == hex_points([reference_rotate(v, k, angle)]))
 
     def test_matches_exact_reference_on_random_draws(self):
         rng = np.random.default_rng(31)

@@ -17,7 +17,6 @@ from spheremarket.kolmogorov_check import (
     MAX_OBSERVABLES,
     AgreementTable,
     _atom_minimum,
-    _dantzig,
     _entering,
     _phase1_simplex,
     atom_agreement,
@@ -467,22 +466,16 @@ def test_degenerate_mixtures_terminate(kind, n, seed):
 def test_bland_fallback_is_reached(monkeypatch):
     # sparse mixtures at n = 8 make degenerate runs longer than the basis;
     # after Bland's rule takes over, the solve must still reproduce the table
-    # and the half-width solve must still match the full-width one.  Dantzig
-    # picks are counted where they happen: in _dantzig, and in _entering on
-    # its fallback paths
+    # and the half-width solve must still match the full-width one.  Picks
+    # are counted where they happen, in _entering, by the rule that made them
     calls = {False: 0, True: 0}
 
-    def counted(red, eligible, bland):
-        calls[bland] += 1
-        return _entering(red, eligible, bland)
-
-    def counted_dantzig(red, tol):
-        entering = _dantzig(red, tol)
-        calls[False] += entering != -1
+    def counted(red, tol, bland, usable=None):
+        entering = _entering(red, tol, bland, usable)
+        calls[bland] += entering != -1
         return entering
 
     monkeypatch.setattr(kolmogorov_check, "_entering", counted)
-    monkeypatch.setattr(kolmogorov_check, "_dantzig", counted_dantzig)
     for seed in range(4):
         table = hypothesis_table("sparse_mixture", 8, seed)
         res = joint_feasibility(table)
@@ -499,18 +492,24 @@ REDUCED_COSTS = [-2.0, -1.0, -1e-3, -1e-9, -1e-10, -5e-324, -0.0, 0.0, 1.0,
                 max_size=12),
        st.sampled_from([0.0, 1e-9, 1e-3]))
 @settings(max_examples=300, deadline=None)
-def test_dantzig_pick_matches_masked_argmin(red, tol):
-    # _dantzig's one argmin picks what the masked argmin of _entering picks
-    # whenever it picks; it declines only when no column is eligible or a NaN
-    # is present, and the solver then falls back to _entering itself
+def test_entering_pick_matches_masked_argmin(red, tol):
+    # _entering picks what a masked pick over the eligible columns picks:
+    # the lowest index of the most negative reduced cost under Dantzig's
+    # rule, the lowest eligible index under Bland's, with or without a
+    # usable mask; its one-argmin fast path changes no pick, NaN and +inf
+    # are never eligible, and it returns -1 when no column is
     red = np.array(red)
-    eligible = red < -tol
-    masked = int(np.where(eligible, red, np.inf).argmin())
-    entering = _dantzig(red, tol)
-    if entering != -1:
-        assert entering == masked and red[entering] < -tol
-    else:
-        assert np.isnan(red).any() or not eligible.any()
+    usable = np.arange(red.size) % 3 != 1
+    for mask in (None, usable):
+        eligible = (red < -tol) & (True if mask is None else mask)
+        for bland in (False, True):
+            entering = _entering(red, tol, bland, mask)
+            if not eligible.any():
+                assert entering == -1
+            elif bland:
+                assert entering == int(eligible.nonzero()[0][0])
+            else:
+                assert entering == int(np.where(eligible, red, np.inf).argmin())
 
 
 def enumerated_atom_minimum(coefficients: np.ndarray, agree: np.ndarray) -> float:

@@ -482,10 +482,25 @@ class TestConfigAndCsv:
             make_config(regime=GlobalRegime(news=news, noise_angle=0.5), n_steps=1000)
         assert (info.value.field, info.value.other) == ("regime.news.rate", "n_steps")
         make_config(regime=GlobalRegime(news=news, noise_angle=0.5), n_steps=100)
-        # a step count past the float range is checked at step 2**63 - 1
-        # instead of raising OverflowError
+        # a step count past the float range is rejected on n_steps, before
+        # the news rule could raise OverflowError; it once built
         slow = NewsSeries(kind="drift", angle=0.5, rate=1e-3)
-        make_config(regime=GlobalRegime(news=slow, noise_angle=0.5), n_steps=10 ** 400)
+        with pytest.raises(FieldError) as info:
+            make_config(regime=GlobalRegime(news=slow, noise_angle=0.5), n_steps=10 ** 400)
+        assert (info.value.field, info.value.other) == ("n_steps", None)
+
+    @pytest.mark.parametrize("regime", [
+        LocalRegime(noise_angle=0.5),
+        GlobalRegime(news=NewsSeries(kind="drift", angle=0.5, rate=1e-3), noise_angle=0.5),
+    ], ids=["local", "global"])
+    def test_n_steps_range(self, regime):
+        # up to 2**53 every step index is exact as a float; the configs are
+        # only built, never run
+        make_config(regime=regime, n_steps=2 ** 53)
+        for n_steps in (0, 2 ** 53 + 1):
+            with pytest.raises(FieldError) as info:
+                make_config(regime=regime, n_steps=n_steps)
+            assert info.value.field == "n_steps"
 
     def test_round_trip(self):
         news = NewsSeries(kind="drift", angle=0.3, rate=0.05)

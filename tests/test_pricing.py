@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from spheremarket.config import FieldError
 from spheremarket.pricing import (
     CHUNK_PATHS,
     DegenerateParametersError,
@@ -234,6 +236,17 @@ class TestGbm:
             GbmParams(s0=1.0, drift=0.0, sigma=-0.1, horizon=1.0, steps=1)
         with pytest.raises(ValueError):
             GbmParams(s0=1.0, drift=0.0, sigma=0.1, horizon=1.0, steps=0)
+
+    def test_subnormal_s0_rejected_at_zero_sigma(self):
+        # math.log rounds the largest subnormals to log of the smallest
+        # normal float, so at sigma 0 the log-price band alone admits them;
+        # the s0 floor rejects them
+        s0 = math.nextafter(sys.float_info.min, 0.0)
+        assert math.log(s0) == math.log(sys.float_info.min)
+        with pytest.raises(FieldError) as info:
+            GbmParams(s0=s0, drift=0.0, sigma=0.0, horizon=1.0, steps=1)
+        assert info.value.field == "s0"
+        GbmParams(s0=sys.float_info.min, drift=0.0, sigma=0.0, horizon=1.0, steps=1)
 
 
 class TestMcPrice:
