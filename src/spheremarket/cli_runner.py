@@ -183,8 +183,12 @@ def _run_bell_scan(params: dict, seed: int):
     n_samples = p.get("n_samples", 100_000)
     try:
         scan = sphere_bell_scan(rho, theta, mode=mode, n_samples=n_samples, seed=seed)
-    except FieldError as exc:  # theta under the key the config spelled it with
-        raise FieldError(key, exc.problem, exc.other) if exc.field == "theta" else exc
+    except FieldError as exc:  # theta's range, under the key and in the unit the config used
+        if exc.field != "theta" or key == "theta":
+            raise
+        degrees = p["theta_degrees"]
+        rounded = f", which is {theta!r} in radians" if 0.0 < degrees < 180.0 else ""
+        raise FieldError(key, f"must lie strictly between 0 and 180, got {degrees!r}{rounded}")
     resolved = {"rho": rho.to_dict(), "theta": theta, "mode": scan.mode,
                 "n_samples": n_samples}
     return resolved, scan.to_dict(), {}

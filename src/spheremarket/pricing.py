@@ -24,6 +24,7 @@ from .ndtr import erfc
 from .streams import map_chunks
 
 CHUNK_PATHS = 1 << 14  # fixed batch granularity for counter-based streams
+_BLOCK_BYTES = 1 << 19  # normals per row block of gbm_path_matrix, sized to stay in cache
 # natural logs of the smallest normal and the largest finite float
 _LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 _SIGMA_MAX = math.sqrt(sys.float_info.max)  # the largest sigma whose square is finite
@@ -211,10 +212,12 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
 
     Path i is driven by the generator of chunk i // CHUNK_PATHS on the
     counter-based streams of ``streams.map_chunks``, so the matrix is
-    bit-identical for any worker count.  Each chunk turns its normals into
-    log steps in place and sums them straight into its rows of ``values``,
-    so the call holds the output plus one chunk of normals,
-    CHUNK_PATHS x steps float64, per worker.
+    bit-identical for any worker count.  Each chunk fills its rows in
+    blocks of about 512 KiB of normals: a block is drawn, turned into log
+    steps in place and summed straight into its rows of ``values`` while it
+    is in cache.  The generator fills the blocks in turn with the normals
+    of one draw for the whole chunk, so the call holds the output plus one
+    block per worker.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -223,17 +226,20 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
     values = np.empty((n_paths, params.steps + 1))
     vol = params.sigma * math.sqrt(dt)
     loc = (params.drift - 0.5 * params.sigma ** 2) * dt
+    rows = max(1, _BLOCK_BYTES // (8 * params.steps))
 
     def fill_chunk(rng, lo, size):
-        z = rng.standard_normal((size, params.steps))
-        z *= vol
-        z += loc
         values[lo:lo + size, 0] = params.s0
-        block = values[lo:lo + size, 1:]
-        np.cumsum(z, axis=1, out=block)
-        del z
-        np.exp(block, out=block)
-        block *= params.s0
+        z = np.empty((min(rows, size), params.steps))
+        for start in range(lo, lo + size, rows):
+            block = values[start:min(start + rows, lo + size), 1:]
+            zb = z[:len(block)]
+            rng.standard_normal(out=zb)
+            zb *= vol
+            zb += loc
+            np.cumsum(zb, axis=1, out=block)
+            np.exp(block, out=block)
+            block *= params.s0
 
     map_chunks(fill_chunk, n_paths, CHUNK_PATHS, seed, n_workers)
     return times, values
@@ -273,7 +279,22 @@ def binomial_price(spec: OptionSpec, steps: int) -> float:
 
     u = exp(sigma sqrt(dt)), d = 1/u, risk-neutral weight
     (exp(r dt) - d) / (u - d); parameters implying a weight outside [0, 1]
-    are arbitrage-violating and rejected, as is a lattice whose u rounds to d.
+    are arbitrage-violating and rejected, as is a lattice whose u rounds to d
+    or whose top terminal node spot u^steps overflows.
+
+    Each step computes disc (p v_{j+1} + q v_j) in that order, as a full
+    lattice would, but only on the live window of nodes (see ``_induct``):
+    a payoff row is monotone in j and the step keeps that order under
+    rounding, so the zeros and subnormals form one run at one end, the
+    bottom for a call and the top for a put, whose row is turned over.
+
+    Zeroing the subnormals is exact where the price is far above what they
+    could add to it.  Each is below 2^-1022 and reaches the price with weight
+    at most disc^i <= max(1, exp(-r tau)) from level i, so in exact arithmetic
+    they add at most (steps + 1) max(1, exp(-r tau)) 2^-1022.  A price less
+    than 2^100 times that (53 bits to its last place and 47 to spare) is
+    stepped again with a floor that drops exact zeros only, which is exact
+    by construction: p 0 + q 0 is +0.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -291,13 +312,47 @@ def binomial_price(spec: OptionSpec, steps: int) -> float:
     if not 0.0 <= p <= 1.0:
         raise FieldError("sigma", "is below |rate| sqrt(dt): arbitrage-violating parameters: "
                          f"risk-neutral weight {p!r} outside [0, 1] at this", other="rate")
+    with np.errstate(over="ignore"):  # the top node as the row below computes it
+        top = spec.spot * np.power(u, float(steps))
+    if not math.isfinite(top):
+        raise FieldError("spot", f"overflows in the top lattice node spot u^{steps}, where "
+                         f"u = exp(sigma sqrt(tau / {steps})), at this", other="sigma")
     disc = math.exp(-spec.rate * dt)
     j = np.arange(steps + 1)
-    terminal = spec.spot * u ** j * d ** (steps - j)
-    vals = _payoff(spec.kind, terminal, spec.strike)
-    for _ in range(steps):
-        vals = disc * (p * vals[1:] + (1.0 - p) * vals[:-1])
-    return float(vals[0])
+    row = _payoff(spec.kind, spec.spot * u ** j * d ** (steps - j), spec.strike)
+    a, b = p, 1.0 - p
+    if spec.kind is OptionKind.PUT:  # turned over, a node still adds p (upper) + q (lower)
+        row, a, b = row[::-1], b, a
+    price = _induct(row, a, b, disc, sys.float_info.min)
+    lost = sys.float_info.min * (steps + 1) * math.exp(max(0.0, -spec.rate * spec.tau))
+    if price < lost * 2.0 ** 100:
+        price = _induct(row, a, b, disc, math.ulp(0.0))
+    return price
+
+
+def _induct(row: np.ndarray, a: float, b: float, disc: float, floor: float) -> float:
+    """The root of the backward induction v_j <- disc (a v_{j+1} + b v_j)
+    from the terminal ``row``.
+
+    Every node below lo holds 0, so a step computes only the nodes
+    [lo - 1, n), in place; then lo moves past the values below ``floor``,
+    which are overwritten with 0.0.
+    """
+    v = row.copy()
+    t = np.empty(len(v) - 1)
+    lo = 0
+    for n in range(len(v) - 1, 0, -1):
+        while lo <= n and v[lo] < floor:
+            v[lo] = 0.0
+            lo += 1
+        if lo:
+            lo -= 1
+        w, tw = v[lo:n], t[lo:n]
+        np.multiply(v[lo + 1:n + 1], a, tw)
+        np.multiply(w, b, w)
+        np.add(tw, w, w)
+        np.multiply(w, disc, w)
+    return float(v[0])
 
 
 def pde_residual(spec: OptionSpec, h_s: float, h_t: float, value_fn=None) -> float:

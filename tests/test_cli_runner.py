@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import pytest
 
@@ -249,16 +250,14 @@ class TestErrorHandling:
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("config, spec, path", [
-        ("binomial_convergence", {"spot": 1e308}, "results.abs_errors[0]"),
-        ("price_atm", {"spot": 1e308}, "results.results[1].value"),
         # the squared payoffs overflow, so the variance is NaN
         *(("price_atm", {"spot": size, "strike": size}, "results.results[2].error_estimate")
           for size in (1e155, 1e160, 1e200)),
-    ], ids=["convergence_spot", "price_spot", "mc_1e155", "mc_1e160", "mc_1e200"])
+    ], ids=["mc_1e155", "mc_1e160", "mc_1e200"])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow on the way
     def test_non_finite_result_named(self, tmp_path, capsys, config, spec, path):
-        # each once exited 0, with a null where the number belongs or (the
-        # Monte Carlo error) a variance of max(0.0, nan) = 0.0
+        # each once exited 0 with (the Monte Carlo error) a variance of
+        # max(0.0, nan) = 0.0
         with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
         payload["params"]["spec"].update(spec)
@@ -266,6 +265,22 @@ class TestErrorHandling:
         assert code == EXIT_VALIDATION
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message == f"'{path}' is not finite"
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])
+    def test_top_node_overflow_names_spot(self, tmp_path, capsys, config):
+        # spot u^steps overflows: both once exited 3 naming only a 'results.'
+        # path (results[1].value, abs_errors[0]) after numpy overflow warnings
+        with open(os.path.join(DEMO_CONFIGS, f"{config}.json"), encoding="utf-8") as fh:
+            payload = json.load(fh)
+        payload["params"]["spec"]["spot"] = 1e308
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION and caught == []
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("'params.spec.spot' ")
+        assert message.endswith(" 'params.spec.sigma'")
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("key, value, field, other", [
@@ -478,6 +493,12 @@ class TestBellScanExperiment:
         assert code == EXIT_VALIDATION
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message.startswith(f"'params.{key}' ")
+        # the bound and the value in the unit of the key: theta_degrees 200
+        # once read "between 0 and pi, got 3.490658503988659"
+        if key == "theta":
+            assert f"strictly between 0 and pi, got {value!r}" in message
+        elif key == "theta_degrees":
+            assert f"strictly between 0 and 180, got {float(value)!r}" in message
         assert os.listdir(tmp_path) == ["config.json"]
 
     def test_delta_classical_feasible(self, tmp_path):

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +29,9 @@ LOCAL = {"kind": "local", "noise_angle": 0.3}
 MARKET = {"rho": {"kind": "uniform"}, "n_steps": 40, "regime": LOCAL, "seed": 1}
 
 
-def run_config(payload) -> tuple[int, str, list]:
+def run_config(payload) -> tuple[int, str, dict]:
     """Run the CLI in process on ``payload`` (a dict, or raw JSON text);
-    returns (exit code, error message or "", names of the files written)."""
+    returns (exit code, error message or "", {name: text} of the files written)."""
     text = payload if isinstance(payload, str) else json.dumps(payload)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -39,7 +40,10 @@ def run_config(payload) -> tuple[int, str, list]:
             fh.write(text)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = cli_runner.run(path, out_dir=out)
-        written = os.listdir(out) if os.path.exists(out) else []
+        written = {}
+        for name in os.listdir(out) if os.path.exists(out) else ():
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                written[name] = fh.read()
     message = json.loads(err.getvalue())["error"]["message"] if err.getvalue() else ""
     return code, message, written
 
@@ -269,6 +273,16 @@ def sweep_configs():
         yield f"full-{kind}", config
 
 
+def with_value(config, path, value):
+    """A copy of ``config`` with the value at ``path`` replaced by ``value``."""
+    variant = json.loads(json.dumps(config))
+    block = variant
+    for step in path[:-1]:
+        block = block[step]
+    block[path[-1]] = value
+    return variant
+
+
 def value_paths(obj, path=(), key=None):
     """(path, innermost object key) of every value inside ``obj``, whether a
     number, a string, a list or a whole block."""
@@ -294,12 +308,61 @@ def test_non_finite_literal_anywhere_is_named(config):
     wrong = []
     for path, key in value_paths(config):
         for bad in (math.nan, math.inf, -math.inf):
-            variant = json.loads(json.dumps(config))
-            block = variant
-            for step in path[:-1]:
-                block = block[step]
-            block[path[-1]] = bad
-            code, message, written = run_config(variant)
+            code, message, written = run_config(with_value(config, path, bad))
             if code not in (EXIT_PARSE, EXIT_VALIDATION) or key not in message or written:
                 wrong.append((path, bad, code, message, written))
+    assert not wrong
+
+
+FUZZ_VALUES = (0, -1, 1e308, -1e308, 5e-324)
+
+
+def fuzz_variants(config):
+    """(path, value): each numeric leaf but the seed, list elements included,
+    set to each of FUZZ_VALUES, and each 3-vector set to [0, 0, 0]."""
+    for path, _ in value_paths(config):
+        value = config
+        for step in path:
+            value = value[step]
+        if isinstance(value, list) and len(value) == 3 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            yield path, [0, 0, 0]
+        elif isinstance(value, (int, float)) and not isinstance(value, bool) and path != ("seed",):
+            yield from ((path, bad) for bad in FUZZ_VALUES)
+
+
+def computed_gaps(obj, path="results"):
+    """Paths of the nulls and non-finite numbers in ``obj``.  error_estimate
+    is exempt: the Black-Scholes and lattice rows have none and hold null, and
+    dropping the key would change the price report's pinned bytes."""
+    if obj is None or isinstance(obj, float) and not math.isfinite(obj):
+        return [path]
+    if isinstance(obj, dict):
+        children = [(f"{path}.{k}", v) for k, v in obj.items() if k != "error_estimate"]
+    else:
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(obj)] if isinstance(obj, list) else []
+    return [gap for p, v in children for gap in computed_gaps(v, p)]
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
+def test_fuzzed_demo_leaf_runs_or_names_its_key(path):
+    # every variant exits 0 with no null or non-finite computed value, or
+    # exits 2 or 3 naming the leaf's dotted key (a list element may be named
+    # by its list), and raises no warning either way
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    wrong = []
+    for leaf, bad in fuzz_variants(config):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, message, written = run_config(with_value(config, leaf, bad))
+        key = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in leaf)[1:]
+        if code == 0:
+            report = next(text for name, text in written.items() if name.endswith("_report.json"))
+            broken = computed_gaps(json.loads(report)["results"])
+        else:
+            named = any(f"'{k}'" in message for k in (key, key.split("[")[0]))
+            broken = code not in (EXIT_PARSE, EXIT_VALIDATION) or not named
+        if broken or caught:
+            wrong.append((key, bad, code, message, [str(w.message) for w in caught]))
     assert not wrong

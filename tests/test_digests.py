@@ -8,7 +8,8 @@ exit code and the set of written files are checked.
 The trade logs of one market per rho kind and regime (with and without
 context noise), of one ensemble, the bytes of one array draw per rho kind
 and a truncated-Gaussian sphere report are pinned the same way, since the
-demo configs trade and count only on the uniform elastic.
+demo configs trade and count only on the uniform elastic.  So are GBM path
+matrices whose row blocks do not divide their rows.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ from spheremarket.market_sim import (
     run_market_ensemble,
     trades_to_csv,
 )
+from spheremarket.pricing import CHUNK_PATHS, GbmParams, gbm_path_matrix
 from spheremarket.sphere_model import (
     DeltaRho,
     PiecewiseConstantRho,
@@ -270,3 +272,30 @@ def test_truncated_gaussian_sphere_report(workers, tmp_path, recorded_versions_d
     assert cli_runner.run(str(config), out_dir=str(out)) == cli_runner.EXIT_OK
     check_digests({"sphere_report.json": SPHERE_REPORT_DIGESTS[workers]},
                   {p.name: p.read_bytes() for p in out.iterdir()}, recorded_versions_differ)
+
+
+# SHA-256 of gbm_path_matrix(params, n_paths, seed=17).values at 1 and 2
+# workers: one step (a block holds a whole chunk), 127 steps (blocks of 516
+# rows, over two chunks) and a long horizon (one row per block)
+GBM_CASES = {
+    "steps1": (GbmParams(s0=100.0, drift=0.05, sigma=0.3, horizon=1.0, steps=1),
+               CHUNK_PATHS + 3),
+    "steps127": (GbmParams(s0=37.5, drift=-0.4, sigma=1.3, horizon=3.0, steps=127),
+                 CHUNK_PATHS + 1000),
+    "long_horizon": (GbmParams(s0=100.0, drift=0.02, sigma=0.2, horizon=50.0, steps=100_000), 3),
+}
+GBM_DIGESTS = {
+    "steps1": "ce0d1634342fdb15214a88faf03ca87b8fac3597d9d5b90ffff452301eb8dabb",
+    "steps127": "1b601fff4a988349d621c05518eb21ddc5221641bc71aa159c200c8cd2c10dd4",
+    "long_horizon": "3d693921245b16df865b367d84792248d39fb9823c08ce3f9dc87565f328e5c8",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(GBM_DIGESTS))
+def test_gbm_path_matrix_bytes(case, workers, recorded_versions_differ):
+    params, n_paths = GBM_CASES[case]
+    _, values = gbm_path_matrix(params, n_paths, seed=17, n_workers=workers)
+    assert values.shape == (n_paths, params.steps + 1)
+    check_digests({"values": GBM_DIGESTS[case]}, {"values": values.tobytes()},
+                  recorded_versions_differ)

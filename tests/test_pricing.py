@@ -1,10 +1,11 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -43,6 +44,38 @@ spec_strategy = st.builds(
 def put(spec: OptionSpec) -> OptionSpec:
     return OptionSpec(spec.spot, spec.strike, spec.rate, spec.sigma, spec.tau,
                       kind=OptionKind.PUT)
+
+
+def full_lattice(spec: OptionSpec, steps: int) -> float:
+    """The CRR backward induction over every node, with no window: the
+    reference binomial_price must match bit for bit."""
+    dt = spec.tau / steps
+    u = math.exp(spec.sigma * math.sqrt(dt))
+    d = 1.0 / u
+    p = (math.exp(spec.rate * dt) - d) / (u - d)
+    disc = math.exp(-spec.rate * dt)
+    j = np.arange(steps + 1)
+    terminal = spec.spot * u ** j * d ** (steps - j)
+    if spec.kind is OptionKind.CALL:
+        vals = np.maximum(terminal - spec.strike, 0.0)
+    else:
+        vals = np.maximum(spec.strike - terminal, 0.0)
+    for _ in range(steps):
+        vals = disc * (p * vals[1:] + (1.0 - p) * vals[:-1])
+    return float(vals[0])
+
+
+# wide moneyness and small volatilities, so that many lattices hold long
+# runs of zeros and subnormals at one end; rates of either sign
+lattice_specs = st.builds(
+    OptionSpec,
+    spot=st.floats(1e-3, 1e3),
+    strike=st.floats(1e-3, 1e3),
+    rate=st.floats(-0.1, 0.2),
+    sigma=st.floats(0.005, 0.8),
+    tau=st.floats(0.05, 3.0),
+    kind=st.sampled_from(OptionKind),
+)
 
 
 class TestIntrinsicAndTimeValue:
@@ -218,16 +251,18 @@ class TestGbm:
         assert values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_peak_memory_is_one_chunk_of_normals_per_worker(self, n_workers):
+    def test_peak_memory_is_one_row_block_per_worker(self, n_workers):
+        # tracemalloc sees numpy's buffers: besides the output, each worker
+        # holds one block of about 512 KiB of normals, not a chunk of them
         params = GbmParams(s0=100.0, drift=0.05, sigma=0.2, horizon=1.0, steps=64)
+        gbm_path_matrix(params, 1, seed=4)  # the first call imports numpy.random
         tracemalloc.start()
         try:
             _, values = gbm_path_matrix(params, 3 * CHUNK_PATHS + 5, seed=4, n_workers=n_workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk_bytes = CHUNK_PATHS * params.steps * 8
-        assert peak - values.nbytes <= 1.5 * n_workers * chunk_bytes
+        assert peak - values.nbytes <= n_workers * (1 << 20)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -331,6 +366,59 @@ class TestBinomial:
         errors = [abs(binomial_price(ATM, n) - reference) for n in ns]
         slope = np.polyfit(np.log(ns), np.log(errors), 1)[0]
         assert -1.3 <= slope <= -0.7
+
+    @given(spec=lattice_specs, steps=st.integers(1, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_window_matches_the_full_lattice(self, spec, steps):
+        try:
+            price = binomial_price(spec, steps)
+        except FieldError:  # a weight outside [0, 1]; the reference has no such rule
+            assume(False)
+        assert price.hex() == full_lattice(spec, steps).hex()
+
+    @pytest.mark.parametrize("steps", [1, 2, 50, 400, 1000, 3000, 10_000])
+    @pytest.mark.parametrize("spec", [
+        ATM, put(ATM),
+        OptionSpec(0.5, 100.0, 0.05, 0.2, 1.0),  # deep out of the money: most nodes 0
+        put(OptionSpec(150.0, 60.0, -0.03, 0.15, 2.0)),  # a negative rate: disc > 1
+    ], ids=["atm_call", "atm_put", "deep_otm_call", "negative_rate_put"])
+    def test_grid_matches_the_full_lattice(self, spec, steps):
+        assert binomial_price(spec, steps).hex() == full_lattice(spec, steps).hex()
+
+    @pytest.mark.parametrize("kind, spot, strike, rate, sigma, tau, price", [
+        ("call", 0.30351101422448185, 13.209240143113956, 0.10172525341725587,
+         0.0665742318697339, 1.5466449767175627, 5e-324),
+        ("put", 0.13706202580544066, 0.019274295721286902, -0.0322624223138981,
+         0.027480327834327856, 1.943399419114934, 5e-324),
+        ("call", 18.657866038152832, 33.786913554711674, -0.015459481793175925,
+         0.015674241183301022, 1.2330977901031237, 2.073252633323093e-293),
+        ("call", 0.022670493153609455, 89.23007182246931, 0.0779562074459575,
+         0.34741955406688885, 0.2589975099419256, 5e-324),
+        ("call", 0.0017488681240078246, 77.4301901664414, 0.17962285951072748,
+         0.2070274600292324, 1.9403943511293968, 1.5069041899e-313),
+    ])
+    def test_underflowing_prices_keep_their_bits(self, kind, spot, strike, rate, sigma, tau,
+                                                 price, recorded_versions_differ):
+        # the window that zeroes subnormals gives 0.0 for four of these and
+        # other low bits for the third; below the bound the lattice is
+        # stepped again dropping exact zeros only, which restores the bits
+        spec = OptionSpec(spot, strike, rate, sigma, tau, kind=OptionKind(kind))
+        value = binomial_price(spec, 3000)
+        assert value.hex() == full_lattice(spec, 3000).hex()
+        if recorded_versions_differ:
+            pytest.skip(recorded_versions_differ)
+        assert value.hex() == price.hex()
+
+    def test_overflowing_top_node_names_spot(self):
+        # spot u^steps overflows, though spot itself is finite: this once
+        # gave inf with numpy overflow warnings
+        spec = OptionSpec(1e308, 100.0, 0.05, 0.2, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldError) as info:
+                binomial_price(spec, 50)
+            assert binomial_price(OptionSpec(1e300, 100.0, 0.05, 0.2, 1.0), 50) > 0.0
+        assert (info.value.field, info.value.other) == ("spot", "sigma")
 
 
 class TestPdeResidual:
