@@ -10,6 +10,14 @@ subset of the acceptance checks.  Config files are JSON objects::
       "params": { ... }         # experiment-specific block, see README
     }
 
+Counts are bounded where they are parsed (``config.at_least``): at most
+2**53, the lattice steps (``binomial_steps``, each convergence
+``steps[i]``) at most ``MAX_LATTICE_STEPS`` and ``workers`` at most
+``MAX_WORKERS``, a fixed cap so that whether a config is valid never
+depends on the machine.  The CRR lattice does about steps**2 / 2 node
+updates; 10**4 steps take 0.1 s on a 2-core Xeon, so the cap of 10**5
+steps bounds one lattice at about 10 s.
+
 Exit codes: 0 success, 2 config parse error, 3 parameter validation error,
 4 runtime error.  Reports echo the fully resolved configuration, so any
 result is reproducible from its own output; the same config and seed
@@ -67,6 +75,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
+MAX_LATTICE_STEPS = 10 ** 5
+MAX_WORKERS = 64
 
 
 def _as_direction(value, context: str) -> UnitVector3:
@@ -119,7 +129,8 @@ def _run_price(params: dict, seed: int):
     p = parse_block(params, "params", required={"spec": None},
                     optional={"methods": lambda v, name: items(member(("bs", "binomial", "mc")),
                                                                v, name),
-                              "binomial_steps": at_least(1), "mc_paths": at_least(2)})
+                              "binomial_steps": at_least(1, MAX_LATTICE_STEPS),
+                              "mc_paths": at_least(2)})
     methods = p.get("methods", ["bs"])
     if not methods:
         raise ConfigParseError("'params.methods' must be a non-empty list")
@@ -147,7 +158,7 @@ def _run_price(params: dict, seed: int):
 
 def _run_sphere(params: dict, seed: int):
     p = parse_block(params, "params", required={"rho": None, "state": None, "direction": None},
-                    optional={"n_trials": at_least(1), "workers": at_least(1)})
+                    optional={"n_trials": at_least(1), "workers": at_least(1, MAX_WORKERS)})
     rho = RhoDistribution.from_dict(p["rho"], "params.rho")
     state = _as_direction(p["state"], "params.state")
     direction = _as_direction(p["direction"], "params.direction")
@@ -235,7 +246,8 @@ def _run_market(params: dict, seed: int):
 
 def _run_convergence(params: dict, seed: int):
     p = parse_block(params, "params", required={"spec": None},
-                    optional={"steps": lambda v, name: items(at_least(1), v, name)})
+                    optional={"steps": lambda v, name: items(at_least(1, MAX_LATTICE_STEPS),
+                                                             v, name)})
     steps = p.get("steps", [50, 100, 200, 400, 800, 1600])
     if len(set(steps)) < 2:
         raise ConfigParseError("'params.steps' needs at least two distinct entries")

@@ -1,8 +1,9 @@
 """One parser for JSON config blocks, used by the ``from_dict`` of each object.
 
 Unknown or missing keys, bools where a number is expected, counts that are
-not integers and non-finite numbers raise ConfigParseError naming the key;
-counts below a floor (``at_least``) and values outside a fixed set
+not integers and non-finite numbers (an int beyond the float range among
+them) raise ConfigParseError naming the key; counts outside their range
+(``at_least``) and values outside a fixed set
 (``member``, ``block_kind``) raise a ValueError naming it.  The JSON literals
 ``NaN``, ``Infinity`` and ``-Infinity`` load as floats and meet the same
 converters, so no separate pass looks for them: ``number`` rejects them as
@@ -91,7 +92,11 @@ def require_finite(obj, *names: str):
 def number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigParseError(f"'{name}' must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         raise ConfigParseError(f"'{name}' must be finite, got {value!r}")
     return float(value)
 
@@ -102,12 +107,16 @@ def count(value, name: str) -> int:
     return int(value)
 
 
-def at_least(minimum: int):
-    """``count``, plus a ValueError naming the key for a value below ``minimum``."""
+def at_least(minimum: int, at_most: int = 2 ** 53):
+    """``count``, plus a ValueError naming the key for a value below
+    ``minimum`` or above ``at_most``.  The default cap, 2**53, is where a
+    float stops holding every integer, and the cap of ``n_steps``."""
     def conv(value, name: str) -> int:
         value = count(value, name)
         if value < minimum:
             raise ValueError(f"'{name}' must be at least {minimum}, got {value}")
+        if value > at_most:
+            raise ValueError(f"'{name}' must be at most {at_most}, got {value}")
         return value
     return conv
 

@@ -163,9 +163,7 @@ def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
-    norms = np.linalg.norm(out, axis=1, keepdims=True)
-    return out / norms
+    return np.column_stack(_normalize_arrays(s * np.cos(phi), s * np.sin(phi), z))
 
 
 def _fma(a: float, b: float, c: float) -> float:
@@ -237,16 +235,18 @@ def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
     return _rodrigues(v, axis, c, math.sin(angle), 1.0 - c)
 
 
-def _rodrigues(v: tuple, axis: tuple, c: float, s: float, t: float) -> tuple:
+def _rodrigues(v: tuple, axis: tuple, c: float, s: float, t: float,
+               fma=_fma, normalize=_normalize) -> tuple:
     """``_rotate`` by the angle whose cos, sin and 1 - cos are given.  The dot
     k.v is the fused chain fma(kz, vz, fma(ky, vy, kx vx)) that BLAS once
-    computed, made explicit so that the bits do not depend on the BLAS kernel."""
+    computed, made explicit so that the bits do not depend on the BLAS kernel.
+    With ``_fma_arrays`` and ``_normalize_arrays`` it runs lane by lane."""
     vx, vy, vz = v
     kx, ky, kz = axis
-    d = _fma(kz, vz, _fma(ky, vy, kx * vx))
-    return _normalize((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
-                      (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
-                      (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
+    d = fma(kz, vz, fma(ky, vy, kx * vx))
+    return normalize((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
+                     (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
+                     (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
 
 
 def _rotate_chain(v: tuple, axis: tuple, angle: np.ndarray) -> np.ndarray:
@@ -265,11 +265,6 @@ def _rotate_chain(v: tuple, axis: tuple, angle: np.ndarray) -> np.ndarray:
 
 def _rotate_arrays(v: tuple, axis: tuple, angle: np.ndarray) -> tuple:
     """``_rotate`` lane by lane."""
-    vx, vy, vz = v
-    kx, ky, kz = axis
-    c, s = _math_map(math.cos, angle), _math_map(math.sin, angle)
-    d = _fma_arrays(kz, vz, _fma_arrays(ky, vy, kx * vx))
-    t = 1.0 - c
-    return _normalize_arrays((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
-                             (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
-                             (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
+    c = _math_map(math.cos, angle)
+    return _rodrigues(v, axis, c, _math_map(math.sin, angle), 1.0 - c,
+                      _fma_arrays, _normalize_arrays)

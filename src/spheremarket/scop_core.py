@@ -65,10 +65,9 @@ class ScopSystem:
 
     Every row is a distribution over (state, context) pairs of the system:
     its probabilities are nonnegative and sum to 1 within ROW_SUM_TOL, and
-    each successor (q, f) has q admitted and f in ``contexts``.  The
-    builders ensure it, ``from_tables`` by checking each row once and
-    ``sphere_as_scop`` by construction; a system built directly must keep
-    the contract itself, since no call rechecks it.
+    each successor (q, f) has q admitted and f in ``contexts``.  The builder
+    ``sphere_as_scop`` ensures it by construction; a system built directly
+    must keep the contract itself, since no call rechecks it.
     """
 
     contexts: tuple
@@ -91,58 +90,6 @@ class ScopSystem:
         self._check_state(p)
         self._check_context(e)
         return self.mu(p, e)
-
-    @staticmethod
-    def from_tables(states, contexts, properties,
-                    mu_table: Mapping, xi_table: Mapping) -> "ScopSystem":
-        """Finite system from explicit tables.
-
-        ``mu_table`` maps (state, context) to {(next_state, next_context):
-        probability}; ``xi_table`` maps state to an iterable of properties.
-        Each row is checked here, once, against the row contract.
-        """
-        states = tuple(states)
-        contexts = tuple(contexts)
-        properties = frozenset(properties)
-        mu_rows = {
-            key: tuple((qf, float(prob)) for qf, prob in row.items())
-            for key, row in mu_table.items()
-        }
-        xi_rows = {p: frozenset(xi_table.get(p, ())) for p in states}
-        for p, actual in xi_rows.items():
-            if not actual <= properties:
-                raise ValueError(f"xi({p!r}) lists properties outside the property set")
-
-        def mu(p, e):
-            return mu_rows[(p, e)]
-
-        def xi(p):
-            return xi_rows[p]
-
-        state_set, context_set = frozenset(states), frozenset(contexts)
-        for p in states:
-            for e in contexts:
-                if (p, e) not in mu_rows:
-                    raise ValueError(f"mu_table missing row for ({p!r}, {e!r})")
-                _check_row(p, e, mu_rows[(p, e)], state_set, context_set)
-        return ScopSystem(contexts=contexts, properties=properties, mu=mu, xi=xi,
-                          states=states, contains_state=state_set.__contains__)
-
-
-def _check_row(p, e, row: Sequence[Transition], states: frozenset, contexts: frozenset):
-    """Raise ValueError unless the mu row for (p, e) is a distribution over
-    (state, context) pairs of the system."""
-    total = sum(prob for _, prob in row)
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"mu row for ({p!r}, {e!r}) sums to {total!r}")
-    if any(prob < 0 for _, prob in row):
-        raise ValueError("mu probabilities must be nonnegative")
-    for qf, _ in row:
-        if not (isinstance(qf, tuple) and len(qf) == 2
-                and qf[0] in states and qf[1] in contexts):
-            raise ValueError(f"mu row for ({p!r}, {e!r}) leads to {qf!r}, "
-                             "which is not a (state, context) of the system")
-
 
 def is_eigenstate(sys: ScopSystem, p, e) -> bool:
     """True iff the law keeps p fixed with certainty under context e."""

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from spheremarket import cli_runner, kolmogorov_check, market_sim
+from spheremarket import cli_runner, kolmogorov_check, market_sim, streams
 from spheremarket.cli_runner import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from spheremarket.geometry import UnitVector3
 
@@ -185,6 +185,25 @@ class TestErrorHandling:
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
         assert f"'{key}'" in json.loads(capsys.readouterr().err)["error"]["message"]
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("workers", [cli_runner.MAX_WORKERS + 1, 10 ** 400],
+                             ids=["cap+1", "1e400"])
+    def test_workers_above_the_cap_named_before_any_thread(self, tmp_path, capsys, monkeypatch,
+                                                           workers):
+        # the cap is fixed, so a config's validity does not depend on the machine;
+        # the parse rule rejects the value before map_chunks could start a pool
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(streams, "ThreadPoolExecutor", no_pool)
+        payload = {"experiment": "sphere", "params": {
+            "rho": {"kind": "uniform"}, "state": [0, 0, 1], "direction": [1, 0, 0],
+            "n_trials": 10 ** 6, "workers": workers}}
+        code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith("'params.workers' must be at most 64, got ")
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("key, payload", [

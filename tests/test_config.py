@@ -80,6 +80,13 @@ class TestParseBlock:
         with pytest.raises(ConfigParseError, match="'spec.spot' must be finite"):
             number(value, "spec.spot")
 
+    @pytest.mark.parametrize("value", [2 ** 1024, -(10 ** 400)], ids=["2**1024", "-10**400"])
+    def test_number_rejects_ints_beyond_the_float_range(self, value):
+        # math.isfinite raised OverflowError on them, which exited 4 naming no key
+        with pytest.raises(ConfigParseError, match="'spec.spot' must be finite"):
+            number(value, "spec.spot")
+        assert number(2 ** 1023, "spec.spot") == 2.0 ** 1023
+
     @pytest.mark.parametrize("value", [True, 10.7, 10.0, "10"])
     def test_count_rejects_non_integers(self, value):
         with pytest.raises(ConfigParseError, match="'params.n_trials' must be an integer"):
@@ -95,6 +102,15 @@ class TestParseBlock:
         with pytest.raises(ValueError, match="'params.mc_paths' must be at least 2, got 1") as exc:
             at_least(2)(1, "params.mc_paths")
         assert not isinstance(exc.value, ConfigParseError)  # a validation error, exit 3
+
+    def test_at_least_names_the_key_above_its_cap(self):
+        assert at_least(1, 64)(64, "params.workers") == 64
+        with pytest.raises(ValueError, match="'params.workers' must be at most 64, got 65") as exc:
+            at_least(1, 64)(65, "params.workers")
+        assert not isinstance(exc.value, ConfigParseError)
+        assert at_least(1)(2 ** 53, "params.n_trials") == 2 ** 53  # the default cap
+        with pytest.raises(ValueError, match=f"'params.n_trials' must be at most {2 ** 53}"):
+            at_least(1)(2 ** 53 + 1, "params.n_trials")
 
     def test_member_of_a_tuple(self):
         conv = member(("auto", "sequential"))
@@ -315,11 +331,14 @@ def test_non_finite_literal_anywhere_is_named(config):
 
 
 FUZZ_VALUES = (0, -1, 1e308, -1e308, 5e-324)
+# past the exact float integers, and past the float range: no run may start
+INT_EXTREMES = (2 ** 53 + 1, 10 ** 400)
 
 
 def fuzz_variants(config):
     """(path, value): each numeric leaf but the seed, list elements included,
-    set to each of FUZZ_VALUES, and each 3-vector set to [0, 0, 0]."""
+    set to each of FUZZ_VALUES, each integer leaf also to each of
+    INT_EXTREMES, and each 3-vector set to [0, 0, 0]."""
     for path, _ in value_paths(config):
         value = config
         for step in path:
@@ -329,6 +348,8 @@ def fuzz_variants(config):
             yield path, [0, 0, 0]
         elif isinstance(value, (int, float)) and not isinstance(value, bool) and path != ("seed",):
             yield from ((path, bad) for bad in FUZZ_VALUES)
+            if isinstance(value, int):
+                yield from ((path, bad) for bad in INT_EXTREMES)
 
 
 def computed_gaps(obj, path="results"):
@@ -348,7 +369,8 @@ def computed_gaps(obj, path="results"):
 def test_fuzzed_demo_leaf_runs_or_names_its_key(path):
     # every variant exits 0 with no null or non-finite computed value, or
     # exits 2 or 3 naming the leaf's dotted key (a list element may be named
-    # by its list), and raises no warning either way
+    # by its list), and raises no warning either way; an integer extreme
+    # must not run at all
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     wrong = []
@@ -359,7 +381,7 @@ def test_fuzzed_demo_leaf_runs_or_names_its_key(path):
         key = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in leaf)[1:]
         if code == 0:
             report = next(text for name, text in written.items() if name.endswith("_report.json"))
-            broken = computed_gaps(json.loads(report)["results"])
+            broken = bad in INT_EXTREMES or computed_gaps(json.loads(report)["results"])
         else:
             named = any(f"'{k}'" in message for k in (key, key.split("[")[0]))
             broken = code not in (EXIT_PARSE, EXIT_VALIDATION) or not named

@@ -134,6 +134,26 @@ class TestUniformSampler:
         samples = sample_uniform_array(np.random.default_rng(5), 1000)
         assert np.max(np.abs(np.linalg.norm(samples, axis=1) - 1.0)) < 1e-12
 
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 500_000))
+    @example(seed=99, n=500_000)
+    def test_array_bits_match_the_norm_division(self, seed, n):
+        # the sampler once divided its stacked rows by np.linalg.norm; the
+        # lane-by-lane _normalize_arrays must give the same bits
+        def by_norm(rng, n):
+            z = rng.uniform(-1.0, 1.0, size=n)
+            phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+            s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+            out = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+            return out / np.linalg.norm(out, axis=1, keepdims=True)
+
+        def hexes(a):
+            return [x.hex() for x in a.ravel().tolist()]
+
+        got = sample_uniform_array(np.random.default_rng(seed), n)
+        assert got.shape == (n, 3)
+        assert hexes(got) == hexes(by_norm(np.random.default_rng(seed), n))
+
 
 class TestRotation:
     def test_quarter_turn_about_z(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -49,6 +49,11 @@ def atom_bits(n: int) -> np.ndarray:
 
 def table3(q01, q02, q12):
     return AgreementTable(3, [q01, q02, q12])
+
+
+def slacks(scan) -> dict:
+    """The facet slacks of a scan, by facet name."""
+    return {f.name: f.slack for f in scan.facets}
 
 
 def exact_atom_sums(coefficients: np.ndarray, n: int) -> np.ndarray:
@@ -231,9 +236,12 @@ class TestSphereBellScan:
         assert scan.mode == "sequential"
 
     def test_uniform_right_angle_boundary_feasible(self):
+        # the one angle where both slacks of the sequential scan tie at 0
         scan = sphere_bell_scan(UniformRho(), math.pi / 2)
         assert np.allclose(scan.table.pair_values(), [0.5, 0.0, 0.5], atol=1e-12)
-        assert scan.feasible
+        found = slacks(scan)
+        assert abs(found["triangle_drop_02"]) <= 1e-16 and abs(found["sum_lower"]) <= 1e-16
+        assert scan.feasible and facets_feasible(scan.facets)
 
     def test_uniform_infeasible_below_right_angle(self):
         for theta in np.linspace(0.1, math.pi / 2 - 0.05, 7):
@@ -267,6 +275,66 @@ class TestSphereBellScan:
         assert d["verdict"] == "infeasible"
         assert len(d["facets"]) == 4
         assert "certificate" in d["feasibility"]
+
+
+ULP_OF_ONE = 2.0 ** -52
+open_angles = st.floats(0.0, math.pi, exclude_min=True, exclude_max=True)
+
+
+class TestModelClosedForms:
+    """The model's tables in closed form, on directions 0, theta, 2 theta."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=open_angles)
+    @example(theta=math.pi / 3)
+    @example(theta=math.nextafter(0.0, 1.0))
+    @example(theta=math.nextafter(math.pi, 0.0))
+    def test_sequential_uniform_slacks(self, theta):
+        # q = cos^2(theta / 2) on the two near pairs and cos^2(theta) on the far
+        # one, so 1 - (q01 + q12 - q02) = -c (1 - c) and q01 + q02 + q12 - 1 =
+        # c (1 + c), with c = cos(theta)
+        c = math.cos(theta)
+        found = slacks(sphere_bell_scan(UniformRho(), theta, mode="sequential"))
+        assert abs(found["triangle_drop_02"] + c * (1.0 - c)) <= 8 * ULP_OF_ONE
+        assert abs(found["sum_lower"] - c * (1.0 + c)) <= 8 * ULP_OF_ONE
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=open_angles)
+    def test_sequential_uniform_infeasible_off_the_right_angle(self, theta):
+        # the lower of the two slacks is -|c| (1 - |c|): it vanishes at the
+        # right angle and at both ends, where the three directions meet or
+        # alternate; 1e-6 away it lies far past DEFAULT_TOL
+        c = abs(math.cos(theta))
+        assume(c * (1.0 - c) >= 1e-6)
+        scan = sphere_bell_scan(UniformRho(), theta, mode="sequential")
+        assert not scan.feasible
+        assert not facets_feasible(scan.facets)
+
+    @pytest.mark.parametrize("degrees", [30, 45, 60, 120])
+    @pytest.mark.parametrize("rho, law", [
+        # O1 has probability (1 + v.d) / 2 and E[v v^T] = I / 3
+        (UniformRho(), lambda angle: 0.5 + math.cos(angle) / 6.0),
+        # the random-hyperplane identity (Sheppard; Goemans & Williamson 1995)
+        (DeltaRho(0.0), lambda angle: 1.0 - angle / math.pi),
+    ], ids=["uniform", "delta0"])
+    def test_hidden_state_tables(self, rho, law, degrees):
+        n = 20_000
+        theta = math.radians(degrees)
+        angles = (theta, min(2.0 * theta, 2.0 * math.pi - 2.0 * theta), theta)
+        for seed in range(5):
+            scan = sphere_bell_scan(rho, theta, mode="hidden_state", n_samples=n, seed=seed)
+            for q, angle in zip(scan.table.pair_values().tolist(), angles):
+                want = law(angle)
+                assert abs(q - want) <= 5.0 * math.sqrt(want * (1.0 - want) / n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(theta=st.floats(1e-3, math.pi / 2), seed=st.integers(0, 2 ** 32 - 1))
+    def test_delta_hidden_state_lies_on_the_triangle_facet(self, theta, seed):
+        # q01 + q12 - q02 is 1 in expectation, and a sampled table is a
+        # mixture of atoms, each of which keeps the facet
+        scan = sphere_bell_scan(DeltaRho(0.0), theta, n_samples=2_000, seed=seed)
+        assert slacks(scan)["triangle_drop_02"] >= -1e-15
+        assert scan.feasible
 
 
 class TestRandomTables:

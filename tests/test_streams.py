@@ -47,10 +47,11 @@ class TestMapChunks:
 
 
 def fresh_interpreter_lines(code: str) -> list[str]:
-    """The stdout lines of ``code`` run in a new interpreter on ``src``."""
+    """The stdout lines of ``code`` run in a new interpreter on ``src``, with
+    every warning an error (the pytest process has imported scipy itself)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout.splitlines()
+    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout.splitlines()
 
 
 def test_import_leaves_scipy_special_unloaded():
@@ -59,19 +60,24 @@ def test_import_leaves_scipy_special_unloaded():
 
 
 def test_cli_runs_leave_scipy_special_unloaded(tmp_path):
-    # every demo config and the selftest, in one interpreter
-    configs = sorted(glob.glob(os.path.join(os.path.dirname(SRC), "demos", "configs", "*.json")))
+    # every demo config, the selftest and every demo script, in one
+    # interpreter: none loads any scipy module, scipy.special included
+    root = os.path.dirname(SRC)
+    configs = sorted(glob.glob(os.path.join(root, "demos", "configs", "*.json")))
+    demos = sorted(glob.glob(os.path.join(root, "demos", "*.py")))
     code = f"""
-import contextlib, io, sys
+import contextlib, io, runpy, sys
 from spheremarket import cli_runner
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli_runner.run(path, out_dir={str(tmp_path)!r}) for path in {configs!r}]
     codes.append(cli_runner.selftest())
+    for demo in {demos!r}:
+        runpy.run_path(demo, run_name="__main__")
 print(codes)
-print('scipy.special' in sys.modules)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    assert configs
-    assert fresh_interpreter_lines(code) == [str([0] * (len(configs) + 1)), "False"]
+    assert configs and demos
+    assert fresh_interpreter_lines(code) == [str([0] * (len(configs) + 1)), "[]"]
 
 
 def test_only_truncated_gaussian_sampling_loads_scipy_special():
