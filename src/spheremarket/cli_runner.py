@@ -37,7 +37,7 @@ import tempfile
 import numpy as np
 
 from .config import (ConfigParseError, FieldError, at_least, count, field_keys, flag, items,
-                     member, number, parse_block, unit_vector)
+                     member, number, parse_block, shown, unit_vector)
 from .geometry import UnitVector3, from_polar
 from .kolmogorov_check import (
     AgreementTable,
@@ -310,7 +310,7 @@ def run(config_path: str, seed_override: int | None = None, out_dir: str = ".") 
         kind = config["experiment"]
         seed = seed_override if seed_override is not None else config["seed"]
         if seed < 0:
-            raise ValueError(f"'seed' must be nonnegative, got {seed}")
+            raise ValueError(f"'seed' must be nonnegative, got {shown(seed)}")
         with field_keys("params"):
             resolved, results, files = _RUNNERS[kind](config["params"], seed)
         bad = _non_finite_path(results, "results")

@@ -76,7 +76,7 @@ def block_kind(d, context: str, kinds) -> str:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigParseError(f"'{context}' must be an object with a 'kind' key")
     if d["kind"] not in tuple(kinds):
-        raise ValueError(f"unknown {context} kind: {d['kind']!r}")
+        raise ValueError(f"unknown {context} kind: {shown(d['kind'])}")
     return d["kind"]
 
 
@@ -89,6 +89,18 @@ def require_finite(obj, *names: str):
             raise FieldError(name, f"must be finite, got {value!r}")
 
 
+def shown(value) -> str:
+    """``repr(value)`` for an error message, but an int of more than 20
+    digits by its digit count, so one line stays short."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or abs(value) < 10 ** 20):
+        return repr(value)
+    n = abs(int(value))
+    d = int(math.log10(n))  # floor(log10(n)), or one off where the log rounds
+    digits = d + 1 + (n >= 10 ** (d + 1)) - (n < 10 ** d)
+    return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
 def number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigParseError(f"'{name}' must be a number, got {value!r}")
@@ -97,7 +109,7 @@ def number(value, name: str) -> float:
     except OverflowError:  # an int beyond the float range
         finite = False
     if not finite:
-        raise ConfigParseError(f"'{name}' must be finite, got {value!r}")
+        raise ConfigParseError(f"'{name}' must be finite, got {shown(value)}")
     return float(value)
 
 
@@ -114,9 +126,9 @@ def at_least(minimum: int, at_most: int = 2 ** 53):
     def conv(value, name: str) -> int:
         value = count(value, name)
         if value < minimum:
-            raise ValueError(f"'{name}' must be at least {minimum}, got {value}")
+            raise ValueError(f"'{name}' must be at least {minimum}, got {shown(value)}")
         if value > at_most:
-            raise ValueError(f"'{name}' must be at most {at_most}, got {value}")
+            raise ValueError(f"'{name}' must be at most {at_most}, got {shown(value)}")
         return value
     return conv
 
@@ -135,7 +147,7 @@ def member(choices):
             if getattr(m, "value", m) == value:
                 return m
         allowed = ", ".join(repr(getattr(m, "value", m)) for m in choices)
-        raise ValueError(f"'{name}' must be one of {allowed}, got {value!r}")
+        raise ValueError(f"'{name}' must be one of {allowed}, got {shown(value)}")
     return conv
 
 

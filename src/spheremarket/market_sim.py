@@ -27,6 +27,7 @@ from .config import (
     number,
     parse_block,
     require_finite,
+    shown,
     unit_vector,
 )
 from .geometry import (
@@ -143,7 +144,7 @@ class MarketConfig:
     def __post_init__(self):
         # below 2**53 every step index in angle + rate * step is exact as a float
         if not 1 <= self.n_steps <= 2 ** 53:
-            raise FieldError("n_steps", f"must lie in [1, 2**53], got {self.n_steps!r}")
+            raise FieldError("n_steps", f"must lie in [1, 2**53], got {shown(self.n_steps)}")
         require_finite(self, "price_min", "price_max")
         if not self.price_min < self.price_max:
             raise FieldError("price_min", "must be below", other="price_max")

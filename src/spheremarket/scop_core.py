@@ -133,6 +133,15 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
     which lies in [0, 1] for every density, and p1 + (1 - p1) is exactly 1
     in floating point for every such p1 (3e7 sampled ones checked), so the
     rows meet the contract without a check.
+
+    A collapse lands on an endpoint, so a walk revisits the same few rows:
+    the row of a materialized state (an endpoint in ``states``) under a
+    context is memoized on first visit, at most 2k·k rows for k contexts.
+    A potentiality state's row is computed on every call and never stored.
+    A pair equal to a stored key reads its row.  Equal vectors differ at most
+    in the sign of a zero component, so their dot products differ at most in
+    the sign of a zero, and every ``rho.cdf`` maps -0.0 and 0.0 alike: the
+    probabilities are those a fresh row would hold.
     """
     contexts = tuple(dict.fromkeys(directions))
     if not contexts:
@@ -155,9 +164,16 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
     xi_map = {state: frozenset(a for a in properties if a.contains_interval(own))
               for state, own in prop_of.items()}
 
+    rows = {}
+
     def mu(p, e):
-        p1, p2 = transition_probabilities(rho, p, e)
-        return (((e, e), p1), ((-e, e), p2))
+        row = rows.get((p, e))
+        if row is None:
+            p1, p2 = transition_probabilities(rho, p, e)
+            row = (((e, e), p1), ((-e, e), p2))
+            if p in prop_of and e in contexts:
+                rows[p, e] = row
+        return row
 
     def xi(p):
         return xi_map.get(p, frozenset())

@@ -415,10 +415,11 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
     rng = chunk_rng(seed, 0)
     v = sample_uniform_array(rng, n_samples)
     dirs = np.array(directions)
-    # each array is dropped once the next one exists, to keep the peak low;
-    # clipping in place instead freed its blocks in an order that left glibc
-    # holding 15-20 MB more resident memory in the batch benchmark
-    coords = np.clip(v @ dirs.T, -1.0, 1.0)  # (n_samples, n)
+    # each array is dropped once the next one exists, to keep the peak low.
+    # A coordinate may round just past +-1 and is not clipped: every break
+    # point lies in [-1, 1), so it is below a coordinate past 1 and not below
+    # one past -1, as it would be against the clipped value
+    coords = v @ dirs.T  # (n_samples, n)
     del v
     breaks = rho.sample(rng, size=(n_samples, n))
     outcomes = np.ascontiguousarray((breaks < coords).T)  # (n, n_samples)

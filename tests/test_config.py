@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from spheremarket import cli_runner
 from spheremarket.cli_runner import EXIT_PARSE, EXIT_VALIDATION
 from spheremarket.config import (ConfigParseError, FieldError, at_least, count, member, number,
-                                 parse_block)
+                                 parse_block, shown)
 from spheremarket.market_sim import (GlobalRegime, LocalRegime, MarketConfig, NewsSeries,
                                      regime_from_dict)
 from spheremarket.pricing import GbmParams, OptionSpec
@@ -112,13 +112,26 @@ class TestParseBlock:
         with pytest.raises(ValueError, match=f"'params.n_trials' must be at most {2 ** 53}"):
             at_least(1)(2 ** 53 + 1, "params.n_trials")
 
+    def test_shown_gives_a_long_int_by_its_digit_count(self):
+        for value in (10 ** 20 - 1, -(10 ** 20 - 1), 7, 2.5, 1e300, True, "10", None):
+            assert shown(value) == repr(value)
+        for k in range(20, 1000):
+            for n in (10 ** k - 1, 10 ** k, 10 ** k + 1):
+                if n >= 10 ** 20:
+                    assert shown(n) == f"an integer of {len(str(n))} digits"
+                    assert shown(-n) == f"a negative integer of {len(str(n))} digits"
+        # past the 4300 digits that str() of an int allows
+        assert shown(10 ** 10 ** 5) == "an integer of 100001 digits"
+        assert shown(2 ** 10 ** 6) == "an integer of 301030 digits"
+
     def test_member_of_a_tuple(self):
         conv = member(("auto", "sequential"))
         assert conv("sequential", "params.mode") == "sequential"
-        for bad in ("psychic", ["auto"], None):
+        for bad in ("psychic", ["auto"], None, 10 ** 400):
             with pytest.raises(ValueError, match="'params.mode' must be one of 'auto', "
-                                                 "'sequential', got"):
+                                                 "'sequential', got") as exc:
                 conv(bad, "params.mode")
+            assert len(str(exc.value)) < 100
 
     def test_parse_error_is_a_value_error(self):
         assert issubclass(ConfigParseError, ValueError)
@@ -365,12 +378,28 @@ def computed_gaps(obj, path="results"):
     return [gap for p, v in children for gap in computed_gaps(v, p)]
 
 
+@pytest.mark.parametrize("leaf, code, key", [
+    (("params", "binomial_steps"), EXIT_VALIDATION, "params.binomial_steps"),
+    (("params", "spec", "spot"), EXIT_PARSE, "params.spec.spot"),
+], ids=["binomial_steps", "spot"])
+def test_long_int_error_line_stays_short(leaf, code, key, tmp_path, capsys):
+    # both once echoed all 401 digits: lines of 501 and 483 characters
+    with open(os.path.join(ROOT, "demos", "configs", "price_atm.json"), encoding="utf-8") as fh:
+        config = with_value(json.load(fh), leaf, 10 ** 400)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli_runner.run(str(path), out_dir=str(tmp_path / "out")) == code
+    line = capsys.readouterr().err.strip()
+    assert "\n" not in line and len(line) < 200
+    assert json.loads(line)["error"]["message"].startswith(f"'{key}' ")
+
+
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=os.path.basename)
 def test_fuzzed_demo_leaf_runs_or_names_its_key(path):
     # every variant exits 0 with no null or non-finite computed value, or
     # exits 2 or 3 naming the leaf's dotted key (a list element may be named
-    # by its list), and raises no warning either way; an integer extreme
-    # must not run at all
+    # by its list) in a message under 200 characters, and raises no warning
+    # either way; an integer extreme must not run at all
     with open(path, encoding="utf-8") as fh:
         config = json.load(fh)
     wrong = []
@@ -384,7 +413,7 @@ def test_fuzzed_demo_leaf_runs_or_names_its_key(path):
             broken = bad in INT_EXTREMES or computed_gaps(json.loads(report)["results"])
         else:
             named = any(f"'{k}'" in message for k in (key, key.split("[")[0]))
-            broken = code not in (EXIT_PARSE, EXIT_VALIDATION) or not named
+            broken = code not in (EXIT_PARSE, EXIT_VALIDATION) or not named or len(message) >= 200
         if broken or caught:
             wrong.append((key, bad, code, message, [str(w.message) for w in caught]))
     assert not wrong

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spheremarket.geometry import UnitVector3, from_polar, sample_uniform
+from spheremarket import scop_core
+from spheremarket.geometry import UnitVector3, dot, from_polar, sample_uniform
 from spheremarket.scop_core import (
     PriceIntervalProperty,
     ScopSystem,
@@ -218,3 +219,100 @@ class TestSphereScop:
             actual_properties(sys, "not a state")
         with pytest.raises(UnknownContextError):
             is_eigenstate(sys, POLE, EAST)
+
+
+# x, y and z axes (y built by negation, so its zeros are -0.0) and three
+# oblique directions: six contexts, 12 endpoints, 72 memoizable rows
+MEMO_CONTEXTS = [EAST, -UnitVector3(0.0, -1.0, 0.0), POLE,
+                 from_polar(1.0, 0.4), from_polar(2.2, 2.0), from_polar(0.7, 4.1)]
+MEMO_RHOS = [UniformRho(), DeltaRho(0.0), PiecewiseConstantRho([-1.0, 0.0, 1.0], [0.0, 1.0]),
+             TruncatedGaussianRho(center=0.0, width=0.4),
+             TruncatedGaussianRho(center=-0.3, width=0.4)]
+
+
+def memo_system(rho):
+    return sphere_as_scop(rho, MEMO_CONTEXTS, default_price_map(MEMO_CONTEXTS))
+
+
+def row_bits(row):
+    return [(qf, prob.hex()) for qf, prob in row]
+
+
+def fresh_row_bits(rho, p, e):
+    p1, p2 = transition_probabilities(rho, p, e)
+    return [((e, e), p1.hex()), ((-e, e), p2.hex())]
+
+
+def zero_sign_twins(p):
+    """Every state equal to p whose zero components carry either sign."""
+    options = [(c,) if c else (0.0, -0.0) for c in p]
+    return [UnitVector3(x, y, z) for x in options[0] for y in options[1] for z in options[2]]
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """The number of transition_probabilities calls made through scop_core."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return transition_probabilities(*args)
+
+    monkeypatch.setattr(scop_core, "transition_probabilities", counting)
+    return calls
+
+
+class TestSphereScopMemo:
+    @pytest.mark.parametrize("rho", MEMO_RHOS, ids=lambda rho: rho.kind)
+    def test_rows_equal_fresh_rows_bit_for_bit(self, rho):
+        sys = memo_system(rho)
+        assert len(sys.contexts) == 6 and len(sys.states) == 12
+        rng = np.random.default_rng(31)
+        potential = [sample_uniform(rng) for _ in range(200)]
+        for _ in range(2):  # the first pass fills the memo, the second reads it
+            for p in list(sys.states) + potential:
+                for e in sys.contexts:
+                    assert row_bits(sys.mu(p, e)) == fresh_row_bits(rho, p, e)
+
+    @pytest.mark.parametrize("rho", MEMO_RHOS, ids=lambda rho: rho.kind)
+    def test_signed_zero_twin_of_an_eigenstate_reads_the_same_row(self, rho):
+        sys = memo_system(rho)
+        east, north = MEMO_CONTEXTS[:2]
+        twin = UnitVector3(1.0, -0.0, 0.0)
+        # the twin's dot product with north is -0.0, the endpoint's +0.0
+        assert math.copysign(1.0, dot(twin, north)) == -1.0
+        assert math.copysign(1.0, dot(east, north)) == 1.0
+        for p in sys.states:
+            for e in sys.contexts:
+                sys.mu(p, e)
+                for q in zero_sign_twins(p):
+                    assert row_bits(sys.mu(q, e)) == fresh_row_bits(rho, q, e)
+
+    def test_walk_over_endpoints_computes_each_row_once(self, counted):
+        sys = memo_system(UniformRho())
+        k = len(sys.contexts)
+        rng = np.random.default_rng(5)
+        state = sys.contexts[0]
+        for step in range(3000):
+            e = sys.contexts[step % k]
+            state, _ = transition(sys, state, e, rng)
+            assert is_eigenstate(sys, state, e)
+        assert 0 < counted[0] <= 2 * k * k
+
+    def test_potentiality_rows_computed_on_every_call(self, counted):
+        sys = memo_system(UniformRho())
+        rng = np.random.default_rng(6)
+        states = [sample_uniform(rng) for _ in range(10 ** 4)]
+        for p in states:
+            transition(sys, p, POLE, rng)
+        assert counted[0] == 10 ** 4
+        for p in states[:100]:
+            transition(sys, p, POLE, rng)
+        assert counted[0] == 10 ** 4 + 100
+
+    def test_rows_under_a_direction_outside_the_contexts_not_stored(self, counted):
+        sys = memo_system(UniformRho())
+        outside = from_polar(1.3, 0.2)
+        for _ in range(3):
+            assert row_bits(sys.mu(POLE, outside)) == fresh_row_bits(UniformRho(), POLE, outside)
+        assert counted[0] == 3

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from spheremarket.geometry import UnitVector3, dot, from_polar, sample_uniform
+from spheremarket.geometry import (UnitVector3, dot, from_polar, sample_uniform,
+                                  sample_uniform_array)
+from spheremarket.kolmogorov_check import AgreementTable
 from spheremarket.sphere_model import (
     CHUNK_TRIALS,
     DeltaRho,
@@ -521,6 +523,52 @@ class TestAgreementTable:
         finally:
             tracemalloc.stop()
         assert peak < 5.0e6
+
+    @pytest.mark.parametrize("rho", all_variants(), ids=lambda rho: rho.kind)
+    def test_hidden_state_table_matches_the_clipped_coordinates(self, rho):
+        # the table compares break points with coordinates as computed; with
+        # every break point in [-1, 1) that decides each outcome as the
+        # coordinate clipped into [-1, 1] does
+        rng = np.random.default_rng(17)
+        for n in range(2, 13):
+            dirs = [POLE, -POLE] + [sample_uniform(rng) for _ in range(n - 2)]
+            for size in (1, 10, 1000, 10 ** 5):
+                seed = int(rng.integers(2 ** 32))
+                table = hidden_state_agreement_table(rho, dirs, n_samples=size, seed=seed)
+                clipped = clipped_hidden_state_agreement_table(rho, dirs, size, seed)
+                assert table.q.tobytes() == clipped.q.tobytes()
+
+
+def clipped_hidden_state_agreement_table(rho, directions, n_samples, seed):
+    """hidden_state_agreement_table with its coordinates clipped into [-1, 1]."""
+    n = len(directions)
+    rng = chunk_rng(seed, 0)
+    v = sample_uniform_array(rng, n_samples)
+    coords = np.clip(v @ np.array(directions).T, -1.0, 1.0)
+    outcomes = (rho.sample(rng, size=(n_samples, n)) < coords).T
+    agree = [np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1) for i in range(n - 1)]
+    return AgreementTable(n, np.concatenate(agree) / n_samples)
+
+
+class TestQuantileRange:
+    """Every break point lies in [-1, 1): at or above the lower end, and
+    strictly below an eigenstate's coordinate 1."""
+
+    EDGE_UNIFORMS = np.array([0.0, 1.0 - 2.0 ** -53])
+
+    @pytest.mark.parametrize("rho", all_variants() + [
+        PiecewiseConstantRho([-1.0, -0.5, 0.5, 1.0], [0.0, 1.0, 0.0]),
+        TruncatedGaussianRho(center=3.0, width=0.5),
+        TruncatedGaussianRho(center=-1.4, width=0.05),
+    ], ids=lambda rho: rho.kind)
+    def test_quantile_at_the_ends(self, rho):
+        x = rho.quantile(self.EDGE_UNIFORMS)
+        assert np.all((x >= -1.0) & (x < 1.0))
+
+    @given(rho=counted_rhos(), u=st.floats(0.0, 1.0, exclude_max=True))
+    def test_quantile_in_range(self, rho, u):
+        x = rho.quantile(np.append(self.EDGE_UNIFORMS, u))
+        assert np.all((x >= -1.0) & (x < 1.0))
 
 
 class TestSerialization:
