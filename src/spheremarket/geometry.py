@@ -13,6 +13,7 @@ fused multiply-add emulated exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -249,17 +250,22 @@ def _rodrigues(v: tuple, axis: tuple, c: float, s: float, t: float,
                      (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
 
 
-def _rotate_chain(v: tuple, axis: tuple, angle: np.ndarray) -> np.ndarray:
-    """The chain v_t = ``_rotate``(v_{t-1}, axis_t, angle_t) from v_{-1} = ``v``,
-    as the (n, 3) array of v_0 .. v_{n-1}.  Each step waits for the one
+def _rotate_chain(starts: list, axis: tuple, angle: np.ndarray) -> np.ndarray:
+    """Chains v_t = ``_rotate``(v_{t-1}, axis_t, angle_t), one per start, as
+    the (len(starts) n, 3) array whose rows r n .. r n + n - 1 hold chain r's
+    v_0 .. v_{n-1} from v_{-1} = ``starts[r]``.  Each step waits for the one
     before, so only ``_rodrigues`` stays in the loop; ``cos``, ``sin`` and
-    ``1 - cos`` come first, lane by lane."""
+    ``1 - cos`` come first, lane by lane over every chain."""
     cos = _math_map(math.cos, angle)
+    steps = zip(zip(*(a.tolist() for a in axis)), cos.tolist(),
+                _math_map(math.sin, angle).tolist(), (1.0 - cos).tolist())
+    n = len(angle) // len(starts)
     chain = []
-    for k, c, s, t in zip(zip(*(a.tolist() for a in axis)), cos.tolist(),
-                          _math_map(math.sin, angle).tolist(), (1.0 - cos).tolist()):
-        v = _rodrigues(v, k, c, s, t)
-        chain.append(v)
+    for v in starts:
+        for k, c, s, t in itertools.islice(steps, n):
+            v = _rodrigues(v, k, c, s, t)
+            chain.append(v)
+    del steps  # free the step lists before the chain's array copy
     return np.array(chain)
 
 

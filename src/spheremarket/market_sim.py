@@ -45,10 +45,11 @@ from .geometry import (
 from .kolmogorov_check import sphere_bell_scan
 from .pricing import GbmParams, gbm_path_matrix
 from .sphere_model import MeasurementOutcome, OutcomeLabel, RhoDistribution
-from .streams import map_chunks
+from .streams import check_workers, chunk_rng
 
 ACF_LAGS = 10
 MIN_TRADES = 30
+ROWS = 1 << 16  # rows per stacked ensemble pass, sized like sphere_model.CHUNK_TRIALS
 _TWO_PI = 2.0 * math.pi
 
 
@@ -237,84 +238,114 @@ class TradeLog(Sequence):
         return NotImplemented
 
 
-def _run_with_rng(cfg: MarketConfig, rng: np.random.Generator) -> TradeLog:
-    """The initial state, then the uniforms of every step from one
-    ``rng.random`` call.
+def _run_members(cfg: MarketConfig, rngs: list) -> list[TradeLog]:
+    """One history per generator in ``rngs``, computed in stacked passes.
 
-    Row t holds step t's uniforms in the order of the scalar draws they
-    stand for: the context's axis k (height z, azimuth phi) and angle alpha
-    if noise_angle > 0, which move the state v by gamma with cos gamma =
-    cos alpha + (1 - cos alpha) (k.v)^2; then the break point's ``rho.draws``.
-    Each column takes its draw's arithmetic, so the history is theirs bit for bit.
+    Each generator draws as a history of its own: the initial state, then
+    the uniforms of every step from one ``rng.random`` call.  Row t holds
+    step t's uniforms in the order of the scalar draws they stand for: the
+    context's axis k (height z, azimuth phi) and angle alpha if noise_angle
+    > 0, which move the state v by gamma with cos gamma = cos alpha +
+    (1 - cos alpha) (k.v)^2; then the break point's ``rho.draws``.
+
+    Member r's n rows are rows r n .. r n + n - 1 of one stack, and every
+    pass that does not wait on the step before runs once over all of them.
+    Each column takes its draw's arithmetic lane by lane, so each history is
+    its generator's alone, bit for bit.
     """
     rho, noise, n = cfg.rho, cfg.regime.noise_angle, cfg.n_steps
     width = (3 if noise > 0.0 else 0) + rho.draws
-    state = sample_uniform(rng)
-    u = rng.random((n, width))
-    breaks = rho.quantile(u[:, -1] if rho.draws else np.zeros(n))
+    starts, u = [], np.empty((len(rngs) * n, width))
+    for lo, rng in zip(range(0, len(u), n), rngs):
+        starts.append(sample_uniform(rng))
+        rng.random(out=u[lo:lo + n])
+    breaks = rho.quantile(u[:, -1] if rho.draws else np.zeros(len(u)))
     kicks = (-1.0 + 2.0 * u[:, 0], _TWO_PI * u[:, 1], noise * u[:, 2]) if noise > 0.0 else None
     history = _local_history if isinstance(cfg.regime, LocalRegime) else _global_history
-    direction, o1, price = history(cfg, state, kicks, breaks)
-    return TradeLog(step=np.arange(n), direction=direction, o1=o1, break_point=breaks,
-                    price=price)
+    direction, o1, price = history(cfg, starts, kicks, breaks)
+    return [TradeLog(step=np.arange(n), direction=direction[lo:lo + n], o1=o1[lo:lo + n],
+                     break_point=breaks[lo:lo + n], price=price[lo:lo + n])
+            for lo in range(0, len(u), n)]
 
 
-def _local_history(cfg: MarketConfig, state: tuple, kicks, breaks: np.ndarray) -> tuple:
-    """The local regime: each context is the state before it, kicked by
-    ``_rotate`` about its drawn axis.
+def _before(starts: list, contexts: tuple) -> tuple:
+    """The x, y and z arrays of the context before each of the stacked
+    ``contexts`` (x, y and z arrays), and at each member's first step its start."""
+    before = np.empty((3, len(contexts[0])))
+    for b, c in zip(before, contexts):
+        b[1:] = c[:-1]
+    before[:, ::len(before[0]) // len(starts)] = np.transpose(starts)
+    return tuple(before)
+
+
+def _local_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) -> tuple:
+    """The local regime of the members with initial states ``starts``:
+    each context is the state before it, kicked by ``_rotate`` about its
+    drawn axis.
 
     Every operation of ``_rotate`` is odd in the vector (products, sums,
     ``_fma`` and the normalization), so a state of either sign gives the
-    same context up to sign.  With the chain C_t = ``_rotate``(C_{t-1}, k_t,
-    a_t) from C_{-1} the initial state, the context of step t is +-C_t and
-    dot(state, context) is dot(C_{t-1}, C_t), whatever the outcomes.  Only
-    that chain stays in a Python loop (``_rotate_chain``).  Step t is O1
+    same context up to sign.  With a member's chain C_t = ``_rotate``(C_{t-1},
+    k_t, a_t) from C_{-1} its initial state, the context of step t is +-C_t
+    and dot(state, context) is dot(C_{t-1}, C_t), whatever the outcomes.
+    Only the chains stay in a Python loop (``_rotate_chain``).  Step t is O1
     when x_t < dot(C_{t-1}, C_t), and its context is -C_t when an odd number
-    of O2s came before it.
+    of O2s came before it in its member.
 
     Oddness holds in value but not for an exact zero that comes from a
     cancellation: x - x is +0 at either sign of x.  So the rows of C with a
     zero component are replayed in step order through ``_rotate`` from the
-    logged state.  With noise 0 every C_t is the initial state and repeated
-    negation is exact, so nothing needs replaying.
+    logged state, or from the member's initial state at its first step.
+    With noise 0 every C_t is the initial state and repeated negation is
+    exact, so nothing needs replaying.
     """
+    n = len(breaks) // len(starts)
     if kicks is None:
-        chain = np.tile(state, (len(breaks), 1))
+        chain = np.repeat(np.array(starts), n, axis=0)
     else:
         axes = _on_sphere_arrays(kicks[0], kicks[1])
-        chain = _rotate_chain(state, axes, kicks[2])
-    before = np.vstack((state, chain[:-1]))
-    o1 = breaks < _dot_arrays(tuple(before.T), tuple(chain.T))
-    flip = np.logical_xor.accumulate(np.concatenate(([False], ~o1[:-1])))  # odd O2s before t
+        chain = _rotate_chain(starts, axes, kicks[2])
+    columns = tuple(chain.T)
+    o1 = breaks < _dot_arrays(_before(starts, columns), columns)
+    o2_before = np.zeros((len(starts), n), bool)
+    o2_before[:, 1:] = ~o1.reshape(-1, n)[:, :-1]
+    flip = np.logical_xor.accumulate(o2_before, axis=1).ravel()  # odd O2s before t
     direction = np.where(flip[:, None], -chain, chain)
     if kicks is not None:
         for t in np.flatnonzero((chain == 0.0).any(axis=1)).tolist():
-            s = state if t == 0 else (direction[t - 1] if o1[t - 1] else -direction[t - 1]).tolist()
+            s = (starts[t // n] if t % n == 0
+                 else (direction[t - 1] if o1[t - 1] else -direction[t - 1]).tolist())
             direction[t] = _rotate(s, tuple(float(k[t]) for k in axes), float(kicks[2][t]))
     return direction, o1, _prices(cfg, tuple(direction.T), o1)
 
 
-def _global_history(cfg: MarketConfig, state: tuple, kicks, breaks: np.ndarray) -> tuple:
-    """The global regime in array passes over all steps.
+def _global_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) -> tuple:
+    """The global regime of the members with initial states ``starts``, in
+    array passes over all their steps.
 
     A context depends only on the news angle and its step's uniforms, so
     every context d_t comes out of the ``*_arrays`` kernels at once, bit for
-    bit the scalar ``_polar``, ``_on_sphere`` and ``_rotate``.  The state
-    before step t is +-d_{t-1}, and dot(-a, b) is exactly -dot(a, b) (up to
-    the sign of a zero, which no comparison or price sees), so with
-    g_t = dot(d_{t-1}, d_t) step t is O1 when x_t < g_t after an O1 and when
-    x_t < -g_t after an O2.  Only that scan over two boolean lists stays in
-    Python; step 0 counts as following an O1 onto the initial state.
+    bit the scalar ``_polar``, ``_on_sphere`` and ``_rotate``; the news
+    directions of the n steps are computed once and tiled over the members.
+    The state before step t is +-d_{t-1}, and dot(-a, b) is exactly
+    -dot(a, b) (up to the sign of a zero, which no comparison or price
+    sees), so with g_t = dot(d_{t-1}, d_t) step t is O1 when x_t < g_t
+    after an O1 and when x_t < -g_t after an O2.  Only that scan over two
+    boolean lists stays in Python; a member's step 0 counts as following an
+    O1 onto its initial state.
     """
-    news = cfg.regime.news
-    d = _polar_arrays(news.angle_at(np.arange(len(breaks))), 0.0)
+    n = len(breaks) // len(starts)
+    news = _polar_arrays(cfg.regime.news.angle_at(np.arange(n)), 0.0)
+    d = tuple(np.tile(c, len(starts)) for c in news)
     if kicks is not None:
         d = _rotate_arrays(d, _on_sphere_arrays(kicks[0], kicks[1]), kicks[2])
-    g = _dot_arrays(tuple(np.concatenate(([s], c[:-1])) for s, c in zip(state, d)), d)
-    hit, o1 = True, []
-    for above, below in zip((breaks < g).tolist(), (breaks < -g).tolist()):
-        hit = above if hit else below
-        o1.append(hit)
+    g = _dot_arrays(_before(starts, d), d)
+    steps, o1 = zip((breaks < g).tolist(), (breaks < -g).tolist()), []
+    for _ in starts:
+        hit = True
+        for above, below in itertools.islice(steps, n):
+            hit = above if hit else below
+            o1.append(hit)
     o1 = np.array(o1)
     return np.column_stack(d), o1, _prices(cfg, d, o1)
 
@@ -332,18 +363,27 @@ def _prices(cfg: MarketConfig, direction: tuple, o1: np.ndarray) -> np.ndarray:
 
 def run_market(cfg: MarketConfig) -> TradeLog:
     """One market history; fully determined by (config, seed)."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    return _run_with_rng(cfg, rng)
+    return _run_members(cfg, [np.random.default_rng(np.random.SeedSequence(cfg.seed))])[0]
 
 
 def run_market_ensemble(cfg: MarketConfig, n_runs: int,
                         n_workers: int = 1) -> list[TradeLog]:
-    """Independent runs; member r is chunk r of the counter-based streams of
-    ``streams.map_chunks``, so the ensemble is identical for any worker
-    count."""
+    """Independent runs: member r draws from ``streams.chunk_rng(cfg.seed,
+    r)``, chunk r of the counter-based streams, exactly as a history of its
+    own.  The members run in groups of ``max(1, ROWS // n_steps)``, each
+    group in one stacked pass (``_run_members``), so the pass's temporaries
+    stay fixed-size for any ``n_runs``.
+
+    ``n_workers`` is checked (at least 1) but starts no thread: the output
+    never depended on it, and the rotation chains hold the GIL, so threads
+    would only switch between them."""
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
-    return map_chunks(lambda rng, lo, size: _run_with_rng(cfg, rng), n_runs, 1, cfg.seed, n_workers)
+    check_workers(n_workers)
+    group = max(1, ROWS // cfg.n_steps)
+    return [log for lo in range(0, n_runs, group)
+            for log in _run_members(cfg, [chunk_rng(cfg.seed, r)
+                                          for r in range(lo, min(n_runs, lo + group))])]
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,38 @@ def check_workers(n_workers: int):
 
 def map_chunks(fn, n_items: int, chunk_size: int, seed: int, n_workers: int = 1) -> list:
     """[fn(rng, lo, size)] over the chunks [lo, lo + size) of range(n_items),
-    in chunk order, run on up to ``n_workers`` threads."""
+    in chunk order, run on up to ``n_workers`` threads.
+
+    Each thread loops, pulling the next chunk index from one shared iterator
+    and storing its result by index, so no future is made per chunk.  A
+    pulled chunk always runs, and no thread pulls again once a chunk has
+    failed.  Chunks are pulled in order, so every chunk below a failing one
+    runs, and the call raises the lowest failing chunk's exception, as
+    ``Executor.map`` would."""
     check_workers(n_workers)
 
     def run(c: int):
         lo = c * chunk_size
         return fn(chunk_rng(seed, c), lo, min(chunk_size, n_items - lo))
 
-    chunks = range((n_items + chunk_size - 1) // chunk_size)
-    if n_workers == 1:
-        return [run(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(run, chunks))
+    n_chunks = (n_items + chunk_size - 1) // chunk_size
+    n_loops = min(n_workers, n_chunks)
+    if n_loops <= 1:
+        return [run(c) for c in range(n_chunks)]
+    results, errors, todo = [None] * n_chunks, {}, iter(range(n_chunks))
+
+    def loop():
+        for c in todo:  # a range iterator hands out each index once, in one C call
+            try:
+                results[c] = run(c)
+            except BaseException as e:
+                errors[c] = e
+            if errors:
+                return
+
+    with ThreadPoolExecutor(max_workers=n_loops) as pool:
+        for future in [pool.submit(loop) for _ in range(n_loops)]:
+            future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results

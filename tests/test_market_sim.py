@@ -2,13 +2,14 @@ import io
 import json
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spheremarket import geometry, market_sim
+from spheremarket import geometry, market_sim, streams
 from spheremarket.config import FieldError
 from spheremarket.geometry import UnitVector3, from_polar, sample_uniform
 from spheremarket.market_sim import (
@@ -35,6 +36,7 @@ from spheremarket.sphere_model import (
     UniformRho,
     simulate_measurement,
 )
+from spheremarket.streams import chunk_rng
 
 POLE = UnitVector3(0.0, 0.0, 1.0)
 
@@ -55,11 +57,15 @@ def scalar_price(cfg, state):
     return cfg.price_min + (cfg.price_max - cfg.price_min) * ((1.0 + projection) / 2.0)
 
 
-def scalar_history(cfg):
-    """The market drawing one scalar at a time: the context's rotation axis
-    (height z, then azimuth phi) and angle when the noise angle is
-    positive, then simulate_measurement's break point."""
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+def market_rng(cfg):
+    """The generator of ``run_market(cfg)``."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed))
+
+
+def scalar_history(cfg, rng):
+    """The market drawing one scalar at a time from ``rng``: the context's
+    rotation axis (height z, then azimuth phi) and angle when the noise
+    angle is positive, then simulate_measurement's break point."""
     state, trades, noise = sample_uniform(rng), [], cfg.regime.noise_angle
     for step in range(cfg.n_steps):
         if isinstance(cfg.regime, LocalRegime):
@@ -101,10 +107,20 @@ def scalar_local_history(cfg, state, kicks, breaks):
     return directions, o1, prices
 
 
+def scalar_local_members(cfg, starts, kicks, breaks):
+    """``scalar_local_history`` of each member of the stacked rows, one
+    member per start, each from its own start."""
+    n = len(breaks) // len(starts)
+    members = [scalar_local_history(cfg, state, tuple(k[lo:lo + n] for k in kicks),
+                                    breaks[lo:lo + n])
+               for lo, state in zip(range(0, len(breaks), n), starts)]
+    return tuple(sum((m[i] for m in members), []) for i in range(3))
+
+
 def forbid_per_trade_kernels(monkeypatch, names):
     """Make the named scalar ``geometry`` kernels raise, in ``geometry`` and
     in ``market_sim``'s bindings of them; returns the list of
-    ``_on_sphere`` calls, whose one call per run draws the initial state."""
+    ``_on_sphere`` calls, whose one call per member draws its initial state."""
     def scalar_kernel(*args):
         raise AssertionError("a scalar kernel ran per trade")
 
@@ -229,14 +245,14 @@ class TestRunMarket:
     def test_block_draws_replay_scalar_draws(self, rho, regime):
         # one rng.random call draws every step's uniforms
         cfg = make_config(rho=rho, regime=regime, n_steps=150, seed=5)
-        assert same_history(run_market(cfg), scalar_history(cfg))
+        assert same_history(run_market(cfg), scalar_history(cfg, market_rng(cfg)))
 
     @pytest.mark.parametrize("regime", GLOBAL_REGIMES.values(), ids=GLOBAL_REGIMES)
     def test_global_history_never_reaches_the_scalar_kernels(self, monkeypatch, regime):
         # the global regime runs in array passes over all its steps: no
         # scalar rotation, axis, dot or FMA per trade
         cfg = make_config(regime=regime, n_steps=300, seed=8)
-        expected = scalar_history(cfg)
+        expected = scalar_history(cfg, market_rng(cfg))
         points = forbid_per_trade_kernels(monkeypatch, ("_rotate", "_fma", "dot"))
         assert same_history(run_market(cfg), expected)
         assert len(points) == 1
@@ -246,33 +262,42 @@ class TestRunMarket:
         # only the rotation chain stays in a loop, on plain floats: no scalar
         # rotation, axis or dot per trade
         cfg = make_config(regime=regime, n_steps=300, seed=8)
-        expected = scalar_history(cfg)
+        expected = scalar_history(cfg, market_rng(cfg))
         points = forbid_per_trade_kernels(monkeypatch, ("_rotate", "dot"))
         assert same_history(run_market(cfg), expected)
         assert len(points) == 1
 
-    @given(state=st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0),
-                                  (-0.0, 0.0, -1.0), (0.6, 0.0, 0.8)]),
+    @given(starts=st.lists(st.sampled_from([(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0),
+                                            (-0.0, 0.0, -1.0), (0.6, 0.0, 0.8)]),
+                           min_size=1, max_size=3),
            kicks=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 1.0]),
                                     st.sampled_from([0.0, math.pi / 2, math.pi, 3.0]),
                                     st.sampled_from([0.0, 1e-9, math.pi / 2, math.pi, 1.0])),
-                          min_size=1, max_size=8),
-           breaks=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 0.99]), min_size=8,
-                           max_size=8))
+                          min_size=1, max_size=12),
+           breaks=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 0.99]), min_size=12,
+                           max_size=12))
     # quarter turns about +z from (1, 0, 0), each step O2: step 1 rotates the
     # state -C_0 = (-6e-17, -1, -0.0), whose uz is
     # -0.0 c + (0.0 (-1) - 0.0 (-6e-17)) s + (1 (-0.0)) (1 - c) = +0.0,
     # where negating the chain's C_1 would give -0.0
-    @example(state=(1.0, 0.0, 0.0), kicks=[(1.0, 0.0, math.pi / 2)] * 3, breaks=[0.99] * 8)
+    @example(starts=[(1.0, 0.0, 0.0)], kicks=[(1.0, 0.0, math.pi / 2)] * 3, breaks=[0.99] * 12)
+    # two one-step members: the second's quarter turn of (1, 0, 0) about +z
+    # has an exact zero, and its replay must start from (1, 0, 0), not from
+    # the first member's state
+    @example(starts=[(0.6, 0.0, 0.8), (1.0, 0.0, 0.0)], kicks=[(1.0, 0.0, math.pi / 2)] * 2,
+             breaks=[0.99] * 12)
     @settings(max_examples=200, deadline=None)
-    def test_axis_aligned_kicks_match_the_scalar_loop(self, state, kicks, breaks):
-        # axes, states and angles that make exact zeros in the contexts:
-        # every component, sign of zero included, is the per-trade loop's
+    def test_axis_aligned_kicks_match_the_scalar_loop(self, starts, kicks, breaks):
+        # axes, states and angles that make exact zeros in the contexts, for
+        # one to three stacked members: every component, sign of zero
+        # included, is the per-trade loop's run member by member
         cfg = make_config(price_axis=UnitVector3(0.0, 1.0, 0.0))
-        kicks = tuple(np.array(k) for k in zip(*kicks))
-        breaks = np.array(breaks[:len(kicks[0])])
-        direction, o1, price = market_sim._local_history(cfg, state, kicks, breaks)
-        expected = scalar_local_history(cfg, state, kicks, breaks)
+        starts = starts[:len(kicks)]
+        rows = len(kicks) // len(starts) * len(starts)
+        kicks = tuple(np.array(k) for k in zip(*kicks[:rows]))
+        breaks = np.array(breaks[:rows])
+        direction, o1, price = market_sim._local_history(cfg, starts, kicks, breaks)
+        expected = scalar_local_members(cfg, starts, kicks, breaks)
         assert [tuple(map(repr, d)) for d in direction.tolist()] == \
             [tuple(map(repr, d)) for d in expected[0]]
         assert (o1.tolist(), price.tolist()) == expected[1:]
@@ -284,7 +309,7 @@ class TestRunMarket:
         # histories of one to a few hundred steps; every record field, break
         # point included, equals the one-draw-at-a-time reference
         cfg = make_config(rho=rho, regime=regime, n_steps=n_steps, seed=seed)
-        assert same_history(run_market(cfg), scalar_history(cfg))
+        assert same_history(run_market(cfg), scalar_history(cfg, market_rng(cfg)))
 
     def test_ensemble_worker_independence(self):
         cfg = make_config(n_steps=150)
@@ -295,11 +320,92 @@ class TestRunMarket:
         assert len({runs[i][0].realized_price for i in range(4)}) > 1
 
 
+class TestEnsemble:
+    @pytest.mark.parametrize("rho", RHOS, ids=lambda rho: rho.kind)
+    @pytest.mark.parametrize("regime", REGIMES.values(), ids=REGIMES)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_runs=st.sampled_from([1, 2, 3, 5]),
+           n_steps=st.sampled_from([1, 2, 129]))
+    @settings(max_examples=6, deadline=None)
+    def test_members_match_scalar_history(self, rho, regime, seed, n_runs, n_steps):
+        # member r is the one-draw-at-a-time history of chunk r's stream,
+        # whatever the members stacked beside it
+        cfg = make_config(rho=rho, regime=regime, n_steps=n_steps, seed=seed)
+        members = run_market_ensemble(cfg, n_runs)
+        assert len(members) == n_runs
+        for r, log in enumerate(members):
+            assert same_history(log, scalar_history(cfg, chunk_rng(cfg.seed, r)))
+
+    @pytest.mark.parametrize("regime", REGIMES.values(), ids=REGIMES)
+    def test_members_never_reach_the_scalar_kernels(self, monkeypatch, regime):
+        # the stacked passes run no scalar rotation, axis or dot per trade
+        # (nor, in the global regime, an FMA); the chains stay in one loop
+        cfg = make_config(regime=regime, n_steps=150, seed=8)
+        expected = [scalar_history(cfg, chunk_rng(cfg.seed, r)) for r in range(5)]
+        local = isinstance(regime, LocalRegime)
+        points = forbid_per_trade_kernels(monkeypatch, ("_rotate", "dot") if local
+                                          else ("_rotate", "_fma", "dot"))
+        members = run_market_ensemble(cfg, 5)
+        assert all(same_history(m, e) for m, e in zip(members, expected, strict=True))
+        assert len(points) == 5
+
+    @pytest.mark.parametrize("n_workers", [2, 8])
+    def test_workers_start_no_thread(self, monkeypatch, n_workers):
+        cfg = make_config(n_steps=100)
+        expected = run_market_ensemble(cfg, 16)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(streams, "ThreadPoolExecutor", no_pool)
+        assert run_market_ensemble(cfg, 16, n_workers=n_workers) == expected
+
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, n_workers):
+        with pytest.raises(ValueError, match="n_workers must be at least 1"):
+            run_market_ensemble(make_config(n_steps=10), 4, n_workers=n_workers)
+
+    @pytest.mark.parametrize("n_steps, n_runs, groups", [
+        (200, 16, [16]),  # the benchmark's ensemble: one pass
+        (2000, 64, [32, 32]),
+        (2000, 70, [32, 32, 6]),
+        (market_sim.ROWS + 1, 2, [1, 1]),
+    ])
+    def test_members_run_in_groups_of_the_row_budget(self, monkeypatch, n_steps, n_runs,
+                                                     groups):
+        sizes, run_members = [], market_sim._run_members
+        monkeypatch.setattr(market_sim, "_run_members",
+                            lambda cfg, rngs: sizes.append(len(rngs)) or run_members(cfg, rngs))
+        cfg = make_config(regime=LocalRegime(noise_angle=0.0), n_steps=n_steps)
+        assert len(run_market_ensemble(cfg, n_runs)) == n_runs
+        assert sizes == groups
+
+    @pytest.mark.parametrize("regime", [LocalRegime(noise_angle=0.5), GLOBAL_REGIMES["global"]],
+                             ids=["local", "global"])
+    def test_memory_above_the_logs_is_one_group(self, regime):
+        # 64 members of 2000 steps run as two groups of 32.  A group's
+        # temporaries measured about 380 bytes a row in the local regime
+        # (the chain's Python tuples and step lists, and the stacked
+        # arrays) and 210 in the global; one pass over all 128,000 rows
+        # would peak near 760 bytes per row of a group
+        bytes_per_row = 448
+        cfg = make_config(regime=regime, n_steps=2000, seed=3)
+        run_market_ensemble(make_config(regime=regime, n_steps=20), 2)  # warm one-time caches
+        tracemalloc.start()
+        try:
+            logs = run_market_ensemble(cfg, 64)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(logs) == 64
+        group_rows = market_sim.ROWS // cfg.n_steps * cfg.n_steps
+        assert peak - current <= group_rows * bytes_per_row
+
+
 class TestTradeLog:
     CFG = make_config(n_steps=40, seed=9)
 
     def test_sequence_of_records(self):
-        log, records = run_market(self.CFG), scalar_history(self.CFG)
+        log, records = run_market(self.CFG), scalar_history(self.CFG, market_rng(self.CFG))
         assert len(log) == 40
         assert log[-1] == records[-1] == log[39]
         assert list(log) == records
@@ -321,7 +427,7 @@ class TestTradeLog:
         assert (t.outcome.label is OutcomeLabel.O1) == log.o1[5]
 
     def test_one_changed_price_breaks_equality(self):
-        log, records = run_market(self.CFG), scalar_history(self.CFG)
+        log, records = run_market(self.CFG), scalar_history(self.CFG, market_rng(self.CFG))
         price = log.price.copy()
         price[17] = np.nextafter(price[17], np.inf)
         changed = TradeLog(log.step, log.direction, log.o1, log.break_point, price)

@@ -2,10 +2,12 @@ import glob
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from spheremarket import streams
 from spheremarket.streams import chunk_rng, map_chunks
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -36,6 +38,53 @@ class TestMapChunks:
         assert np.array_equal(chunk_rng(5, 2).random(4), expected)
         firsts = map_chunks(lambda rng, lo, size: rng.random(), 3, 1, seed=5)
         assert firsts[2] == np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2,))).random()
+
+    def test_threads_pull_chunks_without_a_future_each(self, monkeypatch):
+        # 10**4 chunks at 2 workers: one submit per worker loop, however
+        # many chunks there are
+        submits = []
+
+        class CountingPool(streams.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(streams, "ThreadPoolExecutor", CountingPool)
+        spans = map_chunks(lambda rng, lo, size: (lo, size), 10 ** 4, 1, seed=0, n_workers=2)
+        assert spans == [(lo, 1) for lo in range(10 ** 4)]
+        assert len(submits) <= 2
+
+    def test_each_chunk_runs_once_under_fast_thread_switches(self):
+        # 8 threads on a shared chunk iterator, switching every microsecond:
+        # a chunk pulled twice or lost would show in the calls
+        calls, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            spans = map_chunks(lambda rng, lo, size: calls.append(lo) or (lo, size), 5000, 1,
+                               seed=0, n_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert spans == [(lo, 1) for lo in range(5000)]
+        assert sorted(calls) == list(range(5000))
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_lowest_failing_chunk_raises(self, n_workers):
+        # chunk 3 fails only after chunk 7 has failed, so the order in which
+        # threads finish does not pick the exception
+        seven_failed = threading.Event()
+
+        def fn(rng, lo, size):
+            if lo == 7:
+                seven_failed.set()
+                raise KeyError(7)
+            if lo == 3:
+                seven_failed.wait(timeout=10)
+                raise KeyError(3)
+            return lo
+
+        with pytest.raises(KeyError) as info:
+            map_chunks(fn, 20, 1, seed=0, n_workers=n_workers)
+        assert info.value.args == (3,)
 
     def test_only_home_of_the_stream_policy(self):
         for path in glob.glob(os.path.join(SRC, "spheremarket", "*.py")):
