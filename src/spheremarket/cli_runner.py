@@ -33,43 +33,15 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import (ConfigParseError, FieldError, at_least, count, field_keys, flag, items,
                      member, number, parse_block, shown, unit_vector)
-from .geometry import UnitVector3, from_polar
-from .kolmogorov_check import (
-    AgreementTable,
-    bell_facets_n3,
-    facets_feasible,
-    joint_feasibility,
-    random_agreement_table,
-    sphere_bell_scan,
-)
-from .market_sim import (
-    MIN_TRADES,
-    MarketConfig,
-    compare_trades_with_gbm,
-    run_market,
-    summary_stats,
-    trades_to_csv,
-)
-from .pricing import (
-    GbmParams,
-    OptionKind,
-    OptionSpec,
-    binomial_price,
-    bs_price,
-    mc_price,
-    pricing_report,
-)
-from .sphere_model import (
-    RhoDistribution,
-    UniformRho,
-    measurement_counts,
-    transition_probabilities,
-)
+
+if TYPE_CHECKING:
+    from .geometry import UnitVector3
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -81,6 +53,8 @@ MAX_WORKERS = 64
 
 def _as_direction(value, context: str) -> UnitVector3:
     """[x, y, z] or {"theta": ..., "phi": ...} (phi defaults to 0)."""
+    from .geometry import from_polar
+
     if isinstance(value, dict):
         angles = parse_block(value, context, required={"theta": number}, optional={"phi": number})
         return from_polar(angles["theta"], angles.get("phi", 0.0))
@@ -123,9 +97,13 @@ def _dump_report(report: dict) -> str:
 # input), builds domain objects (ValueError -> validation failure; its own
 # rules raise FieldError on keys under ``params``, which ``run`` names),
 # computes, and returns (resolved_params, results, {filename: text}).
+# Each runner, like each selftest check, imports what it runs at the top of
+# its body, so a CLI spawn loads only the modules of its own experiment.
 
 
 def _run_price(params: dict, seed: int):
+    from .pricing import OptionSpec, binomial_price, bs_price, mc_price, pricing_report
+
     p = parse_block(params, "params", required={"spec": None},
                     optional={"methods": lambda v, name: items(member(("bs", "binomial", "mc")),
                                                                v, name),
@@ -157,6 +135,8 @@ def _run_price(params: dict, seed: int):
 
 
 def _run_sphere(params: dict, seed: int):
+    from .sphere_model import RhoDistribution, measurement_counts, transition_probabilities
+
     p = parse_block(params, "params", required={"rho": None, "state": None, "direction": None},
                     optional={"n_trials": at_least(1), "workers": at_least(1, MAX_WORKERS)})
     rho = RhoDistribution.from_dict(p["rho"], "params.rho")
@@ -180,6 +160,9 @@ def _run_sphere(params: dict, seed: int):
 
 
 def _run_bell_scan(params: dict, seed: int):
+    from .kolmogorov_check import sphere_bell_scan
+    from .sphere_model import RhoDistribution
+
     p = parse_block(params, "params", required={"rho": None},
                     optional={"theta": number, "theta_degrees": number,
                               "mode": None, "n_samples": at_least(1)})
@@ -206,6 +189,10 @@ def _run_bell_scan(params: dict, seed: int):
 
 
 def _run_market(params: dict, seed: int):
+    from .market_sim import (MIN_TRADES, MarketConfig, compare_trades_with_gbm, run_market,
+                             summary_stats, trades_to_csv)
+    from .pricing import GbmParams
+
     p = parse_block(params, "params", required={"market": None},
                     optional={"compare_gbm": None, "write_trades": flag})
     market = p["market"]
@@ -245,6 +232,8 @@ def _run_market(params: dict, seed: int):
 
 
 def _run_convergence(params: dict, seed: int):
+    from .pricing import OptionSpec, binomial_price, bs_price
+
     p = parse_block(params, "params", required={"spec": None},
                     optional={"steps": lambda v, name: items(at_least(1, MAX_LATTICE_STEPS),
                                                              v, name)})
@@ -353,6 +342,8 @@ _PROBE_TABLES = (
 
 
 def _check_parity() -> tuple[bool, str]:
+    from .pricing import OptionKind, OptionSpec, bs_price
+
     rng = np.random.default_rng(1812)
     worst = 0.0
     for _ in range(200):
@@ -367,7 +358,7 @@ def _check_parity() -> tuple[bool, str]:
 
 
 def _check_rho_normalization() -> tuple[bool, str]:
-    from .sphere_model import DeltaRho, PiecewiseConstantRho, TruncatedGaussianRho
+    from .sphere_model import DeltaRho, PiecewiseConstantRho, TruncatedGaussianRho, UniformRho
 
     rhos = [
         UniformRho(),
@@ -386,6 +377,9 @@ def _check_rho_normalization() -> tuple[bool, str]:
 
 
 def _check_lp_vs_facets() -> tuple[bool, str]:
+    from .kolmogorov_check import (AgreementTable, bell_facets_n3, facets_feasible,
+                                   joint_feasibility, random_agreement_table)
+
     rng = np.random.default_rng(2718)
     tables = [AgreementTable(3, v) for v in _PROBE_TABLES]
     tables += [random_agreement_table(3, rng) for _ in range(100)]
@@ -398,6 +392,9 @@ def _check_lp_vs_facets() -> tuple[bool, str]:
 
 
 def _check_uniform_closed_form() -> tuple[bool, str]:
+    from .geometry import UnitVector3, from_polar
+    from .sphere_model import UniformRho, transition_probabilities
+
     rho = UniformRho()
     pole = UnitVector3(0.0, 0.0, 1.0)
     worst = 0.0

@@ -20,8 +20,10 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+from typing import TYPE_CHECKING
 
-from .geometry import UnitVector3
+if TYPE_CHECKING:
+    from .geometry import UnitVector3
 
 
 class ConfigParseError(ValueError):
@@ -161,6 +163,8 @@ def items(conv, value, name: str, length: int | None = None) -> list:
 def unit_vector(value, name: str) -> UnitVector3:
     """The JSON list ``[x, y, z]`` scaled to unit length; ValueError naming
     the key when it has no direction (the zero vector)."""
+    from .geometry import UnitVector3  # here, so a run without directions loads no geometry
+
     xyz = items(number, value, name, 3)
     try:
         return UnitVector3.normalized(*xyz)

@@ -6,8 +6,6 @@ result depends only on (seed, chunk index), never on the number of threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 
@@ -41,6 +39,8 @@ def map_chunks(fn, n_items: int, chunk_size: int, seed: int, n_workers: int = 1)
     n_loops = min(n_workers, n_chunks)
     if n_loops <= 1:
         return [run(c) for c in range(n_chunks)]
+    from concurrent.futures import ThreadPoolExecutor  # with logging, only where threads run
+
     results, errors, todo = [None] * n_chunks, {}, iter(range(n_chunks))
 
     def loop():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import warnings
 
 import pytest
 
-from spheremarket import cli_runner, kolmogorov_check, market_sim, streams
+from spheremarket import cli_runner, kolmogorov_check, market_sim
 from spheremarket.cli_runner import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from spheremarket.geometry import UnitVector3
 
@@ -196,7 +197,7 @@ class TestErrorHandling:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(streams, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         payload = {"experiment": "sphere", "params": {
             "rho": {"kind": "uniform"}, "state": [0, 0, 1], "direction": [1, 0, 0],
             "n_trials": 10 ** 6, "workers": workers}}
@@ -370,7 +371,7 @@ class TestErrorHandling:
             payload = json.load(fh)
         payload["params"]["compare_gbm"]["steps"] = steps
         calls = []
-        monkeypatch.setattr(cli_runner, "run_market", calls.append)
+        monkeypatch.setattr(market_sim, "run_market", calls.append)
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION and calls == []  # checked before the simulation
         message = json.loads(capsys.readouterr().err)["error"]["message"]
@@ -572,8 +573,7 @@ class TestMarketExperiment:
             calls.append(cfg)
             return real(cfg)
 
-        monkeypatch.setattr(market_sim, "run_market", counting)
-        monkeypatch.setattr(cli_runner, "run_market", counting)
+        monkeypatch.setattr(market_sim, "run_market", counting)  # the runner imports it per run
         payload = json.loads(json.dumps(self.PAYLOAD))
         if not compare:
             del payload["params"]["compare_gbm"]

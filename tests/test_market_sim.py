@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spheremarket import geometry, market_sim, streams
+from spheremarket import geometry, market_sim
 from spheremarket.config import FieldError
 from spheremarket.geometry import UnitVector3, from_polar, sample_uniform
 from spheremarket.market_sim import (
@@ -356,7 +357,7 @@ class TestEnsemble:
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
-        monkeypatch.setattr(streams, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert run_market_ensemble(cfg, 16, n_workers=n_workers) == expected
 
     @pytest.mark.parametrize("n_workers", [0, -1])

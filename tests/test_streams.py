@@ -1,4 +1,6 @@
+import concurrent.futures
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +9,6 @@ import threading
 import numpy as np
 import pytest
 
-from spheremarket import streams
 from spheremarket.streams import chunk_rng, map_chunks
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -44,15 +45,15 @@ class TestMapChunks:
         # many chunks there are
         submits = []
 
-        class CountingPool(streams.ThreadPoolExecutor):
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
             def submit(self, *args, **kwargs):
                 submits.append(args)
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(streams, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
         spans = map_chunks(lambda rng, lo, size: (lo, size), 10 ** 4, 1, seed=0, n_workers=2)
         assert spans == [(lo, 1) for lo in range(10 ** 4)]
-        assert len(submits) <= 2
+        assert 0 < len(submits) <= 2  # the pool seam took: 0 would mean no pool ran
 
     def test_each_chunk_runs_once_under_fast_thread_switches(self):
         # 8 threads on a shared chunk iterator, switching every microsecond:
@@ -95,11 +96,12 @@ class TestMapChunks:
             assert "spawn_key" not in text and "ThreadPoolExecutor" not in text, path
 
 
-def fresh_interpreter_lines(code: str) -> list[str]:
-    """The stdout lines of ``code`` run in a new interpreter on ``src``, with
-    every warning an error (the pytest process has imported scipy itself)."""
+def fresh_interpreter_lines(code: str, *args: str) -> list[str]:
+    """The stdout lines of ``code`` run with ``args`` in a new interpreter on
+    ``src``, with every warning an error (the pytest process has imported
+    scipy itself)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+    return subprocess.run([sys.executable, "-W", "error", "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True).stdout.splitlines()
 
 
@@ -141,3 +143,51 @@ rho.sample(np.random.default_rng(0), 3)
 print('scipy.special' in sys.modules)
 """
     assert fresh_interpreter_lines(code) == ["False", "True"]
+
+
+# The spheremarket modules each CLI experiment loads, besides cli_runner.  The
+# sets are exact, so a module that creeps back into a CLI path fails here.
+PRICE_MODULES = ["config", "ndtr", "pricing", "streams"]
+SPHERE_MODULES = ["config", "geometry", "kolmogorov_check", "ndtr", "sphere_model", "streams"]
+CLI_MODULES = {
+    "price": PRICE_MODULES,
+    "convergence": PRICE_MODULES,
+    "sphere": SPHERE_MODULES,
+    "bell-scan": SPHERE_MODULES,
+    "market": sorted(SPHERE_MODULES + ["market_sim", "pricing"]),
+    "selftest": sorted(SPHERE_MODULES + ["pricing"]),
+}
+DEMO_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(SRC), "demos", "configs", "*.json")))
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    code = """
+import sys, spheremarket
+print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("spheremarket.")))
+"""
+    assert fresh_interpreter_lines(code) == ["[]"]
+
+
+@pytest.mark.parametrize("argv", [["selftest"]] + [["run", path] for path in DEMO_CONFIGS],
+                         ids=lambda argv: os.path.basename(argv[-1]))
+def test_cli_run_loads_only_its_experiments_modules(tmp_path, argv):
+    # and, at one worker, no thread pool machinery: concurrent.futures
+    # brings logging with it
+    kind = "selftest"
+    if argv[0] == "run":
+        with open(argv[1], encoding="utf-8") as fh:
+            config = json.load(fh)
+        kind = config["experiment"]
+        assert config["params"].get("workers", 1) == 1
+        argv = argv + ["--out", str(tmp_path)]
+    code = """
+import contextlib, io, sys
+from spheremarket import cli_runner
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli_runner.main(sys.argv[1:])
+print(code)
+print(sorted(m.split(".", 1)[1] for m in sys.modules
+             if m.startswith("spheremarket.") and m != "spheremarket.cli_runner"))
+print("concurrent.futures" in sys.modules)
+"""
+    assert fresh_interpreter_lines(code, *argv) == ["0", str(CLI_MODULES[kind]), "False"]
