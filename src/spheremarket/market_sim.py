@@ -215,6 +215,10 @@ class TradeLog(Sequence):
     price: np.ndarray
 
     def __post_init__(self):
+        n = len(self.step)
+        for name, want in [("direction", (n, 3))] + [(c, (n,)) for c in ("o1", "break_point", "price")]:
+            if (shape := np.shape(getattr(self, name))) != want:
+                raise ValueError(f"TradeLog column {name!r} has shape {shape}, not {want}")
         _check_unit_rows(self.direction)
 
     def _columns(self) -> tuple:

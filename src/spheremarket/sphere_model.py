@@ -21,9 +21,10 @@ from .config import FieldError, block_kind, build, items, number, parse_block, r
 from .geometry import UnitVector3, dot, sample_uniform_array
 from .kolmogorov_check import AgreementTable, pair_index
 from .ndtr import ndtr
-from .streams import check_workers, chunk_rng, map_chunks
+from .streams import check_workers, map_chunks
 
 CHUNK_TRIALS = 1 << 16  # fixed batch granularity for counter-based streams
+CHUNK_SAMPLES = 1 << 17  # hidden states per chunk of a hidden-state table
 
 # largest double strictly below 1; samples are clamped under it so an
 # eigenstate (v.u == 1) can never tie with the break point
@@ -405,26 +406,27 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
 
     A hidden state (uniform initial position v plus one independent break
     point per direction) fixes all outcomes jointly, so the empirical table
-    is a mixture of deterministic assignments and always classical.
+    is a mixture of deterministic assignments and always classical.  It
+    runs in chunks of CHUNK_SAMPLES on ``streams.map_chunks``, whose counts
+    add exactly, so at most CHUNK_SAMPLES samples draw from chunk 0 alone.
     """
     n = len(directions)
     if n < 2:
         raise ValueError("need at least two directions")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    rng = chunk_rng(seed, 0)
-    v = sample_uniform_array(rng, n_samples)
-    dirs = np.array(directions)
-    # each array is dropped once the next one exists, to keep the peak low.
-    # A coordinate may round just past +-1 and is not clipped: every break
-    # point lies in [-1, 1), so it is below a coordinate past 1 and not below
-    # one past -1, as it would be against the clipped value
-    coords = v @ dirs.T  # (n_samples, n)
-    del v
-    breaks = rho.sample(rng, size=(n_samples, n))
-    outcomes = np.ascontiguousarray((breaks < coords).T)  # (n, n_samples)
-    del coords, breaks
-    # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
-    # pair_index order, without an array of every pair's outcomes at once
-    agree = [np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1) for i in range(n - 1)]
-    return AgreementTable(n, np.concatenate(agree) / n_samples)
+    dirs_t = np.array(directions).T
+
+    def run_chunk(rng, lo, size) -> np.ndarray:
+        # states, then break points.  A coordinate may round just past +-1 and
+        # is not clipped: every break point lies in [-1, 1), so it is below a
+        # coordinate past 1 and not below one past -1, as against the clip
+        coords = sample_uniform_array(rng, size) @ dirs_t  # (size, n)
+        outcomes = np.ascontiguousarray((rho.sample(rng, size=(size, n)) < coords).T)
+        # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
+        # pair_index order, without an array of every pair's outcomes at once
+        return np.concatenate([np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1)
+                               for i in range(n - 1)])
+
+    agree = sum(map_chunks(run_chunk, n_samples, CHUNK_SAMPLES, seed))
+    return AgreementTable(n, agree / n_samples)

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import os
@@ -7,7 +6,7 @@ import warnings
 
 import pytest
 
-from spheremarket import cli_runner, kolmogorov_check, market_sim
+from spheremarket import cli_runner, kolmogorov_check, market_sim, streams
 from spheremarket.cli_runner import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from spheremarket.geometry import UnitVector3
 
@@ -193,11 +192,11 @@ class TestErrorHandling:
     def test_workers_above_the_cap_named_before_any_thread(self, tmp_path, capsys, monkeypatch,
                                                            workers):
         # the cap is fixed, so a config's validity does not depend on the machine;
-        # the parse rule rejects the value before map_chunks could start a pool
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+        # the parse rule rejects the value before map_chunks could start a thread
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(streams, "Thread", no_thread)
         payload = {"experiment": "sphere", "params": {
             "rho": {"kind": "uniform"}, "state": [0, 0, 1], "direction": [1, 0, 0],
             "n_trials": 10 ** 6, "workers": workers}}

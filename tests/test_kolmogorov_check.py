@@ -318,14 +318,14 @@ class TestModelClosedForms:
         (DeltaRho(0.0), lambda angle: 1.0 - angle / math.pi),
     ], ids=["uniform", "delta0"])
     def test_hidden_state_tables(self, rho, law, degrees):
-        n = 20_000
         theta = math.radians(degrees)
         angles = (theta, min(2.0 * theta, 2.0 * math.pi - 2.0 * theta), theta)
-        for seed in range(5):
-            scan = sphere_bell_scan(rho, theta, mode="hidden_state", n_samples=n, seed=seed)
-            for q, angle in zip(scan.table.pair_values().tolist(), angles):
-                want = law(angle)
-                assert abs(q - want) <= 5.0 * math.sqrt(want * (1.0 - want) / n)
+        for n in (20_000, 10 ** 6):  # 10**6 samples cross chunk seams
+            for seed in range(5):
+                scan = sphere_bell_scan(rho, theta, mode="hidden_state", n_samples=n, seed=seed)
+                for q, angle in zip(scan.table.pair_values().tolist(), angles):
+                    want = law(angle)
+                    assert abs(q - want) <= 5.0 * math.sqrt(want * (1.0 - want) / n)
 
     @settings(max_examples=100, deadline=None)
     @given(theta=st.floats(1e-3, math.pi / 2), seed=st.integers(0, 2 ** 32 - 1))

@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import json
 import math
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spheremarket import geometry, market_sim
+from spheremarket import geometry, market_sim, streams
 from spheremarket.config import FieldError
 from spheremarket.geometry import UnitVector3, from_polar, sample_uniform
 from spheremarket.market_sim import (
@@ -354,10 +353,10 @@ class TestEnsemble:
         cfg = make_config(n_steps=100)
         expected = run_market_ensemble(cfg, 16)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(streams, "Thread", no_thread)
         assert run_market_ensemble(cfg, 16, n_workers=n_workers) == expected
 
     @pytest.mark.parametrize("n_workers", [0, -1])
@@ -445,6 +444,18 @@ class TestTradeLog:
         direction[3] = np.nan
         with pytest.raises(ValueError, match="not a unit vector"):
             TradeLog(log.step, direction, log.o1, log.break_point, log.price)
+
+    def test_columns_must_have_the_steps_length(self):
+        # a column short of step's length once made a log whose len counted
+        # step's rows while iteration, CSV and indexing saw fewer
+        log = run_market(self.CFG)[:3]
+        columns = dict(zip(("step", "direction", "o1", "break_point", "price"), log._columns()))
+        for name in ("direction", "o1", "break_point", "price"):
+            with pytest.raises(ValueError, match=f"column '{name}' has shape"):
+                TradeLog(**dict(columns, **{name: columns[name][:2]}))
+        for direction in (log.direction[:, :2], log.direction.ravel()):
+            with pytest.raises(ValueError, match=r"column 'direction' has shape .*, not \(3, 3\)"):
+                TradeLog(**dict(columns, direction=direction))
 
 
 class TestSummaryStats:

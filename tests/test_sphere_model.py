@@ -11,6 +11,7 @@ from spheremarket.geometry import (UnitVector3, dot, from_polar, sample_uniform,
                                   sample_uniform_array)
 from spheremarket.kolmogorov_check import AgreementTable
 from spheremarket.sphere_model import (
+    CHUNK_SAMPLES,
     CHUNK_TRIALS,
     DeltaRho,
     OutcomeLabel,
@@ -535,16 +536,47 @@ class TestAgreementTable:
             for size in (1, 10, 1000, 10 ** 5):
                 seed = int(rng.integers(2 ** 32))
                 table = hidden_state_agreement_table(rho, dirs, n_samples=size, seed=seed)
-                clipped = clipped_hidden_state_agreement_table(rho, dirs, size, seed)
+                clipped = single_draw_hidden_state_agreement_table(rho, dirs, size, seed, clip=True)
                 assert table.q.tobytes() == clipped.q.tobytes()
 
+    @pytest.mark.parametrize("rho", all_variants(), ids=lambda rho: rho.kind)
+    def test_hidden_state_table_of_one_chunk_matches_the_single_draw(self, rho):
+        # up to CHUNK_SAMPLES samples the chunked table is the one draw from
+        # chunk 0's stream, to the bit
+        rng = np.random.default_rng(23)
+        for n in range(2, 13):
+            dirs = [sample_uniform(rng) for _ in range(n)]
+            for size in (1, 1000, 100_000, CHUNK_SAMPLES):
+                seed = int(rng.integers(2 ** 32))
+                table = hidden_state_agreement_table(rho, dirs, n_samples=size, seed=seed)
+                single = single_draw_hidden_state_agreement_table(rho, dirs, size, seed)
+                assert [x.hex() for x in table.q.ravel().tolist()] == \
+                    [x.hex() for x in single.q.ravel().tolist()]
 
-def clipped_hidden_state_agreement_table(rho, directions, n_samples, seed):
-    """hidden_state_agreement_table with its coordinates clipped into [-1, 1]."""
+    def test_hidden_state_table_holds_one_chunk(self):
+        # 10**6 samples on 8 directions are 8 chunks.  A (CHUNK_SAMPLES, 8)
+        # float array is 8.4 MB, and a uniform chunk holds three at once
+        # (coordinates, uniforms, break points): 25.2 MB.  The bound is four;
+        # one draw of all 10**6 samples peaked near 190 MB
+        dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(8)]
+        hidden_state_agreement_table(UniformRho(), dirs, n_samples=100, seed=1)
+        tracemalloc.start()
+        try:
+            hidden_state_agreement_table(UniformRho(), dirs, n_samples=10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * CHUNK_SAMPLES * 8 * 8
+
+
+def single_draw_hidden_state_agreement_table(rho, directions, n_samples, seed, clip=False):
+    """hidden_state_agreement_table as one draw of every sample from chunk
+    0's stream, with the coordinates clipped into [-1, 1] if ``clip``."""
     n = len(directions)
     rng = chunk_rng(seed, 0)
-    v = sample_uniform_array(rng, n_samples)
-    coords = np.clip(v @ np.array(directions).T, -1.0, 1.0)
+    coords = sample_uniform_array(rng, n_samples) @ np.array(directions).T
+    if clip:
+        coords = np.clip(coords, -1.0, 1.0)
     outcomes = (rho.sample(rng, size=(n_samples, n)) < coords).T
     agree = [np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1) for i in range(n - 1)]
     return AgreementTable(n, np.concatenate(agree) / n_samples)

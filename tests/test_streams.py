@@ -1,4 +1,3 @@
-import concurrent.futures
 import glob
 import json
 import os
@@ -9,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from spheremarket import streams
 from spheremarket.streams import chunk_rng, map_chunks
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -41,19 +41,42 @@ class TestMapChunks:
         assert firsts[2] == np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2,))).random()
 
     def test_threads_pull_chunks_without_a_future_each(self, monkeypatch):
-        # 10**4 chunks at 2 workers: one submit per worker loop, however
-        # many chunks there are
-        submits = []
+        # 10**4 chunks: the calling thread runs a loop of its own and starts
+        # n_workers - 1 helper loops, however many chunks there are
+        starts = []
 
-        class CountingPool(concurrent.futures.ThreadPoolExecutor):
-            def submit(self, *args, **kwargs):
-                submits.append(args)
-                return super().submit(*args, **kwargs)
+        class CountingThread(threading.Thread):
+            def start(self):
+                starts.append(self)
+                super().start()
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-        spans = map_chunks(lambda rng, lo, size: (lo, size), 10 ** 4, 1, seed=0, n_workers=2)
-        assert spans == [(lo, 1) for lo in range(10 ** 4)]
-        assert 0 < len(submits) <= 2  # the pool seam took: 0 would mean no pool ran
+        monkeypatch.setattr(streams, "Thread", CountingThread)
+        for n_workers in (1, 2):
+            starts.clear()
+            spans = map_chunks(lambda rng, lo, size: (lo, size), 10 ** 4, 1, seed=0,
+                               n_workers=n_workers)
+            assert spans == [(lo, 1) for lo in range(10 ** 4)]
+            assert len(starts) == n_workers - 1
+
+    def test_base_exception_on_the_calling_thread_joins_the_helpers(self):
+        # the calling thread's chunk fails with a BaseException that is not
+        # an Exception; the helper ends before the call re-raises it
+        class Stop(BaseException):
+            pass
+
+        caller, failed = threading.current_thread(), threading.Event()
+
+        def fn(rng, lo, size):
+            if threading.current_thread() is caller:
+                failed.set()
+                raise Stop(lo)
+            failed.wait(timeout=10)
+            return lo
+
+        before = threading.active_count()
+        with pytest.raises(Stop):
+            map_chunks(fn, 4, 1, seed=0, n_workers=2)
+        assert threading.active_count() == before
 
     def test_each_chunk_runs_once_under_fast_thread_switches(self):
         # 8 threads on a shared chunk iterator, switching every microsecond:
@@ -88,12 +111,14 @@ class TestMapChunks:
         assert info.value.args == (3,)
 
     def test_only_home_of_the_stream_policy(self):
+        # streams.py alone seeds chunks and starts threads, and no module
+        # uses a thread pool
         for path in glob.glob(os.path.join(SRC, "spheremarket", "*.py")):
-            if os.path.basename(path) == "streams.py":
-                continue
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-            assert "spawn_key" not in text and "ThreadPoolExecutor" not in text, path
+            assert "ThreadPoolExecutor" not in text and "concurrent.futures" not in text, path
+            if os.path.basename(path) != "streams.py":
+                assert "spawn_key" not in text and "Thread(" not in text, path
 
 
 def fresh_interpreter_lines(code: str, *args: str) -> list[str]:
@@ -168,19 +193,10 @@ print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("spheremarke
     assert fresh_interpreter_lines(code) == ["[]"]
 
 
-@pytest.mark.parametrize("argv", [["selftest"]] + [["run", path] for path in DEMO_CONFIGS],
-                         ids=lambda argv: os.path.basename(argv[-1]))
-def test_cli_run_loads_only_its_experiments_modules(tmp_path, argv):
-    # and, at one worker, no thread pool machinery: concurrent.futures
-    # brings logging with it
-    kind = "selftest"
-    if argv[0] == "run":
-        with open(argv[1], encoding="utf-8") as fh:
-            config = json.load(fh)
-        kind = config["experiment"]
-        assert config["params"].get("workers", 1) == 1
-        argv = argv + ["--out", str(tmp_path)]
-    code = """
+# a CLI run in a fresh interpreter: its exit code, the spheremarket modules
+# it loaded besides cli_runner, and whether it loaded the thread pool
+# machinery (concurrent.futures brings logging with it)
+FOOTPRINT = """
 import contextlib, io, sys
 from spheremarket import cli_runner
 with contextlib.redirect_stdout(io.StringIO()):
@@ -190,4 +206,27 @@ print(sorted(m.split(".", 1)[1] for m in sys.modules
              if m.startswith("spheremarket.") and m != "spheremarket.cli_runner"))
 print("concurrent.futures" in sys.modules)
 """
-    assert fresh_interpreter_lines(code, *argv) == ["0", str(CLI_MODULES[kind]), "False"]
+
+
+@pytest.mark.parametrize("argv", [["selftest"]] + [["run", path] for path in DEMO_CONFIGS],
+                         ids=lambda argv: os.path.basename(argv[-1]))
+def test_cli_run_loads_only_its_experiments_modules(tmp_path, argv):
+    kind = "selftest"
+    if argv[0] == "run":
+        with open(argv[1], encoding="utf-8") as fh:
+            kind = json.load(fh)["experiment"]
+        argv = argv + ["--out", str(tmp_path)]
+    assert fresh_interpreter_lines(FOOTPRINT, *argv) == ["0", str(CLI_MODULES[kind]), "False"]
+
+
+def test_threaded_sphere_run_loads_no_thread_pool(tmp_path):
+    # the demo's 10**6 trials are 16 chunks, so at 2 workers a helper thread
+    # runs beside the calling thread
+    with open(os.path.join(os.path.dirname(SRC), "demos", "configs", "sphere_sixty_degrees.json"),
+              encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["params"]["workers"] = 2
+    path = tmp_path / "sphere_two_workers.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["run", str(path), "--out", str(tmp_path / "out")]
+    assert fresh_interpreter_lines(FOOTPRINT, *argv) == ["0", str(SPHERE_MODULES), "False"]
