@@ -98,7 +98,8 @@ def _dump_report(report: dict) -> str:
 # rules raise FieldError on keys under ``params``, which ``run`` names),
 # computes, and returns (resolved_params, results, {filename: text}).
 # Each runner, like each selftest check, imports what it runs at the top of
-# its body, so a CLI spawn loads only the modules of its own experiment.
+# its body, and what an optional block needs where it parses that block, so
+# a CLI spawn loads only the modules of its own experiment and config.
 
 
 def _run_price(params: dict, seed: int):
@@ -191,7 +192,6 @@ def _run_bell_scan(params: dict, seed: int):
 def _run_market(params: dict, seed: int):
     from .market_sim import (MIN_TRADES, MarketConfig, compare_trades_with_gbm, run_market,
                              summary_stats, trades_to_csv)
-    from .pricing import GbmParams
 
     p = parse_block(params, "params", required={"market": None},
                     optional={"compare_gbm": None, "write_trades": flag})
@@ -203,7 +203,10 @@ def _run_market(params: dict, seed: int):
     if cfg.n_steps < MIN_TRADES:  # for the return statistics
         raise FieldError("market.n_steps", f"must be at least {MIN_TRADES}, got {cfg.n_steps}")
     gbm = p.get("compare_gbm")
-    gbm = None if gbm is None else GbmParams.from_dict(gbm, "params.compare_gbm")
+    if gbm is not None:
+        from .pricing import GbmParams
+
+        gbm = GbmParams.from_dict(gbm, "params.compare_gbm")
     # constant log returns have no kurtosis and no autocorrelations
     if gbm is not None and gbm.sigma == 0.0:
         raise FieldError("compare_gbm.sigma", "must be positive: at 0 GBM log returns are constant")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 import numpy as np
 
@@ -180,6 +179,8 @@ def _fma(a: float, b: float, c: float) -> float:
     if not abs(p) >= _TINY_PRODUCT:
         if a == 0.0 or b == 0.0:
             return p + c
+        from fractions import Fraction  # this rare path alone needs it
+
         exact = Fraction(a) * Fraction(b) + Fraction(c)
         return float(exact) if exact else p + c
     t = _SPLIT * a
@@ -255,7 +256,9 @@ def _rotate_chain(starts: list, axis: tuple, angle: np.ndarray) -> np.ndarray:
     the (len(starts) n, 3) array whose rows r n .. r n + n - 1 hold chain r's
     v_0 .. v_{n-1} from v_{-1} = ``starts[r]``.  Each step waits for the one
     before, so only ``_rodrigues`` stays in the loop; ``cos``, ``sin`` and
-    ``1 - cos`` come first, lane by lane over every chain."""
+    ``1 - cos`` come first, lane by lane over every chain.  The array is
+    filled in one pass over the flattened floats: the values of
+    ``np.array(chain)`` in about half its copy time."""
     cos = _math_map(math.cos, angle)
     steps = zip(zip(*(a.tolist() for a in axis)), cos.tolist(),
                 _math_map(math.sin, angle).tolist(), (1.0 - cos).tolist())
@@ -266,7 +269,7 @@ def _rotate_chain(starts: list, axis: tuple, angle: np.ndarray) -> np.ndarray:
             v = _rodrigues(v, k, c, s, t)
             chain.append(v)
     del steps  # free the step lists before the chain's array copy
-    return np.array(chain)
+    return np.fromiter(itertools.chain.from_iterable(chain), float, 3 * len(chain)).reshape(-1, 3)
 
 
 def _rotate_arrays(v: tuple, axis: tuple, angle: np.ndarray) -> tuple:

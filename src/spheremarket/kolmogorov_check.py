@@ -439,7 +439,7 @@ def sphere_bell_scan(rho, theta: float, mode: str = "auto",
     ``auto`` selects hidden_state for the deterministic (delta) elastic and
     sequential otherwise.
     """
-    from . import sphere_model  # deferred: sphere_model imports AgreementTable
+    from . import sphere_model  # deferred: of this module, only the scan samples
 
     if not 0.0 < theta < math.pi:
         raise FieldError("theta", f"must lie strictly between 0 and pi, got {theta!r}")

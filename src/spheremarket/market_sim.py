@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -42,10 +41,11 @@ from .geometry import (
     _rotate_chain,
     sample_uniform,
 )
-from .kolmogorov_check import sphere_bell_scan
-from .pricing import GbmParams, gbm_path_matrix
 from .sphere_model import MeasurementOutcome, OutcomeLabel, RhoDistribution
 from .streams import check_workers, chunk_rng
+
+if TYPE_CHECKING:
+    from .pricing import GbmParams
 
 ACF_LAGS = 10
 MIN_TRADES = 30
@@ -334,24 +334,41 @@ def _global_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) 
     The state before step t is +-d_{t-1}, and dot(-a, b) is exactly
     -dot(a, b) (up to the sign of a zero, which no comparison or price
     sees), so with g_t = dot(d_{t-1}, d_t) step t is O1 when x_t < g_t
-    after an O1 and when x_t < -g_t after an O2.  Only that scan over two
-    boolean lists stays in Python; a member's step 0 counts as following an
-    O1 onto its initial state.
+    after an O1 and when x_t < -g_t after an O2 (``_global_o1``).
     """
     n = len(breaks) // len(starts)
     news = _polar_arrays(cfg.regime.news.angle_at(np.arange(n)), 0.0)
     d = tuple(np.tile(c, len(starts)) for c in news)
     if kicks is not None:
         d = _rotate_arrays(d, _on_sphere_arrays(kicks[0], kicks[1]), kicks[2])
-    g = _dot_arrays(_before(starts, d), d)
-    steps, o1 = zip((breaks < g).tolist(), (breaks < -g).tolist()), []
-    for _ in starts:
-        hit = True
-        for above, below in itertools.islice(steps, n):
-            hit = above if hit else below
-            o1.append(hit)
-    o1 = np.array(o1)
+    o1 = _global_o1(breaks, _dot_arrays(_before(starts, d), d), n)
     return np.column_stack(d), o1, _prices(cfg, d, o1)
+
+
+def _global_o1(breaks: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """The outcomes of the stacked members of n steps each, where step t is
+    O1 when x_t < g_t after an O1 and when x_t < -g_t after an O2, and a
+    member's first step follows an O1.
+
+    Each step maps the outcome before it to O1 (both comparisons hold), O2
+    (neither holds), itself (only x_t < g_t) or its opposite (only x_t <
+    -g_t).  So step t's outcome is that of the last constant map at or
+    before it, flipped once for each flip after that map: one running
+    maximum over indices and one running count, with a constant O1 put in
+    front of each member's first step.
+    """
+    above, below = (breaks < g).reshape(-1, n), (breaks < -g).reshape(-1, n)
+    value = np.ones((len(above), n + 1), bool)
+    value[:, 1:] = above
+    const = np.ones_like(value)
+    np.equal(above, below, out=const[:, 1:])
+    flips = np.zeros_like(value)
+    np.less(above, below, out=flips[:, 1:])
+    value, const, flips = value.ravel(), const.ravel(), flips.ravel()
+    last = np.maximum.accumulate(np.where(const, np.arange(len(const)), 0))
+    count = np.cumsum(flips)
+    o1 = value[last] ^ ((count - count[last]) & 1).astype(bool)
+    return o1.reshape(-1, n + 1)[:, 1:].ravel()
 
 
 def _prices(cfg: MarketConfig, direction: tuple, o1: np.ndarray) -> np.ndarray:
@@ -470,6 +487,8 @@ def summary_stats(trades: TradeLog) -> SeriesSummary:
 def representative_scan_angle(trades: TradeLog) -> float:
     """Median angle between consecutive trade directions, clamped into
     (0, pi); the spacing used for the three-direction feasibility scan."""
+    import statistics
+
     d = trades.direction
     gaps = _math_map(math.acos, _dot_arrays(tuple(d[:-1].T), tuple(d[1:].T))).tolist()
     theta = statistics.median(gaps) if gaps else 0.0
@@ -490,6 +509,9 @@ def compare_trades_with_gbm(cfg: MarketConfig, trades: TradeLog, gbm: GbmParams)
     verdict of the agreement table for three coplanar directions spaced by
     the run's representative context angle.
     """
+    from .kolmogorov_check import sphere_bell_scan
+    from .pricing import gbm_path_matrix
+
     if gbm.steps != cfg.n_steps:
         raise ValueError("gbm.steps must match cfg.n_steps")
     sphere_summary = summary_stats(trades)

@@ -15,7 +15,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -165,6 +164,8 @@ class GbmParams:
             raise FieldError("steps", "must be at least 1")
         if self.horizon <= 0:
             raise FieldError("horizon", "must be positive")
+        from fractions import Fraction  # only GBM runs split the horizon
+
         dt = float(Fraction(self.horizon) / self.steps)  # exact for any int steps
         if dt == 0.0:
             raise FieldError("horizon", "leaves a time step of 0 when split into", other="steps")

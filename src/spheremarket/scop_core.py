@@ -14,7 +14,7 @@ price intervals attached to the endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping, Sequence
 
 import numpy as np
@@ -68,6 +68,17 @@ class ScopSystem:
     each successor (q, f) has q admitted and f in ``contexts``.  The builder
     ``sphere_as_scop`` ensures it by construction; a system built directly
     must keep the contract itself, since no call rechecks it.
+
+    ``mu`` must be a function of (p, e) alone: the row of a state in
+    ``states`` under a context is stored on first use, after the state and
+    context checks, and read back on every later call, so at most
+    len(states) * len(contexts) rows are ever computed for them.  The row of
+    any other admitted state is computed on every call and never stored.  A
+    state equal to one in ``states`` reads that state's rows.  ``_rows`` maps
+    each state in ``states`` to its rows by context, so a state outside
+    ``states`` costs one lookup.  States must therefore be hashable: an
+    unhashable entry of ``states`` raises TypeError at construction, and an
+    unhashable admitted state raises it from ``transition_distribution``.
     """
 
     contexts: tuple
@@ -76,25 +87,32 @@ class ScopSystem:
     xi: Callable[[Hashable], frozenset]
     states: tuple
     contains_state: Callable[[Hashable], bool]
+    _rows: dict = field(init=False, repr=False, compare=False)
 
-    def _check_state(self, p):
-        if not self.contains_state(p):
-            raise UnknownStateError(f"unknown state: {p!r}")
-
-    def _check_context(self, e):
-        if e not in self.contexts:
-            raise UnknownContextError(f"unknown context: {e!r}")
+    def __post_init__(self):
+        object.__setattr__(self, "_rows", {p: {} for p in self.states})
 
     def transition_distribution(self, p, e) -> Sequence[Transition]:
         """The mu row for the state p and the context e."""
-        self._check_state(p)
-        self._check_context(e)
-        return self.mu(p, e)
+        if not self.contains_state(p):
+            raise UnknownStateError(f"unknown state: {p!r}")
+        if e not in self.contexts:
+            raise UnknownContextError(f"unknown context: {e!r}")
+        rows = self._rows.get(p)
+        if rows is None:
+            return self.mu(p, e)
+        row = rows.get(e)
+        if row is None:
+            row = rows[e] = self.mu(p, e)
+        return row
+
 
 def is_eigenstate(sys: ScopSystem, p, e) -> bool:
     """True iff the law keeps p fixed with certainty under context e."""
-    row = sys.transition_distribution(p, e)
-    stay = sum(prob for (q, _), prob in row if q == p)
+    stay = 0.0
+    for (q, _), prob in sys.transition_distribution(p, e):
+        if q == p:
+            stay += prob
     return stay >= 1.0 - ROW_SUM_TOL
 
 
@@ -112,7 +130,8 @@ def transition(sys: ScopSystem, p, e, rng: np.random.Generator):
 
 def actual_properties(sys: ScopSystem, p) -> frozenset:
     """The set xi(p) of properties actual in state p."""
-    sys._check_state(p)
+    if not sys.contains_state(p):
+        raise UnknownStateError(f"unknown state: {p!r}")
     return sys.xi(p)
 
 
@@ -134,14 +153,14 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
     in floating point for every such p1 (3e7 sampled ones checked), so the
     rows meet the contract without a check.
 
-    A collapse lands on an endpoint, so a walk revisits the same few rows:
-    the row of a materialized state (an endpoint in ``states``) under a
-    context is memoized on first visit, at most 2k·k rows for k contexts.
-    A potentiality state's row is computed on every call and never stored.
-    A pair equal to a stored key reads its row.  Equal vectors differ at most
-    in the sign of a zero component, so their dot products differ at most in
-    the sign of a zero, and every ``rho.cdf`` maps -0.0 and 0.0 alike: the
-    probabilities are those a fresh row would hold.
+    ``mu`` depends on (p, e) alone, so ``ScopSystem`` stores the rows of the
+    endpoints (``states``): a collapse lands on an endpoint, and a walk reads
+    the same at most 2k·k rows for k contexts.  A potentiality state's row is
+    computed on every call.  A state equal to an endpoint reads the
+    endpoint's row: equal vectors differ at most in the sign of a zero
+    component, so their dot products differ at most in the sign of a zero,
+    and every ``rho.cdf`` maps -0.0 and 0.0 alike, so the probabilities are
+    those a fresh row would hold.
     """
     contexts = tuple(dict.fromkeys(directions))
     if not contexts:
@@ -164,16 +183,9 @@ def sphere_as_scop(rho: RhoDistribution, directions: Sequence[UnitVector3],
     xi_map = {state: frozenset(a for a in properties if a.contains_interval(own))
               for state, own in prop_of.items()}
 
-    rows = {}
-
     def mu(p, e):
-        row = rows.get((p, e))
-        if row is None:
-            p1, p2 = transition_probabilities(rho, p, e)
-            row = (((e, e), p1), ((-e, e), p2))
-            if p in prop_of and e in contexts:
-                rows[p, e] = row
-        return row
+        p1, p2 = transition_probabilities(rho, p, e)
+        return ((e, e), p1), ((-e, e), p2)
 
     def xi(p):
         return xi_map.get(p, frozenset())

@@ -14,14 +14,17 @@ import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import FieldError, block_kind, build, items, number, parse_block, require_finite
 from .geometry import UnitVector3, dot, sample_uniform_array
-from .kolmogorov_check import AgreementTable, pair_index
 from .ndtr import ndtr
 from .streams import check_workers, map_chunks
+
+if TYPE_CHECKING:
+    from .kolmogorov_check import AgreementTable
 
 CHUNK_TRIALS = 1 << 16  # fixed batch granularity for counter-based streams
 CHUNK_SAMPLES = 1 << 17  # hidden states per chunk of a hidden-state table
@@ -395,6 +398,8 @@ def agreement_table(rho: RhoDistribution, directions: list[UnitVector3]) -> Agre
     A prior measurement along d_i collapsed the state onto d_i, so pair
     (i, j) agrees with P[O1] for the particle at d_i measured along d_j.
     """
+    from .kolmogorov_check import AgreementTable, pair_index
+
     n = len(directions)
     return AgreementTable(n, [transition_probabilities(rho, directions[i], directions[j])[0]
                               for i, j in zip(*pair_index(n))])
@@ -410,6 +415,8 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
     runs in chunks of CHUNK_SAMPLES on ``streams.map_chunks``, whose counts
     add exactly, so at most CHUNK_SAMPLES samples draw from chunk 0 alone.
     """
+    from .kolmogorov_check import AgreementTable
+
     n = len(directions)
     if n < 2:
         raise ValueError("need at least two directions")

@@ -1,3 +1,4 @@
+import fractions
 import math
 from fractions import Fraction
 from unittest import mock
@@ -7,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spheremarket import geometry
 from spheremarket.geometry import (
     UnitVector3,
     _fma,
@@ -232,7 +232,9 @@ class TestExactFma:
     @settings(max_examples=300, deadline=None)
     def test_zero_factor_skips_the_rational_sum(self, zero, other, c, zero_first):
         a, b = (zero, other) if zero_first else (other, zero)
-        with mock.patch.object(geometry, "Fraction", side_effect=AssertionError):
+        # _fma imports Fraction on its rational path only, so the patch on the
+        # fractions module is what that import would read
+        with mock.patch.object(fractions, "Fraction", side_effect=AssertionError):
             got, lane = _fma(a, b, c), lane_fma(a, b, c)
         # an exact zero product leaves c, and a zero sum is -0.0 only when
         # both the product and c are -0.0

@@ -302,6 +302,29 @@ class TestRunMarket:
             [tuple(map(repr, d)) for d in expected[0]]
         assert (o1.tolist(), price.tolist()) == expected[1:]
 
+    @given(n=st.integers(1, 12), members=st.integers(1, 4), data=st.data())
+    # g_t = 0 (-0.0 too) and x_t = +-g_t, where the comparisons tie
+    @example(n=6, members=2, data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_global_outcome_scan_matches_the_loop(self, n, members, data):
+        # the scan over every step of stacked members against the per-step
+        # hit = (x < g) if hit else (x < -g), restarted at O1 in each member
+        if data is None:
+            g = [0.0, -0.0, 0.5, 0.5, -0.5, -0.5] * members
+            x = [0.0, 0.0, 0.5, -0.5, 0.5, -0.5] * members
+        else:
+            g = data.draw(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]),
+                                   min_size=n * members, max_size=n * members))
+            x = [data.draw(st.sampled_from([gt, -gt, -1.0, -0.3, 0.0, 0.3, 0.99])) for gt in g]
+        expected = []
+        for lo in range(0, n * members, n):
+            hit = True
+            for xt, gt in zip(x[lo:lo + n], g[lo:lo + n]):
+                hit = xt < gt if hit else xt < -gt
+                expected.append(hit)
+        o1 = market_sim._global_o1(np.array(x), np.array(g), n)
+        assert o1.dtype == bool and o1.tolist() == expected
+
     @given(rho=st.sampled_from(RHOS), regime=st.sampled_from(list(REGIMES.values())),
            seed=st.integers(0, 2 ** 32 - 1), n_steps=st.sampled_from([1, 127, 128, 129, 300]))
     @settings(max_examples=40, deadline=None)
@@ -383,9 +406,10 @@ class TestEnsemble:
                              ids=["local", "global"])
     def test_memory_above_the_logs_is_one_group(self, regime):
         # 64 members of 2000 steps run as two groups of 32.  A group's
-        # temporaries measured about 380 bytes a row in the local regime
-        # (the chain's Python tuples and step lists, and the stacked
-        # arrays) and 210 in the global; one pass over all 128,000 rows
+        # temporaries measured 382 bytes a row in the local regime (the
+        # chain's Python tuples and step lists, and the stacked arrays) and
+        # 211 in the global, with the chain filled by np.fromiter and the
+        # global outcomes in array passes; one pass over all 128,000 rows
         # would peak near 760 bytes per row of a group
         bytes_per_row = 448
         cfg = make_config(regime=regime, n_steps=2000, seed=3)

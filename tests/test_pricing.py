@@ -272,6 +272,17 @@ class TestGbm:
         with pytest.raises(ValueError):
             GbmParams(s0=1.0, drift=0.0, sigma=0.1, horizon=1.0, steps=0)
 
+    def test_time_step_rounded_once_past_2_to_53_steps(self):
+        # 2**54 - 1 steps round to the float 2**54, where horizon / steps is
+        # the tie 2**-1075 and rounds to 0; the exact quotient lies just
+        # above that tie and rounds to the smallest subnormal
+        horizon = 2.0 ** -1021
+        assert horizon / (2 ** 54 - 1) == 0.0
+        GbmParams(s0=1.0, drift=0.0, sigma=0.0, horizon=horizon, steps=2 ** 54 - 1)
+        with pytest.raises(FieldError) as info:
+            GbmParams(s0=1.0, drift=0.0, sigma=0.0, horizon=horizon, steps=2 ** 54)
+        assert info.value.field == "horizon"
+
     def test_subnormal_s0_rejected_at_zero_sigma(self):
         # math.log rounds the largest subnormals to log of the smallest
         # normal float, so at sigma 0 the log-price band alone admits them;

@@ -27,14 +27,21 @@ POLE = UnitVector3(0.0, 0.0, 1.0)
 EAST = UnitVector3(1.0, 0.0, 0.0)
 
 
-def two_state_system(p_stay=1.0):
+def two_state_system(p_stay=1.0, mu_calls=None):
     """Two states, one context; 'a' stays with probability p_stay.  Built
-    with the constructor, so its rows keep the row contract by hand."""
+    with the constructor, so its rows keep the row contract by hand.  Each
+    mu call appends its (p, e) to ``mu_calls`` when one is given."""
     rows = {("a", "e"): ((("a", "e"), p_stay), (("b", "e"), 1.0 - p_stay)),
             ("b", "e"): ((("b", "e"), 1.0),)}
     actual = {"a": frozenset({"prop_a"}), "b": frozenset()}
+
+    def mu(p, e):
+        if mu_calls is not None:
+            mu_calls.append((p, e))
+        return rows[(p, e)]
+
     return ScopSystem(contexts=("e",), properties=frozenset({"prop_a"}),
-                      mu=lambda p, e: rows[(p, e)], xi=actual.__getitem__,
+                      mu=mu, xi=actual.__getitem__,
                       states=("a", "b"), contains_state=actual.__contains__)
 
 
@@ -100,6 +107,43 @@ class TestFiniteSystems:
         sys = two_state_system()
         assert actual_properties(sys, "a") == {"prop_a"}
         assert actual_properties(sys, "b") == frozenset()
+
+    def test_long_walk_calls_mu_once_per_row(self):
+        # every step collapses 'a' and asks whether the result, 'a' or 'b',
+        # is an eigenstate: 2 * 10**4 row reads of both states
+        calls = []
+        sys = two_state_system(p_stay=0.3, mu_calls=calls)
+        rng = np.random.default_rng(3)
+        seen = set()
+        for _ in range(10 ** 4):
+            state, _ = transition(sys, "a", "e", rng)
+            seen.add(is_eigenstate(sys, state, "e"))
+        assert seen == {False, True}
+        assert sorted(calls) == [("a", "e"), ("b", "e")]
+        assert len(calls) <= len(sys.states) * len(sys.contexts)
+
+    def test_stored_rows_are_not_part_of_the_system(self):
+        # no constructor argument, no repr and no equality term
+        sys = two_state_system()
+        twin = ScopSystem(contexts=sys.contexts, properties=sys.properties, mu=sys.mu,
+                          xi=sys.xi, states=sys.states, contains_state=sys.contains_state)
+        transition(sys, "a", "e", np.random.default_rng(0))
+        assert sys == twin and repr(sys) == repr(twin)
+        with pytest.raises(TypeError):
+            ScopSystem(contexts=sys.contexts, properties=sys.properties, mu=sys.mu,
+                       xi=sys.xi, states=sys.states, contains_state=sys.contains_state,
+                       _rows={})
+
+    def test_unhashable_states_rejected(self):
+        # the row store is keyed by the states, so each must be hashable
+        sys = two_state_system()
+        with pytest.raises(TypeError, match="unhashable"):
+            ScopSystem(contexts=sys.contexts, properties=sys.properties, mu=sys.mu,
+                       xi=sys.xi, states=(["a"], "b"), contains_state=sys.contains_state)
+        admits_all = ScopSystem(contexts=sys.contexts, properties=sys.properties, mu=sys.mu,
+                                xi=sys.xi, states=sys.states, contains_state=lambda p: True)
+        with pytest.raises(TypeError, match="unhashable"):
+            admits_all.transition_distribution(["a"], "e")
 
 
 class TestSphereScop:
@@ -249,6 +293,10 @@ def zero_sign_twins(p):
     return [UnitVector3(x, y, z) for x in options[0] for y in options[1] for z in options[2]]
 
 
+def stored_rows(sys):
+    return sum(map(len, sys._rows.values()))
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """The number of transition_probabilities calls made through scop_core."""
@@ -272,7 +320,7 @@ class TestSphereScopMemo:
         for _ in range(2):  # the first pass fills the memo, the second reads it
             for p in list(sys.states) + potential:
                 for e in sys.contexts:
-                    assert row_bits(sys.mu(p, e)) == fresh_row_bits(rho, p, e)
+                    assert row_bits(sys.transition_distribution(p, e)) == fresh_row_bits(rho, p, e)
 
     @pytest.mark.parametrize("rho", MEMO_RHOS, ids=lambda rho: rho.kind)
     def test_signed_zero_twin_of_an_eigenstate_reads_the_same_row(self, rho):
@@ -284,9 +332,10 @@ class TestSphereScopMemo:
         assert math.copysign(1.0, dot(east, north)) == 1.0
         for p in sys.states:
             for e in sys.contexts:
-                sys.mu(p, e)
+                row = sys.transition_distribution(p, e)
                 for q in zero_sign_twins(p):
-                    assert row_bits(sys.mu(q, e)) == fresh_row_bits(rho, q, e)
+                    assert sys.transition_distribution(q, e) is row
+                    assert row_bits(row) == fresh_row_bits(rho, q, e)
 
     def test_walk_over_endpoints_computes_each_row_once(self, counted):
         sys = memo_system(UniformRho())
@@ -308,11 +357,39 @@ class TestSphereScopMemo:
         assert counted[0] == 10 ** 4
         for p in states[:100]:
             transition(sys, p, POLE, rng)
-        assert counted[0] == 10 ** 4 + 100
+            is_eigenstate(sys, p, POLE)
+        assert counted[0] == 10 ** 4 + 200
+        assert stored_rows(sys) == 0
 
-    def test_rows_under_a_direction_outside_the_contexts_not_stored(self, counted):
+    def test_mu_itself_stores_nothing(self, counted):
+        # the system stores rows; the builder's mu computes one on every call
         sys = memo_system(UniformRho())
         outside = from_polar(1.3, 0.2)
-        for _ in range(3):
-            assert row_bits(sys.mu(POLE, outside)) == fresh_row_bits(UniformRho(), POLE, outside)
+        for e in (POLE, outside, POLE):
+            assert row_bits(sys.mu(POLE, e)) == fresh_row_bits(UniformRho(), POLE, e)
         assert counted[0] == 3
+
+    def test_rows_under_a_direction_outside_the_contexts_not_stored(self, counted):
+        # the context check comes before any lookup or mu call
+        sys = memo_system(UniformRho())
+        outside = from_polar(1.3, 0.2)
+        for p in (POLE, outside):
+            with pytest.raises(UnknownContextError):
+                sys.transition_distribution(p, outside)
+        assert counted[0] == 0 and stored_rows(sys) == 0
+
+    def test_plain_tuple_equal_to_an_endpoint_rejected_after_its_row_is_stored(self):
+        # the tuple hashes and compares equal to the stored key, so only a
+        # check made before the lookup rejects it
+        sys = memo_system(UniformRho())
+        rng = np.random.default_rng(7)
+        transition(sys, POLE, POLE, rng)
+        assert stored_rows(sys) == 1
+        plain = tuple(POLE)
+        assert plain == POLE and type(plain) is tuple
+        with pytest.raises(UnknownStateError):
+            transition(sys, plain, POLE, rng)
+        with pytest.raises(UnknownStateError):
+            is_eigenstate(sys, plain, POLE)
+        with pytest.raises(UnknownStateError):
+            actual_properties(sys, plain)

@@ -170,17 +170,22 @@ print('scipy.special' in sys.modules)
     assert fresh_interpreter_lines(code) == ["False", "True"]
 
 
-# The spheremarket modules each CLI experiment loads, besides cli_runner.  The
-# sets are exact, so a module that creeps back into a CLI path fails here.
+# The spheremarket modules each demo config's run and the selftest load,
+# besides cli_runner.  The sets are exact, so a module that creeps back into a
+# CLI path fails here: a market run without ``compare_gbm`` loads neither
+# pricing nor the feasibility tester, and a sphere run no feasibility tester.
 PRICE_MODULES = ["config", "ndtr", "pricing", "streams"]
-SPHERE_MODULES = ["config", "geometry", "kolmogorov_check", "ndtr", "sphere_model", "streams"]
+SPHERE_MODULES = ["config", "geometry", "ndtr", "sphere_model", "streams"]
+BELL_SCAN_MODULES = sorted(SPHERE_MODULES + ["kolmogorov_check"])
 CLI_MODULES = {
-    "price": PRICE_MODULES,
-    "convergence": PRICE_MODULES,
-    "sphere": SPHERE_MODULES,
-    "bell-scan": SPHERE_MODULES,
-    "market": sorted(SPHERE_MODULES + ["market_sim", "pricing"]),
-    "selftest": sorted(SPHERE_MODULES + ["pricing"]),
+    "price_atm.json": PRICE_MODULES,
+    "binomial_convergence.json": PRICE_MODULES,
+    "sphere_sixty_degrees.json": SPHERE_MODULES,
+    "bell_scan_60deg.json": BELL_SCAN_MODULES,
+    "bell_scan_delta_classical.json": BELL_SCAN_MODULES,
+    "market_global_herding.json": sorted(SPHERE_MODULES + ["market_sim"]),
+    "market_local_vs_gbm.json": sorted(BELL_SCAN_MODULES + ["market_sim", "pricing"]),
+    "selftest": sorted(BELL_SCAN_MODULES + ["pricing"]),
 }
 DEMO_CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(SRC), "demos", "configs", "*.json")))
 
@@ -211,12 +216,15 @@ print("concurrent.futures" in sys.modules)
 @pytest.mark.parametrize("argv", [["selftest"]] + [["run", path] for path in DEMO_CONFIGS],
                          ids=lambda argv: os.path.basename(argv[-1]))
 def test_cli_run_loads_only_its_experiments_modules(tmp_path, argv):
-    kind = "selftest"
+    name = os.path.basename(argv[-1])
     if argv[0] == "run":
-        with open(argv[1], encoding="utf-8") as fh:
-            kind = json.load(fh)["experiment"]
         argv = argv + ["--out", str(tmp_path)]
-    assert fresh_interpreter_lines(FOOTPRINT, *argv) == ["0", str(CLI_MODULES[kind]), "False"]
+    assert fresh_interpreter_lines(FOOTPRINT, *argv) == ["0", str(CLI_MODULES[name]), "False"]
+
+
+def test_every_demo_config_has_a_module_set():
+    assert sorted(CLI_MODULES) == sorted([os.path.basename(p) for p in DEMO_CONFIGS]
+                                         + ["selftest"])
 
 
 def test_threaded_sphere_run_loads_no_thread_pool(tmp_path):
