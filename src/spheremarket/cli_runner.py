@@ -126,7 +126,8 @@ def _run_price(params: dict, seed: int):
                 value = binomial_price(spec, steps)
             results.append(pricing_report(spec, "binomial", value, extra={"steps": steps}))
         else:
-            value, stderr = mc_price(spec, n_paths, seed=seed)
+            with field_keys("params.spec"):
+                value, stderr = mc_price(spec, n_paths, seed=seed)
             results.append(pricing_report(spec, "monte_carlo", value,
                                           error_estimate=stderr,
                                           extra={"n_paths": n_paths}))

@@ -3,17 +3,17 @@
 Directions and states are kept in Cartesian coordinates; polar angles appear
 only at the API boundary (``from_polar``).  A point is an ``(x, y, z)`` tuple,
 and ``UnitVector3`` is that tuple with its norm checked, so every function here
-takes either.  The market's rotation chain (``_rotate_chain``) runs the
-unchecked kernel ``_rodrigues`` on floats, so that a trade builds no
-``UnitVector3``.  The ``*_arrays`` kernels take each component as an array
-and give, lane by lane, the bits of their scalar namesakes: the same
-operations in the same order, ``cos`` and ``sin`` through ``math`` and the
-fused multiply-add emulated exactly.
+takes either.  The market's rotation chain (``_rotate_chain``) is one flat
+loop on floats with Rodrigues' formula and the exact fused multiply-adds
+written inline, so that a trade builds no ``UnitVector3`` and makes no
+Python call of its own; ``_rotate`` is its one-step case.  The ``*_arrays``
+kernels take each component as an array and give, lane by lane, the bits
+of their scalar namesakes: the same operations in the same order, ``cos``
+and ``sin`` through ``math`` and the fused multiply-add emulated exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 
@@ -22,6 +22,7 @@ import numpy as np
 NORM_TOL = 1e-12
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter for 53-bit doubles
 _TINY_PRODUCT = 2.0 ** -900  # a margin above where Dekker's error term can underflow
+_SLAB = 1024  # rows of step lists that ``_rotate_chain`` holds as Python floats at once
 
 
 class UnitVector3(namedtuple("UnitVector3", "x y z")):
@@ -232,48 +233,92 @@ def _fma_arrays(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _rotate(v: tuple, axis: tuple, angle: float) -> tuple:
-    """Rotate ``v`` by ``angle`` about ``axis`` (Rodrigues), renormalized."""
-    c = math.cos(angle)
-    return _rodrigues(v, axis, c, math.sin(angle), 1.0 - c)
-
-
-def _rodrigues(v: tuple, axis: tuple, c: float, s: float, t: float,
-               fma=_fma, normalize=_normalize) -> tuple:
-    """``_rotate`` by the angle whose cos, sin and 1 - cos are given.  The dot
-    k.v is the fused chain fma(kz, vz, fma(ky, vy, kx vx)) that BLAS once
-    computed, made explicit so that the bits do not depend on the BLAS kernel.
-    With ``_fma_arrays`` and ``_normalize_arrays`` it runs lane by lane."""
-    vx, vy, vz = v
-    kx, ky, kz = axis
-    d = fma(kz, vz, fma(ky, vy, kx * vx))
-    return normalize((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
-                     (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
-                     (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)
+    """Rotate ``v`` by ``angle`` about ``axis`` (Rodrigues), renormalized:
+    the one-step ``_rotate_chain``."""
+    row = _rotate_chain([v], tuple(np.array([k], float) for k in axis), np.array([angle], float))
+    return tuple(row[0].tolist())
 
 
 def _rotate_chain(starts: list, axis: tuple, angle: np.ndarray) -> np.ndarray:
     """Chains v_t = ``_rotate``(v_{t-1}, axis_t, angle_t), one per start, as
     the (len(starts) n, 3) array whose rows r n .. r n + n - 1 hold chain r's
-    v_0 .. v_{n-1} from v_{-1} = ``starts[r]``.  Each step waits for the one
-    before, so only ``_rodrigues`` stays in the loop; ``cos``, ``sin`` and
-    ``1 - cos`` come first, lane by lane over every chain.  The array is
-    filled in one pass over the flattened floats: the values of
-    ``np.array(chain)`` in about half its copy time."""
+    v_0 .. v_{n-1} from v_{-1} = ``starts[r]``.
+
+    Each step waits for the one before, so the steps are one flat loop on
+    floats that calls only ``math.fsum`` and ``math.sqrt``: Rodrigues' sum
+    and the normalization in ``_rotate_arrays``'s operation order, and the
+    dot k.v as the fused chain fma(kz, vz, fma(ky, vy, kx vx)) that BLAS
+    once computed, made explicit so that the bits do not depend on the BLAS
+    kernel.  Each fused multiply-add is one ``math.fsum`` of the addend and
+    the four products of Veltkamp's halves (Dekker's split, as in ``_fma``),
+    which are exact and sum to k_i v_i; an exact zero takes IEEE's p + q,
+    and a product below the underflow guard, whose halves could lose bits,
+    goes through ``_fma``.  The axis halves, ``cos``, ``sin`` and
+    ``1 - cos`` come first in array passes over every chain.  The step
+    columns become Python lists ``_SLAB`` rows at a time, and each slab's
+    floats go straight into the array, so the Python floats never outgrow
+    a slab.
+    """
+    kx, ky, kz = axis
     cos = _math_map(math.cos, angle)
-    steps = zip(zip(*(a.tolist() for a in axis)), cos.tolist(),
-                _math_map(math.sin, angle).tolist(), (1.0 - cos).tolist())
+    columns = (kx, ky, kz, *_halves(ky), *_halves(kz),
+               cos, _math_map(math.sin, angle), 1.0 - cos)
     n = len(angle) // len(starts)
-    chain = []
-    for v in starts:
-        for k, c, s, t in itertools.islice(steps, n):
-            v = _rodrigues(v, k, c, s, t)
-            chain.append(v)
-    del steps  # free the step lists before the chain's array copy
-    return np.fromiter(itertools.chain.from_iterable(chain), float, 3 * len(chain)).reshape(-1, 3)
+    out = np.empty((len(angle), 3))
+    flat = out.reshape(-1)
+    fsum, sqrt, fma, tiny, split = math.fsum, math.sqrt, _fma, _TINY_PRODUCT, _SPLIT
+    for r, (vx, vy, vz) in enumerate(starts):
+        end = r * n + n
+        for lo in range(r * n, end, _SLAB):
+            hi = min(lo + _SLAB, end)
+            rows = []
+            for kx, ky, kz, kyh, kyl, kzh, kzl, c, s, t in zip(*(a[lo:hi].tolist()
+                                                                 for a in columns)):
+                q = kx * vx
+                p = ky * vy
+                if abs(p) >= tiny:
+                    w = split * vy
+                    vh = w - (w - vy)
+                    vl = vy - vh
+                    q = fsum((kyh * vh, kyh * vl, kyl * vh, kyl * vl, q)) or p + q
+                else:
+                    q = fma(ky, vy, q)
+                p = kz * vz
+                if abs(p) >= tiny:
+                    w = split * vz
+                    vh = w - (w - vz)
+                    vl = vz - vh
+                    d = fsum((kzh * vh, kzh * vl, kzl * vh, kzl * vl, q)) or p + q
+                else:
+                    d = fma(kz, vz, q)
+                x = (vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t
+                y = (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t
+                z = (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t
+                m = sqrt(x * x + y * y + z * z)
+                vx = x / m
+                vy = y / m
+                vz = z / m
+                rows += (vx, vy, vz)
+            flat[3 * lo:3 * hi] = rows
+    return out
+
+
+def _halves(a: np.ndarray) -> tuple:
+    """Veltkamp's split of every element, by ``_fma``'s IEEE operations:
+    a high half of 26 bits and the low rest, which sum to a exactly."""
+    t = _SPLIT * a
+    high = t - (t - a)
+    return high, a - high
 
 
 def _rotate_arrays(v: tuple, axis: tuple, angle: np.ndarray) -> tuple:
     """``_rotate`` lane by lane."""
+    vx, vy, vz = v
+    kx, ky, kz = axis
     c = _math_map(math.cos, angle)
-    return _rodrigues(v, axis, c, _math_map(math.sin, angle), 1.0 - c,
-                      _fma_arrays, _normalize_arrays)
+    s = _math_map(math.sin, angle)
+    t = 1.0 - c
+    d = _fma_arrays(kz, vz, _fma_arrays(ky, vy, kx * vx))
+    return _normalize_arrays((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,
+                             (vy * c + (kz * vx - kx * vz) * s) + (ky * d) * t,
+                             (vz * c + (kx * vy - ky * vx) * s) + (kz * d) * t)

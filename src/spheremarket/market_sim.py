@@ -288,13 +288,14 @@ def _local_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) -
     drawn axis.
 
     Every operation of ``_rotate`` is odd in the vector (products, sums,
-    ``_fma`` and the normalization), so a state of either sign gives the
-    same context up to sign.  With a member's chain C_t = ``_rotate``(C_{t-1},
-    k_t, a_t) from C_{-1} its initial state, the context of step t is +-C_t
-    and dot(state, context) is dot(C_{t-1}, C_t), whatever the outcomes.
-    Only the chains stay in a Python loop (``_rotate_chain``).  Step t is O1
-    when x_t < dot(C_{t-1}, C_t), and its context is -C_t when an odd number
-    of O2s came before it in its member.
+    the exact fused multiply-adds and the normalization), so a state of
+    either sign gives the same context up to sign.  With a member's chain
+    C_t = ``_rotate``(C_{t-1}, k_t, a_t) from C_{-1} its initial state, the
+    context of step t is +-C_t and dot(state, context) is dot(C_{t-1}, C_t),
+    whatever the outcomes.  Only the chains stay in a Python loop:
+    ``_rotate_chain``, one flat loop on floats with no function call per
+    step.  Step t is O1 when x_t < dot(C_{t-1}, C_t), and its context is
+    -C_t when an odd number of O2s came before it in its member.
 
     Oddness holds in value but not for an exact zero that comes from a
     cancellation: x - x is +0 at either sign of x.  So the rows of C with a
@@ -393,11 +394,12 @@ def run_market_ensemble(cfg: MarketConfig, n_runs: int,
     r)``, chunk r of the counter-based streams, exactly as a history of its
     own.  The members run in groups of ``max(1, ROWS // n_steps)``, each
     group in one stacked pass (``_run_members``), so the pass's temporaries
-    stay fixed-size for any ``n_runs``.
+    stay fixed-size for any ``n_runs``; the local regime's rotation chain
+    holds Python floats for one slab of steps at a time.
 
     ``n_workers`` is checked (at least 1) but starts no thread: the output
-    never depended on it, and the rotation chains hold the GIL, so threads
-    would only switch between them."""
+    never depended on it, and the rotation chain is a loop on Python floats
+    that holds the GIL, so threads would only switch between its members."""
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
     check_workers(n_workers)

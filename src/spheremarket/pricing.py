@@ -252,7 +252,8 @@ def mc_price(spec: OptionSpec, n_paths: int, seed: int,
 
     Terminal prices use the exact log-normal map with drift = r, so the
     only error is sampling noise.  Counter-based chunk seeding keeps the
-    estimate identical for any worker count.
+    estimate identical for any worker count.  Payoffs whose squares sum past
+    the float range raise ``FieldError`` on ``spot``, relative to ``strike``.
     """
     if n_paths < 2:
         raise ValueError("need at least two paths for a standard error")
@@ -263,16 +264,18 @@ def mc_price(spec: OptionSpec, n_paths: int, seed: int,
     def run_chunk(rng, lo, size):
         st = spec.spot * np.exp(loc + vol * rng.standard_normal(size))
         pay = disc * _payoff(spec.kind, st, spec.strike)
-        return pay.sum(), np.square(pay).sum()
+        with np.errstate(over="ignore"):  # an overflowed sum is named below
+            return float(pay.sum()), float(np.square(pay).sum())
 
     parts = map_chunks(run_chunk, n_paths, CHUNK_PATHS, seed, n_workers)
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     mean = total / n_paths
-    # max keeps its first argument unless the second is larger, so a NaN
-    # from an overflowed sum of squares stays NaN for the report's check
-    var = max((total_sq - n_paths * mean * mean) / (n_paths - 1), 0.0)
-    return float(mean), float(math.sqrt(var / n_paths))
+    var = (total_sq - n_paths * mean * mean) / (n_paths - 1)
+    if not math.isfinite(var):  # as it is whenever the sum of squares is not
+        raise FieldError("spot", "overflows the Monte Carlo sum of squared payoffs, so the "
+                         "standard error is not finite, at this", other="strike")
+    return mean, math.sqrt(max(var, 0.0) / n_paths)
 
 
 def binomial_price(spec: OptionSpec, steps: int) -> float:

@@ -1,3 +1,5 @@
+import ctypes
+import ctypes.util
 import fractions
 import math
 from fractions import Fraction
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spheremarket import geometry
 from spheremarket.geometry import (
+    _TINY_PRODUCT,
     UnitVector3,
     _fma,
     _dot_arrays,
@@ -19,6 +23,7 @@ from spheremarket.geometry import (
     _polar_arrays,
     _rotate,
     _rotate_arrays,
+    _rotate_chain,
     dot,
     from_polar,
     sample_uniform,
@@ -274,6 +279,56 @@ class TestExactFma:
         assert (a * b + c != got).any()
 
 
+def libm_fma():
+    """The C library's ``fma``, rounded once by the platform."""
+    fma = ctypes.CDLL(ctypes.util.find_library("m")).fma
+    fma.restype = ctypes.c_double
+    fma.argtypes = (ctypes.c_double,) * 3
+    return fma
+
+
+class TestFmaOracle:
+    """``_fma`` and every lane of ``_fma_arrays`` against the C library's
+    ``fma``, an implementation that shares none of their code."""
+
+    def triples(self, n: int, seed: int) -> tuple:
+        rng = np.random.default_rng(seed)
+        # factors at every scale from 1 down to 2^-60, and some whose product
+        # lies within 4 binades of the underflow guard on either side
+        a, b = (np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-60, 1, n)) for _ in range(2))
+        near = rng.random(n) < 0.1
+        e = rng.integers(-454, -446, n)
+        guard = math.frexp(_TINY_PRODUCT)[1]
+        a[near] = np.ldexp(rng.uniform(0.5, 1.0, near.sum()) * rng.choice([-1.0, 1.0], near.sum()),
+                           e[near])
+        b[near] = np.ldexp(rng.uniform(0.5, 1.0, near.sum()) * rng.choice([-1.0, 1.0], near.sum()),
+                           guard - e[near] + rng.integers(-4, 5, near.sum()))
+        c = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-60, 1, n))
+        cancel = rng.random(n) < 0.25  # c = -(a b) rounded: the result is a b's rounding error
+        c[cancel] = -(a[cancel] * b[cancel])
+        # a = 1 - u 2^-52, b = 2^-54 (1 + u 2^-52) and c = 0.5 + w 2^-53 with
+        # w odd, scaled and signed together: c + a b lies u^2 2^-158 below a
+        # tie, which a b rounded first would push up to even
+        tie = rng.random(n) < 0.05
+        u = rng.integers(1, 2 ** 20, tie.sum()).astype(float)
+        scale = np.ldexp(rng.choice([-1.0, 1.0], tie.sum()), rng.integers(-60, 1, tie.sum()))
+        a[tie] = 1.0 - u * 2.0 ** -52
+        b[tie] = scale * (2.0 ** -54 + u * 2.0 ** -106)
+        c[tie] = scale * (0.5 + (2 * rng.integers(0, 2 ** 51, tie.sum()) + 1) * 2.0 ** -53)
+        for column in (a, b, c):  # signed zeros in every position
+            zero = rng.random(n) < 0.02
+            column[zero] = rng.choice([0.0, -0.0], zero.sum())
+        return a, b, c
+
+    def test_matches_libm_fma(self):
+        a, b, c = self.triples(120_000, 2005)
+        assert (np.abs(a * b) < 16 * _TINY_PRODUCT).sum() > 5_000
+        fma = libm_fma()
+        want = [fma(*t).hex() for t in zip(a.tolist(), b.tolist(), c.tolist())]
+        assert [_fma(*t).hex() for t in zip(a.tolist(), b.tolist(), c.tolist())] == want
+        assert [r.hex() for r in _fma_arrays(a, b, c).tolist()] == want
+
+
 def reference_rotate(v: UnitVector3, k: UnitVector3, angle: float) -> UnitVector3:
     """Rodrigues in ``_rotate``'s operation order, each operation rounded from
     its exact rational value, the dot's products and sums fused."""
@@ -331,6 +386,118 @@ class TestExactRotation:
             angle = float(rng.uniform(0.0, math.pi))
             assert (hex_points([_rotate(v, k, angle)])
                     == hex_points([reference_rotate(v, k, angle)]))
+
+
+signs = st.sampled_from([1.0, -1.0])
+chain_angles = st.sampled_from([0.0, math.pi / 2, math.pi]) | st.floats(0.0, math.pi)
+
+
+def in_plane(phi: float, zero_sign: float, order: list) -> tuple:
+    """The point (cos phi, sin phi, +-0.0), normalized, with its components
+    put in ``order``; its two nonzero components are also returned."""
+    a, b, _ = UnitVector3.normalized(math.cos(phi), math.sin(phi), 0.0)
+    return arrange((a, b, math.copysign(0.0, zero_sign)), order), a, b
+
+
+def arrange(xyz, order) -> UnitVector3:
+    return UnitVector3(*(xyz[i] for i in order))
+
+
+@st.composite
+def zero_points(draw):
+    """Unit points with exact zeros of either sign: the coordinate axes and
+    points on the coordinate great circles."""
+    phi = draw(st.sampled_from([0.0, math.pi / 2]) | st.floats(0.0, 2.0 * math.pi))
+    v, _, _ = in_plane(phi, draw(signs), draw(st.permutations(range(3))))
+    return UnitVector3(*(math.copysign(c, draw(signs)) for c in v))
+
+
+@st.composite
+def tiny_product_pairs(draw):
+    """A start on a coordinate great circle and an axis close to that
+    circle's pole, whose products with the start's nonzero components lie
+    below the underflow guard of ``_fma`` (or just above it)."""
+    order = draw(st.permutations(range(3)))
+    v, a, b = in_plane(draw(st.floats(0.0, 2.0 * math.pi)), draw(signs), order)
+    mu = math.ldexp(1.0, -draw(st.integers(880, 1074)))
+    return v, arrange((mu * a, mu * b, draw(signs)), order)
+
+
+@st.composite
+def zero_dot_pairs(draw):
+    """A start on a coordinate great circle and an axis whose two nonzero
+    products with it cancel exactly, so that a fused multiply-add of k.v
+    is an exact zero."""
+    order = draw(st.permutations(range(3)))
+    v, a, b = in_plane(draw(st.floats(0.0, 2.0 * math.pi)), draw(signs), order)
+    lam = math.ldexp(draw(signs), -draw(st.integers(0, 20)))
+    pole = math.copysign(math.sqrt(1.0 - lam * lam), draw(signs))
+    return v, arrange((-lam * b, lam * a, pole), order)
+
+
+@st.composite
+def chain_members(draw, n: int):
+    """A start and n (axis, angle) steps; the first axis may be made for
+    the start, with products below the guard or a dot that cancels."""
+    start = draw(polar_points | zero_points())
+    steps = draw(st.lists(st.tuples(polar_points | zero_points(), chain_angles),
+                          min_size=n, max_size=n))
+    pair = draw(st.none() | tiny_product_pairs() | zero_dot_pairs())
+    if pair is not None:
+        start, axis = pair
+        steps[0] = (axis, steps[0][1])
+    return start, steps
+
+
+def reference_chain(members) -> list:
+    """Each member's states, stepped from its start by ``reference_rotate``."""
+    states = []
+    for v, steps in members:
+        for k, angle in steps:
+            v = reference_rotate(v, k, angle)
+            states.append(v)
+    return states
+
+
+def fsum_with_negative_zero(real=math.fsum):
+    """``math.fsum`` that gives -0.0 for an exact zero."""
+    return lambda xs: real(xs) or -0.0
+
+
+class TestRotationChain:
+    """``_rotate_chain`` in bits against the exact reference, step by step."""
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(chain_members(n), min_size=1,
+                                                        max_size=3)),
+           st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    # a product of 2^-1030 sin^2(1): its four half-products lose bits to
+    # underflow, so only _fma gives the once-rounded sum
+    @example([(UnitVector3(math.cos(1.0), math.sin(1.0), 0.0),
+               [(UnitVector3(math.ldexp(math.cos(1.0), -1030), math.ldexp(math.sin(1.0), -1030),
+                             1.0), math.pi / 2)])], 1)
+    def test_matches_stepping_the_exact_reference(self, members, slab):
+        # slabs of a few rows, so that chains cross slab edges and members
+        starts = [start for start, _ in members]
+        axes = [k for _, steps in members for k, _ in steps]
+        angles = np.array([angle for _, steps in members for _, angle in steps])
+        with mock.patch.object(geometry, "_SLAB", slab):
+            got = _rotate_chain(starts, columns(axes), angles)
+        assert hex_points(got.tolist()) == hex_points(reference_chain(members))
+
+    @given(zero_dot_pairs(), chain_angles)
+    @settings(max_examples=300, deadline=None)
+    # at angle 0 the z component is (-0.0 + -0.0) + (kz d) 0, whose zero
+    # sign is the sign of d = 0.0 * -0.0 + fma(ky, vy, kx vx)
+    @example((UnitVector3(0.6, 0.8, -0.0), UnitVector3(-0.8, 0.6, 0.0)), 0.0)
+    def test_exact_zero_dot_takes_ieee_sign(self, pair, angle):
+        # math.fsum gives +0.0 for an exact zero, as IEEE's p + q does when
+        # p = -q; with an fsum that gave -0.0, the zero's sign still comes
+        # from p + q
+        start, axis = pair
+        with mock.patch.object(math, "fsum", fsum_with_negative_zero()):
+            got = _rotate_chain([start], columns([axis]), np.array([angle]))
+        assert hex_points(got.tolist()) == hex_points([reference_rotate(start, axis, angle)])
 
 
 class TestArrayKernels:

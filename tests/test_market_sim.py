@@ -406,11 +406,12 @@ class TestEnsemble:
                              ids=["local", "global"])
     def test_memory_above_the_logs_is_one_group(self, regime):
         # 64 members of 2000 steps run as two groups of 32.  A group's
-        # temporaries measured 382 bytes a row in the local regime (the
-        # chain's Python tuples and step lists, and the stacked arrays) and
-        # 211 in the global, with the chain filled by np.fromiter and the
-        # global outcomes in array passes; one pass over all 128,000 rows
-        # would peak near 760 bytes per row of a group
+        # temporaries measured 126 bytes a row in the local regime (the
+        # stacked arrays, and the chain's step lists one slab at a time;
+        # 442 with whole-column step lists) and 211 in the global, with the
+        # global outcomes in array passes.  One pass over all 128,000 rows
+        # peaks at 245 (local) and 421 (global) bytes per row of a group,
+        # so this bound no longer tells one pass from two groups
         bytes_per_row = 448
         cfg = make_config(regime=regime, n_steps=2000, seed=3)
         run_market_ensemble(make_config(regime=regime, n_steps=20), 2)  # warm one-time caches

@@ -318,6 +318,17 @@ class TestMcPrice:
         value, stderr = mc_price(put(ATM), 10 ** 6, seed=7)
         assert abs(value - bs_price(put(ATM))) < 4.0 * stderr
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_overflowed_sum_of_squares_names_spot_and_strike(self, n_workers):
+        # payoffs near 1e155 square past the float range in every chunk;
+        # this once returned a NaN standard error after numpy overflow warnings
+        spec = OptionSpec(spot=1e155, strike=1e155, rate=0.05, sigma=0.2, tau=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FieldError) as info:
+                mc_price(spec, 3 * CHUNK_PATHS, seed=3, n_workers=n_workers)
+        assert (info.value.field, info.value.other) == ("spot", "strike")
+
 
 class TestBinomial:
     def test_single_step_hand_value(self):
