@@ -9,7 +9,8 @@ written inline, so that a trade builds no ``UnitVector3`` and makes no
 Python call of its own; ``_rotate`` is its one-step case.  The ``*_arrays``
 kernels take each component as an array and give, lane by lane, the bits
 of their scalar namesakes: the same operations in the same order, ``cos``
-and ``sin`` through ``math`` and the fused multiply-add emulated exactly.
+and ``sin`` through ``math`` and the fused multiply-add emulated exactly:
+Dekker's product from ``_halves``, or ``_fma``'s rational sum if tiny.
 """
 
 from __future__ import annotations
@@ -168,30 +169,22 @@ def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add, for |a|, |b| <= 1.
+    """a * b + c rounded once, from its exact rational value: the fused
+    multiply-add for products below ``_TINY_PRODUCT``, zero factors
+    included, where Dekker's split can lose bits to underflow.  An exact
+    zero is IEEE's a * b + c, exact too and with the sign Fraction drops."""
+    from fractions import Fraction  # this rare path alone needs it
 
-    Dekker's product gives a * b exactly as p + e, and ``math.fsum`` rounds
-    p + e + c once.  Products too small for an exact split take the exact
-    rational sum instead, unless a factor is zero: then p is the exact
-    product and p + c is already the once-rounded sum.  An exact zero keeps
-    IEEE's sign rules, which the plain p + c follows whenever the sum is zero.
-    """
-    p = a * b
-    if not abs(p) >= _TINY_PRODUCT:
-        if a == 0.0 or b == 0.0:
-            return p + c
-        from fractions import Fraction  # this rare path alone needs it
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    return float(exact) if exact else a * b + c
 
-        exact = Fraction(a) * Fraction(b) + Fraction(c)
-        return float(exact) if exact else p + c
+
+def _halves(a: np.ndarray) -> tuple:
+    """Veltkamp's split of every element, the module's one: a high half of
+    26 bits and the low rest, which sum to a exactly."""
     t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return math.fsum((p, e, c)) or p + c
+    high = t - (t - a)
+    return high, a - high
 
 
 def _fma_arrays(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -199,21 +192,18 @@ def _fma_arrays(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     (*Emulation of FMA and correctly rounded sums: proved algorithms using
     rounding to odd*, IEEE TC 2008).
 
-    Dekker's product gives a * b exactly as p + e and TwoSum gives c + p
-    exactly as h + l.  Then l + e is rounded to odd: its round-to-nearest
-    sum, moved one ulp towards the exact value when that sum is inexact and
-    its significand even.  One round-to-nearest h + that gives a * b + c
-    rounded once.  Lanes with a zero factor or a zero result take p + c, as
-    ``_fma`` does, and lanes whose product is below the underflow guard go
-    through ``_fma`` itself.
+    Dekker's product of the ``_halves`` gives a * b exactly as p + e, and
+    TwoSum gives c + p exactly as h + l.  Then l + e is rounded to odd: its
+    round-to-nearest sum, moved one ulp towards the exact value when that
+    sum is inexact and its significand even.  One round-to-nearest h + that
+    gives a * b + c rounded once.  Lanes with a zero factor or a zero result
+    take p + c in the array pass (news directions have y = +-0, so a global
+    run's first call is all zero-factor lanes); only lanes whose nonzero
+    product is below the underflow guard go through ``_fma``.
     """
     p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
+    ah, al = _halves(a)
+    bh, bl = _halves(b)
     e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
     h = c + p
     t = h - c
@@ -250,8 +240,8 @@ def _rotate_chain(starts: list, axis: tuple, angle: np.ndarray) -> np.ndarray:
     dot k.v as the fused chain fma(kz, vz, fma(ky, vy, kx vx)) that BLAS
     once computed, made explicit so that the bits do not depend on the BLAS
     kernel.  Each fused multiply-add is one ``math.fsum`` of the addend and
-    the four products of Veltkamp's halves (Dekker's split, as in ``_fma``),
-    which are exact and sum to k_i v_i; an exact zero takes IEEE's p + q,
+    the four products of Veltkamp's halves (split as by ``_halves``), which
+    are exact and sum to k_i v_i; an exact zero takes IEEE's p + q,
     and a product below the underflow guard, whose halves could lose bits,
     goes through ``_fma``.  The axis halves, ``cos``, ``sin`` and
     ``1 - cos`` come first in array passes over every chain.  The step
@@ -301,14 +291,6 @@ def _rotate_chain(starts: list, axis: tuple, angle: np.ndarray) -> np.ndarray:
                 rows += (vx, vy, vz)
             flat[3 * lo:3 * hi] = rows
     return out
-
-
-def _halves(a: np.ndarray) -> tuple:
-    """Veltkamp's split of every element, by ``_fma``'s IEEE operations:
-    a high half of 26 bits and the low rest, which sum to a exactly."""
-    t = _SPLIT * a
-    high = t - (t - a)
-    return high, a - high
 
 
 def _rotate_arrays(v: tuple, axis: tuple, angle: np.ndarray) -> tuple:

@@ -102,8 +102,8 @@ def time_value(spec: OptionSpec, total_value: float) -> float:
     May be negative for deep in-the-money European puts (discounting can
     push the fair value below intrinsic); it is reported, not clamped.
     """
-    if total_value < 0:
-        raise ValueError("total option value cannot be negative")
+    if not 0 <= total_value < math.inf:  # also rejects NaN
+        raise ValueError(f"total_value must be finite and non-negative, not {total_value!r}")
     return total_value - intrinsic_value(spec)
 
 
@@ -371,14 +371,15 @@ def pde_residual(spec: OptionSpec, h_s: float, h_t: float, value_fn=None) -> flo
         value_fn = bs_price
     if spec.sigma <= 0.0:
         raise ValueError("residual check needs sigma > 0")
-    if spec.tau <= h_t:
-        raise ValueError("need an interior point: tau > h_t")
-    if h_t <= 0:
-        raise ValueError("h_t must be positive")
-    if h_s < 1e-4 * spec.spot:
-        raise ValueError("h_s below the cancellation guard 1e-4 * S")
-    if spec.spot - h_s <= 0:
-        raise ValueError("h_s too large: S - h_s must stay positive")
+    # negated comparisons, so that a NaN step fails them too
+    if not h_t > 0:
+        raise ValueError(f"h_t must be positive, not {h_t!r}")
+    if not h_t < spec.tau:
+        raise ValueError(f"h_t must be below tau for an interior point, not {h_t!r}")
+    if not h_s >= 1e-4 * spec.spot:
+        raise ValueError(f"h_s must be at least the cancellation guard 1e-4 * S, not {h_s!r}")
+    if not spec.spot - h_s > 0:
+        raise ValueError(f"h_s must be below S, so that S - h_s stays positive, not {h_s!r}")
 
     def value(s, tau):
         return value_fn(replace(spec, spot=s, tau=tau))

@@ -1,6 +1,5 @@
 import ctypes
 import ctypes.util
-import fractions
 import math
 from fractions import Fraction
 from unittest import mock
@@ -29,6 +28,8 @@ from spheremarket.geometry import (
     sample_uniform,
     sample_uniform_array,
 )
+from spheremarket.market_sim import GlobalRegime, MarketConfig, NewsSeries, run_market
+from spheremarket.sphere_model import UniformRho
 
 POLE = UnitVector3(0.0, 0.0, 1.0)
 
@@ -235,17 +236,34 @@ class TestExactFma:
 
     @given(st.sampled_from([0.0, -0.0]), unit_doubles, unit_doubles, st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_zero_factor_skips_the_rational_sum(self, zero, other, c, zero_first):
+    def test_zero_factor_lanes_never_reach_the_scalar_fma(self, zero, other, c, zero_first):
         a, b = (zero, other) if zero_first else (other, zero)
-        # _fma imports Fraction on its rational path only, so the patch on the
-        # fractions module is what that import would read
-        with mock.patch.object(fractions, "Fraction", side_effect=AssertionError):
-            got, lane = _fma(a, b, c), lane_fma(a, b, c)
+        with mock.patch.object(geometry, "_fma", side_effect=AssertionError):
+            lane = lane_fma(a, b, c)
         # an exact zero product leaves c, and a zero sum is -0.0 only when
         # both the product and c are -0.0
         product_sign = math.copysign(1.0, a) * math.copysign(1.0, b)
         want = c if c else (-0.0 if product_sign < 0 and math.copysign(1.0, c) < 0 else 0.0)
-        assert got.hex() == lane.hex() == want.hex()
+        assert _fma(a, b, c).hex() == lane.hex() == want.hex()
+
+    def test_global_market_never_calls_the_scalar_fma(self):
+        # news directions have y = +-0, so a global run hands _fma_arrays
+        # zero-factor lanes, which must stay in its array pass
+        cfg = MarketConfig(rho=UniformRho(), n_steps=2000, seed=5,
+                           regime=GlobalRegime(news=NewsSeries(kind="drift", angle=0.3, rate=0.02),
+                                               noise_angle=0.3))
+        zero_lanes, fma_arrays = [], geometry._fma_arrays
+
+        def counting(a, b, c):
+            zero_lanes.append(int(((a == 0.0) | (b == 0.0)).sum()))
+            return fma_arrays(a, b, c)
+
+        want = run_market(cfg)
+        with mock.patch.object(geometry, "_fma", side_effect=AssertionError), \
+                mock.patch.object(geometry, "_fma_arrays", counting):
+            got = run_market(cfg)
+        assert sum(zero_lanes) >= cfg.n_steps
+        assert [c.tobytes() for c in got._columns()] == [c.tobytes() for c in want._columns()]
 
     @pytest.mark.parametrize("a, b, c, want", [
         (-0.0, 1.0, -0.0, -0.0),
@@ -498,6 +516,36 @@ class TestRotationChain:
         with mock.patch.object(math, "fsum", fsum_with_negative_zero()):
             got = _rotate_chain([start], columns([axis]), np.array([angle]))
         assert hex_points(got.tolist()) == hex_points([reference_rotate(start, axis, angle)])
+
+
+class TestScalarFmaCallers:
+    """``_fma`` is the exact rational path for products below
+    ``_TINY_PRODUCT``, and its callers hand it no other product."""
+
+    @staticmethod
+    def spy():
+        calls, fma = [], geometry._fma
+        return calls, lambda a, b, c: calls.append((a, b)) or fma(a, b, c)
+
+    @given(st.lists(st.tuples(unit_doubles | guard_factors, unit_doubles | guard_factors,
+                              unit_doubles | guard_factors), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_fma_arrays(self, triples):
+        calls, spy = self.spy()
+        with mock.patch.object(geometry, "_fma", spy):
+            _fma_arrays(*(np.array(column) for column in zip(*triples)))
+        assert all(abs(a * b) < _TINY_PRODUCT for a, b in calls)
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(chain_members(n), min_size=1,
+                                                        max_size=3)))
+    @settings(max_examples=300, deadline=None)
+    def test_rotate_chain(self, members):
+        calls, spy = self.spy()
+        axes = [k for _, steps in members for k, _ in steps]
+        angles = np.array([angle for _, steps in members for _, angle in steps])
+        with mock.patch.object(geometry, "_fma", spy):
+            _rotate_chain([start for start, _ in members], columns(axes), angles)
+        assert all(abs(a * b) < _TINY_PRODUCT for a, b in calls)
 
 
 class TestArrayKernels:

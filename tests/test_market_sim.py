@@ -411,8 +411,8 @@ class TestEnsemble:
         # 442 with whole-column step lists) and 211 in the global, with the
         # global outcomes in array passes.  One pass over all 128,000 rows
         # peaks at 245 (local) and 421 (global) bytes per row of a group,
-        # so this bound no longer tells one pass from two groups
-        bytes_per_row = 448
+        # so a bound per regime between the two tells one pass from two groups
+        bytes_per_row = 192 if isinstance(regime, LocalRegime) else 320
         cfg = make_config(regime=regime, n_steps=2000, seed=3)
         run_market_ensemble(make_config(regime=regime, n_steps=20), 2)  # warm one-time caches
         tracemalloc.start()

@@ -98,6 +98,11 @@ class TestIntrinsicAndTimeValue:
         with pytest.raises(ValueError):
             time_value(ATM, -1.0)
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf])
+    def test_non_finite_total_rejected(self, total):
+        with pytest.raises(ValueError, match="total_value must be finite"):
+            time_value(ATM, total)
+
     def test_deep_itm_put_time_value_can_be_negative(self):
         spec = OptionSpec(10.0, 200.0, 0.1, 0.2, 2.0, kind=OptionKind.PUT)
         assert time_value(spec, bs_price(spec)) < 0.0
@@ -464,6 +469,17 @@ class TestPdeResidual:
             pde_residual(OptionSpec(100, 100, 0.05, 0.2, 1e-5), h_s=0.1, h_t=1e-4)
         with pytest.raises(ValueError):
             pde_residual(OptionSpec(100, 100, 0.05, 0.0, 1.0), h_s=0.1, h_t=1e-4)
+
+    @pytest.mark.parametrize("h_s, h_t, named", [
+        (math.nan, 1e-4, "h_s"), (math.inf, 1e-4, "h_s"), (-math.inf, 1e-4, "h_s"),
+        (0.1, math.nan, "h_t"), (0.1, math.inf, "h_t"), (0.1, -math.inf, "h_t"),
+    ])
+    def test_non_finite_steps_named(self, h_s, h_t, named):
+        # a NaN step used to pass every guard and fail inside OptionSpec,
+        # naming spot or tau instead of the step
+        with pytest.raises(ValueError, match=f"^{named} must") as info:
+            pde_residual(ATM, h_s=h_s, h_t=h_t)
+        assert not isinstance(info.value, FieldError)
 
 
 class TestReportsAndCsv:
