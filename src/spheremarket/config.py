@@ -26,6 +26,9 @@ if TYPE_CHECKING:
     from .geometry import UnitVector3
 
 
+MAX_COUNT = 2 ** 53  # the default bound of a count: up to it a float holds each integer
+
+
 class ConfigParseError(ValueError):
     """Malformed config: bad JSON, wrong types, unknown or missing keys."""
 
@@ -121,10 +124,10 @@ def count(value, name: str) -> int:
     return int(value)
 
 
-def at_least(minimum: int, at_most: int = 2 ** 53):
+def at_least(minimum: int, at_most: int = MAX_COUNT):
     """``count``, plus a ValueError naming the key for a value below
-    ``minimum`` or above ``at_most``.  The default cap, 2**53, is where a
-    float stops holding every integer, and the cap of ``n_steps``."""
+    ``minimum`` or above ``at_most``.  The default cap, ``MAX_COUNT``, is
+    also the bound of ``n_steps`` and of the GBM ``steps``."""
     def conv(value, name: str) -> int:
         value = count(value, name)
         if value < minimum:

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .config import (
+    MAX_COUNT,
     FieldError,
     block_kind,
     build,
@@ -144,8 +145,13 @@ class MarketConfig:
 
     def __post_init__(self):
         # below 2**53 every step index in angle + rate * step is exact as a float
-        if not 1 <= self.n_steps <= 2 ** 53:
+        if not 1 <= self.n_steps <= MAX_COUNT:
             raise FieldError("n_steps", f"must lie in [1, 2**53], got {shown(self.n_steps)}")
+        try:
+            UnitVector3(*self.price_axis)
+        except (TypeError, ValueError):
+            raise FieldError("price_axis",
+                             f"must be a unit vector, got {self.price_axis!r}") from None
         require_finite(self, "price_min", "price_max")
         if not self.price_min < self.price_max:
             raise FieldError("price_min", "must be below", other="price_max")
@@ -264,9 +270,11 @@ def _run_members(cfg: MarketConfig, rngs: list) -> list[TradeLog]:
         starts.append(sample_uniform(rng))
         rng.random(out=u[lo:lo + n])
     breaks = rho.quantile(u[:, -1] if rho.draws else np.zeros(len(u)))
-    kicks = (-1.0 + 2.0 * u[:, 0], _TWO_PI * u[:, 1], noise * u[:, 2]) if noise > 0.0 else None
+    kicks = ((_on_sphere_arrays(-1.0 + 2.0 * u[:, 0], _TWO_PI * u[:, 1]), noise * u[:, 2])
+             if noise > 0.0 else None)
     history = _local_history if isinstance(cfg.regime, LocalRegime) else _global_history
-    direction, o1, price = history(cfg, starts, kicks, breaks)
+    direction, o1 = history(cfg, starts, kicks, breaks)
+    price = _prices(cfg, tuple(direction.T), o1)
     return [TradeLog(step=np.arange(n), direction=direction[lo:lo + n], o1=o1[lo:lo + n],
                      break_point=breaks[lo:lo + n], price=price[lo:lo + n])
             for lo in range(0, len(u), n)]
@@ -283,9 +291,9 @@ def _before(starts: list, contexts: tuple) -> tuple:
 
 
 def _local_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) -> tuple:
-    """The local regime of the members with initial states ``starts``:
-    each context is the state before it, kicked by ``_rotate`` about its
-    drawn axis.
+    """The contexts and outcomes of the local regime's members with initial
+    states ``starts``: each context is the state before it, kicked by
+    ``_rotate`` about its drawn axis (``kicks`` holds the axes and angles).
 
     Every operation of ``_rotate`` is odd in the vector (products, sums,
     the exact fused multiply-adds and the normalization), so a state of
@@ -305,11 +313,7 @@ def _local_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) -
     exact, so nothing needs replaying.
     """
     n = len(breaks) // len(starts)
-    if kicks is None:
-        chain = np.repeat(np.array(starts), n, axis=0)
-    else:
-        axes = _on_sphere_arrays(kicks[0], kicks[1])
-        chain = _rotate_chain(starts, axes, kicks[2])
+    chain = _rotate_chain(starts, *kicks) if kicks else np.repeat(np.array(starts), n, axis=0)
     columns = tuple(chain.T)
     o1 = breaks < _dot_arrays(_before(starts, columns), columns)
     o2_before = np.zeros((len(starts), n), bool)
@@ -320,13 +324,13 @@ def _local_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) -
         for t in np.flatnonzero((chain == 0.0).any(axis=1)).tolist():
             s = (starts[t // n] if t % n == 0
                  else (direction[t - 1] if o1[t - 1] else -direction[t - 1]).tolist())
-            direction[t] = _rotate(s, tuple(float(k[t]) for k in axes), float(kicks[2][t]))
-    return direction, o1, _prices(cfg, tuple(direction.T), o1)
+            direction[t] = _rotate(s, tuple(float(k[t]) for k in kicks[0]), float(kicks[1][t]))
+    return direction, o1
 
 
 def _global_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) -> tuple:
-    """The global regime of the members with initial states ``starts``, in
-    array passes over all their steps.
+    """The contexts and outcomes of the global regime's members with
+    initial states ``starts``, in array passes over all their steps.
 
     A context depends only on the news angle and its step's uniforms, so
     every context d_t comes out of the ``*_arrays`` kernels at once, bit for
@@ -341,9 +345,8 @@ def _global_history(cfg: MarketConfig, starts: list, kicks, breaks: np.ndarray) 
     news = _polar_arrays(cfg.regime.news.angle_at(np.arange(n)), 0.0)
     d = tuple(np.tile(c, len(starts)) for c in news)
     if kicks is not None:
-        d = _rotate_arrays(d, _on_sphere_arrays(kicks[0], kicks[1]), kicks[2])
-    o1 = _global_o1(breaks, _dot_arrays(_before(starts, d), d), n)
-    return np.column_stack(d), o1, _prices(cfg, d, o1)
+        d = _rotate_arrays(d, *kicks)
+    return np.column_stack(d), _global_o1(breaks, _dot_arrays(_before(starts, d), d), n)
 
 
 def _global_o1(breaks: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
@@ -415,27 +418,25 @@ class SeriesSummary:
 
     mean is the sample mean; variance the unbiased (n-1) estimator;
     excess kurtosis the moment ratio m4/m2^2 - 3 with biased central
-    moments, None (flagged) for constant series.  acf lag k is
+    moments, None for constant series.  acf lag k is
     [sum_t (x_t - xbar)(x_{t+k} - xbar) / (n - k)] / [sum_t (x_t - xbar)^2 / n].
     """
 
     n_prices: int
-    n_returns: int
     mean: float
     variance: float
     excess_kurtosis: Optional[float]
-    kurtosis_defined: bool
     acf_returns: tuple
     acf_abs_returns: tuple
 
     def to_dict(self) -> dict:
         return {
             "n_prices": self.n_prices,
-            "n_returns": self.n_returns,
+            "n_returns": self.n_prices - 1,
             "mean_log_return": self.mean,
             "var_log_return": self.variance,
             "excess_kurtosis": self.excess_kurtosis,
-            "kurtosis_defined": self.kurtosis_defined,
+            "kurtosis_defined": self.excess_kurtosis is not None,
             "acf_returns": list(self.acf_returns),
             "acf_abs_returns": list(self.acf_abs_returns),
         }
@@ -465,17 +466,11 @@ def summary_from_prices(prices: np.ndarray) -> SeriesSummary:
     variance = float(x.var(ddof=1))
     xc = x - x.mean()
     m2 = float(np.mean(xc ** 2))
-    if m2 == 0.0:
-        kurt, defined = None, False
-    else:
-        kurt, defined = float(np.mean(xc ** 4) / m2 ** 2 - 3.0), True
     return SeriesSummary(
         n_prices=prices.size,
-        n_returns=x.size,
         mean=mean,
         variance=variance,
-        excess_kurtosis=kurt,
-        kurtosis_defined=defined,
+        excess_kurtosis=None if m2 == 0.0 else float(np.mean(xc ** 4) / m2 ** 2 - 3.0),
         acf_returns=_acf(x, ACF_LAGS),
         acf_abs_returns=_acf(np.abs(x), ACF_LAGS),
     )
@@ -489,11 +484,10 @@ def summary_stats(trades: TradeLog) -> SeriesSummary:
 def representative_scan_angle(trades: TradeLog) -> float:
     """Median angle between consecutive trade directions, clamped into
     (0, pi); the spacing used for the three-direction feasibility scan."""
-    import statistics
-
     d = trades.direction
-    gaps = _math_map(math.acos, _dot_arrays(tuple(d[:-1].T), tuple(d[1:].T))).tolist()
-    theta = statistics.median(gaps) if gaps else 0.0
+    gaps = sorted(_math_map(math.acos, _dot_arrays(tuple(d[:-1].T), tuple(d[1:].T))).tolist())
+    # the middle gap, or the mean of the two middle ones; (g + g) / 2 is g exactly
+    theta = (gaps[(len(gaps) - 1) // 2] + gaps[len(gaps) // 2]) / 2.0 if gaps else 0.0
     return min(max(theta, 1e-6), math.pi - 1e-6)
 
 

@@ -18,7 +18,8 @@ from enum import Enum
 
 import numpy as np
 
-from .config import FieldError, build, count, member, number, parse_block, require_finite
+from .config import (MAX_COUNT, FieldError, build, count, member, number, parse_block,
+                     require_finite, shown)
 from .ndtr import erfc
 from .streams import map_chunks
 
@@ -145,8 +146,8 @@ def bs_price(spec: OptionSpec) -> float:
 
 @dataclass(frozen=True)
 class GbmParams:
-    """Diffusion parameters: start s0, drift, volatility, horizon split
-    into equal steps."""
+    """Diffusion parameters: start s0, drift, volatility, horizon split into
+    equal steps, 1 to 2**53 of them (``config.MAX_COUNT``, the count bound)."""
 
     s0: float
     drift: float
@@ -160,13 +161,11 @@ class GbmParams:
             raise FieldError("s0", "must be positive")
         if self.sigma < 0:
             raise FieldError("sigma", "must be nonnegative")
-        if self.steps < 1:
-            raise FieldError("steps", "must be at least 1")
+        if not 1 <= self.steps <= MAX_COUNT:
+            raise FieldError("steps", f"must lie in [1, 2**53], got {shown(self.steps)}")
         if self.horizon <= 0:
             raise FieldError("horizon", "must be positive")
-        from fractions import Fraction  # only GBM runs split the horizon
-
-        dt = float(Fraction(self.horizon) / self.steps)  # exact for any int steps
+        dt = self.horizon / self.steps
         if dt == 0.0:
             raise FieldError("horizon", "leaves a time step of 0 when split into", other="steps")
         if self.sigma > 0 and self.sigma * math.sqrt(dt) == 0.0:

@@ -311,7 +311,7 @@ class TestErrorHandling:
         ("sigma", 5e-324, "sigma", "horizon"),
         ("horizon", 1e308, "sigma", "horizon"),
         ("horizon", 5e-324, "horizon", "steps"),
-        ("steps", 10 ** 400, "horizon", "steps"),
+        ("steps", 10 ** 400, "steps", None),
     ], ids=["s0_subnormal", "drift_high", "drift_low", "sigma_high", "sigma_subnormal",
             "horizon_high", "horizon_subnormal", "steps_beyond_float"])
     def test_gbm_log_range_names_key(self, tmp_path, capsys, key, value, field, other):
@@ -363,10 +363,16 @@ class TestErrorHandling:
         assert message.startswith("'params.compare_gbm.")
         assert os.listdir(tmp_path) == ["config.json"]
 
-    @pytest.mark.parametrize("steps", [1999, 10 ** 300], ids=["1999", "1e300"])
+    @pytest.mark.parametrize("steps, message", [
+        (1999, "must equal 'params.market.n_steps'"),
+        (2 ** 53, "must equal 'params.market.n_steps'"),
+        (2 ** 53 + 1, f"must lie in [1, 2**53], got {2 ** 53 + 1}"),
+        (10 ** 300, "must lie in [1, 2**53], got an integer of 301 digits"),
+    ], ids=["1999", "2_to_53", "2_to_53_plus_1", "1e300"])
     def test_gbm_steps_apart_from_the_market_name_both_keys(self, tmp_path, capsys, monkeypatch,
-                                                            steps):
-        # this once exited 3 with "gbm.steps must match cfg.n_steps", no key
+                                                            steps, message):
+        # this once exited 3 with "gbm.steps must match cfg.n_steps", no key;
+        # a count past 2**53 is out of the count range before it is compared
         with open(os.path.join(DEMO_CONFIGS, "market_local_vs_gbm.json"), encoding="utf-8") as fh:
             payload = json.load(fh)
         payload["params"]["compare_gbm"]["steps"] = steps
@@ -374,8 +380,8 @@ class TestErrorHandling:
         monkeypatch.setattr(market_sim, "run_market", calls.append)
         code = cli_runner.run(write_config(tmp_path, payload), out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION and calls == []  # checked before the simulation
-        message = json.loads(capsys.readouterr().err)["error"]["message"]
-        assert message == "'params.compare_gbm.steps' must equal 'params.market.n_steps'"
+        error = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert error == f"'params.compare_gbm.steps' {message}"
         assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("config", ["price_atm", "binomial_convergence"])

@@ -153,12 +153,11 @@ class TestUniformSampler:
             out = np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
             return out / np.linalg.norm(out, axis=1, keepdims=True)
 
-        def hexes(a):
-            return [x.hex() for x in a.ravel().tolist()]
-
+        # the int64 views compare every bit, signed zeros included
         got = sample_uniform_array(np.random.default_rng(seed), n)
-        assert got.shape == (n, 3)
-        assert hexes(got) == hexes(by_norm(np.random.default_rng(seed), n))
+        want = by_norm(np.random.default_rng(seed), n)
+        assert got.shape == want.shape == (n, 3)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestRotation:

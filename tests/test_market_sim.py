@@ -294,10 +294,12 @@ class TestRunMarket:
         cfg = make_config(price_axis=UnitVector3(0.0, 1.0, 0.0))
         starts = starts[:len(kicks)]
         rows = len(kicks) // len(starts) * len(starts)
-        kicks = tuple(np.array(k) for k in zip(*kicks[:rows]))
+        z, phi, angle = (np.array(k) for k in zip(*kicks[:rows]))
         breaks = np.array(breaks[:rows])
-        direction, o1, price = market_sim._local_history(cfg, starts, kicks, breaks)
-        expected = scalar_local_members(cfg, starts, kicks, breaks)
+        axes = geometry._on_sphere_arrays(z, phi)
+        direction, o1 = market_sim._local_history(cfg, starts, (axes, angle), breaks)
+        price = market_sim._prices(cfg, tuple(direction.T), o1)
+        expected = scalar_local_members(cfg, starts, (z, phi, angle), breaks)
         assert [tuple(map(repr, d)) for d in direction.tolist()] == \
             [tuple(map(repr, d)) for d in expected[0]]
         assert (o1.tolist(), price.tolist()) == expected[1:]
@@ -404,24 +406,25 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("regime", [LocalRegime(noise_angle=0.5), GLOBAL_REGIMES["global"]],
                              ids=["local", "global"])
-    def test_memory_above_the_logs_is_one_group(self, regime):
-        # 64 members of 2000 steps run as two groups of 32.  A group's
-        # temporaries measured 126 bytes a row in the local regime (the
-        # stacked arrays, and the chain's step lists one slab at a time;
-        # 442 with whole-column step lists) and 211 in the global, with the
-        # global outcomes in array passes.  One pass over all 128,000 rows
-        # peaks at 245 (local) and 421 (global) bytes per row of a group,
-        # so a bound per regime between the two tells one pass from two groups
+    def test_memory_above_the_logs_is_one_group(self, monkeypatch, regime):
+        # With ROWS at 16,000, 16 members of 2000 steps run as two groups of
+        # 8.  A group's temporaries measured 130 bytes a row in the local
+        # regime (the stacked arrays, and the chain's step lists one slab at
+        # a time) and 197 in the global, with the global outcomes in array
+        # passes.  One pass over all 32,000 rows peaks at 233 (local) and
+        # 392 (global) bytes per row of a group, so a bound per regime
+        # between the two tells one pass from two groups
+        monkeypatch.setattr(market_sim, "ROWS", 16_000)
         bytes_per_row = 192 if isinstance(regime, LocalRegime) else 320
         cfg = make_config(regime=regime, n_steps=2000, seed=3)
         run_market_ensemble(make_config(regime=regime, n_steps=20), 2)  # warm one-time caches
         tracemalloc.start()
         try:
-            logs = run_market_ensemble(cfg, 64)
+            logs = run_market_ensemble(cfg, 16)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(logs) == 64
+        assert len(logs) == 16
         group_rows = market_sim.ROWS // cfg.n_steps * cfg.n_steps
         assert peak - current <= group_rows * bytes_per_row
 
@@ -490,7 +493,7 @@ class TestSummaryStats:
         summary = summary_stats(run_market(cfg))
         assert summary.variance == 0.0
         assert summary.excess_kurtosis is None
-        assert not summary.kurtosis_defined
+        assert summary.to_dict()["kurtosis_defined"] is False
 
     def test_iid_normal_kurtosis_near_zero(self):
         # moment oracle: i.i.d. normal log returns have excess kurtosis 0
@@ -498,7 +501,7 @@ class TestSummaryStats:
         returns = 0.01 * rng.standard_normal(10 ** 5)
         prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(returns)]))
         summary = summary_from_prices(prices)
-        assert summary.kurtosis_defined
+        assert summary.to_dict()["kurtosis_defined"] is True
         assert abs(summary.excess_kurtosis) < 0.1
 
     def test_alternating_series_lag1(self):
@@ -524,7 +527,7 @@ class TestSummaryStats:
         x = np.diff(np.log(prices))
         assert summary.mean == pytest.approx(x.mean(), abs=1e-15)
         assert summary.variance == pytest.approx(x.var(ddof=1), abs=1e-15)
-        assert summary.n_returns == 59
+        assert (summary.n_prices, summary.to_dict()["n_returns"]) == (60, 59)
 
     def test_shortest_series_has_every_acf(self):
         # MIN_TRADES prices give MIN_TRADES - 1 returns, more than ACF_LAGS + 1
@@ -582,11 +585,15 @@ class TestCompareWithGbm:
 class TestScanAngle:
     @pytest.mark.parametrize("regime", REGIMES.values(), ids=REGIMES)
     def test_matches_the_scalar_angles(self, regime):
-        log = run_market(make_config(regime=regime, n_steps=301, seed=4))
-        dirs = log.direction.tolist()
-        gaps = [math.acos(geometry.dot(a, b)) for a, b in zip(dirs, dirs[1:])]
-        theta = min(max(statistics.median(gaps), 1e-6), math.pi - 1e-6)
-        assert representative_scan_angle(log).hex() == theta.hex()
+        # the median of the sorted gaps against statistics.median, bit for
+        # bit: at an odd n_steps the gap count is even and the two middle
+        # gaps are averaged
+        for n_steps in (301, 300):
+            log = run_market(make_config(regime=regime, n_steps=n_steps, seed=4))
+            dirs = log.direction.tolist()
+            gaps = [math.acos(geometry.dot(a, b)) for a, b in zip(dirs, dirs[1:])]
+            theta = min(max(statistics.median(gaps), 1e-6), math.pi - 1e-6)
+            assert representative_scan_angle(log).hex() == theta.hex()
 
     def test_constant_directions_clamped(self):
         news = NewsSeries(kind="constant", angle=0.7)
@@ -644,6 +651,17 @@ class TestConfigAndCsv:
             with pytest.raises(FieldError) as info:
                 make_config(regime=regime, n_steps=n_steps)
             assert info.value.field == "n_steps"
+
+    @pytest.mark.parametrize("axis", [(0.0, 0.0, 0.5), (0.0, 0.0, 3.0), (0.0, math.nan, 1.0),
+                                      (0.0, 1.0), (0.0, 0.0, 1.0, 0.0)],
+                             ids=["half", "triple", "nan", "two_long", "four_long"])
+    def test_price_axis_must_be_a_unit_vector(self, axis):
+        # built from Python, axis (0, 0, 0.5) once priced a local market in
+        # [75.1, 124.7] instead of [50, 150], and (0, 0, 3) was clipped by
+        # the dot's clamp; the config path normalizes the axis first
+        with pytest.raises(FieldError) as info:
+            make_config(price_axis=axis)
+        assert info.value.field == "price_axis"
 
     def test_round_trip(self):
         news = NewsSeries(kind="drift", angle=0.3, rate=0.05)

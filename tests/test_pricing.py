@@ -2,10 +2,11 @@ import math
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -277,16 +278,33 @@ class TestGbm:
         with pytest.raises(ValueError):
             GbmParams(s0=1.0, drift=0.0, sigma=0.1, horizon=1.0, steps=0)
 
-    def test_time_step_rounded_once_past_2_to_53_steps(self):
-        # 2**54 - 1 steps round to the float 2**54, where horizon / steps is
-        # the tie 2**-1075 and rounds to 0; the exact quotient lies just
-        # above that tie and rounds to the smallest subnormal
-        horizon = 2.0 ** -1021
-        assert horizon / (2 ** 54 - 1) == 0.0
-        GbmParams(s0=1.0, drift=0.0, sigma=0.0, horizon=horizon, steps=2 ** 54 - 1)
+    @given(horizon=st.one_of(st.floats(5e-324, 1e-290), st.floats(1e-290, 1e300)),
+           steps=st.one_of(st.integers(1, 1000), st.integers(2 ** 52, 2 ** 53)))
+    # 2**-1021 / 2**53 is 2**-1074, the smallest subnormal; 2**-1022 / 2**53
+    # is the tie 2**-1075, which rounds to 0
+    @example(horizon=2.0 ** -1021, steps=2 ** 53)
+    @example(horizon=2.0 ** -1022, steps=2 ** 53)
+    @example(horizon=5e-324, steps=1)
+    @settings(max_examples=300, deadline=None)
+    def test_time_step_is_the_rounded_quotient_up_to_2_to_53_steps(self, horizon, steps):
+        # up to 2**53 steps a float holds the count exactly, so horizon / steps
+        # rounds the exact quotient once, subnormal quotients included, and
+        # GbmParams rejects exactly the horizons whose quotient rounds to 0
+        dt = float(Fraction(horizon) / steps)
+        assert (horizon / steps).hex() == dt.hex()
+        if dt == 0.0:
+            with pytest.raises(FieldError) as info:
+                GbmParams(s0=1.0, drift=0.0, sigma=0.0, horizon=horizon, steps=steps)
+            assert info.value.field == "horizon"
+        else:
+            GbmParams(s0=1.0, drift=0.0, sigma=0.0, horizon=horizon, steps=steps)
+
+    @pytest.mark.parametrize("steps", [0, 2 ** 53 + 1, 10 ** 400],
+                             ids=["0", "2_to_53_plus_1", "1e400"])
+    def test_steps_outside_the_count_range_named(self, steps):
         with pytest.raises(FieldError) as info:
-            GbmParams(s0=1.0, drift=0.0, sigma=0.0, horizon=horizon, steps=2 ** 54)
-        assert info.value.field == "horizon"
+            GbmParams(s0=1.0, drift=0.0, sigma=0.1, horizon=1.0, steps=steps)
+        assert (info.value.field, info.value.other) == ("steps", None)
 
     def test_subnormal_s0_rejected_at_zero_sigma(self):
         # math.log rounds the largest subnormals to log of the smallest

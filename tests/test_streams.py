@@ -199,8 +199,10 @@ print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("spheremarke
 
 
 # a CLI run in a fresh interpreter: its exit code, the spheremarket modules
-# it loaded besides cli_runner, and whether it loaded the thread pool
-# machinery (concurrent.futures brings logging with it)
+# it loaded besides cli_runner, whether it loaded the thread pool machinery
+# (concurrent.futures brings logging with it), and which of the exact and
+# statistical arithmetic modules it loaded (statistics brings fractions and
+# decimal), which no CLI run needs
 FOOTPRINT = """
 import contextlib, io, sys
 from spheremarket import cli_runner
@@ -210,6 +212,7 @@ print(code)
 print(sorted(m.split(".", 1)[1] for m in sys.modules
              if m.startswith("spheremarket.") and m != "spheremarket.cli_runner"))
 print("concurrent.futures" in sys.modules)
+print([m for m in ("fractions", "decimal", "statistics") if m in sys.modules])
 """
 
 
@@ -219,7 +222,8 @@ def test_cli_run_loads_only_its_experiments_modules(tmp_path, argv):
     name = os.path.basename(argv[-1])
     if argv[0] == "run":
         argv = argv + ["--out", str(tmp_path)]
-    assert fresh_interpreter_lines(FOOTPRINT, *argv) == ["0", str(CLI_MODULES[name]), "False"]
+    assert fresh_interpreter_lines(FOOTPRINT, *argv) == ["0", str(CLI_MODULES[name]), "False",
+                                                         "[]"]
 
 
 def test_every_demo_config_has_a_module_set():
@@ -237,4 +241,4 @@ def test_threaded_sphere_run_loads_no_thread_pool(tmp_path):
     path = tmp_path / "sphere_two_workers.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     argv = ["run", str(path), "--out", str(tmp_path / "out")]
-    assert fresh_interpreter_lines(FOOTPRINT, *argv) == ["0", str(SPHERE_MODULES), "False"]
+    assert fresh_interpreter_lines(FOOTPRINT, *argv) == ["0", str(SPHERE_MODULES), "False", "[]"]
