@@ -163,7 +163,13 @@ def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
     not interleaved like repeated ``sample_uniform`` calls.
     """
     z = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return _sphere_rows(z, rng.uniform(0.0, 2.0 * math.pi, size=n))
+
+
+def _sphere_rows(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The (len(z), 3) array of the points at heights ``z`` and azimuths
+    ``phi``: ``_on_sphere_arrays`` with numpy's ``cos`` and ``sin``, whose
+    bits may differ from libm's."""
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.column_stack(_normalize_arrays(s * np.cos(phi), s * np.sin(phi), z))
 

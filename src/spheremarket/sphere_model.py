@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import FieldError, block_kind, build, items, number, parse_block, require_finite
-from .geometry import UnitVector3, dot, sample_uniform_array
+from .geometry import UnitVector3, _check_unit_rows, _sphere_rows, dot
 from .ndtr import ndtr
 from .streams import check_workers, map_chunks
 
@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 
 CHUNK_TRIALS = 1 << 16  # fixed batch granularity for counter-based streams
 CHUNK_SAMPLES = 1 << 17  # hidden states per chunk of a hidden-state table
+BLOCK_SAMPLES = 1 << 12  # hidden states whose arrays a chunk holds at once
 
 # largest double strictly below 1; samples are clamped under it so an
 # eigenstate (v.u == 1) can never tie with the break point
@@ -392,6 +393,17 @@ def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
     return n1, n_trials - n1
 
 
+def _direction_rows(directions: list[UnitVector3]) -> np.ndarray:
+    """The (n, 3) array of at least two ``directions``, each checked to be a
+    unit vector as ``UnitVector3`` checks it (NaN fails); a direction of
+    other than three components fails the reshape."""
+    if len(directions) < 2:
+        raise ValueError("need at least two directions")
+    rows = np.array(directions, float).reshape(len(directions), 3)
+    _check_unit_rows(rows)
+    return rows
+
+
 def agreement_table(rho: RhoDistribution, directions: list[UnitVector3]) -> AgreementTable:
     """Pairwise sequential agreement among eigenstate-prepared measurements.
 
@@ -400,9 +412,18 @@ def agreement_table(rho: RhoDistribution, directions: list[UnitVector3]) -> Agre
     """
     from .kolmogorov_check import AgreementTable, pair_index
 
-    n = len(directions)
+    n = len(_direction_rows(directions))
     return AgreementTable(n, [transition_probabilities(rho, directions[i], directions[j])[0]
                               for i, j in zip(*pair_index(n))])
+
+
+def _row_blocks(size: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of a chunk of ``size`` samples:
+    BLOCK_SAMPLES rows each but the last, which takes the rest and is never
+    one row of a larger chunk.  numpy computes a one-row product with BLAS's
+    gemv, whose bits can differ from the same row's in a larger product."""
+    starts = range(0, max(size - 1, 1), BLOCK_SAMPLES)
+    return list(zip(starts, [*starts[1:], size]))
 
 
 def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVector3],
@@ -414,26 +435,36 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
     is a mixture of deterministic assignments and always classical.  It
     runs in chunks of CHUNK_SAMPLES on ``streams.map_chunks``, whose counts
     add exactly, so at most CHUNK_SAMPLES samples draw from chunk 0 alone.
+
+    A chunk draws every state as ``geometry.sample_uniform_array`` does and
+    then takes its samples in blocks of BLOCK_SAMPLES rows: their
+    coordinates, their break points (the block's rows of one draw of the
+    chunk's) and their counts, over ``_row_blocks``.  So it holds the two
+    state draws and one block's arrays, and every count is the one whole
+    chunk's.
     """
     from .kolmogorov_check import AgreementTable
 
+    dirs_t = _direction_rows(directions).T
     n = len(directions)
-    if n < 2:
-        raise ValueError("need at least two directions")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    dirs_t = np.array(directions).T
 
     def run_chunk(rng, lo, size) -> np.ndarray:
-        # states, then break points.  A coordinate may round just past +-1 and
-        # is not clipped: every break point lies in [-1, 1), so it is below a
-        # coordinate past 1 and not below one past -1, as against the clip
-        coords = sample_uniform_array(rng, size) @ dirs_t  # (size, n)
-        outcomes = np.ascontiguousarray((rho.sample(rng, size=(size, n)) < coords).T)
-        # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
-        # pair_index order, without an array of every pair's outcomes at once
-        return np.concatenate([np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1)
-                               for i in range(n - 1)])
+        z = rng.uniform(-1.0, 1.0, size=size)
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=size)
+        agree = 0
+        for a, b in _row_blocks(size):
+            # a coordinate may round just past +-1 and is not clipped: every
+            # break point lies in [-1, 1), so it is below a coordinate past 1
+            # and not below one past -1, as against the clip
+            coords = _sphere_rows(z[a:b], phi[a:b]) @ dirs_t  # (b - a, n)
+            outcomes = np.ascontiguousarray((rho.sample(rng, size=(b - a, n)) < coords).T)
+            # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
+            # pair_index order, without an array of every pair's outcomes at once
+            agree += np.concatenate([np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1)
+                                     for i in range(n - 1)])
+        return agree
 
     agree = sum(map_chunks(run_chunk, n_samples, CHUNK_SAMPLES, seed))
     return AgreementTable(n, agree / n_samples)

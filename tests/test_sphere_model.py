@@ -11,6 +11,7 @@ from spheremarket.geometry import (UnitVector3, dot, from_polar, sample_uniform,
                                   sample_uniform_array)
 from spheremarket.kolmogorov_check import AgreementTable
 from spheremarket.sphere_model import (
+    BLOCK_SAMPLES,
     CHUNK_SAMPLES,
     CHUNK_TRIALS,
     DeltaRho,
@@ -25,6 +26,7 @@ from spheremarket.sphere_model import (
     simulate_measurement,
     transition_probabilities,
     _below_intervals,
+    _row_blocks,
 )
 from spheremarket.streams import chunk_rng, map_chunks
 
@@ -484,6 +486,11 @@ class TestSequentialAgreement:
         assert transition_probabilities(UniformRho(), u, -u)[0] == 0.0
 
 
+# the sequential and the hidden-state table, each as f(rho, directions)
+BOTH_TABLES = [agreement_table,
+               lambda rho, dirs: hidden_state_agreement_table(rho, dirs, n_samples=1000, seed=1)]
+
+
 class TestAgreementTable:
     def test_uniform_coplanar_120(self):
         dirs = [from_polar(k * 2 * math.pi / 3, 0.0) for k in range(3)]
@@ -505,6 +512,19 @@ class TestAgreementTable:
         with pytest.raises(ValueError):
             agreement_table(UniformRho(), [POLE])
 
+    @pytest.mark.parametrize("table", BOTH_TABLES, ids=["sequential", "hidden_state"])
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 0.0, 0.0)])
+    def test_tables_reject_a_direction_off_the_sphere(self, table, bad):
+        # UnitVector3's norm check, on plain tuples too: a NaN direction gave
+        # pair values 0.0 and 0.514, a direction of norm 2 gave 0.5 and 0.458
+        with pytest.raises(ValueError, match="not a unit vector"):
+            table(UniformRho(), [POLE, bad, from_polar(1.0, 0.5)])
+
+    @pytest.mark.parametrize("table", BOTH_TABLES, ids=["sequential", "hidden_state"])
+    def test_tables_reject_a_direction_of_two_components(self, table):
+        with pytest.raises(ValueError):
+            table(UniformRho(), [(1.0, 0.0), (0.0, 1.0)])
+
     def test_hidden_state_table_symmetric_unit_diag(self):
         dirs = [from_polar(k * math.pi / 3, 0.0) for k in range(3)]
         table = hidden_state_agreement_table(DeltaRho(0.0), dirs, n_samples=2000, seed=1)
@@ -512,9 +532,12 @@ class TestAgreementTable:
         assert np.array_equal(np.diag(table.q), np.ones(3))
 
     def test_hidden_state_table_peak_memory(self):
-        # a (20000, 10) float array is 1.6 MB; the uniform draw holds three
-        # at once (coordinates, uniforms, break points): 4.8 MB.  Keeping the
-        # (20000, 3) states alive as well read 5.28 MB.
+        # 20000 samples on 10 directions are one chunk, which holds its two
+        # state draws (16 bytes a sample, 0.32 MB) and one block's arrays: a
+        # (BLOCK_SAMPLES, 10) float array is 0.33 MB, and a uniform block holds
+        # three at once (coordinates, uniforms, break points).  The bound
+        # allows five, 1.96 MB in all; the blocked table read 1.35 MB, and
+        # the whole chunk's (20000, 10) arrays at once read 4.80 MB
         dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(10)]
         hidden_state_agreement_table(UniformRho(), dirs, n_samples=100, seed=1)
         tracemalloc.start()
@@ -523,7 +546,7 @@ class TestAgreementTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5.0e6
+        assert peak < 16 * 20_000 + 5 * 8 * BLOCK_SAMPLES * 10
 
     @pytest.mark.parametrize("rho", all_variants(), ids=lambda rho: rho.kind)
     def test_hidden_state_table_matches_the_clipped_coordinates(self, rho):
@@ -546,7 +569,8 @@ class TestAgreementTable:
         rng = np.random.default_rng(23)
         for n in range(2, 13):
             dirs = [sample_uniform(rng) for _ in range(n)]
-            for size in (1, 1000, 100_000, CHUNK_SAMPLES):
+            for size in (1, 1000, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1,
+                         3 * BLOCK_SAMPLES + 5, 100_000, CHUNK_SAMPLES):
                 seed = int(rng.integers(2 ** 32))
                 table = hidden_state_agreement_table(rho, dirs, n_samples=size, seed=seed)
                 single = single_draw_hidden_state_agreement_table(rho, dirs, size, seed)
@@ -554,9 +578,11 @@ class TestAgreementTable:
                     [x.hex() for x in single.q.ravel().tolist()]
 
     def test_hidden_state_table_holds_one_chunk(self):
-        # 10**6 samples on 8 directions are 8 chunks.  A (CHUNK_SAMPLES, 8)
-        # float array is 8.4 MB, and a uniform chunk holds three at once
-        # (coordinates, uniforms, break points): 25.2 MB.  The bound is four;
+        # 10**6 samples on 8 directions are 8 chunks.  A chunk holds its two
+        # state draws, 16 * CHUNK_SAMPLES bytes (2.10 MB), and one block's
+        # arrays: a (BLOCK_SAMPLES, 8) float array is 0.26 MB, and the bound
+        # allows five, 3.41 MB in all.  The blocked table read 2.92 MB; the
+        # whole chunk's (CHUNK_SAMPLES, 8) arrays at once read 25.2 MB, and
         # one draw of all 10**6 samples peaked near 190 MB
         dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(8)]
         hidden_state_agreement_table(UniformRho(), dirs, n_samples=100, seed=1)
@@ -566,7 +592,27 @@ class TestAgreementTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * CHUNK_SAMPLES * 8 * 8
+        assert peak < 16 * CHUNK_SAMPLES + 5 * 8 * BLOCK_SAMPLES * 8
+
+    @pytest.mark.parametrize("size", [1, 2, 3, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1,
+                                      BLOCK_SAMPLES + 2, 2 * BLOCK_SAMPLES + 1, 20_000,
+                                      CHUNK_SAMPLES - 1, CHUNK_SAMPLES])
+    def test_row_blocks_keep_the_bits_of_the_whole_product(self, size):
+        # the blocks tile the chunk, none is longer than BLOCK_SAMPLES + 1
+        # rows or is one row of a larger chunk (a one-row product is BLAS's
+        # gemv, which can round a row's coordinates differently), and the
+        # blocks' products are the whole chunk's to the bit
+        blocks = _row_blocks(size)
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == size
+        assert all(b - a <= BLOCK_SAMPLES + 1 and (b - a > 1 or size == 1) for a, b in blocks)
+        rng = np.random.default_rng(size)
+        for n in (2, 3, 8, 12):
+            dirs_t = np.array([sample_uniform(rng) for _ in range(n)]).T
+            rows = sample_uniform_array(rng, size)
+            whole = rows @ dirs_t
+            assert np.concatenate([rows[a:b] @ dirs_t for a, b in blocks]).tobytes() == \
+                whole.tobytes()
 
 
 def single_draw_hidden_state_agreement_table(rho, directions, n_samples, seed, clip=False):
