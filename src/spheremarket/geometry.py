@@ -111,7 +111,9 @@ def dot(a: tuple, b: tuple) -> float:
     """Inner product of two unit vectors, clamped into [-1, 1].
 
     Exact-alignment shortcuts make dot(v, v) == 1.0 and dot(v, -v) == -1.0
-    bit-exactly; downstream collapse/repeatability logic relies on this.
+    bit-exactly; downstream collapse/repeatability logic relies on this.  A
+    NaN sum raises ``ValueError`` rather than clamp: ``max(-1.0, nan)`` is
+    -1.0.
     """
     ax, ay, az = a
     bx, by, bz = b
@@ -120,6 +122,8 @@ def dot(a: tuple, b: tuple) -> float:
     if ax == -bx and ay == -by and az == -bz:
         return -1.0
     d = ax * bx + ay * by + az * bz
+    if d != d:
+        raise ValueError(f"dot of {tuple(a)} and {tuple(b)} is NaN")
     return min(1.0, max(-1.0, d))
 
 

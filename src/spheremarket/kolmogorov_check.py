@@ -99,6 +99,8 @@ def table_from_atom_weights(n: int, weights) -> AgreementTable:
     w = np.asarray(weights, dtype=float)
     if w.shape != (2 ** n,):
         raise ValueError(f"expected {2 ** n} atom weights")
+    if not np.isfinite(w).all():
+        raise ValueError("atom weights must be finite")
     if w.min() < 0:
         raise ValueError("atom weights must be nonnegative")
     total = w.sum()

@@ -459,6 +459,8 @@ def summary_from_prices(prices: np.ndarray) -> SeriesSummary:
     prices = np.asarray(prices, dtype=float)
     if prices.size < MIN_TRADES:
         raise ValueError(f"need at least {MIN_TRADES} prices")
+    if not np.isfinite(prices).all():
+        raise ValueError("prices must be finite")
     if np.any(prices <= 0):
         raise ValueError("prices must be positive for log returns")
     x = np.diff(np.log(prices))

@@ -33,8 +33,6 @@ BLOCK_SAMPLES = 1 << 12  # hidden states whose arrays a chunk holds at once
 # largest double strictly below 1; samples are clamped under it so an
 # eigenstate (v.u == 1) can never tie with the break point
 _BELOW_ONE = math.nextafter(1.0, -1.0)
-_UNIT_PIECE = np.array([0.0, 1.0])  # all of [0, 1) as one piece
-_UNIT_PIECE.flags.writeable = False
 
 
 class OutcomeLabel(Enum):
@@ -56,11 +54,14 @@ class RhoDistribution:
     """Break-point density on [-1, 1]; cdf(-1) = 0 and cdf(1) = 1.
 
     A break point is ``quantile`` of ``draws`` uniforms on [0, 1): one for
-    every density but the delta, which needs none.
+    every density but the delta, which needs none.  In floating point,
+    ``quantile`` never falls by more than ``slack`` as u rises through
+    [0, 1); a slack of 0 means it is nondecreasing.
     """
 
     kind: str = ""
     draws: int = 1
+    slack = 0.0
 
     def cdf(self, x: float) -> float:
         if x >= 1.0:
@@ -80,13 +81,6 @@ class RhoDistribution:
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         """An array of ``size`` break points drawn from ``rng``."""
         return self.quantile(rng.random(size) if self.draws else np.zeros(size))
-
-    def monotone_pieces(self) -> tuple[np.ndarray, float]:
-        """(edges, slack): ascending edges 0 = e_0 < ... < e_k = 1 such that,
-        in floating point, ``quantile`` never falls by more than ``slack`` as
-        u rises within a piece [e_i, e_i+1).  A slack of 0 means quantile is
-        nondecreasing on every piece."""
-        raise NotImplementedError
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **asdict(self)}
@@ -121,9 +115,6 @@ class UniformRho(RhoDistribution):
         x -= 1.0  # -1 + 2u, rng.uniform(-1.0, 1.0)'s arithmetic, with one temporary
         return x
 
-    def monotone_pieces(self):
-        return _UNIT_PIECE, 0.0  # a multiply and a subtract, both monotone
-
 
 @dataclass(frozen=True)
 class DeltaRho(RhoDistribution):
@@ -147,9 +138,6 @@ class DeltaRho(RhoDistribution):
     def quantile(self, u):
         return np.full(np.shape(u), self.x0)
 
-    def monotone_pieces(self):
-        return _UNIT_PIECE, 0.0
-
 
 @dataclass(frozen=True)
 class PiecewiseConstantRho(RhoDistribution):
@@ -158,7 +146,9 @@ class PiecewiseConstantRho(RhoDistribution):
     ``breakpoints`` are the ascending cell edges and must span the full
     interval (first -1, last 1); ``densities`` holds one nonnegative level
     per cell and is normalized to unit total mass.  Both are kept as float
-    lists; the CDF and the sampler read array copies of them.
+    lists; the CDF and the sampler read array copies of them.  A break point
+    is capped at its cell's top breakpoint, where the next cell starts, so
+    ``quantile`` is nondecreasing across cells as well as within them.
     """
 
     breakpoints: list
@@ -191,8 +181,9 @@ class PiecewiseConstantRho(RhoDistribution):
         dens = dens / total
         cum = np.concatenate([[0.0], np.cumsum(mass / total)])
         cum[-1] = 1.0  # pin against cumsum roundoff
+        top = np.minimum(bp[1:], _BELOW_ONE)
         for name, value in (("breakpoints", bp.tolist()), ("densities", dens.tolist()),
-                            ("_bp", bp), ("_dens", dens), ("_cum", cum)):
+                            ("_bp", bp), ("_dens", dens), ("_cum", cum), ("_top", top)):
             object.__setattr__(self, name, value)
 
     def _cdf_inside(self, x):
@@ -204,13 +195,10 @@ class PiecewiseConstantRho(RhoDistribution):
         idx = np.clip(idx, 0, self._dens.size - 1)
         dens = self._dens[idx]
         x = self._bp[idx] + (u - self._cum[idx]) / np.where(dens > 0, dens, 1.0)
-        return np.minimum(x, _BELOW_ONE)
-
-    def monotone_pieces(self):
-        # u in [_cum[i], _cum[i+1]) keeps the cell index i fixed, and a
-        # subtract, a divide by a positive density, an add and a minimum
-        # are each monotone in IEEE arithmetic
-        return np.unique(np.minimum(self._cum, 1.0)), 0.0
+        # within a cell a subtract, a divide by a positive density, an add and
+        # a minimum are each monotone in IEEE arithmetic; across cells, a
+        # cell's break points start at its breakpoint and stop at the next
+        return np.minimum(x, self._top[idx])
 
 
 @dataclass(frozen=True)
@@ -260,9 +248,9 @@ class TruncatedGaussianRho(RhoDistribution):
             x = self.center + self.width * ndtri(lo + u * (hi - lo))
         return np.clip(x, -1.0, _BELOW_ONE)
 
-    def monotone_pieces(self):
-        """One piece, with slack 2**-29 (1 + |c|) for center c, about
-        1.9e-9 (1 + |c|).
+    @property
+    def slack(self):
+        """2**-29 (1 + |c|) for center c, about 1.9e-9 (1 + |c|).
 
         For c >= 0, quantile is clip(c + w * ndtri(p)) with
         p = lo + u * (hi - lo); for c < 0 it is the mirror image
@@ -280,7 +268,7 @@ class TruncatedGaussianRho(RhoDistribution):
         falls by less than 1e-14 (1 + |c|).  The slack is 10**5 times that,
         which also covers the rounding of d - slack and d + slack.
         """
-        return _UNIT_PIECE, 2.0 ** -29 * (1.0 + abs(self.center))
+        return 2.0 ** -29 * (1.0 + abs(self.center))
 
 
 def transition_probabilities(rho: RhoDistribution, v: UnitVector3,
@@ -308,51 +296,28 @@ def simulate_measurement(rho: RhoDistribution, state: UnitVector3,
     return MeasurementOutcome(OutcomeLabel.O2, -u, x)
 
 
-Intervals = list[tuple[float, float]]
+def _thresholds(rho: RhoDistribution, d: float) -> tuple[float, float]:
+    """(f, l), 0 <= f <= l <= 1: every u in [0, f) has rho.quantile(u) < d,
+    no u in [l, 1) has, and the u in the band [f, l) must be decided by
+    quantile itself.
 
-
-def _merged(intervals) -> Intervals:
-    """The nonempty ascending intervals [a, b), touching ones joined."""
-    out = []
-    for a, b in intervals:
-        if a == b:
-            continue
-        if out and out[-1][1] == a:
-            a = out.pop()[0]
-        out.append((a, b))
-    return out
-
-
-def _below_intervals(rho: RhoDistribution, d: float) -> tuple[Intervals, Intervals]:
-    """(below, band), each a list of disjoint, ascending, non-touching
-    intervals [a, b) of [0, 1).  Every u in ``below`` has
-    rho.quantile(u) < d, no u outside both lists has, and the u in ``band``
-    must be decided by quantile itself.
-
-    With ``edges, slack = rho.monotone_pieces()``, each piece is bisected for
-    a u0 whose quantile is at least t while the double before it (if in the
-    piece) has quantile below t: once at t = d - slack and once at
-    t = d + slack, or once at t = d when slack is 0.  Since quantile falls by
-    at most slack within a piece, every u before the first u0 is below d
-    and no u from the second u0 on is; between them lies the band, empty
-    when slack is 0.  All pieces and thresholds are bisected at once on the
-    int64 bit patterns of their nonnegative doubles, which order as the
-    doubles do, and every candidate goes through ``rho.quantile`` itself.
+    [0, 1) is bisected for a u0 whose quantile is at least t while the double
+    before it (if any) has quantile below t: once at t = d - slack for f and
+    once at t = d + slack for l.  Since quantile falls by at most
+    ``rho.slack`` as u rises, every u before f is below d and no u from l on
+    is; at slack 0 the band is empty.  Both lanes are bisected at once on the
+    int64 bit patterns of [0, 1.0], which order as the doubles do, and every
+    candidate goes through ``rho.quantile`` itself.
     """
-    edges, slack = rho.monotone_pieces()
-    thresholds = np.array([d - slack, d + slack] if slack else [d])
-    k = edges.size - 1
-    t = np.repeat(thresholds, k)
-    bits = edges.view(np.int64)
-    lo, hi = np.tile(bits[:-1], thresholds.size), np.tile(bits[1:], thresholds.size)
+    t = np.array([d - rho.slack, d + rho.slack])
+    lo, hi = np.zeros(2, np.int64), np.full(2, np.float64(1.0).view(np.int64))
     while (open_ := lo < hi).any():
         mid = lo + (hi - lo) // 2
         below = rho.quantile(mid.view(np.float64)) < t
         lo = np.where(open_ & below, mid + 1, lo)
         hi = np.where(open_ & ~below, mid, hi)
-    ends = lo.view(np.float64).tolist()
-    first, last = ends[:k], ends[-k:]
-    return _merged(zip(edges[:-1].tolist(), first)), _merged(zip(first, last))
+    f, l = lo.view(np.float64).tolist()
+    return f, l
 
 
 def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
@@ -363,30 +328,25 @@ def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
     ``streams.map_chunks``, so trial outcomes depend only on (seed, trial
     index) and never on worker scheduling.  Trial k is O1 when the break
     point quantile(uniform k) falls below v.u.  Each chunk draws the
-    uniforms that ``rho.sample`` would and counts those inside the
-    ``_below_intervals``, plus those in the band whose quantile falls below
-    v.u, which gives the sampled counts without building break points; when
-    the intervals are empty or all of [0, 1) and there is no band, no trial
-    draws.
+    uniforms that ``rho.sample`` would and counts those below f of the
+    ``_thresholds`` (f, l), plus those in the band [f, l) whose quantile
+    falls below v.u, which gives the sampled counts without building break
+    points; when f == l is 0 or 1, no trial draws.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     check_workers(n_workers)
     d = dot(state, u)
-    below, band = _below_intervals(rho, d)
-    if not band and below in ([], [(0.0, 1.0)]):
-        n1 = n_trials if below else 0
+    f, l = _thresholds(rho, d)
+    if f == l and f in (0.0, 1.0):
+        n1 = n_trials if f else 0
         return n1, n_trials - n1
-    # the interval ends whose count of uniforms below them a chunk needs
-    cuts = {x for interval in below + band for x in interval} - {0.0, 1.0}
 
     def run_chunk(rng, lo, size) -> int:
         r = rng.random(size)
-        n_below = {0.0: 0, 1.0: size, **{x: int(np.count_nonzero(r < x)) for x in cuts}}
-        n1 = sum(n_below[b] - n_below[a] for a, b in below)
-        for a, b in band:
-            if n_below[b] > n_below[a]:
-                n1 += int(np.count_nonzero(rho.quantile(r[(a <= r) & (r < b)]) < d))
+        n1 = int(np.count_nonzero(r < f))
+        if l > f and np.count_nonzero(r < l) > n1:
+            n1 += int(np.count_nonzero(rho.quantile(r[(f <= r) & (r < l)]) < d))
         return n1
 
     n1 = sum(map_chunks(run_chunk, n_trials, CHUNK_TRIALS, seed, n_workers))

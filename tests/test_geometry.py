@@ -106,6 +106,15 @@ class TestDot:
         v = from_polar(0.3, 2.2)
         assert -(-v) == v
 
+    @pytest.mark.parametrize("a", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0)])
+    def test_nan_sum_raises_naming_both_vectors(self, a):
+        # max(-1.0, nan) is -1.0, so a clamp alone would turn NaN into -1.0;
+        # inf * 0.0 is NaN too
+        with pytest.raises(ValueError, match=r"dot of \(.*\) and \(0\.0, 1\.0, 0\.0\) is NaN"):
+            dot(a, (0.0, 1.0, 0.0))
+        with pytest.raises(ValueError, match="is NaN"):
+            dot((0.0, 1.0, 0.0), a)
+
 
 class TestUniformSampler:
     def test_golden_value_seed_12345(self):

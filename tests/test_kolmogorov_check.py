@@ -99,6 +99,13 @@ class TestAgreementTableType:
         with pytest.raises(ValueError, match="expected 3 pair values for n=3"):
             AgreementTable(3, [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_atom_weights_reject_non_finite(self, bad):
+        w = np.ones(8)
+        w[3] = bad
+        with pytest.raises(ValueError, match="atom weights must be finite"):
+            table_from_atom_weights(3, w)
+
     def test_clips_rounding_dust_and_derives_q(self):
         t = table3(-1e-13, 0.5, 1.0 + 1e-13)
         assert t.pair_values().tolist() == [0.0, 0.5, 1.0]

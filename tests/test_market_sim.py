@@ -520,6 +520,13 @@ class TestSummaryStats:
         with pytest.raises(ValueError):
             summary_from_prices(np.linspace(-1.0, 1.0, 50))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_finite_prices_required(self, bad):
+        prices = np.linspace(1.0, 2.0, 50)
+        prices[7] = bad
+        with pytest.raises(ValueError, match="prices must be finite"):
+            summary_from_prices(prices)
+
     def test_mean_variance_match_numpy(self):
         rng = np.random.default_rng(2)
         prices = np.exp(rng.normal(0.0, 0.02, 60).cumsum() + 4.0)

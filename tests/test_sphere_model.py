@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -25,8 +25,8 @@ from spheremarket.sphere_model import (
     measurement_counts,
     simulate_measurement,
     transition_probabilities,
-    _below_intervals,
     _row_blocks,
+    _thresholds,
 )
 from spheremarket.streams import chunk_rng, map_chunks
 
@@ -177,6 +177,14 @@ class TestTransitionProbabilities:
             p1, p2 = transition_probabilities(rho, POLE, POLE)
             assert p1 == 1.0 and p2 == 0.0
 
+    def test_nan_state_raises(self):
+        # clamped, the NaN coordinate would read -1.0: (0.0, 1.0) and (0, n)
+        nan_state = (math.nan, 0.0, 0.0)
+        with pytest.raises(ValueError, match="is NaN"):
+            transition_probabilities(UniformRho(), nan_state, POLE)
+        with pytest.raises(ValueError, match="is NaN"):
+            measurement_counts(UniformRho(), nan_state, POLE, 1000, seed=0)
+
     def test_delta_classical_regime(self):
         v = from_polar(math.acos(0.3), 0.0)
         p1, _ = transition_probabilities(DeltaRho(0.0), v, POLE)
@@ -324,12 +332,19 @@ def counted_rhos(draw):
         assume(False)
 
 
+def cell_edges(rho) -> np.ndarray:
+    """The uniforms where a piecewise density's cells start, ``_cum`` capped
+    at 1, or 0 and 1 for the other densities."""
+    return np.minimum(getattr(rho, "_cum", np.array([0.0, 1.0])), 1.0)
+
+
 def critical_coordinates(rho, data, rng) -> tuple[float, np.ndarray]:
     """An elastic coordinate d drawn from the breakpoints, from quantile
-    values and from their neighbours, and uniforms that hold every piece
-    edge, the float just below it and random draws."""
-    edges, _ = rho.monotone_pieces()
-    u = np.concatenate([rng.random(2000), edges[:-1], np.nextafter(edges[1:], 0.0)])
+    values and from their neighbours, and uniforms that hold every cell
+    edge below 1, the float just below every edge above 0 and random draws."""
+    edges = cell_edges(rho)
+    u = np.concatenate([rng.random(2000), edges[edges < 1.0],
+                        np.nextafter(edges[edges > 0.0], 0.0)])
     points = [-1.0, 1.0, *getattr(rho, "breakpoints", []), *rho.quantile(u).tolist()]
     d = data.draw(st.sampled_from(points))
     d = data.draw(st.sampled_from([d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf)]))
@@ -349,10 +364,10 @@ def in_intervals(u: np.ndarray, intervals) -> np.ndarray:
 
 
 def classify(rho, d: float, u: np.ndarray) -> np.ndarray:
-    """O1 as ``measurement_counts`` decides it: inside the intervals below
-    d, or inside the band with a break point below d."""
-    below, band = _below_intervals(rho, d)
-    return in_intervals(u, below) | (in_intervals(u, band) & (rho.quantile(u) < d))
+    """O1 as ``measurement_counts`` decides it: below f, or inside the band
+    [f, l) with a break point below d."""
+    f, l = _thresholds(rho, d)
+    return in_intervals(u, [(0.0, f)]) | (in_intervals(u, [(f, l)]) & (rho.quantile(u) < d))
 
 
 def interval_ends(intervals) -> np.ndarray:
@@ -375,22 +390,16 @@ class TestBelowIntervals:
     def test_select_exactly_the_uniforms_below(self, rho, data, seed):
         rng = np.random.default_rng(seed)
         d, u = critical_coordinates(rho, data, rng)
-        below, band = _below_intervals(rho, d)
-        # each list disjoint, ascending and never touching, inside [0, 1]
-        for intervals in (below, band):
-            ends = np.array(intervals, dtype=float).ravel()
-            assert np.all(np.diff(ends) > 0)
-            assert ends.size == 0 or 0.0 <= ends[0] <= ends[-1] <= 1.0
-        assert not in_intervals(np.array(band).ravel(), below).any()
+        f, l = _thresholds(rho, d)
+        assert 0.0 <= f <= l <= 1.0
         # the band is empty without slack, and holds only uniforms whose
         # break point lies within twice the slack of d
-        _, slack = rho.monotone_pieces()
-        assert slack > 0.0 or band == []
-        for a, b in band:
-            last = np.nextafter(b, 0.0)
-            inside = np.concatenate([[a, last], np.minimum(rng.uniform(a, b, 100), last)])
-            assert np.all(np.abs(rho.quantile(inside) - d) <= 2.0 * slack)
-        u = np.concatenate([u, interval_ends(below), interval_ends(band)])
+        assert rho.slack > 0.0 or f == l
+        if f < l:
+            last = np.nextafter(l, 0.0)
+            inside = np.concatenate([[f, last], np.minimum(rng.uniform(f, l, 100), last)])
+            assert np.all(np.abs(rho.quantile(inside) - d) <= 2.0 * rho.slack)
+        u = np.concatenate([u, interval_ends([(f, l)])])
         np.testing.assert_array_equal(classify(rho, d, u), rho.quantile(u) < d)
 
     @given(rho=counted_rhos(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
@@ -402,20 +411,20 @@ class TestBelowIntervals:
         counts = measurement_counts(rho, at_coordinate(d), POLE, n_trials, seed)
         assert counts == (n1, n_trials - n1)
 
-    def test_cell_end_above_the_next_breakpoint(self):
-        # the first cell's last break point rounds to just above the breakpoint
-        # -0.23, where the second cell starts: the uniforms below it form two
-        # intervals, the second one starting at the cell edge
+    def test_cell_end_capped_at_the_next_breakpoint(self):
+        # uncapped, the first cell's last break point rounds to just above the
+        # breakpoint -0.23, where the second cell starts; capped, it is -0.23,
+        # so the uniforms below the next double up are one prefix of [0, 1)
         rho = PiecewiseConstantRho([-1.0, -0.23, 0.99, 1.0], [2.9, 2.1, 2.0])
-        edge = rho.monotone_pieces()[0][1]
-        d = float(rho.quantile(np.nextafter(edge, 0.0)))
-        assert d > -0.23
-        intervals, band = _below_intervals(rho, d)
-        assert len(intervals) == 2 and intervals[1][0] == edge and band == []
-        # the 8 floats on each side of the edge
+        edge = rho._cum[1]
+        assert rho.quantile(np.nextafter(edge, 0.0)) == -0.23
+        d = math.nextafter(-0.23, 1.0)
+        f, l = _thresholds(rho, d)
+        assert f == l and f > edge
+        # the 8 floats on each side of the edge, and f with its neighbours
         near = (np.array([edge]).view(np.int64) + np.arange(-8, 9)).view(np.float64)
-        u = np.concatenate([near, np.array(intervals).ravel()])
-        np.testing.assert_array_equal(in_intervals(u, intervals), rho.quantile(u) < d)
+        u = np.concatenate([near, interval_ends([(0.0, f)])])
+        np.testing.assert_array_equal(classify(rho, d, u), rho.quantile(u) < d)
         n1 = sampled_count(rho, d, 100_000, 3)
         assert measurement_counts(rho, at_coordinate(d), POLE, 100_000, 3) == (n1, 100_000 - n1)
 
@@ -426,22 +435,20 @@ class TestBelowIntervals:
         u0, d = 0.15345456636464716, -0.307600527589001
         pair = np.array([u0, math.nextafter(u0, 1.0)])
         assert rho.quantile(pair).tolist() == [d, -0.30760052758900114]
-        below, band = _below_intervals(rho, d)
-        assert len(below) == len(band) == 1 and below[0] == (0.0, band[0][0])
-        assert band[0][0] < u0 < band[0][1]
+        f, l = _thresholds(rho, d)
+        assert f < u0 < l
         # the 16 floats on each side of u0, and the band edges with theirs
         near = (np.array([u0]).view(np.int64) + np.arange(-16, 17)).view(np.float64)
-        u = np.concatenate([near, interval_ends(band)])
+        u = np.concatenate([near, interval_ends([(f, l)])])
         np.testing.assert_array_equal(classify(rho, d, u), rho.quantile(u) < d)
         n1 = sampled_count(rho, d, 200_000, 4)
         assert measurement_counts(rho, at_coordinate(d), POLE, 200_000, 4) == (n1, 200_000 - n1)
         # without slack one threshold splits [0, 1), and it must misplace u0
         # or its neighbour
-        monkeypatch.setattr(TruncatedGaussianRho, "monotone_pieces",
-                            lambda self: (np.array([0.0, 1.0]), 0.0))
-        below, band = _below_intervals(rho, d)
-        assert band == []
-        assert in_intervals(pair, below).tolist() != (rho.quantile(pair) < d).tolist()
+        monkeypatch.setattr(TruncatedGaussianRho, "slack", 0.0)
+        f, l = _thresholds(rho, d)
+        assert f == l
+        assert in_intervals(pair, [(0.0, f)]).tolist() != (rho.quantile(pair) < d).tolist()
 
     def test_band_holding_a_drawn_uniform_is_decided_by_quantile(self):
         # the band is about 3e-8 wide, so few chunks draw a uniform inside
@@ -450,9 +457,8 @@ class TestBelowIntervals:
         rho = TruncatedGaussianRho(center=0.0, width=0.05)
         v = from_polar(math.pi / 2, 0.0)
         d = dot(v, POLE)
-        _, band = _below_intervals(rho, d)
         r = chunk_rng(730, 0).random(CHUNK_TRIALS)
-        assert in_intervals(r, band).sum() == 1
+        assert in_intervals(r, [_thresholds(rho, d)]).sum() == 1
         n1 = int(np.count_nonzero(rho.quantile(r) < d))
         assert n1 == 33064
         assert measurement_counts(rho, v, POLE, CHUNK_TRIALS, 730) == (n1, CHUNK_TRIALS - n1)
@@ -463,7 +469,7 @@ class TestBelowIntervals:
     def test_truncated_gaussian_falls_far_inside_its_slack(self, center, width):
         # the slack is meant to sit 10**5 above the largest fall of quantile
         rho = TruncatedGaussianRho(center=center, width=width)
-        _, slack = rho.monotone_pieces()
+        slack = rho.slack
         u = np.sort(np.random.default_rng(8).random(1 << 18))
         q = rho.quantile(u)
         assert np.max(np.maximum.accumulate(q) - q) <= slack * 1e-4
@@ -647,6 +653,23 @@ class TestQuantileRange:
     def test_quantile_in_range(self, rho, u):
         x = rho.quantile(np.append(self.EDGE_UNIFORMS, u))
         assert np.all((x >= -1.0) & (x < 1.0))
+
+    @given(rho=counted_rhos(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(rho=PiecewiseConstantRho([-1.0, -0.23, 0.99, 1.0], [2.9, 2.1, 2.0]), seed=0)
+    @settings(max_examples=300, deadline=None)
+    def test_quantile_never_falls(self, rho, seed):
+        # sorted uniforms: random draws, every cell edge and the 64 floats below it
+        edges = cell_edges(rho)
+        below = (edges.view(np.int64)[:, None] - np.arange(1, 65)).view(np.float64).ravel()
+        u = np.concatenate([np.random.default_rng(seed).random(2000), edges, below])
+        u = np.sort(u[(0.0 <= u) & (u < 1.0)])
+        q = rho.quantile(u)
+        assert np.max(np.maximum.accumulate(q) - q) <= rho.slack
+        if isinstance(rho, PiecewiseConstantRho):
+            # no break point passes its cell's top breakpoint, where the next cell starts
+            cell = np.clip(np.searchsorted(rho._cum, u, side="right") - 1, 0,
+                           len(rho.densities) - 1)
+            assert np.all(q <= rho._bp[cell + 1])
 
 
 class TestSerialization:
