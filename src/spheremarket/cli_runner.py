@@ -92,9 +92,8 @@ def _dump_report(report: dict) -> str:
 
 
 # --- experiment runners ----------------------------------------------------
-# Each runner parses its params block and hands every nested block to the
-# ``from_dict`` of the object it describes (ConfigParseError on malformed
-# input), builds domain objects (ValueError -> validation failure; its own
+# Each runner parses its params block, each nested block by the ``from_dict``
+# of the object it describes (ValueError -> validation failure; a runner's own
 # rules raise FieldError on keys under ``params``, which ``run`` names),
 # computes, and returns (resolved_params, results, {filename: text}).
 # Each runner, like each selftest check, imports what it runs at the top of
@@ -105,7 +104,7 @@ def _dump_report(report: dict) -> str:
 def _run_price(params: dict, seed: int):
     from .pricing import OptionSpec, binomial_price, bs_price, mc_price, pricing_report
 
-    p = parse_block(params, "params", required={"spec": None},
+    p = parse_block(params, "params", required={"spec": OptionSpec.from_dict},
                     optional={"methods": lambda v, name: items(member(("bs", "binomial", "mc")),
                                                                v, name),
                               "binomial_steps": at_least(1, MAX_LATTICE_STEPS),
@@ -113,7 +112,7 @@ def _run_price(params: dict, seed: int):
     methods = p.get("methods", ["bs"])
     if not methods:
         raise ConfigParseError("'params.methods' must be a non-empty list")
-    spec = OptionSpec.from_dict(p["spec"], "params.spec")
+    spec = p["spec"]
     steps = p.get("binomial_steps", 1000)
     n_paths = p.get("mc_paths", 100_000)
 
@@ -139,11 +138,10 @@ def _run_price(params: dict, seed: int):
 def _run_sphere(params: dict, seed: int):
     from .sphere_model import RhoDistribution, measurement_counts, transition_probabilities
 
-    p = parse_block(params, "params", required={"rho": None, "state": None, "direction": None},
+    p = parse_block(params, "params", required={"rho": RhoDistribution.from_dict,
+                                                "state": _as_direction, "direction": _as_direction},
                     optional={"n_trials": at_least(1), "workers": at_least(1, MAX_WORKERS)})
-    rho = RhoDistribution.from_dict(p["rho"], "params.rho")
-    state = _as_direction(p["state"], "params.state")
-    direction = _as_direction(p["direction"], "params.direction")
+    rho, state, direction = p["rho"], p["state"], p["direction"]
     n_trials = p.get("n_trials", 100_000)
     workers = p.get("workers", 1)
 
@@ -165,14 +163,14 @@ def _run_bell_scan(params: dict, seed: int):
     from .kolmogorov_check import sphere_bell_scan
     from .sphere_model import RhoDistribution
 
-    p = parse_block(params, "params", required={"rho": None},
+    p = parse_block(params, "params", required={"rho": RhoDistribution.from_dict},
                     optional={"theta": number, "theta_degrees": number,
                               "mode": None, "n_samples": at_least(1)})
     if ("theta" in p) == ("theta_degrees" in p):
         raise ConfigParseError(
             "exactly one of 'theta' (radians) or 'theta_degrees' is required in 'params'"
         )
-    rho = RhoDistribution.from_dict(p["rho"], "params.rho")
+    rho = p["rho"]
     key = "theta" if "theta" in p else "theta_degrees"
     theta = p["theta"] if key == "theta" else math.radians(p["theta_degrees"])
     mode = p.get("mode", "auto")
@@ -238,13 +236,13 @@ def _run_market(params: dict, seed: int):
 def _run_convergence(params: dict, seed: int):
     from .pricing import OptionSpec, binomial_price, bs_price
 
-    p = parse_block(params, "params", required={"spec": None},
+    p = parse_block(params, "params", required={"spec": OptionSpec.from_dict},
                     optional={"steps": lambda v, name: items(at_least(1, MAX_LATTICE_STEPS),
                                                              v, name)})
     steps = p.get("steps", [50, 100, 200, 400, 800, 1600])
     if len(set(steps)) < 2:
         raise ConfigParseError("'params.steps' needs at least two distinct entries")
-    spec = OptionSpec.from_dict(p["spec"], "params.spec")
+    spec = p["spec"]
 
     reference = bs_price(spec)
     with field_keys("params.spec"):

@@ -11,15 +11,26 @@ not finite; ``count``, ``flag``, ``items`` and ``parse_block`` as the wrong
 type; ``member`` and ``block_kind`` as outside their set.  Other out-of-range
 values are left to the constructors, which raise a FieldError naming the
 field (and reject NaN and infinities, ``require_finite``, when built from
-Python).
-``build`` and ``field_keys`` turn that field into the key's dotted path under the block's path.
+Python); ``field_keys`` turns that field into the key's dotted path.
+
+``Block``, the base of the frozen config dataclasses, reads and echoes a block
+by its fields.  A field without a default is required.  Each value goes
+through ``CONVERTERS[name]``, else its type's converter (``number`` for
+``float``, ``count`` for ``int``); a field with neither is a TypeError.  A key
+that is not a field must be in ``CONVERTERS`` and is dropped, as is the
+``kind`` required where the class names it as a plain class attribute.
+``PATH`` is the default error path.  ``to_dict`` writes that ``kind``, then
+each field: a ``Block`` by its ``to_dict``, an ``Enum`` by its value, a tuple
+or list as a new list.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 import numbers
+from enum import Enum
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -52,12 +63,6 @@ def field_keys(path: str):
     except FieldError as exc:
         other = "" if exc.other is None else f" '{path}.{exc.other}'"
         raise ValueError(f"'{path}.{exc.field}' {exc.problem}{other}") from None
-
-
-def build(cls, path: str, fields: dict):
-    """``cls(**fields)`` for the block at ``path``, under ``field_keys``."""
-    with field_keys(path):
-        return cls(**fields)
 
 
 def parse_block(d, context: str, required=None, optional=None) -> dict:
@@ -164,12 +169,64 @@ def items(conv, value, name: str, length: int | None = None) -> list:
 
 
 def unit_vector(value, name: str) -> UnitVector3:
-    """The JSON list ``[x, y, z]`` scaled to unit length; ValueError naming
-    the key when it has no direction (the zero vector)."""
+    """The JSON list ``[x, y, z]``, scaled to unit length unless it is a unit
+    vector already, so that an echoed direction parses back to itself;
+    ValueError naming the key when it has no direction (the zero vector)."""
     from .geometry import UnitVector3  # here, so a run without directions loads no geometry
 
     xyz = items(number, value, name, 3)
+    with contextlib.suppress(ValueError):
+        return UnitVector3(*xyz)
     try:
         return UnitVector3.normalized(*xyz)
     except ValueError as exc:
         raise ValueError(f"'{name}' cannot be normalized: {exc}") from None
+
+
+_BY_TYPE = {"float": number, "int": count}  # a field's converter by its type
+
+
+def _kind(cls) -> dict:
+    """{"kind": kind} where ``cls`` names its kind as a plain class attribute, else {}."""
+    kind = getattr(cls, "kind", None)
+    return {"kind": kind} if kind and "kind" not in cls.__dataclass_fields__ else {}
+
+
+class Block:
+    """A frozen config dataclass read and echoed by its fields (see the module docstring)."""
+
+    PATH = ""
+    CONVERTERS: dict = {}
+
+    @classmethod
+    def keys(cls) -> tuple[dict, dict]:
+        """The converters of the required keys, and of every key a block may hold."""
+        fields = dataclasses.fields(cls)
+        convs = {key: member((kind,)) for key, kind in _kind(cls).items()}
+        for f in fields:
+            convs[f.name] = (cls.CONVERTERS.get(f.name)
+                             or _BY_TYPE.get(getattr(f.type, "__name__", f.type)))
+            if convs[f.name] is None:
+                raise TypeError(f"{cls.__name__}.{f.name} of type {f.type} has no converter")
+        required = [*_kind(cls), *(f.name for f in fields
+                                  if f.default is f.default_factory is dataclasses.MISSING)]
+        return {key: convs[key] for key in required}, {**cls.CONVERTERS, **convs}
+
+    @classmethod
+    def from_dict(cls, d, path: str | None = None):
+        """The block ``d``; errors name keys under ``path``, by default ``PATH``."""
+        path = cls.PATH if path is None else path
+        p = parse_block(d, path, *cls.keys())
+        with field_keys(path):
+            return cls(**{key: p[key] for key in p if key in cls.__dataclass_fields__})
+
+    def to_dict(self) -> dict:
+        out = _kind(type(self))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Block):
+                value = value.to_dict()
+            elif isinstance(value, Enum):
+                value = value.value
+            out[f.name] = list(value) if isinstance(value, (tuple, list)) else value
+        return out

@@ -112,8 +112,8 @@ def dot(a: tuple, b: tuple) -> float:
 
     Exact-alignment shortcuts make dot(v, v) == 1.0 and dot(v, -v) == -1.0
     bit-exactly; downstream collapse/repeatability logic relies on this.  A
-    NaN sum raises ``ValueError`` rather than clamp: ``max(-1.0, nan)`` is
-    -1.0.
+    sum that is NaN or infinite raises ``ValueError`` rather than clamp: no
+    unit vector gives one, and ``max(-1.0, nan)`` is -1.0.
     """
     ax, ay, az = a
     bx, by, bz = b
@@ -122,8 +122,8 @@ def dot(a: tuple, b: tuple) -> float:
     if ax == -bx and ay == -by and az == -bz:
         return -1.0
     d = ax * bx + ay * by + az * bz
-    if d != d:
-        raise ValueError(f"dot of {tuple(a)} and {tuple(b)} is NaN")
+    if not math.isfinite(d):
+        raise ValueError(f"dot of {tuple(a)} and {tuple(b)} is {'NaN' if d != d else repr(d)}")
     return min(1.0, max(-1.0, d))
 
 

@@ -18,18 +18,8 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .config import (
-    MAX_COUNT,
-    FieldError,
-    block_kind,
-    build,
-    count,
-    number,
-    parse_block,
-    require_finite,
-    shown,
-    unit_vector,
-)
+from .config import (MAX_COUNT, Block, FieldError, block_kind, count, require_finite, shown,
+                     unit_vector)
 from .geometry import (
     UnitVector3,
     _check_unit_rows,
@@ -55,13 +45,15 @@ _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class NewsSeries:
+class NewsSeries(Block):
     """Polar angle of the news direction per step: angle + rate * step,
     in the azimuth-zero plane."""
 
     kind: str = "constant"
     angle: float = 0.0
     rate: float = 0.0
+    PATH = "news"
+    CONVERTERS = {"kind": lambda value, name: value}  # __post_init__ checks it, naming the key
 
     def __post_init__(self):
         require_finite(self, "angle", "rate")
@@ -74,22 +66,21 @@ class NewsSeries:
         """The polar angle at ``step``, an int or an array of them."""
         return self.angle + self.rate * step
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "angle": self.angle, "rate": self.rate}
 
-    @staticmethod
-    def from_dict(d: dict, path: str = "news") -> "NewsSeries":
-        return build(NewsSeries, path, parse_block(d, path, optional={
-            "kind": None, "angle": number, "rate": number}))
+@dataclass(frozen=True)
+class _Regime(Block):
+    """The noise angle and its rule, shared by the two regimes."""
 
+    noise_angle: float
+    PATH = "regime"
 
-def _check_noise(noise_angle: float):
-    if not 0.0 <= noise_angle <= math.pi:
-        raise FieldError("noise_angle", f"must lie in [0, pi], got {noise_angle!r}")
+    def __post_init__(self):
+        if not 0.0 <= self.noise_angle <= math.pi:
+            raise FieldError("noise_angle", f"must lie in [0, pi], got {self.noise_angle!r}")
 
 
 @dataclass(frozen=True)
-class LocalRegime:
+class LocalRegime(_Regime):
     """Contexts wander around the current state by at most noise_angle.
 
     Each context is the state v rotated by alpha ~ U[0, noise_angle] about a
@@ -99,42 +90,26 @@ class LocalRegime:
     elastic the O1 rate is (4/3 + (2/3) sin(a) / a) / 2 at noise_angle a.
     """
 
-    noise_angle: float
-
-    def __post_init__(self):
-        _check_noise(self.noise_angle)
-
-    def to_dict(self) -> dict:
-        return {"kind": "local", "noise_angle": self.noise_angle}
+    kind = "local"
 
 
 @dataclass(frozen=True)
-class GlobalRegime:
+class GlobalRegime(_Regime):
     """Contexts align with the shared news direction up to noise_angle."""
 
     news: NewsSeries
-    noise_angle: float
-
-    def __post_init__(self):
-        _check_noise(self.noise_angle)
-
-    def to_dict(self) -> dict:
-        return {"kind": "global", "noise_angle": self.noise_angle,
-                "news": self.news.to_dict()}
+    kind = "global"
+    CONVERTERS = {"news": NewsSeries.from_dict}
 
 
 def regime_from_dict(d: dict, path: str = "regime"):
-    fields = {"kind": None, "noise_angle": number}
-    if block_kind(d, path, ("local", "global")) == "local":
-        p = parse_block(d, path, required=fields)
-        return build(LocalRegime, path, {"noise_angle": p["noise_angle"]})
-    p = parse_block(d, path, required={**fields, "news": None})
-    return build(GlobalRegime, path, {"news": NewsSeries.from_dict(p["news"], f"{path}.news"),
-                                      "noise_angle": p["noise_angle"]})
+    """The regime of the kind block ``d`` names; errors name keys under ``path``."""
+    kinds = {c.kind: c for c in (LocalRegime, GlobalRegime)}
+    return kinds[block_kind(d, path, kinds)].from_dict(d, path)
 
 
 @dataclass(frozen=True)
-class MarketConfig:
+class MarketConfig(Block):
     rho: RhoDistribution
     n_steps: int
     regime: LocalRegime | GlobalRegime
@@ -142,10 +117,13 @@ class MarketConfig:
     price_axis: UnitVector3 = UnitVector3(0.0, 0.0, 1.0)
     price_min: float = 50.0
     price_max: float = 150.0
+    PATH = "market"
+    CONVERTERS = {"rho": RhoDistribution.from_dict, "regime": regime_from_dict,
+                  "price_axis": unit_vector}
 
     def __post_init__(self):
         # below 2**53 every step index in angle + rate * step is exact as a float
-        if not 1 <= self.n_steps <= MAX_COUNT:
+        if not 1 <= count(self.n_steps, "n_steps") <= MAX_COUNT:
             raise FieldError("n_steps", f"must lie in [1, 2**53], got {shown(self.n_steps)}")
         try:
             UnitVector3(*self.price_axis)
@@ -162,29 +140,6 @@ class MarketConfig:
                 self.regime.news.angle_at(self.n_steps - 1)):
             raise FieldError("regime.news.rate", f"{self.regime.news.rate!r} takes the news angle "
                              "(angle + rate * step) past the float range within", other="n_steps")
-
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho.to_dict(),
-            "n_steps": self.n_steps,
-            "regime": self.regime.to_dict(),
-            "seed": self.seed,
-            "price_axis": list(self.price_axis),
-            "price_min": self.price_min,
-            "price_max": self.price_max,
-        }
-
-    @staticmethod
-    def from_dict(d: dict, path: str = "market") -> "MarketConfig":
-        """The config of block ``d``; errors name keys under ``path``."""
-        p = parse_block(
-            d, path,
-            required={"rho": None, "n_steps": count, "regime": None, "seed": count},
-            optional={"price_axis": unit_vector, "price_min": number, "price_max": number},
-        )
-        p["rho"] = RhoDistribution.from_dict(p["rho"], f"{path}.rho")
-        p["regime"] = regime_from_dict(p["regime"], f"{path}.regime")
-        return build(MarketConfig, path, p)
 
 
 @dataclass(frozen=True)
@@ -403,7 +358,7 @@ def run_market_ensemble(cfg: MarketConfig, n_runs: int,
     ``n_workers`` is checked (at least 1) but starts no thread: the output
     never depended on it, and the rotation chain is a loop on Python floats
     that holds the GIL, so threads would only switch between its members."""
-    if n_runs < 1:
+    if count(n_runs, "n_runs") < 1:
         raise ValueError("n_runs must be positive")
     check_workers(n_workers)
     group = max(1, ROWS // cfg.n_steps)

@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .config import (MAX_COUNT, FieldError, build, count, member, number, parse_block,
-                     require_finite, shown)
+from .config import MAX_COUNT, Block, FieldError, count, member, require_finite, shown
 from .ndtr import erfc
 from .streams import map_chunks
 
@@ -40,7 +39,7 @@ class DegenerateParametersError(ValueError):
 
 
 @dataclass(frozen=True)
-class OptionSpec:
+class OptionSpec(Block):
     """Contract parameters: spot S, strike K, rate r, volatility sigma,
     time to expiry tau (years).  Exercise is European, the only style priced."""
 
@@ -50,6 +49,8 @@ class OptionSpec:
     sigma: float
     tau: float
     kind: OptionKind = OptionKind.CALL
+    PATH = "spec"
+    CONVERTERS = {"kind": member(OptionKind), "style": member(("european",))}
 
     def __post_init__(self):
         require_finite(self, "spot", "strike", "rate", "sigma", "tau")
@@ -74,17 +75,7 @@ class OptionSpec:
             raise FieldError("sigma", f"must be at most {_SIGMA_MAX!r}, where sigma^2 overflows")
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind.value, "style": "european"}
-
-    @staticmethod
-    def from_dict(d: dict, path: str = "spec") -> "OptionSpec":
-        """The spec of block ``d``; errors name keys under ``path``."""
-        fields = parse_block(
-            d, path, required=dict.fromkeys(("spot", "strike", "rate", "sigma", "tau"), number),
-            optional={"kind": member(OptionKind), "style": member(("european",))},
-        )
-        fields.pop("style", None)
-        return build(OptionSpec, path, fields)
+        return {**super().to_dict(), "style": "european"}
 
 
 def _payoff(kind: OptionKind, s, strike):
@@ -145,7 +136,7 @@ def bs_price(spec: OptionSpec) -> float:
 
 
 @dataclass(frozen=True)
-class GbmParams:
+class GbmParams(Block):
     """Diffusion parameters: start s0, drift, volatility, horizon split into
     equal steps, 1 to 2**53 of them (``config.MAX_COUNT``, the count bound)."""
 
@@ -154,6 +145,7 @@ class GbmParams:
     sigma: float
     horizon: float
     steps: int
+    PATH = "compare_gbm"
 
     def __post_init__(self):
         require_finite(self, "s0", "drift", "sigma", "horizon")
@@ -161,7 +153,7 @@ class GbmParams:
             raise FieldError("s0", "must be positive")
         if self.sigma < 0:
             raise FieldError("sigma", "must be nonnegative")
-        if not 1 <= self.steps <= MAX_COUNT:
+        if not 1 <= count(self.steps, "steps") <= MAX_COUNT:
             raise FieldError("steps", f"must lie in [1, 2**53], got {shown(self.steps)}")
         if self.horizon <= 0:
             raise FieldError("horizon", "must be positive")
@@ -192,17 +184,6 @@ class GbmParams:
                                  f"sqrt(horizon) leave [{_LOG_MIN:.2f}, {_LOG_MAX:.2f}] before t "
                                  "reaches", other="horizon")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict, path: str = "compare_gbm") -> "GbmParams":
-        """The parameters of block ``d``; errors name keys under ``path``."""
-        return build(GbmParams, path, parse_block(
-            d, path,
-            required={**dict.fromkeys(("s0", "drift", "sigma", "horizon"), number), "steps": count},
-        ))
-
 
 def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
                     n_workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -219,7 +200,7 @@ def gbm_path_matrix(params: GbmParams, n_paths: int, seed: int,
     of one draw for the whole chunk, so the call holds the output plus one
     block per worker.
     """
-    if n_paths < 1:
+    if count(n_paths, "n_paths") < 1:
         raise ValueError("n_paths must be positive")
     dt = params.horizon / params.steps
     times = np.linspace(0.0, params.horizon, params.steps + 1)
@@ -254,7 +235,7 @@ def mc_price(spec: OptionSpec, n_paths: int, seed: int,
     estimate identical for any worker count.  Payoffs whose squares sum past
     the float range raise ``FieldError`` on ``spot``, relative to ``strike``.
     """
-    if n_paths < 2:
+    if count(n_paths, "n_paths") < 2:
         raise ValueError("need at least two paths for a standard error")
     disc = math.exp(-spec.rate * spec.tau)
     loc = (spec.rate - 0.5 * spec.sigma ** 2) * spec.tau
@@ -267,8 +248,10 @@ def mc_price(spec: OptionSpec, n_paths: int, seed: int,
             return float(pay.sum()), float(np.square(pay).sum())
 
     parts = map_chunks(run_chunk, n_paths, CHUNK_PATHS, seed, n_workers)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
+    total = total_sq = 0.0
+    for part, part_sq in parts:  # left to right: from Python 3.12 on, sum() compensates
+        total += part
+        total_sq += part_sq
     mean = total / n_paths
     var = (total_sq - n_paths * mean * mean) / (n_paths - 1)
     if not math.isfinite(var):  # as it is whenever the sum of squares is not
@@ -299,7 +282,7 @@ def binomial_price(spec: OptionSpec, steps: int) -> float:
     stepped again with a floor that drops exact zeros only, which is exact
     by construction: p 0 + q 0 is +0.
     """
-    if steps < 1:
+    if count(steps, "steps") < 1:
         raise ValueError("steps must be positive")
     if spec.tau <= 0.0:
         return intrinsic_value(spec)

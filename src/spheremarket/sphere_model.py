@@ -11,14 +11,13 @@ therefore CDF evaluations of rho at v.u.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import FieldError, block_kind, build, items, number, parse_block, require_finite
+from .config import Block, FieldError, block_kind, count, items, number, require_finite
 from .geometry import UnitVector3, _check_unit_rows, _sphere_rows, dot
 from .ndtr import ndtr
 from .streams import check_workers, map_chunks
@@ -50,7 +49,7 @@ class MeasurementOutcome:
     break_point: float
 
 
-class RhoDistribution:
+class RhoDistribution(Block):
     """Break-point density on [-1, 1]; cdf(-1) = 0 and cdf(1) = 1.
 
     A break point is ``quantile`` of ``draws`` uniforms on [0, 1): one for
@@ -59,11 +58,14 @@ class RhoDistribution:
     [0, 1); a slack of 0 means it is nondecreasing.
     """
 
+    PATH = "rho"
     kind: str = ""
     draws: int = 1
     slack = 0.0
 
     def cdf(self, x: float) -> float:
+        if x != x:
+            raise ValueError(f"{type(self).__name__}.cdf of NaN")
         if x >= 1.0:
             return 1.0
         if x <= -1.0:
@@ -82,23 +84,12 @@ class RhoDistribution:
         """An array of ``size`` break points drawn from ``rng``."""
         return self.quantile(rng.random(size) if self.draws else np.zeros(size))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **asdict(self)}
-
-    @staticmethod
-    def from_dict(d: dict, path: str = "rho") -> "RhoDistribution":
-        """The density of block ``d``; errors name keys under ``path``."""
-        numbers = partial(items, number)
-        kinds = {
-            "uniform": (UniformRho, {}),
-            "delta": (DeltaRho, {"x0": number}),
-            "piecewise": (PiecewiseConstantRho, {"breakpoints": numbers, "densities": numbers}),
-            "truncated_gaussian": (TruncatedGaussianRho, {"center": number, "width": number}),
-        }
-        cls, fields = kinds[block_kind(d, path, kinds)]
-        p = parse_block(d, path, required={"kind": None, **fields})
-        del p["kind"]
-        return build(cls, path, p)
+    @classmethod
+    def from_dict(cls, d, path: str = PATH) -> "RhoDistribution":
+        """The density of the kind block ``d`` names; errors name keys under ``path``."""
+        kinds = {c.kind: c for c in (UniformRho, DeltaRho, PiecewiseConstantRho,
+                                     TruncatedGaussianRho)}
+        return super(RhoDistribution, kinds[block_kind(d, path, kinds)]).from_dict(d, path)
 
 
 @dataclass(frozen=True)
@@ -154,6 +145,7 @@ class PiecewiseConstantRho(RhoDistribution):
     breakpoints: list
     densities: list
     kind = "piecewise"
+    CONVERTERS = dict.fromkeys(("breakpoints", "densities"), lambda v, name: items(number, v, name))
 
     def __post_init__(self):
         bp = np.asarray(self.breakpoints, dtype=float)
@@ -333,7 +325,7 @@ def measurement_counts(rho: RhoDistribution, state: UnitVector3, u: UnitVector3,
     falls below v.u, which gives the sampled counts without building break
     points; when f == l is 0 or 1, no trial draws.
     """
-    if n_trials < 1:
+    if count(n_trials, "n_trials") < 1:
         raise ValueError("n_trials must be positive")
     check_workers(n_workers)
     d = dot(state, u)
@@ -407,7 +399,7 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
 
     dirs_t = _direction_rows(directions).T
     n = len(directions)
-    if n_samples < 1:
+    if count(n_samples, "n_samples") < 1:
         raise ValueError("n_samples must be positive")
 
     def run_chunk(rng, lo, size) -> np.ndarray:

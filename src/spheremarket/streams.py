@@ -10,14 +10,16 @@ from threading import Thread
 
 import numpy as np
 
+from .config import count
+
 
 def chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(chunk,)))
 
 
 def check_workers(n_workers: int):
-    """ValueError unless ``n_workers`` is at least 1."""
-    if n_workers < 1:
+    """ValueError unless ``n_workers`` is an integer of at least 1."""
+    if count(n_workers, "n_workers") < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import glob
 import io
 import json
@@ -13,11 +14,12 @@ from hypothesis import strategies as st
 
 from spheremarket import cli_runner
 from spheremarket.cli_runner import EXIT_PARSE, EXIT_VALIDATION
-from spheremarket.config import (ConfigParseError, FieldError, at_least, count, member, number,
-                                 parse_block, shown)
+from spheremarket.config import (Block, ConfigParseError, FieldError, at_least, count, member,
+                                 number, parse_block, shown, unit_vector)
+from spheremarket.geometry import UnitVector3
 from spheremarket.market_sim import (GlobalRegime, LocalRegime, MarketConfig, NewsSeries,
                                      regime_from_dict)
-from spheremarket.pricing import GbmParams, OptionSpec
+from spheremarket.pricing import GbmParams, OptionKind, OptionSpec
 from spheremarket.sphere_model import RhoDistribution
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -162,7 +164,7 @@ class TestFromDict:
 
     @pytest.mark.parametrize("parse, block", CASES)
     def test_each_missing_required_key_named(self, parse, block):
-        optional = {"kind", "angle", "rate"} if parse is NewsSeries.from_dict else set()
+        optional = {"kind", "angle", "rate"} if parse == NewsSeries.from_dict else set()
         for key in set(block) - optional:
             with pytest.raises(ConfigParseError, match=f"'{key}'"):
                 parse({k: v for k, v in block.items() if k != key})
@@ -200,6 +202,85 @@ class TestFromDict:
         cfg = MarketConfig.from_dict(MARKET)
         assert (cfg.price_min, cfg.price_max) == (50.0, 150.0)
         assert cfg.to_dict()["price_axis"] == [0.0, 0.0, 1.0]
+
+
+def block_classes() -> list:
+    """Every ``Block`` dataclass the package defines."""
+    found, todo = [], [Block]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if dataclasses.is_dataclass(cls) and cls.__module__.startswith("spheremarket."):
+            found.append(cls)
+    return found
+
+
+class TestBlock:
+    def test_every_field_has_a_converter(self):
+        classes = block_classes()
+        assert {cls.__name__ for cls in classes} == {
+            "OptionSpec", "GbmParams", "NewsSeries", "_Regime", "LocalRegime", "GlobalRegime",
+            "MarketConfig",
+            "UniformRho", "DeltaRho", "PiecewiseConstantRho", "TruncatedGaussianRho"}
+        for cls in classes:
+            required, convs = cls.keys()  # a TypeError names a field with no converter
+            assert {f.name for f in dataclasses.fields(cls)} | set(required) <= set(convs)
+            assert all(callable(conv) for conv in convs.values())
+
+    def test_field_type_without_a_converter_is_an_error(self):
+        @dataclasses.dataclass(frozen=True)
+        class Sized(Block):
+            size: float  # a class here, not a string: no __future__ annotations
+
+        @dataclasses.dataclass(frozen=True)
+        class Labelled(Block):
+            label: str
+
+        assert Sized.from_dict({"size": 1}) == Sized(1.0)
+        with pytest.raises(TypeError, match="Labelled.label of type .*str.* has no converter"):
+            Labelled.from_dict({"label": "x"})
+
+    def test_required_keys_are_the_fields_without_defaults(self):
+        assert list(OptionSpec.keys()[0]) == ["spot", "strike", "rate", "sigma", "tau"]
+        assert list(MarketConfig.keys()[0]) == ["rho", "n_steps", "regime", "seed"]
+        assert list(NewsSeries.keys()[0]) == []
+
+    def test_kind_named_by_a_class_attribute_is_required_and_dropped(self):
+        assert list(GlobalRegime.keys()[0]) == ["kind", "noise_angle", "news"]
+        assert LocalRegime.from_dict(LOCAL) == LocalRegime(noise_angle=0.3)
+        assert LocalRegime(noise_angle=0.3).to_dict() == LOCAL
+        with pytest.raises(ConfigParseError, match="missing key 'kind' in 'regime'"):
+            LocalRegime.from_dict({"noise_angle": 0.3})
+        with pytest.raises(ValueError, match="'regime.kind' must be one of 'local', got 'global'"):
+            LocalRegime.from_dict({**LOCAL, "kind": "global"})
+
+    def test_listed_key_that_is_no_field_is_dropped(self):
+        assert OptionSpec.from_dict({**SPEC, "style": "european"}) == OptionSpec.from_dict(SPEC)
+
+    def test_nested_blocks_enums_and_tuples_echoed(self):
+        news = {"kind": "drift", "angle": 0.3, "rate": 0.01}
+        cfg = MarketConfig.from_dict({**MARKET, "price_axis": [0.0, 1.0, 0.0],
+                                      "regime": {"kind": "global", "noise_angle": 0.1, "news": news}})
+        echo = cfg.to_dict()
+        assert echo["regime"] == {"kind": "global", "noise_angle": 0.1, "news": news}
+        assert echo["rho"] == {"kind": "uniform"} and echo["price_axis"] == [0.0, 1.0, 0.0]
+        assert OptionSpec.from_dict({**SPEC, "kind": "put"}).to_dict()["kind"] == "put"
+        assert OptionSpec.from_dict({**SPEC, "kind": "put"}).kind is OptionKind.PUT
+
+    def test_nested_errors_name_the_full_key_path(self):
+        with pytest.raises(ConfigParseError, match="'params.market.regime.news.angle' must be a"):
+            MarketConfig.from_dict({**MARKET, "regime": {"kind": "global", "noise_angle": 0.1,
+                                                         "news": {"angle": "x"}}}, "params.market")
+        with pytest.raises(ValueError, match="'market.rho.x0' must lie strictly inside"):
+            MarketConfig.from_dict({**MARKET, "rho": {"kind": "delta", "x0": 2.0}})
+
+    def test_unit_vector_keeps_a_unit_vector(self):
+        # normalizing it again moved its last bits, so the direction a report
+        # echoed did not parse back to itself
+        xyz = [0.6189527638064605, -0.7751314376723729, 0.126762496458158]
+        assert list(UnitVector3.normalized(*xyz)) != xyz
+        assert list(unit_vector(xyz, "params.state")) == xyz
+        assert list(unit_vector([0.0, 0.0, 3.0], "params.state")) == [0.0, 0.0, 1.0]
 
 
 class TestCliExitCodes:

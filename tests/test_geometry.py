@@ -115,6 +115,14 @@ class TestDot:
         with pytest.raises(ValueError, match="is NaN"):
             dot((0.0, 1.0, 0.0), a)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_sum_raises_naming_both_vectors(self, sign):
+        # clamped, an infinite sum read +-1: no unit vector has an infinite component
+        a = (0.0, 0.0, sign * math.inf)
+        with pytest.raises(ValueError, match=rf"dot of \(0\.0, 0\.0, {sign * math.inf!r}\) and "
+                                             rf"\(0\.0, 0\.0, 1\.0\) is {sign * math.inf!r}"):
+            dot(a, (0.0, 0.0, 1.0))
+
 
 class TestUniformSampler:
     def test_golden_value_seed_12345(self):

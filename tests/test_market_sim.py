@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spheremarket import geometry, market_sim, streams
@@ -149,6 +149,40 @@ GLOBAL_REGIMES = {"global": GlobalRegime(news=DRIFT, noise_angle=0.3),
                   "news-pi": GlobalRegime(news=NewsSeries(angle=math.pi), noise_angle=0.3),
                   "herding": GlobalRegime(news=NewsSeries(angle=0.8), noise_angle=0.1)}
 REGIMES = {**LOCAL_REGIMES, **GLOBAL_REGIMES}
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NOISE = st.floats(0.0, math.pi)
+
+
+@st.composite
+def news_series(draw):
+    kind = draw(st.sampled_from(["constant", "drift"]))
+    return NewsSeries(kind, draw(FINITE), draw(FINITE) if kind == "drift" else 0.0)
+
+
+def regimes():
+    return st.builds(LocalRegime, NOISE) | st.builds(GlobalRegime, NOISE, news_series())
+
+
+@st.composite
+def market_configs(draw):
+    """Configs of the fixed densities RHOS (each density kind's own round
+    trip is drawn in test_sphere_model.py), any regime, step count, seed,
+    price axis and price range."""
+    axis = draw(st.tuples(FINITE, FINITE, FINITE))
+    prices = sorted(draw(st.tuples(st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))))
+    try:
+        return MarketConfig(rho=draw(st.sampled_from(RHOS)), n_steps=draw(st.integers(1, 2 ** 53)),
+                            regime=draw(regimes()), seed=draw(st.integers(0, 2 ** 128)),
+                            price_axis=UnitVector3.normalized(*axis), price_min=prices[0],
+                            price_max=prices[1])
+    except ValueError:  # a zero axis, an empty price range or news past the float range
+        assume(False)
+
+
+def json_round_trip(block):
+    """``block`` echoed by ``to_dict``, through JSON text, and parsed back."""
+    return type(block).from_dict(json.loads(json.dumps(block.to_dict(), allow_nan=False)))
 
 
 def ensemble_csv(cfg, n_runs, n_workers):
@@ -675,6 +709,22 @@ class TestConfigAndCsv:
         cfg = make_config(regime=GlobalRegime(news=news, noise_angle=0.2), seed=5)
         clone = MarketConfig.from_dict(cfg.to_dict())
         assert clone == cfg
+
+    @given(block=st.one_of(news_series(), regimes(), market_configs()))
+    @settings(deadline=None)
+    def test_round_trip_through_json(self, block):
+        assert json_round_trip(block) == block
+
+    @pytest.mark.parametrize("n_steps", [40.5, 40.0, True])
+    def test_n_steps_must_be_an_integer(self, n_steps):
+        # 40.5 steps once built a config
+        with pytest.raises(ValueError, match="'n_steps' must be an integer"):
+            make_config(n_steps=n_steps)
+
+    @pytest.mark.parametrize("n_runs", [2.5, True])
+    def test_ensemble_run_count_must_be_an_integer(self, n_runs):
+        with pytest.raises(ValueError, match="'n_runs' must be an integer"):
+            run_market_ensemble(make_config(n_steps=5), n_runs)
 
     def test_csv_columns(self):
         trades = run_market(make_config(n_steps=35))

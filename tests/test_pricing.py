@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from spheremarket import pricing
 from spheremarket.config import FieldError
 from spheremarket.pricing import (
     CHUNK_PATHS,
@@ -40,6 +42,11 @@ spec_strategy = st.builds(
     sigma=st.floats(0.05, 0.6),
     tau=st.floats(0.05, 3.0),
 )
+
+
+def json_round_trip(block):
+    """``block`` echoed by ``to_dict``, through JSON text, and parsed back."""
+    return type(block).from_dict(json.loads(json.dumps(block.to_dict(), allow_nan=False)))
 
 
 def put(spec: OptionSpec) -> OptionSpec:
@@ -212,8 +219,38 @@ class TestBsPrice:
         spec = OptionSpec(95.0, 105.0, 0.01, 0.3, 0.5, kind=OptionKind.PUT)
         assert OptionSpec.from_dict(spec.to_dict()) == spec
 
+    @given(spot=st.floats(1e-3, 1e6), strike=st.floats(1e-3, 1e6), rate=st.floats(-1.0, 1.0),
+           sigma=st.floats(0.0, 5.0), tau=st.floats(0.0, 100.0), kind=st.sampled_from(OptionKind))
+    def test_round_trip_through_json(self, spot, strike, rate, sigma, tau, kind):
+        try:
+            spec = OptionSpec(spot, strike, rate, sigma, tau, kind)
+        except FieldError:
+            assume(False)
+        assert json_round_trip(spec) == spec
+
 
 class TestGbm:
+    @given(s0=st.floats(1e-300, 1e300), drift=st.floats(-10.0, 10.0), sigma=st.floats(0.0, 10.0),
+           horizon=st.floats(1e-6, 1e6), steps=st.integers(1, 2 ** 53))
+    def test_round_trip_through_json(self, s0, drift, sigma, horizon, steps):
+        try:
+            params = GbmParams(s0, drift, sigma, horizon, steps)
+        except FieldError:
+            assume(False)
+        assert json_round_trip(params) == params
+
+    @pytest.mark.parametrize("steps", [4.5, 4.0, True])
+    def test_steps_must_be_an_integer(self, steps):
+        # 4.5 steps once built a GbmParams
+        with pytest.raises(ValueError, match="'steps' must be an integer"):
+            GbmParams(s0=100.0, drift=0.0, sigma=0.2, horizon=1.0, steps=steps)
+
+    @pytest.mark.parametrize("n_paths", [2.5, True])
+    def test_path_count_must_be_an_integer(self, n_paths):
+        params = GbmParams(s0=100.0, drift=0.0, sigma=0.2, horizon=1.0, steps=4)
+        with pytest.raises(ValueError, match="'n_paths' must be an integer"):
+            gbm_path_matrix(params, n_paths, seed=1)
+
     def test_zero_vol_deterministic(self):
         params = GbmParams(s0=100.0, drift=0.07, sigma=0.0, horizon=2.0, steps=8)
         times, values = gbm_path_matrix(params, 3, seed=1)
@@ -319,6 +356,19 @@ class TestGbm:
 
 
 class TestMcPrice:
+    def test_chunk_sums_added_left_to_right(self, monkeypatch):
+        # Python 3.12's sum() compensates, and turned the price demo's error
+        # 0.014725954097352972 (62 chunk sums) into 0.014725954097352974;
+        # math.fsum stands in for it here
+        expected = mc_price(ATM, 10 ** 6, seed=7)
+        monkeypatch.setattr(pricing, "sum", math.fsum, raising=False)
+        assert mc_price(ATM, 10 ** 6, seed=7) == expected
+
+    @pytest.mark.parametrize("n_paths", [100.5, 100.0, True])
+    def test_path_count_must_be_an_integer(self, n_paths):
+        with pytest.raises(ValueError, match="'n_paths' must be an integer"):
+            mc_price(ATM, n_paths, seed=1)
+
     def test_matches_closed_form(self):
         value, stderr = mc_price(ATM, 10 ** 6, seed=5)
         assert abs(value - bs_price(ATM)) < 4.0 * stderr
@@ -354,6 +404,12 @@ class TestMcPrice:
 
 
 class TestBinomial:
+    @pytest.mark.parametrize("steps", [10.5, 10.0, True])
+    def test_steps_must_be_an_integer(self, steps):
+        # 10.5 steps once priced 12.93, the price of no lattice
+        with pytest.raises(ValueError, match="'steps' must be an integer"):
+            binomial_price(ATM, steps)
+
     def test_single_step_hand_value(self):
         # independent oracle: direct two-outcome risk-neutral expectation
         spec = OptionSpec(100, 100, 0.0, 0.2, 1.0)

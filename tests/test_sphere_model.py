@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -45,6 +46,13 @@ def all_variants():
 class TestRhoCdf:
     def test_uniform_full_interval(self):
         assert UniformRho().cdf(1.0) == 1.0
+
+    def test_nan_raises_for_every_density(self):
+        # each density once gave its own answer: nan for the uniform, 0.0 for
+        # the delta and the truncated Gaussian, an IndexError for the piecewise
+        for rho in all_variants():
+            with pytest.raises(ValueError, match=f"{type(rho).__name__}.cdf of NaN"):
+                rho.cdf(math.nan)
 
     def test_uniform_midpoint(self):
         # closed-form integral of the density 1/2 over [-1, 0]
@@ -185,6 +193,26 @@ class TestTransitionProbabilities:
         with pytest.raises(ValueError, match="is NaN"):
             measurement_counts(UniformRho(), nan_state, POLE, 1000, seed=0)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_infinite_state_raises(self, sign):
+        # clamped, (0, 0, inf) read as the pole itself: (1.0, 0.0) and (n, 0)
+        state = (0.0, 0.0, sign * math.inf)
+        with pytest.raises(ValueError, match="is -?inf"):
+            transition_probabilities(UniformRho(), state, POLE)
+        with pytest.raises(ValueError, match="is -?inf"):
+            measurement_counts(UniformRho(), state, POLE, 1000, seed=0)
+
+    @pytest.mark.parametrize("n_trials", [10.5, 10.0, True])
+    def test_counts_need_an_integer_trial_count(self, n_trials):
+        # 10.5 trials once counted (10.5, 0.0)
+        with pytest.raises(ValueError, match="'n_trials' must be an integer"):
+            measurement_counts(UniformRho(), POLE, POLE, n_trials, seed=0)
+
+    @pytest.mark.parametrize("n_samples", [10.5, True])
+    def test_hidden_state_table_needs_an_integer_sample_count(self, n_samples):
+        with pytest.raises(ValueError, match="'n_samples' must be an integer"):
+            hidden_state_agreement_table(UniformRho(), [POLE, -POLE], n_samples=n_samples)
+
     def test_delta_classical_regime(self):
         v = from_polar(math.acos(0.3), 0.0)
         p1, _ = transition_probabilities(DeltaRho(0.0), v, POLE)
@@ -310,12 +338,15 @@ class TestSimulateMeasurement:
                 assert abs(emp - p) <= 4.0 * sigma + 1e-9
 
 
+RHO_KINDS = ("uniform", "delta", "piecewise", "truncated_gaussian")
+
+
 @st.composite
-def counted_rhos(draw):
+def counted_rhos(draw, kinds=RHO_KINDS):
     """Every density kind: uniform, delta, piecewise with 1-8 cells (some of
     density 0), and truncated Gaussians with center in [-1.5, 1.5] and width
-    in [0.05, 2]."""
-    kind = draw(st.sampled_from(["uniform", "delta", "piecewise", "truncated_gaussian"]))
+    in [0.05, 2]; or those of ``kinds`` only."""
+    kind = draw(st.sampled_from(kinds))
     inside = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
     if kind == "uniform":
         return UniformRho()
@@ -677,6 +708,18 @@ class TestSerialization:
         for rho in all_variants():
             clone = RhoDistribution.from_dict(rho.to_dict())
             assert clone == rho
+
+    @pytest.mark.parametrize("kind", [
+        "uniform", "delta", "truncated_gaussian",
+        pytest.param("piecewise", marks=pytest.mark.xfail(strict=True, reason=(
+            "the echoed levels are normalized again on parsing, which moves a last bit "
+            "of about 3 in 10 random densities"))),
+    ])
+    @given(data=st.data())
+    @settings(deadline=None)
+    def test_round_trip_through_json(self, kind, data):
+        rho = data.draw(counted_rhos(kinds=(kind,)))
+        assert type(rho).from_dict(json.loads(json.dumps(rho.to_dict(), allow_nan=False))) == rho
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

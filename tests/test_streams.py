@@ -15,6 +15,14 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 class TestMapChunks:
+    @pytest.mark.parametrize("n_workers", [1.5, 2.0, True])
+    def test_worker_count_must_be_an_integer(self, n_workers):
+        # 1.5 workers once passed the check
+        with pytest.raises(ValueError, match="'n_workers' must be an integer"):
+            streams.check_workers(n_workers)
+        with pytest.raises(ValueError, match="'n_workers' must be an integer"):
+            map_chunks(lambda rng, lo, size: size, 10, 4, seed=0, n_workers=n_workers)
+
     def test_chunk_bounds_cover_range_in_order(self):
         spans = map_chunks(lambda rng, lo, size: (lo, size), 10, 4, seed=0)
         assert spans == [(0, 4), (4, 4), (8, 2)]
