@@ -171,11 +171,30 @@ def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _sphere_rows(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """The (len(z), 3) array of the points at heights ``z`` and azimuths
-    ``phi``: ``_on_sphere_arrays`` with numpy's ``cos`` and ``sin``, whose
-    bits may differ from libm's."""
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.column_stack(_normalize_arrays(s * np.cos(phi), s * np.sin(phi), z))
+    """The C-contiguous (len(z), 3) array of the points at heights ``z`` and
+    azimuths ``phi``: ``_on_sphere_arrays`` with numpy's ``cos`` and ``sin``,
+    whose bits may differ from libm's.  The layout is the one whose products
+    with the directions the hidden-state tables' bits were pinned with.
+
+    The same operations in the same order as ``_normalize_arrays``, with
+    ``z * z`` taken once and each quotient written straight into its column.
+    The norm is never zero (about 1 for |z| <= 1, and |z| beyond), so the
+    zero check is left out."""
+    zz = z * z
+    s = np.subtract(1.0, zz)
+    np.sqrt(np.maximum(0.0, s, out=s), out=s)
+    x = np.cos(phi)
+    x *= s
+    y = np.sin(phi)
+    y *= s
+    norm = np.multiply(x, x, out=s)
+    norm += y * y
+    norm += zz
+    np.sqrt(norm, out=norm)
+    rows = np.empty((len(z), 3))
+    for k, c in enumerate((x, y, z)):
+        np.divide(c, norm, out=rows[:, k])
+    return rows
 
 
 def _fma(a: float, b: float, c: float) -> float:

@@ -378,6 +378,19 @@ def _row_blocks(size: int) -> list[tuple[int, int]]:
     return list(zip(starts, [*starts[1:], size]))
 
 
+def _pair_agreements(outcomes: np.ndarray) -> np.ndarray:
+    """For an (n, rows) bool array of outcomes, the int64 count of rows on
+    which directions i and j agree, for each pair in ``pair_index(n)``
+    order.  Each direction's row is packed eight outcomes to a byte; a pair
+    disagrees on the set bits of its XOR, and the zero padding of the last
+    byte sets none."""
+    from .kolmogorov_check import pair_index
+
+    packed = np.packbits(outcomes, axis=1)
+    i, j = pair_index(len(outcomes))
+    return outcomes.shape[1] - np.bitwise_count(packed[i] ^ packed[j]).sum(axis=1, dtype=np.int64)
+
+
 def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVector3],
                                  n_samples: int = 100_000, seed: int = 0) -> AgreementTable:
     """Agreement table of the one-shot classical model.
@@ -393,7 +406,8 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
     coordinates, their break points (the block's rows of one draw of the
     chunk's) and their counts, over ``_row_blocks``.  So it holds the two
     state draws and one block's arrays, and every count is the one whole
-    chunk's.
+    chunk's.  A block's counts come from its outcomes packed eight to a
+    byte, in ``_pair_agreements``.
     """
     from .kolmogorov_check import AgreementTable
 
@@ -411,11 +425,8 @@ def hidden_state_agreement_table(rho: RhoDistribution, directions: list[UnitVect
             # break point lies in [-1, 1), so it is below a coordinate past 1
             # and not below one past -1, as against the clip
             coords = _sphere_rows(z[a:b], phi[a:b]) @ dirs_t  # (b - a, n)
-            outcomes = np.ascontiguousarray((rho.sample(rng, size=(b - a, n)) < coords).T)
-            # row i against every later row gives pairs (i, i+1), ..., (i, n-1): the
-            # pair_index order, without an array of every pair's outcomes at once
-            agree += np.concatenate([np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1)
-                                     for i in range(n - 1)])
+            agree += _pair_agreements(np.ascontiguousarray(
+                (rho.sample(rng, size=(b - a, n)) < coords).T))
         return agree
 
     agree = sum(map_chunks(run_chunk, n_samples, CHUNK_SAMPLES, seed))

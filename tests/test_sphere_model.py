@@ -26,6 +26,7 @@ from spheremarket.sphere_model import (
     measurement_counts,
     simulate_measurement,
     transition_probabilities,
+    _pair_agreements,
     _row_blocks,
     _thresholds,
 )
@@ -573,7 +574,7 @@ class TestAgreementTable:
         # state draws (16 bytes a sample, 0.32 MB) and one block's arrays: a
         # (BLOCK_SAMPLES, 10) float array is 0.33 MB, and a uniform block holds
         # three at once (coordinates, uniforms, break points).  The bound
-        # allows five, 1.96 MB in all; the blocked table read 1.35 MB, and
+        # allows four, 1.63 MB in all; the blocked table read 1.31 MB, and
         # the whole chunk's (20000, 10) arrays at once read 4.80 MB
         dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(10)]
         hidden_state_agreement_table(UniformRho(), dirs, n_samples=100, seed=1)
@@ -583,7 +584,7 @@ class TestAgreementTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 20_000 + 5 * 8 * BLOCK_SAMPLES * 10
+        assert peak < 16 * 20_000 + 4 * 8 * BLOCK_SAMPLES * 10
 
     @pytest.mark.parametrize("rho", all_variants(), ids=lambda rho: rho.kind)
     def test_hidden_state_table_matches_the_clipped_coordinates(self, rho):
@@ -618,7 +619,7 @@ class TestAgreementTable:
         # 10**6 samples on 8 directions are 8 chunks.  A chunk holds its two
         # state draws, 16 * CHUNK_SAMPLES bytes (2.10 MB), and one block's
         # arrays: a (BLOCK_SAMPLES, 8) float array is 0.26 MB, and the bound
-        # allows five, 3.41 MB in all.  The blocked table read 2.92 MB; the
+        # allows four, 3.15 MB in all.  The blocked table read 2.89 MB; the
         # whole chunk's (CHUNK_SAMPLES, 8) arrays at once read 25.2 MB, and
         # one draw of all 10**6 samples peaked near 190 MB
         dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(8)]
@@ -629,7 +630,7 @@ class TestAgreementTable:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * CHUNK_SAMPLES + 5 * 8 * BLOCK_SAMPLES * 8
+        assert peak < 16 * CHUNK_SAMPLES + 4 * 8 * BLOCK_SAMPLES * 8
 
     @pytest.mark.parametrize("size", [1, 2, 3, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1,
                                       BLOCK_SAMPLES + 2, 2 * BLOCK_SAMPLES + 1, 20_000,
@@ -661,8 +662,41 @@ def single_draw_hidden_state_agreement_table(rho, directions, n_samples, seed, c
     if clip:
         coords = np.clip(coords, -1.0, 1.0)
     outcomes = (rho.sample(rng, size=(n_samples, n)) < coords).T
-    agree = [np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1) for i in range(n - 1)]
-    return AgreementTable(n, np.concatenate(agree) / n_samples)
+    return AgreementTable(n, pair_loop_agreements(outcomes) / n_samples)
+
+
+def pair_loop_agreements(outcomes):
+    """The agreement count of every pair of rows of the (n, samples) bool
+    ``outcomes``, in pair_index order, by count_nonzero: row i against every
+    later row gives pairs (i, i+1), ..., (i, n-1)."""
+    return np.concatenate([np.count_nonzero(outcomes[i] == outcomes[i + 1:], axis=1)
+                           for i in range(len(outcomes) - 1)])
+
+
+@st.composite
+def outcome_blocks(draw):
+    """A C-contiguous (n, rows) bool block of n = 2..16 directions' outcomes,
+    each O1 with a drawn probability.  There are 1..300 rows or 4095, 4096 or
+    4097, so the last packed byte comes both full and zero-padded."""
+    n = draw(st.integers(2, 16))
+    rows = draw(st.one_of(st.integers(1, 300), st.sampled_from([4095, 4096, 4097])))
+    p = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.random((n, rows)) < p
+
+
+class TestPairAgreements:
+    @settings(max_examples=200, deadline=None)
+    @given(outcomes=outcome_blocks())
+    @example(outcomes=np.ones((16, 4097), bool))  # every pair agrees on every row
+    @example(outcomes=np.zeros((3, 1), bool))
+    @example(outcomes=np.array([[True] * 4095, [False] * 4095]))  # the pair never agrees
+    # even directions against odd ones disagree on every row, the rest agree
+    @example(outcomes=np.resize(np.arange(16) % 2 == 0, (4097, 16)).T.copy())
+    def test_packed_counts_match_the_pair_loop(self, outcomes):
+        got = _pair_agreements(outcomes)
+        assert got.dtype == np.int64
+        assert got.tolist() == pair_loop_agreements(outcomes).tolist()
 
 
 class TestQuantileRange:
