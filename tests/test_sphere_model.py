@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -572,19 +574,32 @@ class TestAgreementTable:
     def test_hidden_state_table_peak_memory(self):
         # 20000 samples on 10 directions are one chunk, which holds its two
         # state draws (16 bytes a sample, 0.32 MB) and one block's arrays: a
-        # (BLOCK_SAMPLES, 10) float array is 0.33 MB, and a uniform block holds
-        # three at once (coordinates, uniforms, break points).  The bound
-        # allows four, 1.63 MB in all; the blocked table read 1.31 MB, and
-        # the whole chunk's (20000, 10) arrays at once read 4.80 MB
+        # (BLOCK_SAMPLES, 10) float array is 0.33 MB.  On a fresh thread the
+        # call also grows the thread's workspace, two float and two bool
+        # arrays of BLOCK_SAMPLES + 1 rows (0.74 MB), and a uniform block
+        # adds its break points.  The bound allows four float arrays, 1.63 MB
+        # in all; the whole chunk's (20000, 10) arrays at once read 4.80 MB
         dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(10)]
         hidden_state_agreement_table(UniformRho(), dirs, n_samples=100, seed=1)
-        tracemalloc.start()
-        try:
-            hidden_state_agreement_table(UniformRho(), dirs, n_samples=20_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = on_fresh_thread(table_peak, UniformRho(), dirs, n_samples=20_000, seed=1)
         assert peak < 16 * 20_000 + 4 * 8 * BLOCK_SAMPLES * 10
+
+    def test_warm_hidden_state_table_allocates_one_block_array(self):
+        # after a table of the same shape the thread's workspace holds the
+        # block's coordinates, uniforms and outcomes, so a block allocates
+        # its break points, a (BLOCK_SAMPLES, 10) float array, besides its
+        # sphere points, (BLOCK_SAMPLES, 3), and its packed outcomes; the
+        # bound allows the state draws, one block array and one block of
+        # sphere points
+        dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(10)]
+        hidden_state_agreement_table(UniformRho(), dirs, n_samples=100, seed=1)
+
+        def warm_peak():
+            hidden_state_agreement_table(UniformRho(), dirs, n_samples=20_000, seed=1)
+            return table_peak(UniformRho(), dirs, n_samples=20_000, seed=2)
+
+        peak = on_fresh_thread(warm_peak)
+        assert peak < 16 * 20_000 + 8 * BLOCK_SAMPLES * 10 + 8 * BLOCK_SAMPLES * 3
 
     @pytest.mark.parametrize("rho", all_variants(), ids=lambda rho: rho.kind)
     def test_hidden_state_table_matches_the_clipped_coordinates(self, rho):
@@ -612,25 +627,80 @@ class TestAgreementTable:
                 seed = int(rng.integers(2 ** 32))
                 table = hidden_state_agreement_table(rho, dirs, n_samples=size, seed=seed)
                 single = single_draw_hidden_state_agreement_table(rho, dirs, size, seed)
-                assert [x.hex() for x in table.q.ravel().tolist()] == \
-                    [x.hex() for x in single.q.ravel().tolist()]
+                assert table_hex(table) == table_hex(single)
 
     def test_hidden_state_table_holds_one_chunk(self):
         # 10**6 samples on 8 directions are 8 chunks.  A chunk holds its two
         # state draws, 16 * CHUNK_SAMPLES bytes (2.10 MB), and one block's
-        # arrays: a (BLOCK_SAMPLES, 8) float array is 0.26 MB, and the bound
-        # allows four, 3.15 MB in all.  The blocked table read 2.89 MB; the
-        # whole chunk's (CHUNK_SAMPLES, 8) arrays at once read 25.2 MB, and
-        # one draw of all 10**6 samples peaked near 190 MB
+        # arrays: a (BLOCK_SAMPLES, 8) float array is 0.26 MB.  On a fresh
+        # thread the call also grows the thread's workspace (0.59 MB); the
+        # bound allows four float arrays, 3.15 MB in all.  The whole chunk's
+        # (CHUNK_SAMPLES, 8) arrays at once read 25.2 MB, and one draw of
+        # all 10**6 samples peaked near 190 MB
         dirs = [from_polar(0.3 * k, 0.7 * k) for k in range(8)]
         hidden_state_agreement_table(UniformRho(), dirs, n_samples=100, seed=1)
-        tracemalloc.start()
-        try:
-            hidden_state_agreement_table(UniformRho(), dirs, n_samples=10 ** 6, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = on_fresh_thread(table_peak, UniformRho(), dirs, n_samples=10 ** 6, seed=1)
         assert peak < 16 * CHUNK_SAMPLES + 4 * 8 * BLOCK_SAMPLES * 8
+
+    def test_table_does_not_depend_on_the_tables_before_it(self):
+        # one thread's tables, n falling 12 -> 2 and rising again, at sizes
+        # around a block and past a chunk, every density, and a delta right
+        # after a uniform: each is the table a fresh thread's workspace gives
+        # and the single draw of each chunk, to the bit.  ZeroReadingDelta
+        # reads the zeros its draw leaves, so a uniform left in the
+        # workspace would move its break points
+        rng = np.random.default_rng(29)
+        uniform, gauss = UniformRho(), TruncatedGaussianRho(center=-0.2, width=0.5)
+        piecewise = PiecewiseConstantRho([-1.0, -0.1, 0.4, 1.0], [0.2, 1.5, 0.7])
+        sequence = [(12, 20_000, uniform), (12, 4097, ZeroReadingDelta(0.1)),
+                    (7, 4096, piecewise), (2, 4095, uniform), (2, 1, DeltaRho(-0.3)),
+                    (5, CHUNK_SAMPLES + 5, gauss), (12, 4097, uniform),
+                    (12, 20_000, ZeroReadingDelta(-0.4)), (3, 4096, piecewise),
+                    (9, 1, uniform), (9, 4095, DeltaRho(0.5)), (2, 20_000, gauss)]
+        for n, size, rho in sequence:
+            dirs = [sample_uniform(rng) for _ in range(n)]
+            seed = int(rng.integers(2 ** 32))
+            got = table_hex(hidden_state_agreement_table(rho, dirs, n_samples=size, seed=seed))
+            fresh = on_fresh_thread(hidden_state_agreement_table, rho, dirs, n_samples=size,
+                                    seed=seed)
+            assert got == table_hex(fresh), (n, size, rho)
+            single = single_draw_hidden_state_agreement_table(rho, dirs, size, seed)
+            assert got == table_hex(single), (n, size, rho)
+
+    def test_threads_interleaving_tables_get_their_serial_tables(self):
+        # 4 threads (more than the cores) switching every microsecond, each
+        # running tables of its own sizes of n: a workspace shared between
+        # threads would mix their blocks
+        rng = np.random.default_rng(31)
+        jobs = [[(rho, [sample_uniform(rng) for _ in range(n)], size, int(rng.integers(2 ** 32)))
+                 for n, size in plan]
+                for rho, plan in ((UniformRho(), [(12, 9000), (3, 4097)]),
+                                  (DeltaRho(0.2), [(2, 5000), (10, 4096)]),
+                                  (PiecewiseConstantRho([-1.0, 0.3, 1.0], [1.0, 2.0]),
+                                   [(8, 4095), (4, 9000)]),
+                                  (UniformRho(), [(6, 8193), (11, 3000)]))]
+        serial = [[table_hex(hidden_state_agreement_table(rho, dirs, n_samples=size, seed=seed))
+                   for rho, dirs, size, seed in thread_jobs] for thread_jobs in jobs]
+        got = [[] for _ in jobs]
+
+        def run(k):
+            for _ in range(3):
+                for rho, dirs, size, seed in jobs[k]:
+                    got[k].append(table_hex(hidden_state_agreement_table(
+                        rho, dirs, n_samples=size, seed=seed)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [3 * tables for tables in serial]
 
     @pytest.mark.parametrize("size", [1, 2, 3, BLOCK_SAMPLES - 1, BLOCK_SAMPLES, BLOCK_SAMPLES + 1,
                                       BLOCK_SAMPLES + 2, 2 * BLOCK_SAMPLES + 1, 20_000,
@@ -654,15 +724,61 @@ class TestAgreementTable:
 
 
 def single_draw_hidden_state_agreement_table(rho, directions, n_samples, seed, clip=False):
-    """hidden_state_agreement_table as one draw of every sample from chunk
-    0's stream, with the coordinates clipped into [-1, 1] if ``clip``."""
+    """hidden_state_agreement_table as one draw of every sample of each chunk
+    from the chunk's stream, with the coordinates clipped into [-1, 1] if
+    ``clip``; up to CHUNK_SAMPLES samples, one draw from chunk 0's stream."""
     n = len(directions)
-    rng = chunk_rng(seed, 0)
-    coords = sample_uniform_array(rng, n_samples) @ np.array(directions).T
-    if clip:
-        coords = np.clip(coords, -1.0, 1.0)
-    outcomes = (rho.sample(rng, size=(n_samples, n)) < coords).T
-    return AgreementTable(n, pair_loop_agreements(outcomes) / n_samples)
+    dirs_t = np.array(directions).T
+
+    def chunk_agreements(rng, lo, size):
+        coords = sample_uniform_array(rng, size) @ dirs_t
+        if clip:
+            coords = np.clip(coords, -1.0, 1.0)
+        return pair_loop_agreements((rho.sample(rng, size=(size, n)) < coords).T)
+
+    return AgreementTable(n, sum(map_chunks(chunk_agreements, n_samples, CHUNK_SAMPLES, seed))
+                          / n_samples)
+
+
+class ZeroReadingDelta(DeltaRho):
+    """DeltaRho whose break points are x0 plus its draws, which are zeros."""
+
+    def quantile(self, u):
+        return u + self.x0
+
+
+def table_hex(table):
+    return [x.hex() for x in table.q.ravel().tolist()]
+
+
+def on_fresh_thread(fn, *args, **kwargs):
+    """fn(*args, **kwargs) on a new thread, whose workspace starts empty; an
+    exception it raises is raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = fn(*args, **kwargs)
+        except BaseException as e:  # re-raised on the calling thread below
+            out["error"] = e
+
+    t = threading.Thread(target=run)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def table_peak(*args, **kwargs):
+    """The tracemalloc peak of hidden_state_agreement_table(*args, **kwargs)."""
+    tracemalloc.start()
+    try:
+        hidden_state_agreement_table(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pair_loop_agreements(outcomes):
