@@ -8,9 +8,12 @@ loop on floats with Rodrigues' formula and the exact fused multiply-adds
 written inline, so that a trade builds no ``UnitVector3`` and makes no
 Python call of its own; ``_rotate`` is its one-step case.  The ``*_arrays``
 kernels take each component as an array and give, lane by lane, the bits
-of their scalar namesakes: the same operations in the same order, ``cos``
-and ``sin`` through ``math`` and the fused multiply-add emulated exactly:
-Dekker's product from ``_halves``, or ``_fma``'s rational sum if tiny.
+of their scalar namesakes: the same operations in the same order, and the
+fused multiply-add emulated exactly: Dekker's product from ``_halves``, or
+``_fma``'s rational sum if tiny.  Their ``cos`` and ``sin`` are numpy's:
+on numpy 2.4.6 its float64 loops call libm's ``cos`` and ``sin`` at every
+SIMD target, so they give ``math``'s bits, and a test checks this at each
+dispatch level the CPU offers.
 """
 
 from __future__ import annotations
@@ -78,7 +81,11 @@ def _normalize_arrays(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> tuple:
 
 def _math_map(f, x: np.ndarray) -> np.ndarray:
     """The scalar ``f`` of ``math`` on every element, so the bits are libm's
-    and never depend on which SIMD kernels numpy picked for this CPU."""
+    and never depend on which SIMD kernels numpy picked for this CPU.  Only
+    functions whose numpy loop is numpy's own at some target need it:
+    ``representative_scan_angle``'s ``acos``, since numpy's AVX-512
+    ``arccos`` rounds some inputs otherwise.  ``cos`` and ``sin`` need no
+    map (see the module docstring)."""
     return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
@@ -98,8 +105,8 @@ def _polar(theta: float, phi: float) -> tuple:
 
 def _polar_arrays(theta: np.ndarray, phi: float) -> tuple:
     """``_polar`` lane by lane, at one azimuth."""
-    st = _math_map(math.sin, theta)
-    return _normalize_arrays(st * math.cos(phi), st * math.sin(phi), _math_map(math.cos, theta))
+    st = np.sin(theta)
+    return _normalize_arrays(st * math.cos(phi), st * math.sin(phi), np.cos(theta))
 
 
 def from_polar(theta: float, phi: float) -> UnitVector3:
@@ -144,13 +151,6 @@ def _on_sphere(z: float, phi: float) -> tuple:
     return _normalize(s * math.cos(phi), s * math.sin(phi), z)
 
 
-def _on_sphere_arrays(z: np.ndarray, phi: np.ndarray) -> tuple:
-    """``_on_sphere`` lane by lane (``1 - z z`` is never -0.0, so the max
-    picks the same value as Python's)."""
-    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return _normalize_arrays(s * _math_map(math.cos, phi), s * _math_map(math.sin, phi), z)
-
-
 def sample_uniform(rng: np.random.Generator) -> UnitVector3:
     """One draw from the uniform distribution on the sphere.
 
@@ -172,14 +172,15 @@ def sample_uniform_array(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _sphere_rows(z: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """The C-contiguous (len(z), 3) array of the points at heights ``z`` and
-    azimuths ``phi``: ``_on_sphere_arrays`` with numpy's ``cos`` and ``sin``,
-    whose bits may differ from libm's.  The layout is the one whose products
-    with the directions the hidden-state tables' bits were pinned with.
+    azimuths ``phi``: ``_on_sphere`` lane by lane.  The layout is the one
+    whose products with the directions the hidden-state tables' bits were
+    pinned with.
 
-    The same operations in the same order as ``_normalize_arrays``, with
-    ``z * z`` taken once and each quotient written straight into its column.
-    The norm is never zero (about 1 for |z| <= 1, and |z| beyond), so the
-    zero check is left out."""
+    The same operations in the same order as ``_on_sphere`` and
+    ``_normalize``, with ``z * z`` taken once and each quotient written
+    straight into its column (``1 - z z`` is never -0.0, so the maximum
+    picks the same value as Python's).  The norm is never zero (about 1
+    for |z| <= 1, and |z| beyond), so the zero check is left out."""
     zz = z * z
     s = np.subtract(1.0, zz)
     np.sqrt(np.maximum(0.0, s, out=s), out=s)
@@ -279,9 +280,8 @@ def _rotate_chain(starts: list, axis: tuple, angle: np.ndarray) -> np.ndarray:
     a slab.
     """
     kx, ky, kz = axis
-    cos = _math_map(math.cos, angle)
-    columns = (kx, ky, kz, *_halves(ky), *_halves(kz),
-               cos, _math_map(math.sin, angle), 1.0 - cos)
+    cos = np.cos(angle)
+    columns = (kx, ky, kz, *_halves(ky), *_halves(kz), cos, np.sin(angle), 1.0 - cos)
     n = len(angle) // len(starts)
     out = np.empty((len(angle), 3))
     flat = out.reshape(-1)
@@ -326,8 +326,8 @@ def _rotate_arrays(v: tuple, axis: tuple, angle: np.ndarray) -> tuple:
     """``_rotate`` lane by lane."""
     vx, vy, vz = v
     kx, ky, kz = axis
-    c = _math_map(math.cos, angle)
-    s = _math_map(math.sin, angle)
+    c = np.cos(angle)
+    s = np.sin(angle)
     t = 1.0 - c
     d = _fma_arrays(kz, vz, _fma_arrays(ky, vy, kx * vx))
     return _normalize_arrays((vx * c + (ky * vz - kz * vy) * s) + (kx * d) * t,

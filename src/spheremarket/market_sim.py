@@ -25,11 +25,11 @@ from .geometry import (
     _check_unit_rows,
     _dot_arrays,
     _math_map,
-    _on_sphere_arrays,
     _polar_arrays,
     _rotate,
     _rotate_arrays,
     _rotate_chain,
+    _sphere_rows,
     sample_uniform,
 )
 from .sphere_model import MeasurementOutcome, OutcomeLabel, RhoDistribution
@@ -225,8 +225,8 @@ def _run_members(cfg: MarketConfig, rngs: list) -> list[TradeLog]:
         starts.append(sample_uniform(rng))
         rng.random(out=u[lo:lo + n])
     breaks = rho.quantile(u[:, -1] if rho.draws else np.zeros(len(u)))
-    kicks = ((_on_sphere_arrays(-1.0 + 2.0 * u[:, 0], _TWO_PI * u[:, 1]), noise * u[:, 2])
-             if noise > 0.0 else None)
+    kicks = ((tuple(_sphere_rows(-1.0 + 2.0 * u[:, 0], _TWO_PI * u[:, 1]).T.copy()),
+              noise * u[:, 2]) if noise > 0.0 else None)
     history = _local_history if isinstance(cfg.regime, LocalRegime) else _global_history
     direction, o1 = history(cfg, starts, kicks, breaks)
     price = _prices(cfg, tuple(direction.T), o1)

@@ -1,6 +1,9 @@
 import ctypes
 import ctypes.util
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -17,12 +20,12 @@ from spheremarket.geometry import (
     _dot_arrays,
     _fma_arrays,
     _on_sphere,
-    _on_sphere_arrays,
     _polar,
     _polar_arrays,
     _rotate,
     _rotate_arrays,
     _rotate_chain,
+    _sphere_rows,
     dot,
     from_polar,
     sample_uniform,
@@ -595,11 +598,68 @@ class TestArrayKernels:
         z, phi = -1.0 + 2.0 * rng.random(300), 2.0 * math.pi * rng.random(300)
         z[:3] = [-1.0, 1.0, 0.0]
         want = [_on_sphere(a, b) for a, b in zip(z.tolist(), phi.tolist())]
-        assert rows(_on_sphere_arrays(z, phi)) == hex_points(want)
+        assert rows(tuple(_sphere_rows(z, phi).T)) == hex_points(want)
         theta = np.concatenate(([0.0, math.pi / 2, math.pi, -math.pi], rng.uniform(-4, 4, 300)))
         for azimuth in (0.0, 2.5):
             want = [_polar(t, azimuth) for t in theta.tolist()]
             assert rows(_polar_arrays(theta, azimuth)) == hex_points(want)
+
+
+def dispatch_levels() -> dict:
+    """The targets to disable at each dispatch level probed: none (numpy's
+    default), the AVX-512 targets, and those and X86_V3, each read from
+    numpy's runtime "found" list (as ``numpy.show_runtime`` prints it) and
+    none of them baseline.  A level with no target of its own found would
+    repeat the one before, so it is left out."""
+    from numpy._core._multiarray_umath import (__cpu_baseline__, __cpu_dispatch__,
+                                               __cpu_features__)
+
+    found = [t for t in __cpu_dispatch__ if __cpu_features__[t] and t not in __cpu_baseline__]
+    avx512 = [t for t in found if t == "X86_V4" or t.startswith("AVX512")]
+    v3 = [t for t in found if t == "X86_V3"]
+    levels = {"default": []}
+    if avx512:
+        levels["no-avx512"] = avx512
+    if v3:
+        levels["no-avx512-no-x86v3"] = avx512 + v3
+    return levels
+
+
+DISPATCH_LEVELS = dispatch_levels()
+
+TRIG_PROBE = """
+import math, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+rng = np.random.default_rng(40)
+x = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 100_000),  # azimuths
+                    rng.uniform(0.0, math.pi, 100_000),  # kick angles
+                    rng.uniform(-1e4, 1e4, 100_000),  # news angles
+                    [0.0, -0.0, math.pi, 5e-324, 1e22, -1e300, 2.0 ** 1000,
+                     sys.float_info.max, -sys.float_info.max]])
+for f, g in ((np.cos, math.cos), (np.sin, math.sin)):
+    want = np.fromiter(map(g, x.tolist()), float, len(x))
+    print(int(np.count_nonzero(f(x).view(np.uint64) != want.view(np.uint64))))
+print(" ".join(t for t in __cpu_dispatch__ if __cpu_features__[t]))
+"""
+
+
+class TestNumpyTrigIsLibm:
+    """The array kernels take ``cos`` and ``sin`` from numpy, and their
+    twins from ``math``: numpy's float64 loops must give libm's bits at
+    every dispatch level this CPU offers, each run in a child interpreter."""
+
+    @pytest.mark.parametrize("disabled", DISPATCH_LEVELS.values(), ids=list(DISPATCH_LEVELS))
+    def test_cos_and_sin_match_math(self, disabled):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+        if disabled:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+        cos, sin, active = subprocess.run([sys.executable, "-c", TRIG_PROBE], env=env, check=True,
+                                          capture_output=True, text=True).stdout.splitlines()
+        assert not set(disabled) & set(active.split())
+        assert (cos, sin) == ("0", "0")
 
 
 class TestTupleRepresentation:

@@ -330,7 +330,7 @@ class TestRunMarket:
         rows = len(kicks) // len(starts) * len(starts)
         z, phi, angle = (np.array(k) for k in zip(*kicks[:rows]))
         breaks = np.array(breaks[:rows])
-        axes = geometry._on_sphere_arrays(z, phi)
+        axes = tuple(geometry._sphere_rows(z, phi).T.copy())
         direction, o1 = market_sim._local_history(cfg, starts, (axes, angle), breaks)
         price = market_sim._prices(cfg, tuple(direction.T), o1)
         expected = scalar_local_members(cfg, starts, (z, phi, angle), breaks)
@@ -635,6 +635,23 @@ class TestScanAngle:
             gaps = [math.acos(geometry.dot(a, b)) for a, b in zip(dirs, dirs[1:])]
             theta = min(max(statistics.median(gaps), 1e-6), math.pi - 1e-6)
             assert representative_scan_angle(log).hex() == theta.hex()
+
+    def test_takes_libm_acos(self):
+        # the middle gap's dot product is a value where numpy's arccos and
+        # math.acos differ, where the probe finds one (numpy's AVX-512 loop
+        # differs on about one value in ten): the angle is math.acos's
+        c = np.random.default_rng(6).uniform(-0.5, 0.5, 10_000)
+        libm = np.fromiter(map(math.acos, c.tolist()), float, len(c))
+        differ = np.flatnonzero(np.arccos(c) != libm)
+        c = float(c[differ[0]]) if len(differ) else 0.3
+        x = (1.0, 0.0, 0.0)
+        # dot(x, (a, b, 0)) is a exactly, so the gaps are acos(0.9) twice,
+        # acos(c) twice and acos(-0.9), and the middle one is acos(c)
+        others = [(a, math.sqrt(1.0 - a * a), 0.0) for a in (0.9, c, -0.9)]
+        direction = np.array([x, others[0], x, others[1], x, others[2]])
+        n = len(direction)
+        log = TradeLog(np.arange(n), direction, np.ones(n, bool), np.zeros(n), np.zeros(n))
+        assert representative_scan_angle(log).hex() == math.acos(c).hex()
 
     def test_constant_directions_clamped(self):
         news = NewsSeries(kind="constant", angle=0.7)
